@@ -1,6 +1,6 @@
 # Verification loop for the matchmaking reproduction.
 #
-#   make verify       lint + vet + build + race-enabled shuffled tests (the PR gate)
+#   make verify       lint + vet + build + race-enabled shuffled tests + bench-smoke (the PR gate)
 #   make test         tier-1 check as ROADMAP.md defines it
 #   make test-short   the fast loop: -short skips chaos/simulation soak tests
 #   make lint         go vet + repo-invariant analyzers + cadlint over shipped ads + lint-codes
@@ -12,7 +12,8 @@
 #   make crash        durability soak: crash-point matrices + randomized fault soak
 #   make bench        matchmaker/classad hot-path benchmarks -> BENCH_matchmaker.json
 #   make bench-check  rerun the benchmarks and fail on >20% ns/op regression
-#   make ci           everything CI runs: verify + fuzz
+#   make bench-smoke  vet and test the pool benchmark's own module (bench/)
+#   make ci           everything CI runs: verify + repeated timing-sensitive suites + fuzz
 
 GO ?= go
 FUZZTIME ?= 15s
@@ -22,11 +23,18 @@ FUZZTIME ?= 15s
 # SteadyState is the event-driven delta wake vs full-rebuild pair).
 BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState
 
-.PHONY: verify test test-short build vet lint lint-codes lint-fix-list mc mc-short fuzz crash bench bench-check ci
+.PHONY: verify test test-short build vet lint lint-codes lint-fix-list mc mc-short fuzz crash bench bench-check bench-smoke ci
 
-verify: lint mc-short
+verify: lint mc-short bench-smoke
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...
+
+# bench/ is its own module (replace repro => ../), so the root
+# `go build ./...` never compiles it: a break of the program surface
+# the benchmark calls (bench/README.md) would otherwise show only in
+# the benchmark pipeline.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # All static analysis in one target: go vet, the custom invariant
 # analyzers (tools/analyzers, typed framework v2: nodial, obsguard,
@@ -104,7 +112,7 @@ fuzz:
 # baseline. benchjson compiles under `make verify` (go build ./...),
 # so the pipeline can never rot silently.
 bench:
-	$(GO) test -run='^$$' -bench='$(BENCHPAT)' -benchmem . | $(GO) run ./tools/benchjson > BENCH_matchmaker.json
+	$(GO) test -run='^$$' -bench='$(BENCHPAT)' -benchmem -cpu 1 . | $(GO) run ./tools/benchjson > BENCH_matchmaker.json
 	@echo "wrote BENCH_matchmaker.json"
 
 # Regression gate: rerun the same benchmarks and compare ns/op against
@@ -112,8 +120,15 @@ bench:
 # the baseline via `make bench` when a slowdown is intentional).
 # -count=2 with benchjson's min-of-N keeps scheduler noise on shared
 # hardware from flagging phantom regressions: a slowdown must
-# reproduce in both samples to fail the gate.
+# reproduce in both samples to fail the gate. -cpu 1 (here and in
+# `bench`) keeps the GOMAXPROCS suffix out of the benchmark names:
+# benchjson matches by name, so a baseline from a 1-CPU host checked
+# on a 2-CPU one would otherwise compare nothing and pass.
 bench-check:
-	$(GO) test -run='^$$' -bench='$(BENCHPAT)' -benchmem -count=2 . | $(GO) run ./tools/benchjson -check BENCH_matchmaker.json
+	$(GO) test -run='^$$' -bench='$(BENCHPAT)' -benchmem -count=2 -cpu 1 . | $(GO) run ./tools/benchjson -check BENCH_matchmaker.json
 
+# The netx and pool suites drive real sockets and timers; running them
+# five times over catches a timing-dependent test before the next
+# machine does.
 ci: verify fuzz
+	$(GO) test -count=5 ./internal/netx ./internal/pool

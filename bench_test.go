@@ -311,7 +311,7 @@ func BenchmarkNegotiateTraced(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if len(mm.NegotiateCycle("c-bench", requests, offers)) == 0 {
+				if len(mm.Negotiate(requests, offers)) == 0 {
 					b.Fatal("no matches")
 				}
 			}
@@ -718,11 +718,11 @@ func BenchmarkSteadyStateDeltas(b *testing.B) {
 		eng := matchmaker.NewIncremental(matchmaker.New(matchmaker.Config{Env: env, Index: true}))
 		for _, ad := range offers {
 			name, _ := ad.Eval("Name").StringVal()
-			eng.Notify(matchmaker.AdDelta{Kind: matchmaker.AdUpsert, Name: name, Ad: ad})
+			eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdOffer, Key: name, Ad: ad})
 		}
 		for _, ad := range requests {
 			name, _ := ad.Eval("Name").StringVal()
-			eng.Notify(matchmaker.AdDelta{Kind: matchmaker.AdUpsert, Name: name, Ad: ad})
+			eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdRequest, Key: name, Ad: ad})
 		}
 		if ms, _ := eng.Recompute("seed"); len(ms) == 0 {
 			b.Fatal("no matches at seed")
@@ -733,8 +733,8 @@ func BenchmarkSteadyStateDeltas(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			for k := 0; k < churn; k++ {
 				i := (n*churn + k) % nOffers
-				eng.Notify(matchmaker.AdDelta{Kind: matchmaker.AdUpsert,
-					Name: fmt.Sprintf("m%d", i), Ad: churned(i, n)})
+				eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdOffer,
+					Key: fmt.Sprintf("m%d", i), Ad: churned(i, n)})
 			}
 			_, stats := eng.Recompute("wake")
 			evals += stats.Evals

@@ -12,6 +12,7 @@
 //
 //	cnegotiator -name nego-1 -pool HOST:9618 [-period SECONDS] [-usage-dir DIR]
 //	            [-state ADDR] [-peer http://HOST:PORT] [-lease-ttl SECONDS]
+//	            [-fallback-heartbeats N]
 package main
 
 import (
@@ -34,8 +35,7 @@ func main() {
 	name := flag.String("name", "", "this negotiator's identity in leader election (required)")
 	poolAddr := flag.String("pool", "127.0.0.1:9618", "collector address")
 	period := flag.Int64("period", 60, "heartbeat/negotiation period in seconds")
-	event := flag.Bool("event", false, "event mode: negotiate only when the collector's pool-change counter moved")
-	fallbackEvery := flag.Int64("fallback-heartbeats", 10, "event mode: force a full negotiation every N heartbeats")
+	fallbackEvery := flag.Int64("fallback-heartbeats", 10, "force a negotiation every N heartbeats even if the collector's pool-change counter has not moved (0: never)")
 	leaseTTL := flag.Int64("lease-ttl", 0, "requested lease duration in seconds (0 for the collector's default)")
 	fairShare := flag.Bool("fairshare", true, "order customers by past usage")
 	aggregate := flag.Bool("aggregate", false, "enable group matching over regular ads")
@@ -97,17 +97,12 @@ func main() {
 	for {
 		select {
 		case <-ticker.C:
-			var res pool.CycleResult
-			if *event {
-				// Event mode: the lease heartbeat carries the collector's
-				// pool-change counter; an unchanged pool skips the cycle.
-				// Every -fallback-heartbeats ticks one is forced anyway —
-				// the remote analogue of the in-process fallback rebuild.
-				beats++
-				res = d.TickEvent(*fallbackEvery > 0 && beats%*fallbackEvery == 0)
-			} else {
-				res = d.Tick()
-			}
+			// The lease heartbeat carries the collector's pool-change
+			// counter; an unchanged pool skips the cycle. Every
+			// -fallback-heartbeats ticks one is forced anyway — the
+			// remote analogue of the in-process fallback rebuild.
+			beats++
+			res := d.Tick(*fallbackEvery > 0 && beats%*fallbackEvery == 0)
 			if res.Standby {
 				log.Printf("cnegotiator: %s", d)
 				continue

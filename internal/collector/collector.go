@@ -62,7 +62,7 @@ type Store struct {
 	mStored, mExpired, mInvalidated *obs.Counter
 	mLeaseGrants, mLeaseTakeovers   *obs.Counter
 	mDeltaApplied, mDeltaMismatch   *obs.Counter
-	mDeltaBytesSaved                *obs.Counter
+	mDeltaBytesSaved, mSubOverflows *obs.Counter
 
 	// daemons tracks self-advertising daemons (Type == "Daemon") past
 	// their ads' expiry: unlike ordinary ads, a daemon that stops
@@ -107,8 +107,10 @@ func New(env *classad.Env) *Store {
 // collector_ads_invalidated_total (explicit withdrawals),
 // collector_lease_grants_total (leadership grants and renewals) and
 // collector_lease_takeovers_total (epoch bumps: the lease changing
-// hands). It also publishes the live ad count as the gauge
-// collector_ads.
+// hands), the delta counters (delta.go) and
+// collector_subscription_overflows_total (change-feed queues collapsed
+// to a resync marker). It also publishes the live ad count as the
+// gauge collector_ads.
 func (s *Store) Instrument(reg *obs.Registry) {
 	s.mu.Lock()
 	s.mStored = reg.Counter("collector_ads_stored_total")
@@ -119,6 +121,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	s.mDeltaApplied = reg.Counter("collector_delta_applied_total")
 	s.mDeltaMismatch = reg.Counter("collector_delta_mismatch_total")
 	s.mDeltaBytesSaved = reg.Counter("collector_delta_bytes_saved_total")
+	s.mSubOverflows = reg.Counter("collector_subscription_overflows_total")
 	log := s.log
 	s.mu.Unlock()
 	reg.GaugeFunc("collector_ads", func() float64 { return float64(s.Len()) })

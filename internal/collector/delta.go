@@ -45,6 +45,10 @@ const (
 	DeltaExpired
 	// DeltaInvalidated: the advertiser explicitly withdrew the ad.
 	DeltaInvalidated
+	// DeltaResync is not a store change but a subscription's overflow
+	// marker: deltas before it were dropped (SubscriptionCap), so the
+	// subscriber must re-read the store. Name and Ad are empty.
+	DeltaResync
 )
 
 func (k DeltaKind) String() string {
@@ -57,6 +61,8 @@ func (k DeltaKind) String() string {
 		return "expired"
 	case DeltaInvalidated:
 		return "invalidated"
+	case DeltaResync:
+		return "resync"
 	}
 	return fmt.Sprintf("DeltaKind(%d)", int(k))
 }
@@ -81,27 +87,36 @@ type Hooks struct {
 	StaleDeltaApply bool
 }
 
-// Subscription is one subscriber's view of the store's change feed:
-// an unbounded FIFO the store appends to and the subscriber drains.
-// Unbounded is deliberate — dropping a delta would silently undo the
-// engine's dirty marking (exactly the DropDirtyNotification mutant),
-// and a subscriber further behind than the ad pool is reconciled by
-// the fallback full rebuild, not by backpressure on advertisers.
+// SubscriptionCap bounds a subscription's queue. A subscriber that
+// falls this far behind has its queue collapsed to one DeltaResync
+// marker: the deltas themselves are lost, the fact that they happened
+// is not, and the subscriber recovers by re-reading the store (All)
+// and renegotiating everything. The cap sits above the pool sizes the
+// benchmarks seed in one burst, so only a stalled subscriber pays it.
+const SubscriptionCap = 16384
+
+// Subscription is one subscriber's view of the store's change feed: a
+// FIFO the store appends to and the subscriber drains, bounded by
+// SubscriptionCap. Dropping a delta silently would undo the engine's
+// dirty marking (exactly the DropDirtyNotification mutant), so
+// overflow is never silent: it is the DeltaResync marker, counted in
+// collector_subscription_overflows_total.
 type Subscription struct {
 	store *Store
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	queue  []Delta
 	closed bool
+	// ready holds one token while deltas may be queued; Close closes
+	// it.
+	ready chan struct{}
 }
 
 // Subscribe registers a new change-feed subscriber. Deltas published
-// after the call are queued until Drain/Wait collects them; Close
+// after the call are queued until Drain collects them; Close
 // unregisters.
 func (s *Store) Subscribe() *Subscription {
-	sub := &Subscription{store: s}
-	sub.cond = sync.NewCond(&sub.mu)
+	sub := &Subscription{store: s, ready: make(chan struct{}, 1)}
 	s.mu.Lock()
 	s.subs = append(s.subs, sub)
 	s.mu.Unlock()
@@ -115,8 +130,16 @@ func (s *Store) publishLocked(d Delta) {
 	for _, sub := range s.subs {
 		sub.mu.Lock()
 		if !sub.closed {
-			sub.queue = append(sub.queue, d)
-			sub.cond.Signal()
+			if len(sub.queue) >= SubscriptionCap {
+				sub.queue = []Delta{{Kind: DeltaResync}} // and let the dropped ads go
+				s.mSubOverflows.Inc()
+			} else {
+				sub.queue = append(sub.queue, d)
+			}
+			select {
+			case sub.ready <- struct{}{}:
+			default:
+			}
 		}
 		sub.mu.Unlock()
 	}
@@ -131,18 +154,10 @@ func (sub *Subscription) Drain() []Delta {
 	return out
 }
 
-// Wait blocks until at least one delta is queued or the subscription
-// closes, then returns the drained queue (nil once closed).
-func (sub *Subscription) Wait() []Delta {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	for len(sub.queue) == 0 && !sub.closed {
-		sub.cond.Wait()
-	}
-	out := sub.queue
-	sub.queue = nil
-	return out
-}
+// Ready delivers a token after deltas were queued, for a subscriber
+// that sleeps in select and then Drains (a token may be stale: Drain
+// can come back empty). It is closed by Close.
+func (sub *Subscription) Ready() <-chan struct{} { return sub.ready }
 
 // Pending reports the queued delta count.
 func (sub *Subscription) Pending() int {
@@ -151,7 +166,7 @@ func (sub *Subscription) Pending() int {
 	return len(sub.queue)
 }
 
-// Close unregisters the subscription and wakes any blocked Wait.
+// Close unregisters the subscription and closes Ready.
 func (sub *Subscription) Close() {
 	s := sub.store
 	s.mu.Lock()
@@ -163,8 +178,10 @@ func (sub *Subscription) Close() {
 	}
 	s.mu.Unlock()
 	sub.mu.Lock()
-	sub.closed = true
-	sub.cond.Broadcast()
+	if !sub.closed {
+		sub.closed = true
+		close(sub.ready)
+	}
 	sub.mu.Unlock()
 }
 

@@ -50,7 +50,7 @@ func TestForensicsConstraintFailedNamesConjunct(t *testing.T) {
 	m.Instrument(obs.New())
 	offers := []*classad.Ad{named(machine("m1", "INTEL", 32), "m1")}
 	req := named(job("alice", "INTEL", 64), "alice/job1")
-	if got := m.NegotiateCycle("c-1", []*classad.Ad{req}, offers); len(got) != 0 {
+	if got := negotiateAs(m, "c-1", []*classad.Ad{req}, offers); len(got) != 0 {
 		t.Fatalf("unexpected match: %+v", got)
 	}
 	r, ok := m.Forensics().Lookup("alice/job1")
@@ -76,7 +76,7 @@ func TestForensicsOutrankedNamesWinner(t *testing.T) {
 		named(job("alice", "INTEL", 32), "alice/job1"),
 		named(job("bob", "INTEL", 32), "bob/job1"),
 	}
-	if got := m.NegotiateCycle("c-1", requests, offers); len(got) != 1 {
+	if got := negotiateAs(m, "c-1", requests, offers); len(got) != 1 {
 		t.Fatalf("got %d matches, want 1", len(got))
 	}
 	winner := adName(requests[0])
@@ -105,7 +105,7 @@ func TestForensicsIndexPruned(t *testing.T) {
 	m.Instrument(obs.New())
 	offers := []*classad.Ad{named(machine("m1", "SPARC", 64), "m1")}
 	req := named(job("alice", "INTEL", 32), "alice/job1")
-	if got := m.NegotiateCycle("c-1", []*classad.Ad{req}, offers); len(got) != 0 {
+	if got := negotiateAs(m, "c-1", []*classad.Ad{req}, offers); len(got) != 0 {
 		t.Fatalf("unexpected match: %+v", got)
 	}
 	r, ok := m.Forensics().Lookup("alice/job1")
@@ -129,7 +129,7 @@ func TestForensicsLedgerTruncates(t *testing.T) {
 		offers = append(offers, named(machine(name, "SPARC", 64), name))
 	}
 	req := named(job("alice", "INTEL", 32), "alice/job1")
-	m.NegotiateCycle("c-1", []*classad.Ad{req}, offers)
+	negotiateAs(m, "c-1", []*classad.Ad{req}, offers)
 	r, _ := m.Forensics().Lookup("alice/job1")
 	if len(r.Ledger) != maxLedgerEntries || !r.Truncated {
 		t.Fatalf("ledger len = %d truncated = %v, want %d/true",
@@ -159,7 +159,7 @@ func TestForensicsClaimedOfferLivelock(t *testing.T) {
 
 	for cycle := 1; cycle <= 3; cycle++ {
 		id := fmt.Sprintf("c-%d", cycle)
-		got := m.NegotiateCycle(id, []*classad.Ad{req}, offers)
+		got := negotiateAs(m, id, []*classad.Ad{req}, offers)
 		if len(got) != 1 || adName(got[0].Offer) != "idle" {
 			t.Fatalf("cycle %d: matches = %+v, want the idle machine (tie-break resolved)", cycle, got)
 		}
@@ -181,11 +181,25 @@ func TestForensicsClaimedOfferLivelock(t *testing.T) {
 	if err := prefer.SetExprString("Rank", `ifThenElse(other.Name == "claimed", 1, 0)`); err != nil {
 		t.Fatal(err)
 	}
-	got := m.NegotiateCycle("c-4", []*classad.Ad{prefer}, offers)
+	got := negotiateAs(m, "c-4", []*classad.Ad{prefer}, offers)
 	if len(got) != 1 || adName(got[0].Offer) != "claimed" {
 		t.Fatalf("preferring request: matches = %+v, want the claimed machine", got)
 	}
 	if r, _ := m.Forensics().Lookup("alice/job2"); !r.Claimed {
 		t.Fatalf("preferring request: report = %+v, want Claimed flagged", r)
 	}
+}
+
+// negotiateAs is Negotiate stamped with a cycle ID (and charging
+// nothing): one pass of a fresh engine, fed the way Negotiate feeds it.
+func negotiateAs(m *Matchmaker, cycle string, requests, offers []*classad.Ad) []Match {
+	e := NewIncremental(m)
+	for i, ad := range offers {
+		e.Apply(AdDelta{Kind: AdOffer, Key: sliceKey('o', i), Ad: ad})
+	}
+	for i, ad := range requests {
+		e.Apply(AdDelta{Kind: AdRequest, Key: sliceKey('r', i), Ad: ad})
+	}
+	matches, _ := e.Recompute(cycle)
+	return matches
 }

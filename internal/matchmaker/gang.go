@@ -92,8 +92,7 @@ func MatchGang(req *classad.Ad, offers []*classad.Ad, env *classad.Env) (GangMat
 }
 
 // MatchGangIndexed is MatchGang against a prebuilt index over the same
-// offer slice; NegotiateMixed shares one index across all gangs and
-// ordinary requests of a cycle.
+// offer slice, for callers serving several gangs against one pool.
 func MatchGangIndexed(req *classad.Ad, offers []*classad.Ad, ix *OfferIndex, env *classad.Env) (GangMatch, bool) {
 	return matchGang(req, offers, ix, env)
 }
@@ -178,72 +177,4 @@ func matchGang(req *classad.Ad, offers []*classad.Ad, ix *OfferIndex, env *class
 		return GangMatch{SubRequests: subs}, false
 	}
 	return GangMatch{SubRequests: subs, Offers: assigned}, true
-}
-
-// NegotiateMixed runs a negotiation cycle over a request list that may
-// contain both ordinary requests and gang (co-allocation) requests, in
-// submission/fair-share order. A gang request is served all-or-nothing
-// against the offers still available when its turn comes; its matches
-// appear as one Match per slot, all sharing the gang's parent ad as
-// Request context via the sub-request's inherited Owner. Ordinary
-// requests behave exactly as in Negotiate.
-func (m *Matchmaker) NegotiateMixed(requests, offers []*classad.Ad) []Match {
-	order := m.requestOrder(requests)
-	available := make([]bool, len(offers))
-	remaining := make([]*classad.Ad, 0, len(offers))
-	idxMap := make([]int, 0, len(offers))
-	for i := range offers {
-		available[i] = true
-	}
-	var ix *OfferIndex
-	if m.cfg.Index {
-		ix = NewOfferIndex(offers)
-	}
-	var out []Match
-	for _, ri := range order {
-		req := requests[ri]
-		if IsGang(req) {
-			// Build the currently available offer slice. The gang's
-			// index must cover exactly this slice, so it is rebuilt
-			// per gang — construction touches no expressions, so it
-			// stays cheap next to the candidate evaluations it saves.
-			remaining = remaining[:0]
-			idxMap = idxMap[:0]
-			for oi, ok := range available {
-				if ok {
-					remaining = append(remaining, offers[oi])
-					idxMap = append(idxMap, oi)
-				}
-			}
-			var gix *OfferIndex
-			if m.cfg.Index && len(remaining) >= gangIndexThreshold {
-				gix = NewOfferIndex(remaining)
-			}
-			gm, ok := MatchGangIndexed(req, remaining, gix, m.cfg.Env)
-			if !ok {
-				continue
-			}
-			for si, rem := range gm.Offers {
-				oi := idxMap[rem]
-				available[oi] = false
-				sub := gm.SubRequests[si]
-				out = append(out, Match{
-					Request:     sub,
-					Offer:       offers[oi],
-					RequestRank: classad.EvalRank(sub, offers[oi], m.cfg.Env),
-					OfferRank:   classad.EvalRank(offers[oi], sub, m.cfg.Env),
-				})
-			}
-			m.usage.Record(owner(req), float64(len(gm.Offers)))
-			continue
-		}
-		best, reqRank, offRank, _, _, _, _ := m.scan(req, offers, ix, available)
-		if best >= 0 {
-			available[best] = false
-			out = append(out, Match{Request: req, Offer: offers[best],
-				RequestRank: reqRank, OfferRank: offRank})
-			m.usage.Record(owner(req), 1)
-		}
-	}
-	return out
 }

@@ -1,33 +1,33 @@
 package matchmaker
 
-// Event-driven incremental negotiation (ROADMAP item 3): the dirty-set
-// engine that replaces the fixed-timer full rebuild.
+// The negotiation engine: the one loop that orders requests and picks
+// offers (paper §3.2), kept as a view over the ad pool that its caller
+// maintains delta by delta.
 //
-// The collector store publishes ad deltas (new/changed/expired/
-// invalidated) over its subscription seam; the pool manager adapts
-// them into AdDeltas and Notify()s this engine. The engine keeps a
-// persistent OfferIndex (reusing its incremental Add/Remove), the
-// previous wake's full assignment, and a dirty request set — a
-// request is dirty if it is new, was unmatched, or its prior match's
-// offer was touched by a delta (the ISSUE's rule). A
-// needs_matchmaking condition variable wakes negotiation only when
-// there is queued work, so a quiet pool costs nothing; a configurable
-// full-rebuild fallback (MarkAllDirty) is the safety net against any
-// lost notification.
+// The caller — the pool driver fed from the collector's change feed or
+// a query snapshot, or the one-shot Negotiate over two slices —
+// supplies every ad under a record key and says whether it is a
+// request or an offer. The engine keeps the offers (with a persistent
+// OfferIndex), the requests, the previous wake's full assignment, and
+// a dirty request set: a request is dirty if it is new or changed, was
+// unmatched, or its prior match's offer was touched by a delta. A
+// "full cycle" is the same loop with every request dirty
+// (MarkAllDirty, the first wake, or a config that rules the shortcut
+// out).
 //
-// Correctness contract (pinned by TestIncrementalDifferential):
-// after any delta stream, Recompute's assignment, fair-share charges,
-// and forensic verdicts are identical to a from-scratch NegotiateCycle
-// over the same live ads. The argument for the one shortcut the
-// engine takes — a clean matched request re-examines only the
-// "frontier" instead of the whole pool — is:
+// Correctness contract (pinned by TestIncrementalDifferential against
+// the naive oracle in oracle_test.go): after any delta stream,
+// Recompute's assignment and forensic verdicts are those of a
+// from-scratch negotiation over the same live ads. The argument for
+// the one shortcut the engine takes — a clean matched request
+// re-examines only the "frontier" instead of the whole pool — is:
 //
-//   - Requests are replayed in the same canonical order as a full
-//     cycle (name-sorted, then fair-share). If the order diverges
-//     from the previous wake at position k (usage changed, a request
-//     arrived or left), every request from k on is marked dirty, so
-//     the shortcut only applies where the serving prefix is
-//     literally identical.
+//   - Requests are replayed in the same canonical order every wake
+//     (key-sorted, then fair-share). If the order diverges from the
+//     previous wake at position k (usage changed, a request arrived
+//     or left), every request from k on is marked dirty, so the
+//     shortcut only applies where the serving prefix is literally
+//     identical.
 //   - The frontier is the set of offers whose content or availability
 //     differs from the previous wake at the corresponding point of
 //     the replay: offers touched by deltas, offers freed by departed
@@ -38,15 +38,14 @@ package matchmaker
 //   - A clean request's previous pick therefore still beats every
 //     non-frontier offer (same ads, same ranks, same claimed state,
 //     and the same relative tie-break order, because positions are
-//     assigned in name-sorted order and the relative order of two
-//     fixed names never changes). The new winner is the better() of
+//     assigned in key-sorted order and the relative order of two
+//     fixed keys never changes). The new winner is the better() of
 //     the previous pick and the best frontier challenger — a scan
 //     over the frontier only.
 //
-// Unmatched and dirty requests take the full indexed scan, which is
-// exactly the NegotiateCycle path (same scanOffers kernel, same
-// better() comparator, same diagnose/forensics), so their outcomes
-// are trivially identical.
+// Unmatched and dirty requests take the full scan (index-pruned,
+// aggregated, or linear per Config), which evaluates every offer that
+// could match.
 
 import (
 	"fmt"
@@ -61,17 +60,21 @@ import (
 type AdDeltaKind int
 
 const (
-	// AdUpsert: an ad appeared or changed; Ad carries the new content.
-	AdUpsert AdDeltaKind = iota
-	// AdRemove: the ad named Name expired or was invalidated.
+	// AdRequest: a request ad appeared or changed under Key.
+	AdRequest AdDeltaKind = iota
+	// AdOffer: an offer ad appeared or changed under Key.
+	AdOffer
+	// AdRemove: whatever is stored under Key left the pool.
 	AdRemove
 )
 
-// AdDelta is one pool change delivered to the engine. Name is the
-// ad's folded name; Ad is nil for AdRemove.
+// AdDelta is one pool change delivered to the engine. Key is the
+// record key the caller chose (the pool uses the folded ad name):
+// the engine stores Ad under it and serves requests, and breaks rank
+// ties between offers, in byte-wise Key order. Ad is nil for AdRemove.
 type AdDelta struct {
 	Kind AdDeltaKind
-	Name string
+	Key  string
 	Ad   *classad.Ad
 }
 
@@ -89,19 +92,17 @@ type IncrementalHooks struct {
 // offerRec is the engine's record of one live offer.
 type offerRec struct {
 	ad   *classad.Ad
-	slot int // slot in the persistent OfferIndex
-	src  string
+	slot int // slot in the persistent OfferIndex, once built
 }
 
 // reqRec is the engine's record of one live request and its previous
 // outcome.
 type reqRec struct {
 	ad    *classad.Ad
-	src   string
 	dirty bool
 	// Previous wake's outcome.
 	matched          bool
-	offer            string // folded name of the matched offer
+	offer            string // key of the matched offer
 	reqRank, offRank float64
 }
 
@@ -109,7 +110,7 @@ type reqRec struct {
 type WakeStats struct {
 	// Requests and Offers are the pool sizes this wake served.
 	Requests, Offers int
-	// Deltas is how many queued deltas this wake absorbed.
+	// Deltas is how many pool changes this wake absorbed.
 	Deltas int
 	// Dirty is how many requests took the full scan path.
 	Dirty int
@@ -119,46 +120,44 @@ type WakeStats struct {
 	// negotiation work the incremental engine exists to avoid.
 	Evals int
 	// FullRebuild reports that this wake ran with every request dirty
-	// (first wake, MarkAllDirty fallback, or an unsupported config).
+	// (first wake, MarkAllDirty fallback, aggregation or first-fit).
 	FullRebuild bool
 }
 
-// Incremental is the event-driven negotiation engine. Construct with
-// NewIncremental, feed it AdDeltas via Notify, and run wakes with
-// Recompute (typically from a loop blocked on Wait). All methods are
-// safe for concurrent use; Recompute itself is serialized.
+// Incremental is the negotiation engine. Construct with
+// NewIncremental, feed it with Apply (deltas) or Sync (a snapshot),
+// and run wakes with Recompute when NeedsWake (or Ready) says there is
+// work. All methods are safe for concurrent use.
 type Incremental struct {
 	m *Matchmaker
 
 	// Hooks seed faults for self-tests; zero in production.
 	Hooks IncrementalHooks
 
-	mu   sync.Mutex
-	cond *sync.Cond // needs_matchmaking: signaled on queued work
-	// pending is the queued delta stream; forceFull requests a full
-	// rebuild on the next wake.
-	pending   []AdDelta
+	mu sync.Mutex
+	// needs_matchmaking: changed is set by a delta that altered the
+	// pool, forceFull by MarkAllDirty; ready carries the edge to a
+	// driver blocked in select. Recompute clears both flags.
+	changed   bool
 	forceFull bool
-	closed    bool
+	ready     chan struct{}
+	applied   int // pool changes absorbed since the last wake
 
-	// Persistent negotiation state.
+	// Persistent negotiation state. ix exists only under Config.Index,
+	// and stays nil until the first wake builds it over the whole pool
+	// in one batch.
 	ix       *OfferIndex
 	offers   map[string]*offerRec
 	requests map[string]*reqRec
-	// touched accumulates offer names whose content changed (or that
+	// touched accumulates offer keys whose content changed (or that
 	// appeared/disappeared) since the last wake — the initial
 	// frontier.
 	touched map[string]bool
 	// freed accumulates offers released by requests that left the
 	// pool since the last wake.
 	freed map[string]bool
-	// prevOrder is the request-name order the previous wake served.
+	// prevOrder is the request-key order the previous wake served.
 	prevOrder []string
-	// hadOffers is whether the previous wake saw a non-empty offer
-	// pool (the no-offers reason boundary; crossing it dirties
-	// unmatched requests, which are always dirty anyway — kept for
-	// clarity of the invariant).
-	hadOffers bool
 	firstWake bool
 
 	// Observability; nil-safe until InstrumentEngine.
@@ -169,32 +168,25 @@ type Incremental struct {
 	mEvals        *obs.Counter
 }
 
-// NewIncremental wraps m. The engine owns m's cycle execution: run
-// wakes through Recompute, not NegotiateCycle. Charging is forced to
-// the deferred model (Config.DeferCharges) — an event-driven engine
-// has no per-cycle charge point, so the caller bills usage on claim
-// acknowledgment exactly as pool.NewManager already does.
-// Aggregate/FirstFit configs are served by falling back to a full
-// rebuild every wake (still correct, no longer incremental).
+// NewIncremental returns an empty engine negotiating with m's
+// configuration, usage table and instrumentation. The engine never
+// charges usage: its caller bills m.Usage() when a match is consumed.
 func NewIncremental(m *Matchmaker) *Incremental {
-	m.cfg.DeferCharges = true
-	e := &Incremental{
+	return &Incremental{
 		m:         m,
-		ix:        NewOfferIndex(nil),
+		ready:     make(chan struct{}, 1),
 		offers:    make(map[string]*offerRec),
 		requests:  make(map[string]*reqRec),
 		touched:   make(map[string]bool),
 		freed:     make(map[string]bool),
 		firstWake: true,
 	}
-	e.cond = sync.NewCond(&e.mu)
-	return e
 }
 
 // InstrumentEngine registers the engine's own metrics with o:
-// matchmaker_dirty_requests (gauge: dirty-set depth after the last
-// wake's drain), matchmaker_wakes_total, matchmaker_wake_coalesced_total
-// (deltas absorbed into an already-pending wake),
+// matchmaker_dirty_requests (gauge: dirty-set depth of the last wake),
+// matchmaker_wakes_total, matchmaker_wake_coalesced_total (pool
+// changes absorbed into an already-pending wake),
 // matchmaker_full_rebuilds_total (fallback cycles), and
 // matchmaker_incremental_evals_total (bilateral evaluations spent).
 // The embedded Matchmaker is instrumented separately (Instrument).
@@ -212,212 +204,192 @@ func (e *Incremental) InstrumentEngine(o *obs.Obs) {
 // Matchmaker exposes the embedded matchmaker (usage, forensics).
 func (e *Incremental) Matchmaker() *Matchmaker { return e.m }
 
-// classifyAd mirrors the pool manager's request/offer split: Type
-// "Job" is a request, negotiator and daemon self-ads are neither, and
-// everything else — including ads with no Type — is an offer.
-const (
-	adRequest = iota
-	adOffer
-	adIgnore
-)
-
-func classifyAd(ad *classad.Ad) int {
-	typ, ok := ad.Eval(classad.AttrType).StringVal()
-	if !ok {
-		return adOffer
-	}
-	switch classad.Fold(typ) {
-	case "job":
-		return adRequest
-	case "negotiator", "daemon":
-		return adIgnore
-	}
-	return adOffer
-}
-
-// Notify queues deltas and signals needs_matchmaking. Deltas for ads
-// the engine ignores (negotiator/daemon self-ads) are dropped without
-// a wake, so a self-advertising manager does not wake itself forever.
-func (e *Incremental) Notify(deltas ...AdDelta) {
+// Apply brings the engine's pool up to date with deltas, in order,
+// and raises needs_matchmaking if any of them changed it. A
+// content-identical upsert and a removal for a key the engine never
+// stored change nothing and wake nobody.
+func (e *Incremental) Apply(deltas ...AdDelta) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	queued := false
 	for _, d := range deltas {
-		if d.Kind == AdUpsert {
-			if d.Ad == nil || classifyAd(d.Ad) == adIgnore {
-				continue
+		e.applyLocked(d)
+	}
+}
+
+// Sync replaces the engine's pool with snapshot: every ad in it is
+// upserted (content-identical ones are left alone) and every record
+// whose key it does not mention is removed. It is how a caller without
+// a change feed — or one whose feed overflowed — feeds the engine.
+func (e *Incremental) Sync(snapshot []AdDelta) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	seen := make(map[string]bool, len(snapshot))
+	for _, d := range snapshot {
+		seen[d.Key] = true
+		e.applyLocked(d)
+	}
+	for key := range e.offers {
+		if !seen[key] {
+			e.applyLocked(AdDelta{Kind: AdRemove, Key: key})
+		}
+	}
+	for key := range e.requests {
+		if !seen[key] {
+			e.applyLocked(AdDelta{Kind: AdRemove, Key: key})
+		}
+	}
+}
+
+// applyLocked applies one delta to the persistent state: the offer
+// index, the request set, the dirty marks, and the initial frontier.
+// The caller holds e.mu.
+func (e *Incremental) applyLocked(d AdDelta) {
+	switch d.Kind {
+	case AdRequest:
+		if prev, ok := e.requests[d.Key]; ok {
+			if sameAd(prev.ad, d.Ad) {
+				return
 			}
-			if e.Hooks.DropDirtyNotification {
-				// Seeded mutant: a content change for a known offer is
-				// dropped on the floor — the index keeps the stale ad and
-				// nothing re-enters negotiation for it.
-				if _, known := e.offers[classad.Fold(d.Name)]; known {
-					continue
-				}
-			}
+			prev.ad, prev.dirty = d.Ad, true
 		} else {
-			// A removal for a name the engine never stored is noise.
-			key := classad.Fold(d.Name)
-			if _, isOffer := e.offers[key]; !isOffer {
-				if _, isReq := e.requests[key]; !isReq {
-					continue
-				}
-			}
+			e.requests[d.Key] = &reqRec{ad: d.Ad, dirty: true}
 		}
-		if len(e.pending) > 0 || e.forceFull {
-			e.mCoalesced.Inc()
+		// One key is one ad: a key re-advertised as a request retires
+		// whatever offer it named before.
+		e.dropOfferLocked(d.Key)
+	case AdOffer:
+		if prev, ok := e.offers[d.Key]; ok {
+			if sameAd(prev.ad, d.Ad) {
+				return
+			}
+			if e.Hooks.DropDirtyNotification && !e.touched[d.Key] {
+				// The seeded mutant drops a change to an offer the last
+				// wake already served: the index keeps the stale ad and
+				// nothing re-enters negotiation for it.
+				return
+			}
+			if e.ix != nil {
+				e.ix.Remove(prev.slot)
+				prev.slot = e.ix.Add(d.Ad)
+			}
+			prev.ad = d.Ad
+		} else {
+			rec := &offerRec{ad: d.Ad}
+			if e.ix != nil {
+				rec.slot = e.ix.Add(d.Ad)
+			}
+			e.offers[d.Key] = rec
 		}
-		e.pending = append(e.pending, d)
-		queued = true
-	}
-	if queued {
-		e.cond.Signal()
-	}
-}
-
-// MarkAllDirty requests a full rebuild on the next wake — the
-// fallback cycle's entry point — and signals needs_matchmaking.
-func (e *Incremental) MarkAllDirty() {
-	e.mu.Lock()
-	e.forceFull = true
-	e.cond.Signal()
-	e.mu.Unlock()
-}
-
-// Wait blocks on needs_matchmaking until there is queued work (or a
-// forced rebuild), returning false once the engine is closed.
-func (e *Incremental) Wait() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for len(e.pending) == 0 && !e.forceFull && !e.closed {
-		e.cond.Wait()
-	}
-	return !e.closed
-}
-
-// NeedsWake reports whether Recompute has queued work, without
-// blocking.
-func (e *Incremental) NeedsWake() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.pending) > 0 || e.forceFull
-}
-
-// Close wakes any blocked Wait and marks the engine closed.
-func (e *Incremental) Close() {
-	e.mu.Lock()
-	e.closed = true
-	e.cond.Broadcast()
-	e.mu.Unlock()
-}
-
-// drainLocked applies queued deltas to the persistent state: the
-// offer index, the request set, the dirty marks, and the initial
-// frontier. The caller holds e.mu.
-func (e *Incremental) drainLocked() int {
-	n := len(e.pending)
-	for _, d := range e.pending {
-		key := classad.Fold(d.Name)
-		switch d.Kind {
-		case AdUpsert:
-			switch classifyAd(d.Ad) {
-			case adRequest:
-				src := d.Ad.String()
-				if prev, ok := e.requests[key]; ok {
-					if prev.src == src {
-						continue // content-identical refresh
-					}
-					prev.ad, prev.src, prev.dirty = d.Ad, src, true
-				} else {
-					e.requests[key] = &reqRec{ad: d.Ad, src: src, dirty: true}
-				}
-				// A job and an offer may not share a name (the store
-				// would have overwritten one with the other); drop any
-				// stale offer record under the same key.
-				e.dropOfferLocked(key)
-			case adOffer:
-				src := d.Ad.String()
-				if prev, ok := e.offers[key]; ok {
-					if prev.src == src {
-						continue
-					}
-					e.ix.Remove(prev.slot)
-					prev.ad, prev.src, prev.slot = d.Ad, src, e.ix.Add(d.Ad)
-				} else {
-					e.offers[key] = &offerRec{ad: d.Ad, src: src, slot: e.ix.Add(d.Ad)}
-				}
-				// A request re-advertised as an offer (name reuse) frees
-				// whatever it held, like any other request departure.
-				if rec, ok := e.requests[key]; ok {
-					if rec.matched {
-						e.freed[rec.offer] = true
-					}
-					delete(e.requests, key)
-				}
-				e.touched[key] = true
-			}
-		case AdRemove:
-			if rec, ok := e.requests[key]; ok {
-				if rec.matched {
-					e.freed[rec.offer] = true
-				}
-				delete(e.requests, key)
-			}
-			e.dropOfferLocked(key)
+		// A request re-advertised as an offer frees whatever it held,
+		// like any other request departure.
+		e.dropRequestLocked(d.Key)
+		e.touched[d.Key] = true
+	case AdRemove:
+		wasRequest := e.dropRequestLocked(d.Key)
+		wasOffer := e.dropOfferLocked(d.Key)
+		if !wasRequest && !wasOffer {
+			return
 		}
 	}
-	e.pending = nil
-	return n
+	if e.changed || e.forceFull {
+		e.mCoalesced.Inc()
+	}
+	e.applied++
+	e.changed = true
+	e.signalLocked()
+}
+
+// sameAd reports a content-identical refresh. Ads are immutable once
+// published, so the common resync case is decided by the pointer.
+func sameAd(prev, next *classad.Ad) bool {
+	return prev == next || prev.Equal(next)
+}
+
+func (e *Incremental) signalLocked() {
+	select {
+	case e.ready <- struct{}{}:
+	default:
+	}
+}
+
+// dropRequestLocked retires the request stored under key, if any,
+// freeing the offer it held.
+func (e *Incremental) dropRequestLocked(key string) bool {
+	rec, ok := e.requests[key]
+	if ok {
+		if rec.matched {
+			e.freed[rec.offer] = true
+		}
+		delete(e.requests, key)
+	}
+	return ok
 }
 
 // dropOfferLocked retires the offer stored under key, if any.
-func (e *Incremental) dropOfferLocked(key string) {
-	if rec, ok := e.offers[key]; ok {
-		e.ix.Remove(rec.slot)
+func (e *Incremental) dropOfferLocked(key string) bool {
+	rec, ok := e.offers[key]
+	if ok {
+		if e.ix != nil {
+			e.ix.Remove(rec.slot)
+		}
 		delete(e.offers, key)
 		e.touched[key] = true
 	}
+	return ok
 }
 
-// compactLocked rebuilds the persistent index once dead slots
-// outnumber live ones, so long churny runs do not grow it without
-// bound. Rebuilding evaluates nothing — it is one pass over the live
-// offers' attributes.
-func (e *Incremental) compactLocked() {
-	if len(e.ix.offers) < 64 || 2*len(e.offers) > len(e.ix.offers) {
-		return
-	}
-	names := make([]string, 0, len(e.offers))
-	for name := range e.offers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	ads := make([]*classad.Ad, len(names))
-	for i, name := range names {
-		ads[i] = e.offers[name].ad
-	}
-	e.ix = NewOfferIndex(ads)
-	for i, name := range names {
-		e.offers[name].slot = i
-	}
+// MarkAllDirty requests a full rebuild on the next wake — the
+// fallback cycle's entry point — and raises needs_matchmaking.
+func (e *Incremental) MarkAllDirty() {
+	e.mu.Lock()
+	e.forceFull = true
+	e.signalLocked()
+	e.mu.Unlock()
 }
 
-// Recompute runs one wake: it drains the queued deltas, replays the
-// negotiation in canonical order with the frontier shortcut, and
-// returns the complete current assignment (every live match, not just
-// the changed ones — MATCH notification is idempotent and the caller
-// retries unacknowledged matches exactly as in timer mode). The
-// returned assignment is what NegotiateCycle would produce from
-// scratch over the engine's current ads.
+// NeedsWake reports whether the pool changed (or a rebuild was forced)
+// since the last Recompute.
+func (e *Incremental) NeedsWake() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.changed || e.forceFull
+}
+
+// Ready delivers one token each time needs_matchmaking is raised, for
+// a driver that sleeps in select; a token may be stale, so the
+// receiver re-checks NeedsWake.
+func (e *Incremental) Ready() <-chan struct{} { return e.ready }
+
+// sortedKeys returns m's keys in the byte-wise order that fixes the
+// engine's service and tie-break positions.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// Recompute runs one wake: it replays the negotiation in canonical
+// order with the frontier shortcut and returns the complete current
+// assignment (every live match, not just the changed ones — MATCH
+// notification is idempotent and the caller retries unacknowledged
+// matches by notifying again). The returned assignment is what a
+// from-scratch negotiation over the engine's current ads would
+// produce. cycle stamps the events and forensic reports the wake
+// emits.
 func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
-	start := e.m.now()
+	m := e.m
+	start := m.now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 
-	var stats WakeStats
-	stats.Deltas = e.drainLocked()
-	full := e.forceFull || e.firstWake || e.m.cfg.Aggregate || e.m.cfg.FirstFit
-	e.forceFull, e.firstWake = false, false
+	stats := WakeStats{Deltas: e.applied}
+	// First-fit keeps no rank to defend and aggregation rebuilds its
+	// classes per wake, so neither can take the frontier shortcut.
+	full := e.forceFull || e.firstWake || m.cfg.Aggregate || m.cfg.FirstFit
+	e.changed, e.forceFull, e.firstWake, e.applied = false, false, false, 0
 	if full {
 		stats.FullRebuild = true
 		e.mFullRebuilds.Inc()
@@ -425,51 +397,61 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 			rec.dirty = true
 		}
 	}
-	e.compactLocked()
 
-	// Name-sorted view of the live offers: positions in this view are
-	// the tie-break indices, identical to a full cycle over the
-	// store's sorted snapshot. Relative order of two fixed names never
+	// Key-sorted view of the live offers: positions in this view are
+	// the tie-break indices. Relative order of two fixed keys never
 	// changes across wakes, which is what keeps the previous pick's
 	// tie-break comparisons valid.
-	offerNames := make([]string, 0, len(e.offers))
-	for name := range e.offers {
-		offerNames = append(offerNames, name)
-	}
-	sort.Strings(offerNames)
-	view := make([]*classad.Ad, len(offerNames))
-	posOf := make(map[string]int, len(offerNames))
-	posOfSlot := make([]int, len(e.ix.offers))
-	for i := range posOfSlot {
-		posOfSlot[i] = -1
-	}
-	for i, name := range offerNames {
-		rec := e.offers[name]
-		view[i] = rec.ad
-		posOf[name] = i
-		posOfSlot[rec.slot] = i
+	offerKeys := sortedKeys(e.offers)
+	view := make([]*classad.Ad, len(offerKeys))
+	posOf := make(map[string]int, len(offerKeys))
+	for i, key := range offerKeys {
+		view[i] = e.offers[key].ad
+		posOf[key] = i
 	}
 
-	// Canonical request order: name-sorted base, fair-share on top —
-	// the same order a full cycle computes over the store's sorted
-	// job snapshot. Any divergence from the previous wake's order
-	// dirties every request from the divergence point on.
-	reqNames := make([]string, 0, len(e.requests))
-	for name := range e.requests {
-		reqNames = append(reqNames, name)
+	// The scan's pruning structure: equivalence classes rebuilt per
+	// wake, or the persistent index — built over the whole view in one
+	// batch on the first wake and again once dead slots outnumber live
+	// ones, maintained by Add/Remove in between.
+	var agg *aggregation
+	var memo map[string][]classCand
+	var posOfSlot []int
+	switch {
+	case m.cfg.Aggregate:
+		agg = aggregate(view)
+		memo = make(map[string][]classCand)
+	case m.cfg.Index:
+		if e.ix == nil || (len(e.ix.offers) >= 64 && 2*len(view) <= len(e.ix.offers)) {
+			e.ix = NewOfferIndex(view)
+			for i, key := range offerKeys {
+				e.offers[key].slot = i
+			}
+		}
+		posOfSlot = make([]int, len(e.ix.offers))
+		for i := range posOfSlot {
+			posOfSlot[i] = -1
+		}
+		for i, key := range offerKeys {
+			posOfSlot[e.offers[key].slot] = i
+		}
 	}
-	sort.Strings(reqNames)
-	reqAds := make([]*classad.Ad, len(reqNames))
-	for i, name := range reqNames {
-		reqAds[i] = e.requests[name].ad
+
+	// Canonical request order: key-sorted base, fair-share on top. Any
+	// divergence from the previous wake's order dirties every request
+	// from the divergence point on.
+	reqKeys := sortedKeys(e.requests)
+	reqAds := make([]*classad.Ad, len(reqKeys))
+	for i, key := range reqKeys {
+		reqAds[i] = e.requests[key].ad
 	}
-	order := e.m.requestOrder(reqAds)
+	order := m.requestOrder(reqAds)
 	ordered := make([]string, len(order))
 	for i, ri := range order {
-		ordered[i] = reqNames[ri]
+		ordered[i] = reqKeys[ri]
 	}
-	for i, name := range ordered {
-		if i >= len(e.prevOrder) || e.prevOrder[i] != name {
+	for i, key := range ordered {
+		if i >= len(e.prevOrder) || e.prevOrder[i] != key {
 			for _, later := range ordered[i:] {
 				e.requests[later].dirty = true
 			}
@@ -478,40 +460,38 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 	}
 	e.prevOrder = ordered
 
-	// The pool crossing empty<->non-empty flips unmatched reasons
-	// between no-offers and constraint-failed; unmatched requests are
-	// always dirty (the ISSUE's rule), so the boundary needs no extra
-	// marking — tracked only to keep the invariant explicit.
-	e.hadOffers = len(view) > 0
-
 	// Initial frontier: touched offers plus offers freed by departed
 	// requests, as view positions. It grows as replayed picks change.
 	frontier := make([]bool, len(view))
-	for name := range e.touched {
-		if pos, ok := posOf[name]; ok {
+	for key := range e.touched {
+		if pos, ok := posOf[key]; ok {
 			frontier[pos] = true
 		}
 	}
-	for name := range e.freed {
-		if pos, ok := posOf[name]; ok {
+	for key := range e.freed {
+		if pos, ok := posOf[key]; ok {
 			frontier[pos] = true
 		}
 	}
 	e.touched = make(map[string]bool)
 	e.freed = make(map[string]bool)
 
-	// Requests whose prior match's offer was touched (or disappeared)
-	// are dirty — the ISSUE's third rule; unmatched requests are dirty
-	// by the second.
-	for _, name := range ordered {
-		rec := e.requests[name]
+	// Unmatched requests are always dirty (an empty<->non-empty pool
+	// flips their reason, a new offer may serve them); matched ones
+	// whose offer was touched or disappeared are too.
+	for _, key := range ordered {
+		rec := e.requests[key]
 		if !rec.matched {
 			rec.dirty = true
 			continue
 		}
-		pos, alive := posOf[rec.offer]
-		if !alive || frontier[pos] {
+		if pos, alive := posOf[rec.offer]; !alive || frontier[pos] {
 			rec.dirty = true
+		}
+	}
+	for _, key := range ordered {
+		if e.requests[key].dirty {
+			stats.Dirty++
 		}
 	}
 
@@ -529,7 +509,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		}
 	}
 	var fix *OfferIndex
-	if e.m.cfg.Index && len(frontierPos) > 0 {
+	if m.cfg.Index && !full && len(frontierPos) > 0 {
 		fads := make([]*classad.Ad, len(frontierPos))
 		for k, pos := range frontierPos {
 			fads[k] = view[pos]
@@ -545,33 +525,25 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 	}
 
 	stats.Requests, stats.Offers = len(ordered), len(view)
-	dirtyCount := 0
-	for _, name := range ordered {
-		if e.requests[name].dirty {
-			dirtyCount++
-		}
-	}
-	stats.Dirty = dirtyCount
-	stats.Clean = len(ordered) - dirtyCount
-	e.gDirty.Set(int64(dirtyCount))
+	stats.Clean = len(ordered) - stats.Dirty
+	e.gDirty.Set(int64(stats.Dirty))
 	e.mWakes.Inc()
 
 	avail := make([]bool, len(view))
 	for i := range avail {
 		avail[i] = true
 	}
+	// takenBy records which request consumed each offer this wake, so
+	// forensic "outranked" verdicts can name the winner.
 	var takenBy []string
-	if e.m.forensics != nil {
+	if m.forensics != nil {
 		takenBy = make([]string, len(view))
 	}
 
 	var out []Match
-	for _, name := range ordered {
-		rec := e.requests[name]
-		var best int
-		var reqRank, offRank float64
-		var scanCand []int
-		var scanIndexed bool
+	for _, key := range ordered {
+		rec := e.requests[key]
+		o := outcome{best: -1}
 		if !rec.dirty {
 			// Frontier shortcut: the previous pick still beats every
 			// unchanged offer; only frontier members can challenge it.
@@ -583,36 +555,35 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 				stats.Dirty++
 				stats.Clean--
 			} else {
-				best, reqRank, offRank = pos, rec.reqRank, rec.offRank
+				o.best, o.reqRank, o.offRank = pos, rec.reqRank, rec.offRank
 				cur := candidate{pos, rec.reqRank, rec.offRank,
-					!e.m.cfg.LegacyClaimedTieBreak && offerClaimed(view[pos])}
+					!m.cfg.LegacyClaimedTieBreak && offerClaimed(view[pos])}
 				challenge := func(ci int) {
 					if !avail[ci] || ci == pos {
 						return
 					}
 					stats.Evals++
-					res := classad.MatchEnv(rec.ad, view[ci], e.m.cfg.Env)
+					res := classad.MatchEnv(rec.ad, view[ci], m.cfg.Env)
 					if !res.Matched {
 						return
 					}
 					ch := candidate{ci, res.LeftRank, res.RightRank,
-						!e.m.cfg.LegacyClaimedTieBreak && offerClaimed(view[ci])}
+						!m.cfg.LegacyClaimedTieBreak && offerClaimed(view[ci])}
 					if better(ch, cur) {
 						cur = ch
-						best, reqRank, offRank = ci, res.LeftRank, res.RightRank
+						o.best, o.reqRank, o.offRank = ci, res.LeftRank, res.RightRank
 					}
 				}
+				pruned := false
 				if fix != nil {
-					if slots, ok := fix.Candidates(rec.ad, e.m.cfg.Env); ok {
+					var slots []int
+					if slots, pruned = fix.Candidates(rec.ad, m.cfg.Env); pruned {
 						for _, s := range slots {
 							challenge(frontierPos[s])
 						}
-					} else {
-						for _, ci := range frontierPos {
-							challenge(ci)
-						}
 					}
-				} else {
+				}
+				if !pruned {
 					for _, ci := range frontierPos {
 						challenge(ci)
 					}
@@ -624,36 +595,32 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		}
 		var sp *obs.SpanRec
 		if rec.dirty {
-			// Dirty requests are genuinely re-negotiated, so they get
-			// the same trace span a full cycle would record; a clean
-			// request keeps its prior decision and emits nothing.
-			sp = e.m.spans.Start(classad.TraceOf(rec.ad), classad.TraceSpanOf(rec.ad), "matchmaker", "negotiate")
+			// Dirty requests are genuinely re-negotiated, so they get a
+			// negotiate span; a clean request keeps its prior decision
+			// and emits none.
+			sp = m.spans.Start(classad.TraceOf(rec.ad), classad.TraceSpanOf(rec.ad), "matchmaker", "negotiate")
 			sp.Set("request", adName(rec.ad))
-			var scanned int
-			best, reqRank, offRank, scanned, scanCand, scanIndexed = e.scanDirty(rec.ad, view, posOfSlot, avail)
-			stats.Evals += scanned
+			o = e.scan(rec.ad, view, posOfSlot, avail, agg, memo)
+			stats.Evals += o.scanned
 		}
 
 		prevMatched, prevOffer := rec.matched, rec.offer
-		if best >= 0 {
-			avail[best] = false
+		if o.best >= 0 {
+			avail[o.best] = false
 			if takenBy != nil {
-				takenBy[best] = adName(rec.ad)
+				takenBy[o.best] = adName(rec.ad)
 			}
-			rec.matched, rec.offer = true, offerNames[best]
-			rec.reqRank, rec.offRank = reqRank, offRank
+			rec.matched, rec.offer = true, offerKeys[o.best]
+			rec.reqRank, rec.offRank = o.reqRank, o.offRank
 			out = append(out, Match{
-				Request: rec.ad, Offer: view[best],
-				RequestRank: reqRank, OfferRank: offRank,
+				Request: rec.ad, Offer: view[o.best],
+				RequestRank: o.reqRank, OfferRank: o.offRank,
 				Trace: classad.TraceOf(rec.ad),
 				Span:  sp.ID(),
 			})
-			sp.Set("outcome", "match")
-			sp.Set("offer", offerNames[best])
 		} else {
 			rec.matched, rec.offer = false, ""
 		}
-		sp.End()
 		// Every pick difference extends the frontier: the old offer is
 		// free where it was taken, the new one taken where it was free.
 		if rec.offer != prevOffer || rec.matched != prevMatched {
@@ -663,86 +630,119 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 				}
 			}
 			if rec.matched {
-				extendFrontier(best)
+				extendFrontier(o.best)
 			}
 		}
-		e.recordOutcome(cycle, rec, view, avail, takenBy, best, offRank, scanCand, scanIndexed)
+		m.record(cycle, rec.ad, sp, view, avail, takenBy, o)
 		rec.dirty = false
 	}
 
 	e.mEvals.Add(int64(stats.Evals))
-	e.m.hNegotiate.Observe(e.m.now().Sub(start).Seconds())
+	m.hNegotiate.Observe(m.now().Sub(start).Seconds())
 	return out, stats
 }
 
-// scanDirty is the dirty request's full path: the persistent index's
-// candidates mapped into view positions, then the shared scanOffers
-// kernel — the same two-stage scan a full cycle runs.
-func (e *Incremental) scanDirty(req *classad.Ad, view []*classad.Ad, posOfSlot []int, avail []bool) (best int, reqRank, offRank float64, scanned int, cand []int, indexed bool) {
+// outcome is what serving one request produced: the picked offer (a
+// view position, -1 for none) with its ranks, and what the scan knew,
+// for the forensic ledger.
+type outcome struct {
+	best             int
+	reqRank, offRank float64
+	scanned          int
+	// cand/indexed are the offer index's candidate set (indexed=false:
+	// every offer was scanned); classes/aggregated the compatible
+	// equivalence classes under aggregation.
+	cand       []int
+	indexed    bool
+	classes    []classCand
+	aggregated bool
+}
+
+// scan is the full path for one request — the engine's single scan
+// point: candidate classes under aggregation (memoized per request
+// signature, so a batch of identical jobs costs one sweep), otherwise
+// the persistent index's candidates mapped into view positions and the
+// scanOffers kernel.
+func (e *Incremental) scan(req *classad.Ad, view []*classad.Ad, posOfSlot []int, avail []bool, agg *aggregation, memo map[string][]classCand) outcome {
 	m := e.m
-	if m.cfg.Index {
+	var o outcome
+	if agg != nil {
+		o.aggregated = true
+		sig := Signature(req)
+		var seen bool
+		if o.classes, seen = memo[sig]; !seen {
+			o.classes = agg.candidates(req, view, m.cfg)
+			memo[sig] = o.classes
+			o.scanned = agg.NumClasses()
+		}
+		o.best, o.reqRank, o.offRank = agg.pick(o.classes, avail, m.cfg.FirstFit)
+		m.hScanned.Observe(float64(o.scanned))
+		return o
+	}
+	if e.ix != nil {
 		var slots []int
-		slots, indexed = e.ix.Candidates(req, m.cfg.Env)
-		if indexed {
-			cand = make([]int, 0, len(slots))
+		slots, o.indexed = e.ix.Candidates(req, m.cfg.Env)
+		if o.indexed {
+			o.cand = make([]int, 0, len(slots))
 			for _, s := range slots {
 				if pos := posOfSlot[s]; pos >= 0 {
-					cand = append(cand, pos)
+					o.cand = append(o.cand, pos)
 				}
 			}
-			sort.Ints(cand)
-			m.mIdxCand.Add(int64(len(cand)))
-			m.mIdxPruned.Add(int64(len(view) - len(cand)))
+			sort.Ints(o.cand)
+			m.mIdxCand.Add(int64(len(o.cand)))
+			m.mIdxPruned.Add(int64(len(view) - len(o.cand)))
 		} else {
 			m.mIdxMisses.Inc()
 		}
 	}
 	var workers int
-	best, reqRank, offRank, scanned, workers = scanOffers(req, view, cand, avail, m.cfg)
+	o.best, o.reqRank, o.offRank, o.scanned, workers = scanOffers(req, view, o.cand, avail, m.cfg)
 	m.hScanFanout.Observe(float64(workers))
-	m.hScanned.Observe(float64(scanned))
-	return best, reqRank, offRank, scanned, cand, indexed
+	m.hScanned.Observe(float64(o.scanned))
+	return o
 }
 
-// recordOutcome mirrors NegotiateCycle's per-request bookkeeping —
-// match counters, events, forensic reports, rejection diagnosis — for
-// requests the wake actually recomputed. A clean request that kept
-// its match retains its previous report verbatim, which is identical
-// in every verdict field.
-func (e *Incremental) recordOutcome(cycle string, rec *reqRec, view []*classad.Ad, avail []bool, takenBy []string, best int, offRank float64, scanCand []int, scanIndexed bool) {
-	m := e.m
+// record books one served request's outcome — the one place counters,
+// events, forensic reports and the negotiate span's verdict are
+// written. Rejection diagnosis does extra matching work, so an
+// uninstrumented matchmaker skips it.
+func (m *Matchmaker) record(cycle string, req *classad.Ad, sp *obs.SpanRec, offers []*classad.Ad, avail []bool, takenBy []string, o outcome) {
+	defer sp.End()
+	if o.best >= 0 {
+		m.mMatches.Inc()
+		if !m.instrumented() {
+			return
+		}
+		offer := adName(offers[o.best])
+		m.events.Emit("matchmaker", "match", cycle, map[string]string{
+			"request":      adName(req),
+			"offer":        offer,
+			"request_rank": fmt.Sprintf("%g", o.reqRank),
+			"offer_rank":   fmt.Sprintf("%g", o.offRank),
+		})
+		r := Report{
+			Request: adName(req), Owner: owner(req), Cycle: cycle,
+			Time: m.now(), Matched: true, Offer: offer,
+		}
+		if offerClaimed(offers[o.best]) {
+			r.Claimed = true
+			r.Ledger = []OfferVerdict{{
+				Offer:   offer,
+				Outcome: VerdictMatchedClaimed,
+				Detail: fmt.Sprintf("offer advertises State == \"Claimed\"; "+
+					"claim-time revalidation rejects unless offered rank %g beats the running claim", o.offRank),
+			}}
+		}
+		m.forensics.record(r)
+		sp.Set("outcome", "match")
+		sp.Set("offer", offer)
+		return
+	}
 	if !m.instrumented() {
 		return
 	}
-	if rec.matched {
-		m.mMatches.Inc()
-		if m.events != nil {
-			m.events.Emit("matchmaker", "match", cycle, map[string]string{
-				"request":      adName(rec.ad),
-				"offer":        adName(view[best]),
-				"request_rank": fmt.Sprintf("%g", rec.reqRank),
-				"offer_rank":   fmt.Sprintf("%g", rec.offRank),
-			})
-		}
-		if m.forensics != nil {
-			r := Report{
-				Request: adName(rec.ad), Owner: owner(rec.ad), Cycle: cycle,
-				Time: m.now(), Matched: true, Offer: adName(view[best]),
-			}
-			if offerClaimed(view[best]) {
-				r.Claimed = true
-				r.Ledger = []OfferVerdict{{
-					Offer:   r.Offer,
-					Outcome: VerdictMatchedClaimed,
-					Detail: fmt.Sprintf("offer advertises State == \"Claimed\"; "+
-						"claim-time revalidation rejects unless offered rank %g beats the running claim", offRank),
-				}}
-			}
-			m.forensics.record(r)
-		}
-		return
-	}
-	reason := m.diagnose(rec.ad, view, avail, nil, nil)
+	reason := m.diagnose(req, offers, avail, o)
 	switch reason {
 	case ReasonNoOffers:
 		m.mRejNone.Inc()
@@ -751,20 +751,17 @@ func (e *Incremental) recordOutcome(cycle string, rec *reqRec, view []*classad.A
 	case ReasonOutranked:
 		m.mRejTaken.Inc()
 	}
-	if m.events != nil {
-		m.events.Emit("matchmaker", "no_match", cycle, map[string]string{
-			"request": adName(rec.ad),
-			"reason":  reason,
-		})
-	}
-	if m.forensics != nil {
-		ledger, truncated := m.buildLedger(rec.ad, view, avail, takenBy, scanCand, scanIndexed)
-		m.forensics.record(Report{
-			Request: adName(rec.ad), Owner: owner(rec.ad), Cycle: cycle,
-			Time: m.now(), Reason: reason,
-			Ledger: ledger, Truncated: truncated,
-		})
-	}
+	m.events.Emit("matchmaker", "no_match", cycle, map[string]string{
+		"request": adName(req),
+		"reason":  reason,
+	})
+	ledger, truncated := m.buildLedger(req, offers, avail, takenBy, o.cand, o.indexed)
+	m.forensics.record(Report{
+		Request: adName(req), Owner: owner(req), Cycle: cycle,
+		Time: m.now(), Reason: reason,
+		Ledger: ledger, Truncated: truncated,
+	})
+	sp.Set("outcome", reason)
 }
 
 // Matches returns the current assignment without recomputing, in the
@@ -773,8 +770,8 @@ func (e *Incremental) Matches() []Match {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var out []Match
-	for _, name := range e.prevOrder {
-		rec, ok := e.requests[name]
+	for _, key := range e.prevOrder {
+		rec, ok := e.requests[key]
 		if !ok || !rec.matched {
 			continue
 		}

@@ -1,17 +1,16 @@
 package matchmaker
 
-// Differential tests for the event-driven incremental engine: a long
-// seeded delta stream is driven through a real collector store and its
-// change feed into an Incremental engine, and at every quiescent point
-// the engine's assignment, fair-share charges, and forensic verdicts
-// are compared against a from-scratch NegotiateCycle over the same
+// Differential tests for the negotiation engine: a long seeded delta
+// stream is driven through a real collector store and its change feed
+// into an Incremental engine, and at every quiescent point the
+// engine's assignment, fair-share charges, and forensic verdicts are
+// compared against the naive oracle (oracle_test.go) over the same
 // live ads. The same harness, with Hooks.DropDirtyNotification on,
 // must mechanically rediscover the dropped-wake mutant.
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"repro/internal/classad"
@@ -34,7 +33,7 @@ type diffWorld struct {
 
 	// shadow receives exactly the claim-ack charges the harness issues;
 	// the engine's table must never drift from it (Recompute must not
-	// charge — DeferCharges is forced).
+	// charge).
 	shadow *PriorityTable
 
 	machines map[string]*classad.Ad // live machine name -> last advertised ad
@@ -80,16 +79,6 @@ func newDiffWorld(t *testing.T, seed int64) *diffWorld {
 	w.shadow.Advance(float64(w.clock))
 	w.eng.Matchmaker().Usage().Advance(float64(w.clock))
 	return w
-}
-
-// sortedKeys gives deterministic random selection over a map.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 func (w *diffWorld) genMachine(name string) *classad.Ad {
@@ -225,20 +214,31 @@ func (w *diffWorld) op() {
 	}
 }
 
+// testDelta converts one store change the way the pool driver does:
+// expiry and withdrawal remove, Type "Job" is a request, anything else
+// an offer (this stream carries no self-ads).
+func testDelta(d collector.Delta) AdDelta {
+	switch {
+	case d.Kind == collector.DeltaExpired || d.Kind == collector.DeltaInvalidated:
+		return AdDelta{Kind: AdRemove, Key: d.Name}
+	case isJob(d.Ad):
+		return AdDelta{Kind: AdRequest, Key: d.Name, Ad: d.Ad}
+	}
+	return AdDelta{Kind: AdOffer, Key: d.Name, Ad: d.Ad}
+}
+
+func isJob(ad *classad.Ad) bool {
+	typ, _ := ad.Eval(classad.AttrType).StringVal()
+	return classad.Fold(typ) == "job"
+}
+
 // quiesce drains the change feed into the engine, wakes it if (and
 // only if) there is work, and runs the differential comparison.
 func (w *diffWorld) quiesce() {
 	w.store.Prune()
-	var deltas []AdDelta
 	for _, d := range w.sub.Drain() {
-		switch d.Kind {
-		case collector.DeltaExpired, collector.DeltaInvalidated:
-			deltas = append(deltas, AdDelta{Kind: AdRemove, Name: d.Name})
-		default:
-			deltas = append(deltas, AdDelta{Kind: AdUpsert, Name: d.Name, Ad: d.Ad})
-		}
+		w.eng.Apply(testDelta(d))
 	}
-	w.eng.Notify(deltas...)
 	if w.eng.NeedsWake() {
 		w.eng.Recompute(fmt.Sprintf("w%04d", w.step))
 		w.wakes++
@@ -250,60 +250,60 @@ func (w *diffWorld) diff(format string, args ...any) {
 	w.diffs = append(w.diffs, fmt.Sprintf("step %d: ", w.step)+fmt.Sprintf(format, args...))
 }
 
-// compare checks the engine against a from-scratch negotiation cycle
-// over the store's live ads: same assignment, same forensic verdicts,
-// and a usage table that has accumulated only the claim-ack charges.
+// compare checks the engine against the oracle's from-scratch
+// negotiation over the store's live ads: same assignment, same
+// forensic verdicts, and a usage table that has accumulated only the
+// claim-ack charges.
 func (w *diffWorld) compare() {
 	em := map[string]string{}
 	for _, m := range w.eng.Matches() {
 		em[classad.Fold(adName(m.Request))] = classad.Fold(adName(m.Offer))
 	}
 
-	ref := New(Config{Env: w.env, Index: true, FairShare: true, DeferCharges: true})
-	ref.Instrument(obs.New())
-	ref.SetUsage(w.eng.Matchmaker().Usage())
 	var reqs, offs []*classad.Ad
 	for _, ad := range w.store.All() {
-		switch classifyAd(ad) {
-		case adRequest:
+		if isJob(ad) {
 			reqs = append(reqs, ad)
-		case adOffer:
+		} else {
 			offs = append(offs, ad)
 		}
 	}
+	ref := naiveNegotiate(Config{Env: w.env, FairShare: true}, w.eng.Matchmaker().Usage(), reqs, offs)
 	rm := map[string]string{}
-	for _, m := range ref.NegotiateCycle(fmt.Sprintf("ref%04d", w.step), reqs, offs) {
-		rm[classad.Fold(adName(m.Request))] = classad.Fold(adName(m.Offer))
+	for _, o := range ref {
+		if o.Offer != nil {
+			rm[classad.Fold(adName(o.Request))] = classad.Fold(adName(o.Offer))
+		}
 	}
 
 	for r, o := range rm {
 		if got, ok := em[r]; !ok {
-			w.diff("full cycle matches %s -> %s; engine left it unmatched", r, o)
+			w.diff("oracle matches %s -> %s; engine left it unmatched", r, o)
 		} else if got != o {
-			w.diff("full cycle matches %s -> %s; engine matched %s", r, o, got)
+			w.diff("oracle matches %s -> %s; engine matched %s", r, o, got)
 		}
 	}
 	for r, o := range em {
 		if _, ok := rm[r]; !ok {
-			w.diff("engine matches %s -> %s; full cycle left it unmatched", r, o)
+			w.diff("engine matches %s -> %s; oracle left it unmatched", r, o)
 		}
 	}
 
-	engF, refF := w.eng.Matchmaker().Forensics(), ref.Forensics()
-	for _, ad := range reqs {
-		name := adName(ad)
-		er, eok := engF.Lookup(name)
-		rr, rok := refF.Lookup(name)
-		if !rok {
-			w.t.Fatalf("step %d: reference cycle recorded no report for live request %s", w.step, name)
-		}
-		if !eok {
+	engF := w.eng.Matchmaker().Forensics()
+	for _, o := range ref {
+		name := adName(o.Request)
+		er, ok := engF.Lookup(name)
+		if !ok {
 			w.diff("engine has no forensic report for live request %s", name)
 			continue
 		}
-		if er.Matched != rr.Matched || er.Offer != rr.Offer || er.Reason != rr.Reason || er.Claimed != rr.Claimed {
-			w.diff("forensics for %s: engine {matched=%v offer=%q reason=%q claimed=%v}, full cycle {matched=%v offer=%q reason=%q claimed=%v}",
-				name, er.Matched, er.Offer, er.Reason, er.Claimed, rr.Matched, rr.Offer, rr.Reason, rr.Claimed)
+		matched, offer, claimed := o.Offer != nil, "", false
+		if matched {
+			offer, claimed = adName(o.Offer), offerClaimed(o.Offer)
+		}
+		if er.Matched != matched || er.Offer != offer || er.Reason != o.Reason || er.Claimed != claimed {
+			w.diff("forensics for %s: engine {matched=%v offer=%q reason=%q claimed=%v}, oracle {matched=%v offer=%q reason=%q claimed=%v}",
+				name, er.Matched, er.Offer, er.Reason, er.Claimed, matched, offer, o.Reason, claimed)
 		}
 	}
 
@@ -332,9 +332,8 @@ func diffSteps(t *testing.T) int {
 }
 
 // TestIncrementalDifferential is the correctness contract: after any
-// delta stream, the incremental engine's assignment, charges, and
-// forensic verdicts equal a from-scratch full cycle's at every
-// quiescent point.
+// delta stream, the engine's assignment, charges, and forensic verdicts
+// equal the oracle's from-scratch negotiation at every quiescent point.
 func TestIncrementalDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -345,7 +344,7 @@ func TestIncrementalDifferential(t *testing.T) {
 				if n > 5 {
 					w.diffs = w.diffs[:5]
 				}
-				t.Fatalf("%d divergence(s) from the full cycle; first few:\n%s", n, joinLines(w.diffs))
+				t.Fatalf("%d divergence(s) from the oracle; first few:\n%s", n, joinLines(w.diffs))
 			}
 			if w.wakes == 0 {
 				t.Fatalf("stream produced no wakes; differential exercised nothing")
@@ -378,67 +377,82 @@ func joinLines(lines []string) string {
 	return out
 }
 
-// TestIncrementalWaitWake pins the needs_matchmaking discipline: Wait
-// blocks until Notify queues real work, ignored self-ads do not wake
-// the engine, and Close releases the waiter.
-func TestIncrementalWaitWake(t *testing.T) {
-	m := New(Config{})
-	eng := NewIncremental(m)
+// TestIncrementalNeedsWake pins the needs_matchmaking discipline: only
+// a delta that changes the pool raises it (and sends a Ready token);
+// a content-identical refresh and a removal for an unknown key do not;
+// Recompute clears it.
+func TestIncrementalNeedsWake(t *testing.T) {
+	eng := NewIncremental(New(Config{}))
 	if eng.NeedsWake() {
 		t.Fatalf("fresh engine claims pending work")
 	}
-
-	self := classad.NewAd()
-	self.SetString("Type", "Negotiator")
-	self.SetString("Name", "nego-1")
-	eng.Notify(AdDelta{Kind: AdUpsert, Name: "nego-1", Ad: self})
-	if eng.NeedsWake() {
-		t.Fatalf("negotiator self-ad woke the engine; self-wake loop")
-	}
-	daemon := classad.NewAd()
-	daemon.SetString("Type", "Daemon")
-	daemon.SetString("Name", "ra-1-daemon")
-	eng.Notify(AdDelta{Kind: AdUpsert, Name: "ra-1-daemon", Ad: daemon})
-	if eng.NeedsWake() {
-		t.Fatalf("daemon self-ad woke the engine")
-	}
-	// A removal for a name the engine never stored is noise too.
-	eng.Notify(AdDelta{Kind: AdRemove, Name: "never-seen"})
+	eng.Apply(AdDelta{Kind: AdRemove, Key: "never-seen"})
 	if eng.NeedsWake() {
 		t.Fatalf("unknown removal woke the engine")
 	}
 
-	woke := make(chan bool, 1)
-	go func() { woke <- eng.Wait() }()
-	eng.Notify(AdDelta{Kind: AdUpsert, Name: "m1", Ad: machine("m1", "INTEL", 64)})
-	if ok := <-woke; !ok {
-		t.Fatalf("Wait returned closed on a live engine")
+	eng.Apply(AdDelta{Kind: AdOffer, Key: "m1", Ad: machine("m1", "INTEL", 64)})
+	if !eng.NeedsWake() {
+		t.Fatalf("a new offer did not raise needs_matchmaking")
+	}
+	select {
+	case <-eng.Ready():
+	default:
+		t.Fatalf("a new offer sent no Ready token")
 	}
 
 	matches, stats := eng.Recompute("c1")
-	if len(matches) != 0 || stats.Offers != 1 || stats.Requests != 0 {
+	if len(matches) != 0 || stats.Offers != 1 || stats.Requests != 0 || stats.Deltas != 1 {
 		t.Fatalf("unexpected first wake: %d matches, stats %+v", len(matches), stats)
 	}
 	if eng.NeedsWake() {
 		t.Fatalf("Recompute left work pending")
 	}
 
-	go func() { woke <- eng.Wait() }()
-	eng.Close()
-	if ok := <-woke; ok {
-		t.Fatalf("Wait did not observe Close")
+	// A re-parse of the same content is a heartbeat, not a change.
+	eng.Apply(AdDelta{Kind: AdOffer, Key: "m1", Ad: machine("m1", "INTEL", 64)})
+	if eng.NeedsWake() {
+		t.Fatalf("content-identical refresh woke the engine")
+	}
+}
+
+// TestIncrementalSync pins the snapshot feed: Sync upserts what the
+// snapshot holds, leaves identical records alone, and removes what it
+// no longer mentions — freeing the offer a departed request held.
+func TestIncrementalSync(t *testing.T) {
+	eng := NewIncremental(New(Config{Index: true}))
+	m1, j1 := machine("m1", "INTEL", 64), namedJob("j1", "u1", "INTEL", 32)
+	snapshot := []AdDelta{
+		{Kind: AdOffer, Key: "m1", Ad: m1},
+		{Kind: AdRequest, Key: "j1", Ad: j1},
+	}
+	eng.Sync(snapshot)
+	if ms, _ := eng.Recompute("c1"); len(ms) != 1 {
+		t.Fatalf("expected 1 match, got %d", len(ms))
+	}
+	eng.Sync(snapshot)
+	if eng.NeedsWake() {
+		t.Fatalf("an unchanged snapshot woke the engine")
+	}
+	j2 := namedJob("j2", "u2", "INTEL", 32)
+	eng.Sync([]AdDelta{
+		{Kind: AdOffer, Key: "m1", Ad: m1},
+		{Kind: AdRequest, Key: "j2", Ad: j2},
+	})
+	ms, _ := eng.Recompute("c2")
+	if len(ms) != 1 || ms[0].Request != j2 || ms[0].Offer != m1 {
+		t.Fatalf("after j1 left the snapshot: matches %v, want j2 -> m1", ms)
 	}
 }
 
 // TestIncrementalMarkAllDirty pins the fallback: a full rebuild is
-// forced even with an empty delta queue, and it repairs state a
-// dropped notification corrupted.
+// forced even with no delta, and it repairs state a dropped
+// notification corrupted.
 func TestIncrementalMarkAllDirty(t *testing.T) {
-	m := New(Config{})
-	eng := NewIncremental(m)
-	eng.Notify(
-		AdDelta{Kind: AdUpsert, Name: "m1", Ad: machine("m1", "INTEL", 64)},
-		AdDelta{Kind: AdUpsert, Name: "j1", Ad: namedJob("j1", "u1", "INTEL", 32)},
+	eng := NewIncremental(New(Config{}))
+	eng.Apply(
+		AdDelta{Kind: AdOffer, Key: "m1", Ad: machine("m1", "INTEL", 64)},
+		AdDelta{Kind: AdRequest, Key: "j1", Ad: namedJob("j1", "u1", "INTEL", 32)},
 	)
 	if ms, _ := eng.Recompute("c1"); len(ms) != 1 {
 		t.Fatalf("expected 1 match, got %d", len(ms))
@@ -447,7 +461,7 @@ func TestIncrementalMarkAllDirty(t *testing.T) {
 	// Simulate a lost notification: the machine shrank below the job's
 	// floor but the engine never heard.
 	eng.Hooks.DropDirtyNotification = true
-	eng.Notify(AdDelta{Kind: AdUpsert, Name: "m1", Ad: machine("m1", "INTEL", 16)})
+	eng.Apply(AdDelta{Kind: AdOffer, Key: "m1", Ad: machine("m1", "INTEL", 16)})
 	if eng.NeedsWake() {
 		t.Fatalf("mutant did not drop the notification")
 	}
@@ -461,7 +475,7 @@ func TestIncrementalMarkAllDirty(t *testing.T) {
 	// is stale) but it re-negotiates every request against its stored
 	// ads — and once the store's next full refresh arrives, the repair
 	// completes. Here we deliver the repair as the fallback's re-sync.
-	eng.Notify(AdDelta{Kind: AdUpsert, Name: "m1", Ad: machine("m1", "INTEL", 16)})
+	eng.Apply(AdDelta{Kind: AdOffer, Key: "m1", Ad: machine("m1", "INTEL", 16)})
 	ms, stats := eng.Recompute("c2")
 	if !stats.FullRebuild {
 		t.Fatalf("fallback wake was not a full rebuild: %+v", stats)
@@ -471,7 +485,7 @@ func TestIncrementalMarkAllDirty(t *testing.T) {
 	}
 }
 
-// namedJob is job() plus the Name the engine keys requests by.
+// namedJob is job() plus the Name the pool keys requests by.
 func namedJob(name, owner, arch string, minMem int64) *classad.Ad {
 	ad := job(owner, arch, minMem)
 	ad.SetString("Name", name)

@@ -286,6 +286,7 @@ func (ix *OfferIndex) Remove(i int) {
 	defer ix.mu.Unlock()
 	if i >= 0 && i < len(ix.live) && ix.live[i] {
 		ix.live[i] = false
+		ix.offers[i] = nil // a dead slot is never read; let the ad go
 		ix.nlive--
 	}
 }

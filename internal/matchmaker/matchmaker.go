@@ -66,15 +66,6 @@ type Config struct {
 	// n>1 forces exactly n workers. The reduction is deterministic —
 	// parallel results are bit-identical to the sequential scan.
 	Parallel int
-	// DeferCharges stops NegotiateCycle from charging fair-share usage
-	// at match emission. The caller owns charging instead — the pool
-	// manager and negotiator daemon charge via Usage().Record only when
-	// the customer's MATCH ack reports the claim was accepted, so a
-	// match that bounces off claim-time revalidation never bills the
-	// customer (modelcheck invariant MC104 is the backstop). Off by
-	// default: a bare matchmaker keeps the paper's simple
-	// charge-per-match accounting.
-	DeferCharges bool
 	// LegacyClaimedTieBreak reinstates the pre-fix selection order that
 	// ignored an offer's claimed state on rank ties (earliest index
 	// won). It exists solely so modelcheck's MC201 regression and the
@@ -129,7 +120,7 @@ func New(cfg Config) *Matchmaker {
 // matchmaker_index_pruned_total / matchmaker_index_unindexed_total),
 // and scan fan-out (matchmaker_scan_workers). Each match and
 // rejection also lands in the event buffer, stamped with the cycle ID
-// passed to NegotiateCycle; requests whose ad carries a TraceId get a
+// passed to Incremental.Recompute; requests whose ad carries a TraceId get a
 // negotiate span in the span ring. Instrumentation also switches on
 // negotiation forensics — a per-request rejection ledger retained in a
 // bounded store and served at /why?request= on o's debug endpoint.
@@ -208,18 +199,24 @@ func owner(ad *classad.Ad) string {
 	return ""
 }
 
-// OwnerOf is the exported form of the accounting identity rule:
-// callers charging deferred usage (Config.DeferCharges) must bill the
-// same customer key Negotiate would have.
+// OwnerOf is the exported form of the accounting identity rule: the
+// pool driver, which charges usage when a claim is accepted, must bill
+// the same customer key Negotiate does.
 func OwnerOf(ad *classad.Ad) string { return owner(ad) }
 
-// Negotiate runs one cycle: it considers requests customer by
-// customer — ordered by fair-share priority when enabled — and for
-// each request selects, among compatible offers, the one the request
-// ranks highest, breaking ties by the offer's rank of the request
-// (paper §3.2). Each offer is introduced to at most one request per
-// cycle; the matchmaker retains no state about the matches it hands
-// out.
+// Negotiate runs one cycle over two slices: it considers requests
+// customer by customer — in slice order, reordered by fair-share
+// priority when enabled — and for each request selects, among
+// compatible offers, the one the request ranks highest, breaking ties
+// by the offer's rank of the request and then by the earliest offer in
+// slice order (paper §3.2). Each offer is introduced to at most one
+// request per cycle and each match charges its customer one unit of
+// usage; the matchmaker retains no state about the matches it hands
+// out. Ads need neither Name nor Type.
+//
+// It is one everything-dirty pass of the negotiation engine
+// (incremental.go) keyed by slice position — the same loop the pool
+// driver keeps alive across cycles.
 //
 // With aggregation on, group matching applies on both sides (paper §5
 // future work): offers are partitioned into equivalence classes and
@@ -231,138 +228,29 @@ func OwnerOf(ad *classad.Ad) string { return owner(ad) }
 // constraints and ranks are pure and do not reference identity
 // attributes.
 func (m *Matchmaker) Negotiate(requests, offers []*classad.Ad) []Match {
-	return m.NegotiateCycle("", requests, offers)
+	deltas := make([]AdDelta, 0, len(offers)+len(requests))
+	for i, ad := range offers {
+		deltas = append(deltas, AdDelta{Kind: AdOffer, Key: sliceKey('o', i), Ad: ad})
+	}
+	for i, ad := range requests {
+		deltas = append(deltas, AdDelta{Kind: AdRequest, Key: sliceKey('r', i), Ad: ad})
+	}
+	e := NewIncremental(m)
+	e.Apply(deltas...)
+	matches, _ := e.Recompute("")
+	// The service order was fixed before the loop ran, so charging
+	// after it bills exactly what charging inside it would.
+	for _, match := range matches {
+		m.usage.Record(owner(match.Request), 1)
+	}
+	return matches
 }
 
-// NegotiateCycle is Negotiate carrying the negotiation-cycle ID the
-// pool manager minted: when the matchmaker is instrumented, every
-// match and rejection event it emits is stamped with the ID, so a
-// cycle's decisions correlate with the manager, CA and RA events that
-// surround them.
-func (m *Matchmaker) NegotiateCycle(cycle string, requests, offers []*classad.Ad) []Match {
-	start := m.now()
-	order := m.requestOrder(requests)
-	available := make([]bool, len(offers))
-	for i := range available {
-		available[i] = true
-	}
-
-	var agg *aggregation
-	var memo map[string][]classCand
-	if m.cfg.Aggregate {
-		agg = aggregate(offers)
-		memo = make(map[string][]classCand)
-	}
-	var ix *OfferIndex
-	if m.cfg.Index && agg == nil {
-		ix = NewOfferIndex(offers)
-	}
-
-	// takenBy records which request consumed each offer this cycle, so
-	// forensic "outranked" verdicts can name the winner.
-	var takenBy []string
-	if m.forensics != nil {
-		takenBy = make([]string, len(offers))
-	}
-
-	var out []Match
-	for _, ri := range order {
-		req := requests[ri]
-		trace := classad.TraceOf(req)
-		sp := m.spans.Start(trace, classad.TraceSpanOf(req), "matchmaker", "negotiate")
-		sp.Set("request", adName(req))
-		var best, scanned int
-		var reqRank, offRank float64
-		var cands []classCand
-		var scanCand []int
-		var scanIndexed bool
-		if agg != nil {
-			sig := Signature(req)
-			var seen bool
-			cands, seen = memo[sig]
-			if !seen {
-				cands = agg.candidates(req, offers, m.cfg)
-				memo[sig] = cands
-				scanned = agg.NumClasses()
-			}
-			best, reqRank, offRank = agg.pick(cands, available, m.cfg.FirstFit)
-		} else {
-			var workers int
-			best, reqRank, offRank, scanned, workers, scanCand, scanIndexed = m.scan(req, offers, ix, available)
-			m.hScanFanout.Observe(float64(workers))
-		}
-		m.hScanned.Observe(float64(scanned))
-		if best >= 0 {
-			available[best] = false
-			out = append(out, Match{
-				Request:     req,
-				Offer:       offers[best],
-				RequestRank: reqRank,
-				OfferRank:   offRank,
-				Trace:       trace,
-				Span:        sp.ID(),
-			})
-			if !m.cfg.DeferCharges {
-				m.usage.Record(owner(req), 1)
-			}
-			m.mMatches.Inc()
-			if m.events != nil {
-				m.events.Emit("matchmaker", "match", cycle, map[string]string{
-					"request":      adName(req),
-					"offer":        adName(offers[best]),
-					"request_rank": fmt.Sprintf("%g", reqRank),
-					"offer_rank":   fmt.Sprintf("%g", offRank),
-				})
-			}
-			if m.forensics != nil {
-				takenBy[best] = adName(req)
-				r := Report{
-					Request: adName(req), Owner: owner(req), Cycle: cycle,
-					Time: m.now(), Matched: true, Offer: adName(offers[best]),
-				}
-				if offerClaimed(offers[best]) {
-					r.Claimed = true
-					r.Ledger = []OfferVerdict{{
-						Offer:   r.Offer,
-						Outcome: VerdictMatchedClaimed,
-						Detail: fmt.Sprintf("offer advertises State == \"Claimed\"; "+
-							"claim-time revalidation rejects unless offered rank %g beats the running claim", offRank),
-					}}
-				}
-				m.forensics.record(r)
-			}
-			sp.Set("outcome", "match")
-			sp.Set("offer", adName(offers[best]))
-		} else if m.instrumented() {
-			reason := m.diagnose(req, offers, available, agg, cands)
-			switch reason {
-			case ReasonNoOffers:
-				m.mRejNone.Inc()
-			case ReasonConstraintFailed:
-				m.mRejConstr.Inc()
-			case ReasonOutranked:
-				m.mRejTaken.Inc()
-			}
-			if m.events != nil {
-				m.events.Emit("matchmaker", "no_match", cycle, map[string]string{
-					"request": adName(req),
-					"reason":  reason,
-				})
-			}
-			if m.forensics != nil {
-				ledger, truncated := m.buildLedger(req, offers, available, takenBy, scanCand, scanIndexed)
-				m.forensics.record(Report{
-					Request: adName(req), Owner: owner(req), Cycle: cycle,
-					Time: m.now(), Reason: reason,
-					Ledger: ledger, Truncated: truncated,
-				})
-			}
-			sp.Set("outcome", reason)
-		}
-		sp.End()
-	}
-	m.hNegotiate.Observe(m.now().Sub(start).Seconds())
-	return out
+// sliceKey is the engine record key of element i of a Negotiate slice:
+// big-endian, so byte-wise key order is slice order; the kind byte
+// keeps request and offer keys apart.
+func sliceKey(kind byte, i int) string {
+	return string([]byte{kind, byte(i >> 24), byte(i >> 16), byte(i >> 8), byte(i)})
 }
 
 // diagnose categorizes why a request left the cycle unmatched,
@@ -374,12 +262,12 @@ func (m *Matchmaker) NegotiateCycle(cycle string, requests, offers []*classad.Ad
 // the index, which only prunes provably incompatible pairs; the
 // aggregate path reads the candidate classes, which were computed
 // ignoring availability.
-func (m *Matchmaker) diagnose(req *classad.Ad, offers []*classad.Ad, available []bool, agg *aggregation, cands []classCand) string {
+func (m *Matchmaker) diagnose(req *classad.Ad, offers []*classad.Ad, available []bool, o outcome) string {
 	if len(offers) == 0 {
 		return ReasonNoOffers
 	}
-	if agg != nil {
-		if len(cands) > 0 {
+	if o.aggregated {
+		if len(o.classes) > 0 {
 			return ReasonOutranked
 		}
 		return ReasonConstraintFailed
@@ -400,26 +288,6 @@ func adName(ad *classad.Ad) string {
 		return s
 	}
 	return owner(ad)
-}
-
-// scan selects the offer for one request: with an index, only the
-// candidate offers the posting lists admit are evaluated; without one,
-// every offer is. The scan itself runs sequentially or sharded per
-// Config.Parallel — either way the selection is the one better()
-// defines: highest request rank, ties to the higher offer rank,
-// remaining ties to the earliest offer.
-func (m *Matchmaker) scan(req *classad.Ad, offers []*classad.Ad, ix *OfferIndex, available []bool) (best int, reqRank, offRank float64, scanned, workers int, cand []int, indexed bool) {
-	if ix != nil {
-		cand, indexed = ix.Candidates(req, m.cfg.Env)
-		if indexed {
-			m.mIdxCand.Add(int64(len(cand)))
-			m.mIdxPruned.Add(int64(len(offers) - len(cand)))
-		} else {
-			m.mIdxMisses.Inc()
-		}
-	}
-	best, reqRank, offRank, scanned, workers = scanOffers(req, offers, cand, available, m.cfg)
-	return best, reqRank, offRank, scanned, workers, cand, indexed
 }
 
 // requestOrder returns the indices of requests in service order. With

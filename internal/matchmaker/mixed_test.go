@@ -5,109 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/classad"
 )
-
-func TestNegotiateMixedPlainOnly(t *testing.T) {
-	// Without gangs, NegotiateMixed agrees with Negotiate.
-	offers := []*classad.Ad{
-		machine("a", "INTEL", 64),
-		machine("b", "SPARC", 128),
-	}
-	requests := []*classad.Ad{
-		job("u1", "INTEL", 32),
-		job("u2", "SPARC", 64),
-	}
-	plain := New(Config{}).Negotiate(requests, offers)
-	mixed := New(Config{}).NegotiateMixed(requests, offers)
-	if len(plain) != len(mixed) {
-		t.Fatalf("counts differ: %d vs %d", len(plain), len(mixed))
-	}
-	for i := range plain {
-		if plain[i].Offer != mixed[i].Offer || plain[i].Request != mixed[i].Request {
-			t.Errorf("match %d differs", i)
-		}
-	}
-}
-
-func TestNegotiateMixedServesGangs(t *testing.T) {
-	offers := []*classad.Ad{
-		machine("w1", "INTEL", 64),
-		machine("w2", "INTEL", 128),
-		tapeDrive("t1", 10),
-	}
-	requests := []*classad.Ad{
-		gangRequest("alice"),   // needs one INTEL machine + the tape
-		job("bob", "INTEL", 1), // plain request
-	}
-	mm := New(Config{})
-	matches := mm.NegotiateMixed(requests, offers)
-	if len(matches) != 3 {
-		t.Fatalf("matches = %d, want 3 (two gang slots + one plain)", len(matches))
-	}
-	// The gang's two slots come first (submission order) and use
-	// distinct offers; bob gets what is left.
-	seen := map[*classad.Ad]bool{}
-	for _, m := range matches {
-		if seen[m.Offer] {
-			t.Error("offer used twice across gang and plain matches")
-		}
-		seen[m.Offer] = true
-	}
-	// Gang sub-requests carry the inherited owner.
-	for _, m := range matches[:2] {
-		if who, _ := m.Request.Eval("Owner").StringVal(); who != "alice" {
-			t.Errorf("gang slot owner = %q", who)
-		}
-	}
-	// Usage accounting charged the gang owner per slot.
-	if u := mm.Usage().Effective("alice"); u != 2 {
-		t.Errorf("alice's usage = %v, want 2", u)
-	}
-	if u := mm.Usage().Effective("bob"); u != 1 {
-		t.Errorf("bob's usage = %v, want 1", u)
-	}
-}
-
-func TestNegotiateMixedGangAllOrNothing(t *testing.T) {
-	// Gang cannot complete (no tape): it consumes nothing, and the
-	// machines remain for the plain request.
-	offers := []*classad.Ad{machine("w1", "INTEL", 64)}
-	requests := []*classad.Ad{
-		gangRequest("alice"),
-		job("bob", "INTEL", 1),
-	}
-	matches := New(Config{}).NegotiateMixed(requests, offers)
-	if len(matches) != 1 {
-		t.Fatalf("matches = %d, want only bob's", len(matches))
-	}
-	if who, _ := matches[0].Request.Eval("Owner").StringVal(); who != "bob" {
-		t.Errorf("match owner = %q", who)
-	}
-}
-
-func TestNegotiateMixedGangContention(t *testing.T) {
-	// Two gangs contend for one tape: exactly one is served.
-	offers := []*classad.Ad{
-		machine("w1", "INTEL", 64),
-		machine("w2", "INTEL", 64),
-		tapeDrive("t1", 10),
-	}
-	requests := []*classad.Ad{gangRequest("a"), gangRequest("b")}
-	matches := New(Config{}).NegotiateMixed(requests, offers)
-	if len(matches) != 2 {
-		t.Fatalf("matches = %d, want the 2 slots of a single gang", len(matches))
-	}
-	owners := map[string]bool{}
-	for _, m := range matches {
-		who, _ := m.Request.Eval("Owner").StringVal()
-		owners[who] = true
-	}
-	if len(owners) != 1 {
-		t.Errorf("both gangs partially served: %v", owners)
-	}
-}
 
 func TestPriorityTablePersistence(t *testing.T) {
 	dir := t.TempDir()

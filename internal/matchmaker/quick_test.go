@@ -118,11 +118,11 @@ func trickyRequests(r *rand.Rand, n int) []*classad.Ad {
 }
 
 // TestQuickDifferentialIndexParallel is the differential property test
-// locking the two-stage engine to the sequential reference: over
-// randomized pools mixing matchable, unsatisfiable, and
-// undefined-yielding constraints, Negotiate with indexing and/or
-// parallel scanning enabled returns identical matches, ranks, and
-// ordering to the plain sequential scan — with and without FairShare.
+// locking the engine to the naive oracle: over randomized pools mixing
+// matchable, unsatisfiable, and undefined-yielding constraints,
+// Negotiate — plain, indexed, and/or parallel — returns identical
+// matches, ranks, and ordering to the oracle, with and without
+// FairShare.
 func TestQuickDifferentialIndexParallel(t *testing.T) {
 	maxCount := 120
 	if testing.Short() {
@@ -134,8 +134,9 @@ func TestQuickDifferentialIndexParallel(t *testing.T) {
 		requests := trickyRequests(r, 1+r.Intn(25))
 		env := classad.FixedEnv(0, seed)
 		for _, fair := range []bool{false, true} {
-			ref := New(Config{Env: env, FairShare: fair}).Negotiate(requests, offers)
+			ref := naiveMatches(Config{Env: env, FairShare: fair}, requests, offers)
 			for _, cfg := range []Config{
+				{Env: env, FairShare: fair},
 				{Env: env, FairShare: fair, Index: true},
 				{Env: env, FairShare: fair, Parallel: 4},
 				{Env: env, FairShare: fair, Index: true, Parallel: 4},
@@ -175,8 +176,9 @@ func TestQuickDifferentialFirstFit(t *testing.T) {
 		offers := trickyPool(r, 1+r.Intn(40))
 		requests := trickyRequests(r, 1+r.Intn(20))
 		env := classad.FixedEnv(0, seed)
-		ref := New(Config{Env: env, FirstFit: true}).Negotiate(requests, offers)
+		ref := naiveMatches(Config{Env: env, FirstFit: true}, requests, offers)
 		for _, cfg := range []Config{
+			{Env: env, FirstFit: true},
 			{Env: env, FirstFit: true, Index: true},
 			{Env: env, FirstFit: true, Index: true, Parallel: 4},
 		} {
@@ -297,7 +299,7 @@ func TestQuickAggregationEquivalence(t *testing.T) {
 		}
 		requests := randomRequests(r, 1+r.Intn(12))
 		env := classad.FixedEnv(0, seed)
-		plain := New(Config{Env: env}).Negotiate(requests, offers)
+		plain := naiveMatches(Config{Env: env}, requests, offers)
 		agg := New(Config{Env: env, Aggregate: true}).Negotiate(requests, offers)
 		if len(plain) != len(agg) {
 			t.Logf("seed %d: counts differ %d vs %d", seed, len(plain), len(agg))

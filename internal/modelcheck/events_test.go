@@ -26,17 +26,17 @@ func eventAd(src string) *classad.Ad { return classad.MustParse(src) }
 func eventStreams() [][]matchmaker.AdDelta {
 	return [][]matchmaker.AdDelta{
 		{ // machine a appears big, then shrinks
-			{Kind: matchmaker.AdUpsert, Name: "a",
+			{Kind: matchmaker.AdOffer, Key: "a",
 				Ad: eventAd(`[Name = "a"; Type = "Machine"; Memory = 64; Constraint = true; Rank = 0]`)},
-			{Kind: matchmaker.AdUpsert, Name: "a",
+			{Kind: matchmaker.AdOffer, Key: "a",
 				Ad: eventAd(`[Name = "a"; Type = "Machine"; Memory = 16; Constraint = true; Rank = 0]`)},
 		},
 		{ // machine b is steady
-			{Kind: matchmaker.AdUpsert, Name: "b",
+			{Kind: matchmaker.AdOffer, Key: "b",
 				Ad: eventAd(`[Name = "b"; Type = "Machine"; Memory = 32; Constraint = true; Rank = 0]`)},
 		},
 		{ // one job that prefers the biggest machine it fits on
-			{Kind: matchmaker.AdUpsert, Name: "j1",
+			{Kind: matchmaker.AdRequest, Key: "j1",
 				Ad: eventAd(`[Name = "j1"; Type = "Job"; Owner = "u1"; Constraint = other.Memory >= 32; Rank = other.Memory]`)},
 		},
 	}
@@ -80,7 +80,7 @@ func runSchedule(seq []matchmaker.AdDelta, wakeMask int, mutant bool) map[string
 	eng.Hooks.DropDirtyNotification = mutant
 	cycle := 0
 	for i, d := range seq {
-		eng.Notify(d)
+		eng.Apply(d)
 		if wakeMask&(1<<i) != 0 {
 			cycle++
 			eng.Recompute(fmt.Sprintf("s%d", cycle))
@@ -101,7 +101,7 @@ func referenceAssignment(streams [][]matchmaker.AdDelta) map[string]string {
 	final := map[string]*classad.Ad{}
 	for _, s := range streams {
 		for _, d := range s {
-			final[d.Name] = d.Ad
+			final[d.Key] = d.Ad
 		}
 	}
 	names := make([]string, 0, len(final))
@@ -195,7 +195,7 @@ func TestDeliveryScheduleRediscoversDroppedWake(t *testing.T) {
 func names(seq []matchmaker.AdDelta) []string {
 	out := make([]string, len(seq))
 	for i, d := range seq {
-		out[i] = d.Name
+		out[i] = d.Key
 	}
 	return out
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/collector"
 	"repro/internal/matchmaker"
 	"repro/internal/obs"
+	"repro/internal/pool"
 )
 
 // MachineSpec describes one resource in the model pool.
@@ -150,10 +151,13 @@ type system struct {
 	cfg          *Config
 	machineProto []*classad.Ad
 	jobProto     []*classad.Ad
+	// machineIndex and jobIndex map a (folded) ad name back to its
+	// position in cfg, for the matches the engine hands out.
+	machineIndex, jobIndex map[string]int
 }
 
 func newSystem(cfg *Config) (*system, error) {
-	s := &system{cfg: cfg}
+	s := &system{cfg: cfg, machineIndex: map[string]int{}, jobIndex: map[string]int{}}
 	if len(cfg.Machines) == 0 || len(cfg.Jobs) == 0 || len(cfg.Negotiators) == 0 {
 		return nil, fmt.Errorf("modelcheck: config needs at least one machine, job and negotiator")
 	}
@@ -165,6 +169,7 @@ func newSystem(cfg *Config) (*system, error) {
 		if name, _ := ad.Eval(classad.AttrName).StringVal(); name != m.Name {
 			return nil, fmt.Errorf("machine %s: ad Name = %q", m.Name, name)
 		}
+		s.machineIndex[classad.Fold(m.Name)] = len(s.machineProto)
 		s.machineProto = append(s.machineProto, ad)
 	}
 	for _, j := range cfg.Jobs {
@@ -175,6 +180,7 @@ func newSystem(cfg *Config) (*system, error) {
 		if name, _ := ad.Eval(classad.AttrName).StringVal(); name != j.Name {
 			return nil, fmt.Errorf("job %s: ad Name = %q", j.Name, name)
 		}
+		s.jobIndex[classad.Fold(j.Name)] = len(s.jobProto)
 		s.jobProto = append(s.jobProto, ad)
 	}
 	return s, nil
@@ -200,9 +206,18 @@ type jobState struct {
 	remaining int // work units left
 }
 
+// negotiatorState is one negotiator as production runs it: a
+// matchmaker, its negotiation engine, and the engine's subscription to
+// the store's change feed.
+type negotiatorState struct {
+	mm  *matchmaker.Matchmaker
+	eng *matchmaker.Incremental
+	sub *collector.Subscription
+}
+
 // World is one concrete execution of a scenario: real collector,
-// matchmakers and resource agents, plus the model's bookkeeping of
-// everything an invariant needs to observe.
+// negotiation engines and resource agents, plus the model's
+// bookkeeping of everything an invariant needs to observe.
 type World struct {
 	sys   *system
 	clock int64
@@ -211,7 +226,7 @@ type World struct {
 
 	store *collector.Store
 	usage *matchmaker.PriorityTable
-	mms   map[string]*matchmaker.Matchmaker
+	negs  map[string]*negotiatorState
 
 	machines []*machineState
 	jobs     []*jobState
@@ -247,7 +262,7 @@ func (s *system) newWorld(o *obs.Obs) *World {
 		clock:        1000,
 		epochHolders: map[uint64]string{},
 		codeSeen:     map[string]bool{},
-		mms:          map[string]*matchmaker.Matchmaker{},
+		negs:         map[string]*negotiatorState{},
 		o:            o,
 	}
 	w.env = &classad.Env{
@@ -259,14 +274,13 @@ func (s *system) newWorld(o *obs.Obs) *World {
 	for _, neg := range s.cfg.Negotiators {
 		mm := matchmaker.New(matchmaker.Config{
 			Env:                   w.env,
-			DeferCharges:          true,
 			LegacyClaimedTieBreak: s.cfg.LegacyClaimedTieBreak,
 		})
 		mm.SetUsage(w.usage)
 		if o != nil {
 			mm.Instrument(o)
 		}
-		w.mms[neg] = mm
+		w.negs[neg] = &negotiatorState{mm: mm, eng: matchmaker.NewIncremental(mm), sub: w.store.Subscribe()}
 	}
 	for i := range s.cfg.Machines {
 		w.machines = append(w.machines, &machineState{
@@ -397,34 +411,19 @@ func (w *World) negotiate(ni int) {
 		w.epochHolders[lease.Epoch] = neg
 	}
 
-	var reqs, offs []*classad.Ad
-	var reqIdx, offIdx []int
-	for i, j := range w.jobs {
-		if j.st != jobAdvertised {
-			continue
-		}
-		if ad, ok := w.store.Lookup(w.sys.cfg.Jobs[i].Name); ok {
-			reqs = append(reqs, ad)
-			reqIdx = append(reqIdx, i)
-		}
-	}
-	for i, m := range w.machines {
-		if !m.advertised {
-			continue
-		}
-		if ad, ok := w.store.Lookup(w.sys.cfg.Machines[i].Name); ok {
-			offs = append(offs, ad)
-			offIdx = append(offIdx, i)
-		}
-	}
+	// The cycle the pool driver runs: bring this negotiator's engine up
+	// to date from its change feed, then recompute the assignment.
+	n := w.negs[neg]
+	w.store.Prune()
+	pool.FeedFromStore(n.eng, w.store, n.sub)
 	w.cycleSeq++
 	cycle := fmt.Sprintf("mc%03d", w.cycleSeq)
-	matches := w.mms[neg].NegotiateCycle(cycle, reqs, offs)
+	matches, stats := n.eng.Recompute(cycle)
 	w.tracef("negotiate %s (epoch %d, cycle %s): %d requests x %d offers -> %d matches",
-		neg, lease.Epoch, cycle, len(reqs), len(offs), len(matches))
+		neg, lease.Epoch, cycle, stats.Requests, stats.Offers, len(matches))
 	for _, match := range matches {
-		ji := reqIdx[indexOf(reqs, match.Request)]
-		mi := offIdx[indexOf(offs, match.Offer)]
+		ji := w.sys.jobIndex[classad.Fold(nameOf(match.Request))]
+		mi := w.sys.machineIndex[classad.Fold(nameOf(match.Offer))]
 		jobName := w.sys.cfg.Jobs[ji].Name
 		machName := w.sys.cfg.Machines[mi].Name
 		// MC105 oracle: the bilateral analyzer must not be able to
@@ -632,13 +631,9 @@ func canonAd(ad *classad.Ad, liveTicket string) string {
 	return b.String()
 }
 
-// indexOf finds ad in ads by pointer identity (the matchmaker returns
-// the very ads it was handed).
-func indexOf(ads []*classad.Ad, ad *classad.Ad) int {
-	for i := range ads {
-		if ads[i] == ad {
-			return i
-		}
-	}
-	panic("modelcheck: match references an unknown ad")
+// nameOf reads the Name every ad in the model pool carries (newSystem
+// checked it).
+func nameOf(ad *classad.Ad) string {
+	name, _ := ad.Eval(classad.AttrName).StringVal()
+	return name
 }

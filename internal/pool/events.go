@@ -1,38 +1,33 @@
 package pool
 
-// Event-driven pool management: the manager variant that sleeps on the
-// collector store's change feed instead of a fixed negotiation timer.
-// Where RunCycle rebuilds the whole match from scratch every period,
-// the EventLoop feeds store deltas into the matchmaker's incremental
-// engine and wakes only when something actually changed — steady-state
-// heartbeats (content-identical re-advertisements) publish no delta
-// and cost no negotiation at all. A configurable fallback timer still
-// forces a periodic full rebuild, which is the safety net for anything
-// the delta path could ever lose (and the recovery path for
-// notification failures).
+// Event-driven pool management: the loop that runs the manager's
+// negotiation cycle when the collector store's change feed says
+// something changed, instead of on a fixed timer. It is the same cycle
+// RunCycle runs (Manager.cycle, driver.go) — the loop only decides
+// when. Steady-state heartbeats (content-identical re-advertisements)
+// publish no delta and cost no negotiation at all; a configurable
+// fallback timer still forces a periodic full rebuild, which is the
+// safety net for anything the delta path could ever lose (and the
+// recovery path for notification failures).
 //
-// Lease/epoch semantics are unchanged from timer mode: an HA-enrolled
-// manager acquires the leadership lease before each wake and stamps
-// its epoch into every MATCH; a wake without the lease matches
-// nothing and is retried shortly.
+// Lease/epoch semantics are the cycle's own: an HA-enrolled manager
+// acquires the leadership lease before each wake and stamps its epoch
+// into every MATCH; a wake without the lease matches nothing and is
+// retried shortly.
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
-	"repro/internal/classad"
-	"repro/internal/collector"
 	"repro/internal/matchmaker"
-	"repro/internal/obs"
 )
 
 // DefaultFallback is the default full-rebuild fallback period.
 const DefaultFallback = 300 * time.Second
 
 // standbyRetryDelay paces wake attempts while another negotiator holds
-// the leadership lease (the queued deltas stay queued meanwhile).
+// the leadership lease (the engine keeps its pending work meanwhile).
 const standbyRetryDelay = time.Second
 
 // notifyRetryDelay schedules a rebuild after a wake left notification
@@ -40,15 +35,13 @@ const standbyRetryDelay = time.Second
 // fallback period.
 const notifyRetryDelay = 5 * time.Second
 
-// EventLoop couples a Manager to the incremental negotiation engine
-// through the store's change feed. Construct with Manager.StartEvents,
-// drive with Run (daemons) or Wake (tests and simulations), stop with
-// Stop.
+// EventLoop drives a Manager's negotiation cycle from the store's
+// change feed. Construct with Manager.StartEvents, drive with Run
+// (daemons) or Wake (tests and simulations), stop with Stop. The engine
+// and its subscription belong to the Manager: stopping the loop leaves
+// both in place, and RunCycle keeps working.
 type EventLoop struct {
-	m   *Manager
-	eng *matchmaker.Incremental
-	sub *collector.Subscription
-
+	m        *Manager
 	fallback time.Duration
 	done     chan struct{}
 	wg       sync.WaitGroup
@@ -57,94 +50,54 @@ type EventLoop struct {
 	fallbacks int // fallback rebuilds requested so far
 }
 
-// StartEvents subscribes the manager to its own store's change feed,
-// seeds the incremental engine with the current ad pool, and starts
-// the delta pump and the fallback timer (fallback <= 0 selects
-// DefaultFallback). The caller owns the returned loop and must Stop
-// it; RunCycle must not run concurrently with an event loop — they
-// are alternative drivers for the same matchmaker.
+// StartEvents seeds the negotiation engine with the current ad pool
+// (if no cycle has yet) and starts pumping the store's change feed
+// into it, so Engine().NeedsWake() turns true when an ad changed.
+// fallback is Run's full-rebuild period (<= 0 selects
+// DefaultFallback). The caller owns the returned loop and must Stop it.
 func (m *Manager) StartEvents(fallback time.Duration) *EventLoop {
 	if fallback <= 0 {
 		fallback = DefaultFallback
 	}
-	el := &EventLoop{
-		m:        m,
-		eng:      matchmaker.NewIncremental(m.mm),
-		sub:      m.store.Subscribe(),
-		fallback: fallback,
-		done:     make(chan struct{}),
-	}
-	if m.obs != nil {
-		el.eng.InstrumentEngine(m.obs)
-	}
-	// Seed: everything already stored arrives as an upsert before any
-	// live delta. The subscription was opened first, so a concurrent
-	// change is delivered both ways — upserts are idempotent and
-	// content-identical replays are suppressed by the engine.
-	for _, ad := range m.store.All() {
-		if name, err := collector.NameOf(ad); err == nil {
-			el.eng.Notify(matchmaker.AdDelta{Kind: matchmaker.AdUpsert, Name: name, Ad: ad})
-		}
-	}
-	el.wg.Add(2)
+	el := &EventLoop{m: m, fallback: fallback, done: make(chan struct{})}
+	m.local.drain(m.neg.eng)
+	el.wg.Add(1)
 	go el.pump()
-	go el.fallbackTimer()
 	return el
 }
 
-// Engine exposes the incremental engine (tests, metrics).
-func (el *EventLoop) Engine() *matchmaker.Incremental { return el.eng }
+// Engine exposes the negotiation engine (tests, metrics).
+func (el *EventLoop) Engine() *matchmaker.Incremental { return el.m.neg.eng }
 
-// Fallbacks reports how many fallback full rebuilds the timer has
-// requested.
+// Fallbacks reports how many fallback full rebuilds Run has requested.
 func (el *EventLoop) Fallbacks() int {
 	el.mu.Lock()
 	defer el.mu.Unlock()
 	return el.fallbacks
 }
 
-// pump moves store deltas into the engine until the subscription
-// closes.
+// pump moves store deltas into the engine as they are published, until
+// the loop stops or the manager closes the subscription. It feeds
+// through the same serialised step a cycle uses, so it can never apply
+// a batch out of order with one.
 func (el *EventLoop) pump() {
 	defer el.wg.Done()
-	for {
-		deltas := el.sub.Wait()
-		if len(deltas) == 0 {
-			return // closed: Wait only returns empty once unsubscribed
-		}
-		converted := make([]matchmaker.AdDelta, len(deltas))
-		for i, d := range deltas {
-			switch d.Kind {
-			case collector.DeltaExpired, collector.DeltaInvalidated:
-				converted[i] = matchmaker.AdDelta{Kind: matchmaker.AdRemove, Name: d.Name}
-			default:
-				converted[i] = matchmaker.AdDelta{Kind: matchmaker.AdUpsert, Name: d.Name, Ad: d.Ad}
-			}
-		}
-		el.eng.Notify(converted...)
-	}
-}
-
-// fallbackTimer periodically forces a full rebuild.
-func (el *EventLoop) fallbackTimer() {
-	defer el.wg.Done()
-	t := time.NewTicker(el.fallback)
-	defer t.Stop()
+	ready := el.m.local.ready()
 	for {
 		select {
-		case <-t.C:
-			el.mu.Lock()
-			el.fallbacks++
-			el.mu.Unlock()
-			el.eng.MarkAllDirty()
+		case _, open := <-ready:
+			if !open {
+				return
+			}
+			el.m.local.drain(el.m.neg.eng)
 		case <-el.done:
 			return
 		}
 	}
 }
 
-// Stop closes the subscription, the engine (unblocking Run), and the
-// fallback timer.
+// Stop ends the pump and unblocks Run. The manager's engine and
+// subscription stay as they are.
 func (el *EventLoop) Stop() {
 	select {
 	case <-el.done:
@@ -152,200 +105,54 @@ func (el *EventLoop) Stop() {
 	default:
 	}
 	close(el.done)
-	el.sub.Close()
-	el.eng.Close()
 	el.wg.Wait()
 }
 
-// Run blocks on needs_matchmaking and executes wakes until ctx is
-// cancelled or the loop is stopped. Standby wakes (HA, lease held
+// Run executes wakes whenever the engine needs matchmaking — an ad
+// changed, the fallback period elapsed, or a retry came due — until ctx
+// is cancelled or the loop is stopped. Standby wakes (HA, lease held
 // elsewhere) and notification failures are retried on their own
-// delays.
+// delays, as forced rebuilds.
 func (el *EventLoop) Run(ctx context.Context) {
 	stop := context.AfterFunc(ctx, el.Stop)
 	defer stop()
-	for el.eng.Wait() {
-		res, _ := el.Wake()
-		if res.Standby {
-			// The lease holder negotiates; check again shortly rather
-			// than spinning on the still-queued deltas.
-			select {
-			case <-time.After(standbyRetryDelay):
-			case <-el.done:
-				return
-			}
-			continue
+	eng := el.m.neg.eng
+	fallback := time.NewTicker(el.fallback)
+	defer fallback.Stop()
+	var retry <-chan time.Time
+	for {
+		select {
+		case <-el.done:
+			return
+		case <-eng.Ready():
+		case <-fallback.C:
+			el.mu.Lock()
+			el.fallbacks++
+			el.mu.Unlock()
+			eng.MarkAllDirty()
+		case <-retry:
+			retry = nil
+			eng.MarkAllDirty()
 		}
-		if len(res.Errors) > 0 {
+		if !eng.NeedsWake() {
+			continue // a stale token: an earlier wake already served it
+		}
+		switch res, _ := el.Wake(); {
+		case res.Standby:
+			// The lease holder negotiates; look again shortly.
+			retry = time.After(standbyRetryDelay)
+		case len(res.Errors) > 0:
 			// An unreachable party keeps its match in the engine; a
 			// forced rebuild re-derives and re-notifies it.
-			time.AfterFunc(notifyRetryDelay, func() {
-				select {
-				case <-el.done:
-				default:
-					el.eng.MarkAllDirty()
-				}
-			})
+			retry = time.After(notifyRetryDelay)
+		default:
+			retry = nil
 		}
 	}
 }
 
-// Wake runs one event-driven negotiation wake: acquire the lease
-// (HA), recompute the assignment incrementally, and run the
-// matchmaking protocol for every current match — the same per-match
-// bookkeeping as RunCycle (notify, charge on accepted claim, withdraw
-// the matched request, history). Matches already notified in earlier
-// wakes have left the store (their requests were invalidated), so
-// re-notification only happens for matches whose notification failed,
-// which is exactly the retry timer mode gets from its next cycle.
+// Wake runs one negotiation cycle now, exactly as RunCycle does, and
+// also reports the engine's work for the wake.
 func (el *EventLoop) Wake() (CycleResult, matchmaker.WakeStats) {
-	m := el.m
-	start := time.Now()
-	m.mu.Lock()
-	m.cycles++
-	n := m.cycles
-	m.mu.Unlock()
-	cycleID := obs.NewCycleID(n)
-
-	var epoch uint64
-	if m.haName != "" {
-		lease, granted, err := m.store.AcquireLease(m.haName, m.leaseTTL)
-		if err != nil || !granted {
-			if err != nil {
-				m.logf("pool: lease: %v", err)
-			}
-			m.obs.Events().Emit("manager", "cycle_standby", cycleID, map[string]string{
-				"leader": lease.Holder,
-				"epoch":  fmt.Sprint(lease.Epoch),
-			})
-			return CycleResult{Cycle: cycleID, Standby: true, Duration: time.Since(start)}, matchmaker.WakeStats{}
-		}
-		epoch = lease.Epoch
-		m.mu.Lock()
-		m.epoch = epoch
-		m.deadline = lease.Deadline
-		m.mu.Unlock()
-	}
-
-	matches, stats := el.eng.Recompute(cycleID)
-	res := CycleResult{
-		Requests: stats.Requests, Offers: stats.Offers,
-		Matches: matches, Cycle: cycleID, Epoch: epoch,
-	}
-	m.obs.Events().Emit("manager", "wake_begin", cycleID, map[string]string{
-		"requests": fmt.Sprint(res.Requests),
-		"offers":   fmt.Sprint(res.Offers),
-		"deltas":   fmt.Sprint(stats.Deltas),
-		"dirty":    fmt.Sprint(stats.Dirty),
-		"full":     fmt.Sprint(stats.FullRebuild),
-	})
-	for _, match := range res.Matches {
-		accepted, err := m.notify(match, cycleID, epoch)
-		if err != nil {
-			res.Errors = append(res.Errors, err)
-			m.mNotifyErrors.Inc()
-			m.obs.Events().Emit("manager", "notify_failed", cycleID, map[string]string{
-				"request": adName(match.Request),
-				"offer":   adName(match.Offer),
-				"error":   err.Error(),
-			})
-			continue
-		}
-		res.Notified++
-		if accepted {
-			m.mm.Usage().Record(matchmaker.OwnerOf(match.Request), 1)
-			res.Charged++
-		}
-		m.logMatch(match)
-		if name, err := collector.NameOf(match.Request); err == nil {
-			m.store.Invalidate(name)
-		}
-	}
-	if m.ledger != nil {
-		if err := m.ledger.MaybeCompact(); err != nil {
-			m.logf("pool: compacting usage ledger: %v", err)
-		}
-		if err := m.ledger.Err(); err != nil {
-			m.logf("pool: usage ledger: %v", err)
-		}
-	} else if m.usageFile != "" {
-		if err := m.mm.Usage().Save(m.usageFile); err != nil {
-			m.logf("pool: saving usage history: %v", err)
-		}
-	}
-	res.Duration = time.Since(start)
-	m.hCycleSeconds.Observe(res.Duration.Seconds())
-	m.hCycleReqs.Observe(float64(res.Requests))
-	m.hCycleMatches.Observe(float64(len(res.Matches)))
-	m.obs.Events().Emit("manager", "wake_end", cycleID, map[string]string{
-		"matches":  fmt.Sprint(len(res.Matches)),
-		"notified": fmt.Sprint(res.Notified),
-		"errors":   fmt.Sprint(len(res.Errors)),
-		"duration": res.Duration.String(),
-	})
-	m.publishSelf(res)
-	m.publishDaemonAds()
-	return res, stats
-}
-
-// TickEvent is the remote negotiator's event-mode heartbeat: acquire
-// or renew the lease exactly as Tick does, but skip the negotiation
-// cycle when the collector's pool-change counter says nothing changed
-// since the last cycle this daemon ran (force overrides — the
-// caller's fallback). The result's Skipped field reports an
-// idle-skipped heartbeat. Lease/epoch handling, standby warm-sync and
-// failover accounting are identical to Tick.
-func (d *NegotiatorDaemon) TickEvent(force bool) CycleResult {
-	lease, granted, seq, err := d.client.AcquireLeaseSeq(d.Name, d.LeaseTTL)
-	if err != nil {
-		d.Logf("negotiator %s: lease: %v", d.Name, err)
-		d.setStandby(0)
-		return CycleResult{Standby: true}
-	}
-	d.observe(lease.Epoch)
-	if !granted {
-		d.setStandby(lease.Epoch)
-		d.syncFromPeer()
-		return CycleResult{Standby: true, Epoch: lease.Epoch}
-	}
-	d.becomeLeader(lease.Epoch, lease.Deadline)
-	d.mu.Lock()
-	idle := d.seqKnown && seq == d.lastSeq && !force
-	d.mu.Unlock()
-	if idle {
-		return CycleResult{Epoch: lease.Epoch, Skipped: true}
-	}
-	res := d.negotiate(lease.Epoch)
-	// Re-read the counter after our own writes (invalidations, self-ads)
-	// so the next heartbeat's comparison is against the post-cycle pool.
-	// A third-party write racing this read is absorbed into the new
-	// baseline; the caller's periodic force is the safety net, exactly
-	// like the in-process fallback rebuild.
-	if _, _, after, err := d.client.AcquireLeaseSeq(d.Name, d.LeaseTTL); err == nil {
-		d.mu.Lock()
-		d.lastSeq, d.seqKnown = after, true
-		d.mu.Unlock()
-	} else {
-		d.mu.Lock()
-		d.seqKnown = false
-		d.mu.Unlock()
-	}
-	return res
-}
-
-// classifyStoreAd mirrors the manager's request/offer split for one
-// stored ad; it exists so tests can assert the event loop and the
-// timer loop partition ads identically.
-func classifyStoreAd(ad *classad.Ad) string {
-	typ, ok := ad.Eval(classad.AttrType).StringVal()
-	if !ok {
-		return "offer"
-	}
-	switch classad.Fold(typ) {
-	case "job":
-		return "request"
-	case "negotiator", "daemon":
-		return "ignore"
-	}
-	return "offer"
+	return el.m.cycle()
 }

@@ -130,7 +130,7 @@ func TestNegotiatorFailover(t *testing.T) {
 	// matches job 1.
 	job1 := h.ca.CA.Submit(classad.Figure2(), 100)
 	h.advertise(t)
-	res := h.negA.Tick()
+	res := h.negA.Tick(false)
 	if res.Standby || res.Epoch != 1 {
 		t.Fatalf("A's first tick = %+v, want leader at epoch 1", res)
 	}
@@ -143,7 +143,7 @@ func TestNegotiatorFailover(t *testing.T) {
 
 	// B ticks while A leads: it must stand by — matching nothing —
 	// and warm-sync A's ledger through the state endpoint.
-	resB := h.negB.Tick()
+	resB := h.negB.Tick(false)
 	if !resB.Standby {
 		t.Fatalf("B's tick with A alive = %+v, want standby", resB)
 	}
@@ -166,14 +166,14 @@ func TestNegotiatorFailover(t *testing.T) {
 
 	// Within A's lease period B remains a standby: the collector
 	// cannot yet distinguish a dead leader from a slow one.
-	if res := h.negB.Tick(); !res.Standby {
+	if res := h.negB.Tick(false); !res.Standby {
 		t.Fatalf("B seized leadership inside A's lease: %+v", res)
 	}
 
 	// One lease period later B takes over under epoch 2 and matches
 	// job 2 — the claim A never introduced is not lost.
 	h.clock.Add(collector.DefaultLeaseTTL + 1)
-	res = h.negB.Tick()
+	res = h.negB.Tick(false)
 	if res.Standby || res.Epoch != 2 {
 		t.Fatalf("B's takeover tick = %+v, want leader at epoch 2", res)
 	}
@@ -404,7 +404,7 @@ func TestTracePropagatesAcrossFailover(t *testing.T) {
 	// Cycle 1: A leads under epoch 1 and matches job 1.
 	job1 := h.ca.CA.Submit(classad.Figure2(), 100)
 	h.advertise(t)
-	if res := h.negA.Tick(); res.Standby || res.Epoch != 1 || res.Notified != 1 {
+	if res := h.negA.Tick(false); res.Standby || res.Epoch != 1 || res.Notified != 1 {
 		t.Fatalf("A's first tick = %+v, want leader at epoch 1 with one match", res)
 	}
 	if err := h.ca.Complete(job1.ID); err != nil {
@@ -451,7 +451,7 @@ func TestTracePropagatesAcrossFailover(t *testing.T) {
 	// B takes over under epoch 2 and renegotiates job 2: the retry that
 	// works, under the same trace.
 	h.clock.Add(collector.DefaultLeaseTTL + 1)
-	res := h.negB.Tick()
+	res := h.negB.Tick(false)
 	if res.Standby || res.Epoch != 2 || res.Notified != 1 {
 		t.Fatalf("B's takeover tick = %+v, want leader at epoch 2 with one match", res)
 	}

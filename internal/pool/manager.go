@@ -17,14 +17,10 @@ package pool
 
 import (
 	"bufio"
-	"context"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"os"
-	"sync"
-	"time"
 
 	"repro/internal/classad"
 	"repro/internal/collector"
@@ -35,20 +31,17 @@ import (
 )
 
 // Manager is the pool manager: it owns the collector store and runs
-// negotiation cycles against snapshots of it. It retains no state
-// about matches — the paper's stateless-matchmaker property — so a
-// crashed manager is replaced by constructing a new one against an
-// empty store and letting the agents' periodic advertisements refill
-// it.
+// negotiation cycles over it. It retains no state the pool could not
+// give back — the paper's stateless-matchmaker property: the
+// negotiation engine is a view over the store, so a crashed manager is
+// replaced by constructing a new one against an empty store and
+// letting the agents' periodic advertisements refill it.
 type Manager struct {
-	store     *collector.Store
-	server    *collector.Server
-	mm        *matchmaker.Matchmaker
-	env       *classad.Env
-	logf      func(string, ...any)
-	usageFile string
-	history   io.Writer
-	ledger    *matchmaker.UsageLedger
+	store  *collector.Store
+	server *collector.Server
+	local  *localPool
+	neg    *negotiator
+	logf   func(string, ...any)
 
 	// HA participation: when haName is set the manager's co-located
 	// negotiator acquires the leadership lease from its own store
@@ -57,21 +50,6 @@ type Manager struct {
 	// NegotiatorDaemons pointed at the same collector.
 	haName   string
 	leaseTTL int64
-
-	dialer      *netx.Dialer
-	notifyRetry netx.RetryPolicy
-
-	// Observability hooks; nil (no-op) unless ManagerConfig.Obs is set.
-	obs           *obs.Obs
-	hCycleSeconds *obs.Histogram
-	hCycleReqs    *obs.Histogram
-	hCycleMatches *obs.Histogram
-	mNotifyErrors *obs.Counter
-
-	mu       sync.Mutex
-	cycles   int
-	epoch    uint64 // last lease epoch held (0 when not HA)
-	deadline int64  // last lease deadline (pool-clock seconds)
 }
 
 // ManagerConfig tunes a Manager.
@@ -102,10 +80,11 @@ type ManagerConfig struct {
 	// longer idle, the RA's copy is advisory.
 	NotifyRetry netx.RetryPolicy
 	// Obs, when set, instruments the manager and everything it owns
-	// (collector store and server, matchmaker): per-cycle histograms
-	// (pool_cycle_seconds, pool_cycle_requests, pool_cycle_matches),
-	// notification failures (pool_notify_errors_total), and the trace
-	// events that carry each cycle's ID across daemons.
+	// (collector store and server, matchmaker and engine): per-cycle
+	// histograms (pool_cycle_seconds, pool_cycle_requests,
+	// pool_cycle_matches), notification failures
+	// (pool_notify_errors_total), and the trace events that carry each
+	// cycle's ID across daemons.
 	Obs *obs.Obs
 	// Store, when set, is a pre-opened advertisement store — typically
 	// collector.OpenDurable, so ads, expiry deadlines and the
@@ -118,10 +97,10 @@ type ManagerConfig struct {
 	// The manager adopts and closes it.
 	Ledger *matchmaker.UsageLedger
 	// HAName, when set, enrolls the manager's negotiator half in
-	// leader election under this identity: each RunCycle first
-	// acquires (or renews) the leadership lease and stamps its epoch
-	// into MATCH notifications; a cycle without the lease is a standby
-	// no-op. Leave empty for the classic single-negotiator pool.
+	// leader election under this identity: each cycle first acquires
+	// (or renews) the leadership lease and stamps its epoch into MATCH
+	// notifications; a cycle without the lease is a standby no-op.
+	// Leave empty for the classic single-negotiator pool.
 	HAName string
 	// LeaseTTL is the leadership lease duration in pool-clock seconds
 	// (0 selects collector.DefaultLeaseTTL). Only meaningful with
@@ -137,82 +116,59 @@ func NewManager(cfg ManagerConfig) *Manager {
 	if cfg.Matchmaker.Env == nil {
 		cfg.Matchmaker.Env = cfg.Env
 	}
-	// Production cycles default to the two-stage engine: the offer
-	// index plus a CPU-bounded parallel scan, which reproduce the
-	// sequential scan's matches exactly. Aggregation has its own
-	// pruning, and Parallel=1 is the explicit sequential opt-out.
-	if !cfg.Matchmaker.Aggregate && !cfg.Matchmaker.Index && cfg.Matchmaker.Parallel == 0 {
-		cfg.Matchmaker.Index = true
-		cfg.Matchmaker.Parallel = matchmaker.ParallelAuto
-	}
-	// Pool accounting is charge-on-claim-ack: the matchmaker defers,
-	// and RunCycle bills only when the customer's MATCH ack reports the
-	// claim was accepted. A match that bounces off claim-time
-	// revalidation costs the customer nothing.
-	cfg.Matchmaker.DeferCharges = true
 	store := cfg.Store
 	if store == nil {
 		store = collector.New(cfg.Env)
 	}
+	local := &localPool{store: store}
+	neg := newNegotiator("manager", "negotiator@pool", local, cfg.Matchmaker, cfg.Ledger)
+	neg.env = cfg.Env
+	neg.logf = cfg.Logf
+	neg.usageFile = cfg.UsageFile
+	neg.history = cfg.History
+	neg.notifyRetry = cfg.NotifyRetry
+	if cfg.Dialer != nil {
+		neg.dialer = cfg.Dialer
+	}
 	m := &Manager{
-		store:       store,
-		mm:          matchmaker.New(cfg.Matchmaker),
-		env:         cfg.Env,
-		logf:        cfg.Logf,
-		usageFile:   cfg.UsageFile,
-		history:     cfg.History,
-		ledger:      cfg.Ledger,
-		haName:      cfg.HAName,
-		leaseTTL:    cfg.LeaseTTL,
-		dialer:      cfg.Dialer,
-		notifyRetry: cfg.NotifyRetry,
-	}
-	if m.dialer == nil {
-		m.dialer = netx.DefaultDialer
-	}
-	if m.ledger != nil {
-		m.mm.SetUsage(m.ledger.Table())
+		store:    store,
+		local:    local,
+		neg:      neg,
+		logf:     cfg.Logf,
+		haName:   cfg.HAName,
+		leaseTTL: cfg.LeaseTTL,
 	}
 	if cfg.Obs != nil {
-		m.obs = cfg.Obs
+		neg.instrument(cfg.Obs)
 		reg := cfg.Obs.Registry()
-		m.hCycleSeconds = reg.Histogram("pool_cycle_seconds", obs.DurationBuckets)
-		m.hCycleReqs = reg.Histogram("pool_cycle_requests", obs.CountBuckets)
-		m.hCycleMatches = reg.Histogram("pool_cycle_matches", obs.CountBuckets)
-		m.mNotifyErrors = reg.Counter("pool_notify_errors_total")
 		store.Instrument(reg)
-		m.mm.Instrument(cfg.Obs)
-		if m.ledger != nil {
-			m.ledger.Instrument(reg)
-		}
 		if m.haName != "" {
 			reg.GaugeFunc("negotiator_leader_epoch", func() float64 {
-				m.mu.Lock()
-				defer m.mu.Unlock()
-				return float64(m.epoch)
+				_, epoch := neg.leadership()
+				return float64(epoch)
 			})
 		}
 		cfg.Obs.Handle("/daemons", func(map[string][]string) (any, error) {
 			return m.store.DaemonHealth(), nil
 		})
 	}
-	if m.usageFile != "" && m.ledger == nil {
-		if err := m.mm.Usage().Load(m.usageFile); err != nil {
-			m.logf("pool: usage history %s unreadable, starting fresh: %v", m.usageFile, err)
+	if neg.usageFile != "" && neg.ledger == nil {
+		if err := neg.mm.Usage().Load(neg.usageFile); err != nil {
+			m.logf("pool: usage history %s unreadable, starting fresh: %v", neg.usageFile, err)
 		}
 	}
 	return m
 }
 
 // Usage exposes the fair-share accounting table.
-func (m *Manager) Usage() *matchmaker.PriorityTable { return m.mm.Usage() }
+func (m *Manager) Usage() *matchmaker.PriorityTable { return m.neg.mm.Usage() }
 
 // Listen starts the collector endpoint on addr and returns the bound
 // address that agents should advertise to.
 func (m *Manager) Listen(addr string) (string, error) {
 	m.server = collector.NewServer(m.store, m.logf)
-	if m.obs != nil {
-		m.server.Instrument(m.obs)
+	if m.neg.obs != nil {
+		m.server.Instrument(m.neg.obs)
 	}
 	return m.server.Listen(addr)
 }
@@ -221,24 +177,26 @@ func (m *Manager) Listen(addr string) (string, error) {
 // chaos tests wrap in a netx.FaultListener) and returns its address.
 func (m *Manager) Serve(ln net.Listener) string {
 	m.server = collector.NewServer(m.store, m.logf)
-	if m.obs != nil {
-		m.server.Instrument(m.obs)
+	if m.neg.obs != nil {
+		m.server.Instrument(m.neg.obs)
 	}
 	return m.server.Serve(ln)
 }
 
 // Obs exposes the manager's observability sinks (nil when the manager
 // was built without ManagerConfig.Obs).
-func (m *Manager) Obs() *obs.Obs { return m.obs }
+func (m *Manager) Obs() *obs.Obs { return m.neg.obs }
 
-// Close shuts the collector endpoint down and releases any adopted
-// durable state (store and ledger).
+// Close shuts the collector endpoint down, drops the engine's
+// subscription, and releases any adopted durable state (store and
+// ledger).
 func (m *Manager) Close() {
 	if m.server != nil {
 		m.server.Close()
 	}
-	if m.ledger != nil {
-		m.ledger.Close()
+	m.local.close()
+	if m.neg.ledger != nil {
+		m.neg.ledger.Close()
 	}
 	m.store.Close()
 }
@@ -248,297 +206,39 @@ func (m *Manager) Store() *collector.Store { return m.store }
 
 // Cycles reports how many negotiation cycles have run.
 func (m *Manager) Cycles() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cycles
+	m.neg.mu.Lock()
+	defer m.neg.mu.Unlock()
+	return m.neg.cycles
 }
 
-// CycleResult summarizes one negotiation cycle.
-type CycleResult struct {
-	Requests, Offers int
-	Matches          []matchmaker.Match
-	// Notified counts matches whose parties were both reachable.
-	Notified int
-	// Charged counts matches whose customer acknowledged a granted
-	// claim — the only ones that billed fair-share usage.
-	Charged int
-	// Errors collects notification failures (unreachable contacts).
-	Errors []error
-	// Cycle is the cycle's trace identifier: every event this cycle
-	// emitted — across manager, matchmaker, CA and RA — carries it.
-	Cycle string
-	// Standby is true when an HA-enrolled negotiator ran the cycle
-	// without holding the leadership lease: nothing was matched.
-	Standby bool
-	// Skipped is true when an event-mode heartbeat (TickEvent) held the
-	// lease but skipped negotiation because the pool had not changed.
-	Skipped bool
-	// Epoch is the leadership epoch the cycle ran under (0 without HA).
-	Epoch uint64
-	// Duration is the cycle's wall time.
-	Duration time.Duration
-}
-
-// RunCycle executes one negotiation cycle (paper §4: "Periodically,
-// the pool manager enters a negotiation cycle"): snapshot the store,
-// split job ads from provider ads, run the matchmaking algorithm, and
-// invoke the matchmaking protocol for every match — sending each party
-// the other's ad, the session identifier, and (to the customer) the
-// provider's authorization ticket.
+// RunCycle executes one negotiation cycle now — timer mode is the
+// caller's ticker around it. Every ad stored before the call is
+// negotiated by it: the cycle drains the store's change feed itself.
+// It may run beside an EventLoop; cycles are serialised.
 func (m *Manager) RunCycle() CycleResult {
-	start := time.Now()
-	m.mu.Lock()
-	m.cycles++
-	n := m.cycles
-	m.mu.Unlock()
-	cycleID := obs.NewCycleID(n)
-
-	// HA: hold the leadership lease before matching anything. A manager
-	// that cannot get (or keep) the lease is a standby this cycle: it
-	// matches nothing, because a concurrent leader may be granting the
-	// same offers.
-	var epoch uint64
-	if m.haName != "" {
-		lease, granted, err := m.store.AcquireLease(m.haName, m.leaseTTL)
-		if err != nil || !granted {
-			if err != nil {
-				m.logf("pool: lease: %v", err)
-			}
-			m.obs.Events().Emit("manager", "cycle_standby", cycleID, map[string]string{
-				"leader": lease.Holder,
-				"epoch":  fmt.Sprint(lease.Epoch),
-			})
-			return CycleResult{Cycle: cycleID, Standby: true, Duration: time.Since(start)}
-		}
-		epoch = lease.Epoch
-		m.mu.Lock()
-		m.epoch = epoch
-		m.deadline = lease.Deadline
-		m.mu.Unlock()
-	}
-
-	requests := m.store.SelectType("Job")
-	var offers []*classad.Ad
-	for _, ad := range m.store.All() {
-		typ, ok := ad.Eval(classad.AttrType).StringVal()
-		if ok {
-			switch classad.Fold(typ) {
-			case "job", "negotiator", "daemon":
-				continue // requests, the manager's own ad, and self-ads
-			}
-		}
-		offers = append(offers, ad)
-	}
-	res := CycleResult{Requests: len(requests), Offers: len(offers), Cycle: cycleID, Epoch: epoch}
-	m.obs.Events().Emit("manager", "cycle_begin", cycleID, map[string]string{
-		"requests": fmt.Sprint(res.Requests),
-		"offers":   fmt.Sprint(res.Offers),
-	})
-	res.Matches = m.mm.NegotiateCycle(cycleID, requests, offers)
-	for _, match := range res.Matches {
-		accepted, err := m.notify(match, cycleID, epoch)
-		if err != nil {
-			res.Errors = append(res.Errors, err)
-			m.mNotifyErrors.Inc()
-			m.obs.Events().Emit("manager", "notify_failed", cycleID, map[string]string{
-				"request": adName(match.Request),
-				"offer":   adName(match.Offer),
-				"error":   err.Error(),
-			})
-			continue
-		}
-		res.Notified++
-		if accepted {
-			// The claim landed: now — and only now — the customer is
-			// charged (Config.DeferCharges holds the matchmaker back).
-			m.mm.Usage().Record(matchmaker.OwnerOf(match.Request), 1)
-			res.Charged++
-		}
-		m.logMatch(match)
-		// The matched request leaves the store: its CA will
-		// re-advertise if the claim falls through. The provider ad
-		// stays — its ticket is consumed by the claim, so a stale
-		// re-match is caught by the claiming protocol, which is
-		// exactly the weak-consistency design.
-		if name, err := collector.NameOf(match.Request); err == nil {
-			m.store.Invalidate(name)
-		}
-	}
-	if m.ledger != nil {
-		if err := m.ledger.MaybeCompact(); err != nil {
-			m.logf("pool: compacting usage ledger: %v", err)
-		}
-		if err := m.ledger.Err(); err != nil {
-			m.logf("pool: usage ledger: %v", err)
-		}
-	} else if m.usageFile != "" {
-		if err := m.mm.Usage().Save(m.usageFile); err != nil {
-			m.logf("pool: saving usage history: %v", err)
-		}
-	}
-	res.Duration = time.Since(start)
-	m.hCycleSeconds.Observe(res.Duration.Seconds())
-	m.hCycleReqs.Observe(float64(res.Requests))
-	m.hCycleMatches.Observe(float64(len(res.Matches)))
-	m.obs.Events().Emit("manager", "cycle_end", cycleID, map[string]string{
-		"matches":  fmt.Sprint(len(res.Matches)),
-		"notified": fmt.Sprint(res.Notified),
-		"errors":   fmt.Sprint(len(res.Errors)),
-		"duration": res.Duration.String(),
-	})
-	m.publishSelf(res)
-	m.publishDaemonAds()
+	res, _ := m.cycle()
 	return res
 }
 
-// publishSelf stores the negotiator's own classad in the collector
-// after each cycle — "All entities are represented with classads"
-// (paper §4), the matchmaker included. Status tools can then browse
-// cycle statistics and the fair-share table with the same one-way
-// queries they use for machines:
-//
-//	cstatus -constraint 'other.Type == "Negotiator"' -long
-func (m *Manager) publishSelf(res CycleResult) {
-	ad := classad.NewAd()
-	ad.SetString(classad.AttrType, "Negotiator")
-	ad.SetString(classad.AttrName, "negotiator@pool")
-	m.mu.Lock()
-	ad.SetInt("Cycle", int64(m.cycles))
-	if m.haName != "" {
-		ad.SetString("Leader", m.haName)
-		ad.SetInt("Epoch", int64(m.epoch))
-		ad.SetInt("LeaseDeadline", m.deadline)
-	}
-	m.mu.Unlock()
-	ad.SetInt("LastRequests", int64(res.Requests))
-	ad.SetInt("LastOffers", int64(res.Offers))
-	ad.SetInt("LastMatches", int64(len(res.Matches)))
-	ad.SetInt("LastNotified", int64(res.Notified))
-	// The fair-share table, as a nested ad: user -> decayed usage.
-	usage := classad.NewAd()
-	table := m.mm.Usage()
-	for _, customer := range table.Customers() {
-		usage.SetReal(customer, table.Effective(customer))
-	}
-	ad.Set("Usage", classad.NewAdExpr(usage))
-	if err := m.store.Update(ad, 0); err != nil {
-		m.logf("pool: publishing negotiator ad: %v", err)
-	}
-}
-
-// logMatch appends one match record — itself a classad — to the
-// history writer.
-func (m *Manager) logMatch(match matchmaker.Match) {
-	if m.history == nil {
-		return
-	}
-	rec := classad.NewAd()
-	rec.SetString(classad.AttrType, "Match")
-	env := m.env
-	if env == nil {
-		env = classad.DefaultEnv()
-	}
-	rec.SetInt("Time", env.Now())
-	m.mu.Lock()
-	rec.SetInt("Cycle", int64(m.cycles))
-	m.mu.Unlock()
-	if owner, ok := match.Request.Eval(classad.AttrOwner).StringVal(); ok {
-		rec.SetString("Customer", owner)
-	}
-	if name, ok := match.Request.Eval(classad.AttrName).StringVal(); ok {
-		rec.SetString("RequestName", name)
-	}
-	if name, ok := match.Offer.Eval(classad.AttrName).StringVal(); ok {
-		rec.SetString("OfferName", name)
-	}
-	rec.SetReal("RequestRank", match.RequestRank)
-	rec.SetReal("OfferRank", match.OfferRank)
-	if _, err := fmt.Fprintln(m.history, rec.String()); err != nil {
-		m.logf("pool: writing history: %v", err)
-	}
-}
-
-// notify runs the matchmaking protocol for one match.
-func (m *Manager) notify(match matchmaker.Match, cycleID string, epoch uint64) (bool, error) {
-	return notifyMatch(m.dialer, m.notifyRetry, m.logf, m.obs.Spans(), "manager", match, cycleID, epoch)
-}
-
-// notifyMatch runs the matchmaking protocol for one match: a MATCH
-// envelope to each party's Contact address carrying the peer's ad and
-// the cycle's trace ID; the customer's copy also carries the
-// provider's ticket. epoch, when non-zero, is the sender's leadership
-// epoch — the CA fences out envelopes whose epoch has been superseded.
-// Traced matches (the request ad carries a TraceId) propagate the
-// trace into both envelopes and record a notify span under src.
-// Shared by the combined Manager and the standalone NegotiatorDaemon.
-//
-// accepted reports whether the customer's ack carried Accepted — the
-// claim was granted — which is the signal deferred fair-share charging
-// keys on. A CA predating the flag acks without it; such a pool simply
-// stops charging, which is the conservative failure mode (customers
-// are under- rather than over-billed).
-func notifyMatch(dialer *netx.Dialer, retry netx.RetryPolicy, logf func(string, ...any),
-	spans *obs.Spans, src string, match matchmaker.Match, cycleID string, epoch uint64) (accepted bool, err error) {
-	session, err := protocol.NewSession()
-	if err != nil {
-		return false, err
-	}
-	ticket, _ := match.Offer.Eval(classad.AttrTicket).StringVal()
-	trace := match.Trace
-	if trace == "" {
-		trace = classad.TraceOf(match.Request)
-	}
-	parent := match.Span
-	if parent == "" {
-		parent = classad.TraceSpanOf(match.Request)
-	}
-	sp := spans.Start(trace, parent, src, "notify")
-	sp.Set("request", adName(match.Request))
-	sp.Set("offer", adName(match.Offer))
-
-	// Customer first: it drives the claiming protocol. MATCH is
-	// idempotent for the CA (a duplicate lands after the job left the
-	// idle state and is acknowledged as stale), so transport failures
-	// are retried with backoff before the match is abandoned to the
-	// next cycle.
-	if err := netx.Retry(context.Background(), retry, func() error {
-		reply, err := sendToContact(dialer, match.Request, &protocol.Envelope{
-			Type:    protocol.TypeMatch,
-			PeerAd:  protocol.EncodeAd(match.Offer),
-			Ticket:  ticket,
-			Session: session,
-			Cycle:   cycleID,
-			Trace:   trace,
-			Span:    sp.ID(),
-			Epoch:   epoch,
-		})
-		if err != nil {
-			return err
+// cycle runs the driver over the manager's own store and, as the
+// process that hosts the collector, adds the collector's health ad to
+// the self-ads the cycle published.
+func (m *Manager) cycle() (CycleResult, matchmaker.WakeStats) {
+	res, stats := m.neg.cycle(m.haName, m.leaseTTL, true)
+	if !res.Standby && m.neg.obs != nil {
+		name := m.haName
+		if name == "" {
+			name = "pool"
 		}
-		accepted = reply.Accepted
-		return nil
-	}); err != nil {
-		sp.Fail(err.Error())
-		sp.End()
-		return false, fmt.Errorf("pool: notify customer: %w", err)
+		ad := DaemonAd("collector", name, m.neg.obs)
+		if logStats, ok := m.store.LogStats(); ok {
+			ad.SetInt("WALGeneration", int64(logStats.Gen))
+		}
+		if err := m.store.Update(ad, daemonAdLifetime); err != nil {
+			m.logf("pool: publishing collector self-ad: %v", err)
+		}
 	}
-	// Provider notification is advisory; a provider without a
-	// reachable contact still works because the claim itself carries
-	// everything the RA needs. One bounded attempt is enough.
-	if _, err := sendToContact(dialer, match.Offer, &protocol.Envelope{
-		Type:    protocol.TypeMatch,
-		PeerAd:  protocol.EncodeAd(match.Request),
-		Session: session,
-		Cycle:   cycleID,
-		Trace:   trace,
-		Span:    sp.ID(),
-		Epoch:   epoch,
-	}); err != nil {
-		logf("pool: notify provider: %v", err)
-	}
-	sp.Set("claim_accepted", fmt.Sprint(accepted))
-	sp.End()
-	return accepted, nil
+	return res, stats
 }
 
 // sendToContact dials the ad's Contact address with bounded connect

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/classad"
 	"repro/internal/collector"
 	"repro/internal/matchmaker"
 	"repro/internal/netx"
@@ -26,12 +25,12 @@ import (
 // ships between peers as a store.Log bundle.
 //
 // Each Tick the daemon requests the leadership lease from the
-// collector. Holding it, the daemon queries the pool, runs one
-// negotiation cycle, and stamps its lease epoch into every MATCH; the
-// CA-side fence (cadaemon.go) then rejects anything an already-deposed
-// leader manages to send. Not holding it, the daemon pulls the
-// leader's usage ledger from its state endpoint so a takeover starts
-// warm.
+// collector. Holding it, the daemon runs the same negotiation cycle
+// the combined Manager runs (driver.go) over a query snapshot of the
+// pool, stamping its lease epoch into every MATCH; the CA-side fence
+// (cadaemon.go) then rejects anything an already-deposed leader manages
+// to send. Not holding it, the daemon pulls the leader's usage ledger
+// from its state endpoint so a takeover starts warm.
 type NegotiatorDaemon struct {
 	// Name identifies this negotiator in leader election.
 	Name string
@@ -46,58 +45,29 @@ type NegotiatorDaemon struct {
 	Logf func(string, ...any)
 
 	client *collector.Client
-	// deltas refreshes the negotiator's self-ads with UPDATE_DELTA
-	// envelopes (full ads only when attributes actually changed).
-	deltas *collector.DeltaAdvertiser
-	mm     *matchmaker.Matchmaker
-	ledger *matchmaker.UsageLedger
-	dialer *netx.Dialer
-	retry  netx.RetryPolicy
+	neg    *negotiator
 
-	mu       sync.Mutex
-	leader   bool
-	epoch    uint64
-	deadline int64  // current lease deadline (pool-clock seconds)
-	lastSeen uint64 // highest epoch ever observed (ours or the peer's)
-	// Event mode (TickEvent): the collector's pool-change counter as of
-	// this daemon's last completed cycle, used to skip idle heartbeats.
-	lastSeq  uint64
-	seqKnown bool
-	cycles   int
-	httpSrv  *http.Server
-	httpLn   net.Listener
+	mu      sync.Mutex
+	httpSrv *http.Server
+	httpLn  net.Listener
 	// lastBundle is the most recently installed peer-state bundle,
 	// kept to skip re-installing identical state on every heartbeat.
 	lastBundle []byte
-
-	obs        *obs.Obs
-	mFailovers *obs.Counter
-	mStandby   *obs.Counter
 }
 
 // NewNegotiatorDaemon builds a negotiator around a collector client
 // and an optional durable usage ledger (nil keeps accounting in
 // memory).
 func NewNegotiatorDaemon(name string, client *collector.Client, ledger *matchmaker.UsageLedger, mmCfg matchmaker.Config) *NegotiatorDaemon {
-	if !mmCfg.Aggregate && !mmCfg.Index && mmCfg.Parallel == 0 {
-		mmCfg.Index = true
-		mmCfg.Parallel = matchmaker.ParallelAuto
-	}
-	// Same accounting rule as the combined Manager: matches bill only
-	// when the customer's ack reports the claim was accepted.
-	mmCfg.DeferCharges = true
 	d := &NegotiatorDaemon{
 		Name:   name,
 		Logf:   func(string, ...any) {},
 		client: client,
-		deltas: collector.NewDeltaAdvertiser(client),
-		mm:     matchmaker.New(mmCfg),
-		ledger: ledger,
-		dialer: netx.DefaultDialer,
 	}
-	if ledger != nil {
-		d.mm.SetUsage(ledger.Table())
-	}
+	pool := &remotePool{client: client, deltas: collector.NewDeltaAdvertiser(client)}
+	d.neg = newNegotiator("negotiator", "negotiator/"+name, pool, mmCfg, ledger)
+	// Logf is a public field callers set after construction.
+	d.neg.logf = func(format string, args ...any) { d.Logf(format, args...) }
 	return d
 }
 
@@ -107,210 +77,48 @@ func (d *NegotiatorDaemon) ConfigureNetwork(dialer *netx.Dialer, retry netx.Retr
 	if dialer == nil {
 		dialer = netx.DefaultDialer
 	}
-	d.dialer = dialer
-	d.retry = retry
+	d.neg.dialer = dialer
+	d.neg.notifyRetry = retry
 	d.client.Dialer = dialer
 	d.client.Retry = retry
 }
 
-// Instrument routes negotiator activity into o: leadership changes
-// (negotiator_failovers_total — incremented when this daemon takes
-// over from a different leader), standby ticks
-// (negotiator_standby_ticks_total), the current leadership epoch
-// (negotiator_leader_epoch gauge; 0 while standby), plus the
-// matchmaker's and ledger's own metrics.
+// Instrument routes negotiator activity into o: the cycle driver's
+// metrics (negotiator.instrument) plus the current leadership epoch
+// (negotiator_leader_epoch gauge; 0 while standby).
 func (d *NegotiatorDaemon) Instrument(o *obs.Obs) {
-	d.obs = o
-	reg := o.Registry()
-	d.mFailovers = reg.Counter("negotiator_failovers_total")
-	d.mStandby = reg.Counter("negotiator_standby_ticks_total")
-	reg.GaugeFunc("negotiator_leader_epoch", func() float64 {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		if !d.leader {
-			return 0
+	d.neg.instrument(o)
+	o.Registry().GaugeFunc("negotiator_leader_epoch", func() float64 {
+		if leader, epoch := d.neg.leadership(); leader {
+			return float64(epoch)
 		}
-		return float64(d.epoch)
+		return 0
 	})
-	d.mm.Instrument(o)
-	if d.ledger != nil {
-		d.ledger.Instrument(reg)
-	}
 }
 
 // Leader reports whether the daemon held the lease at its last tick,
 // and under which epoch.
-func (d *NegotiatorDaemon) Leader() (bool, uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.leader, d.epoch
-}
+func (d *NegotiatorDaemon) Leader() (bool, uint64) { return d.neg.leadership() }
 
 // Usage exposes the fair-share table (ledger-backed when a ledger was
 // supplied).
-func (d *NegotiatorDaemon) Usage() *matchmaker.PriorityTable { return d.mm.Usage() }
+func (d *NegotiatorDaemon) Usage() *matchmaker.PriorityTable { return d.neg.mm.Usage() }
 
 // Tick runs one heartbeat: acquire or renew the lease, then either
-// negotiate (leader) or sync state from the leader (standby). The
-// caller drives it on the pool's negotiation period — and should do so
-// at least a few times per lease TTL so renewal outpaces expiry.
-func (d *NegotiatorDaemon) Tick() CycleResult {
-	lease, granted, err := d.client.AcquireLease(d.Name, d.LeaseTTL)
-	if err != nil {
-		// Collector unreachable: we cannot prove we still hold the
-		// lease, so behave as a standby and match nothing.
-		d.Logf("negotiator %s: lease: %v", d.Name, err)
-		d.setStandby(0)
-		return CycleResult{Standby: true}
-	}
-	d.observe(lease.Epoch)
-	if !granted {
-		d.setStandby(lease.Epoch)
+// negotiate (leader) or sync state from the leader (standby). A leader
+// whose collector reports the pool unchanged since its last cycle —
+// and whose last cycle left nothing to retry — skips the negotiation
+// (CycleResult.Skipped) unless force is set; callers force every few
+// heartbeats as the safety net, the remote analogue of the in-process
+// fallback rebuild. The caller drives Tick on the pool's negotiation
+// period — and should do so at least a few times per lease TTL so
+// renewal outpaces expiry.
+func (d *NegotiatorDaemon) Tick(force bool) CycleResult {
+	res, _ := d.neg.cycle(d.Name, d.LeaseTTL, force)
+	if res.Standby {
 		d.syncFromPeer()
-		return CycleResult{Standby: true, Epoch: lease.Epoch}
 	}
-	d.becomeLeader(lease.Epoch, lease.Deadline)
-	return d.negotiate(lease.Epoch)
-}
-
-// observe tracks the highest epoch seen pool-wide.
-func (d *NegotiatorDaemon) observe(epoch uint64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if epoch > d.lastSeen {
-		d.lastSeen = epoch
-	}
-}
-
-func (d *NegotiatorDaemon) setStandby(leaderEpoch uint64) {
-	d.mu.Lock()
-	was := d.leader
-	d.leader = false
-	d.mu.Unlock()
-	d.mStandby.Inc()
-	if was {
-		d.Logf("negotiator %s: deposed (leader epoch %d)", d.Name, leaderEpoch)
-	}
-}
-
-func (d *NegotiatorDaemon) becomeLeader(epoch uint64, deadline int64) {
-	d.mu.Lock()
-	was, prev := d.leader, d.epoch
-	d.leader, d.epoch, d.deadline = true, epoch, deadline
-	d.mu.Unlock()
-	if !was && epoch > 1 && epoch != prev {
-		// Taking over from a different leader (epoch bumped), not a
-		// pool's very first election and not our own renewal after a
-		// hiccup.
-		d.mFailovers.Inc()
-		d.Logf("negotiator %s: taking over as leader, epoch %d", d.Name, epoch)
-	}
-}
-
-// negotiate runs one cycle as leader against a freshly queried pool
-// snapshot.
-func (d *NegotiatorDaemon) negotiate(epoch uint64) CycleResult {
-	start := time.Now()
-	d.mu.Lock()
-	d.cycles++
-	n := d.cycles
-	d.mu.Unlock()
-	cycleID := obs.NewCycleID(n)
-
-	all, err := d.client.Query(classad.NewAd())
-	if err != nil {
-		d.Logf("negotiator %s: query: %v", d.Name, err)
-		return CycleResult{Cycle: cycleID, Epoch: epoch, Duration: time.Since(start)}
-	}
-	var requests, offers []*classad.Ad
-	for _, ad := range all {
-		typ, ok := ad.Eval(classad.AttrType).StringVal()
-		if !ok {
-			offers = append(offers, ad)
-			continue
-		}
-		switch classad.Fold(typ) {
-		case "job":
-			requests = append(requests, ad)
-		case "negotiator", "daemon":
-			// the leader's own ad, and daemon self-ads (monitoring
-			// state, not matchable resources)
-		default:
-			offers = append(offers, ad)
-		}
-	}
-	res := CycleResult{Requests: len(requests), Offers: len(offers), Cycle: cycleID, Epoch: epoch}
-	res.Matches = d.mm.NegotiateCycle(cycleID, requests, offers)
-	for _, match := range res.Matches {
-		accepted, err := notifyMatch(d.dialer, d.retry, d.Logf, d.obs.Spans(), "negotiator", match, cycleID, epoch)
-		if err != nil {
-			res.Errors = append(res.Errors, err)
-			continue
-		}
-		res.Notified++
-		if accepted {
-			d.mm.Usage().Record(matchmaker.OwnerOf(match.Request), 1)
-			res.Charged++
-		}
-		if name, err := collector.NameOf(match.Request); err == nil {
-			if err := d.client.Invalidate(name); err != nil {
-				d.Logf("negotiator %s: invalidate %s: %v", d.Name, name, err)
-			}
-		}
-	}
-	d.publishSelf(res)
-	if d.ledger != nil {
-		if err := d.ledger.MaybeCompact(); err != nil {
-			d.Logf("negotiator %s: ledger compact: %v", d.Name, err)
-		}
-	}
-	res.Duration = time.Since(start)
 	return res
-}
-
-// publishSelf advertises the negotiator's own classad, so cstatus -ha
-// can show who leads under which epoch even when the collector is
-// queried remotely.
-func (d *NegotiatorDaemon) publishSelf(res CycleResult) {
-	ad := classad.NewAd()
-	ad.SetString(classad.AttrType, "Negotiator")
-	ad.SetString(classad.AttrName, "negotiator/"+d.Name)
-	ad.SetString("Leader", d.Name)
-	ad.SetInt("Epoch", int64(res.Epoch))
-	d.mu.Lock()
-	ad.SetInt("Cycle", int64(d.cycles))
-	ad.SetInt("LeaseDeadline", d.deadline)
-	d.mu.Unlock()
-	ad.SetInt("LastRequests", int64(res.Requests))
-	ad.SetInt("LastOffers", int64(res.Offers))
-	ad.SetInt("LastMatches", int64(len(res.Matches)))
-	usage := classad.NewAd()
-	table := d.mm.Usage()
-	for _, customer := range table.Customers() {
-		usage.SetReal(customer, table.Effective(customer))
-	}
-	ad.Set("Usage", classad.NewAdExpr(usage))
-	if err := d.deltas.Advertise(ad, 0); err != nil {
-		d.Logf("negotiator %s: advertising self: %v", d.Name, err)
-	}
-	d.publishDaemonAd(res)
-}
-
-// publishDaemonAd advertises the standalone negotiator's Daemon-type
-// health ad (see selfad.go) when instrumented, so absent-ad detection
-// covers remote negotiators too.
-func (d *NegotiatorDaemon) publishDaemonAd(res CycleResult) {
-	if d.obs == nil {
-		return
-	}
-	ad := DaemonAd("negotiator", d.Name, d.obs)
-	ad.SetInt("LeaderEpoch", int64(res.Epoch))
-	if d.ledger != nil {
-		ad.SetInt("WALGeneration", int64(d.ledger.Stats().Gen))
-	}
-	if err := d.deltas.Advertise(ad, daemonAdLifetime); err != nil {
-		d.Logf("negotiator %s: advertising daemon ad: %v", d.Name, err)
-	}
 }
 
 // ServeState starts the warm-handoff endpoint on ln: GET /state
@@ -319,11 +127,11 @@ func (d *NegotiatorDaemon) publishDaemonAd(res CycleResult) {
 func (d *NegotiatorDaemon) ServeState(ln net.Listener) string {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/state", func(w http.ResponseWriter, r *http.Request) {
-		if d.ledger == nil {
+		if d.neg.ledger == nil {
 			http.Error(w, "no ledger", http.StatusNotFound)
 			return
 		}
-		bundle, err := d.ledger.Ship()
+		bundle, err := d.neg.ledger.Ship()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -344,7 +152,7 @@ func (d *NegotiatorDaemon) ServeState(ln net.Listener) string {
 // an unreachable peer (it may just have died — that is why we are
 // about to take over) leaves the local ledger as is.
 func (d *NegotiatorDaemon) syncFromPeer() {
-	if d.PeerState == "" || d.ledger == nil {
+	if d.PeerState == "" || d.neg.ledger == nil {
 		return
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -372,7 +180,7 @@ func (d *NegotiatorDaemon) syncFromPeer() {
 	if same {
 		return
 	}
-	if err := d.ledger.Install(bundle); err != nil {
+	if err := d.neg.ledger.Install(bundle); err != nil {
 		d.Logf("negotiator %s: installing peer state: %v", d.Name, err)
 		return
 	}
@@ -381,11 +189,11 @@ func (d *NegotiatorDaemon) syncFromPeer() {
 	d.mu.Unlock()
 }
 
-// Cycles reports how many leader cycles this daemon has run.
+// Cycles reports how many heartbeats this daemon has run.
 func (d *NegotiatorDaemon) Cycles() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cycles
+	d.neg.mu.Lock()
+	defer d.neg.mu.Unlock()
+	return d.neg.cycles
 }
 
 // Close stops the state endpoint and releases the ledger.
@@ -400,17 +208,18 @@ func (d *NegotiatorDaemon) Close() {
 	if ln != nil {
 		ln.Close()
 	}
-	if d.ledger != nil {
-		d.ledger.Close()
+	if d.neg.ledger != nil {
+		d.neg.ledger.Close()
 	}
 }
 
 // String renders leadership state for logs and cstatus.
 func (d *NegotiatorDaemon) String() string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.leader {
-		return fmt.Sprintf("%s: leader (epoch %d, %d cycles)", d.Name, d.epoch, d.cycles)
+	n := d.neg
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.leader {
+		return fmt.Sprintf("%s: leader (epoch %d, %d cycles)", d.Name, n.epoch, n.cycles)
 	}
-	return fmt.Sprintf("%s: standby (last seen epoch %d)", d.Name, d.lastSeen)
+	return fmt.Sprintf("%s: standby (last seen epoch %d)", d.Name, n.lastSeen)
 }

@@ -285,7 +285,7 @@ func TestDurabilityMetricsScraped(t *testing.T) {
 		matchmaker.Config{})
 	negB.Instrument(o2)
 	t.Cleanup(negB.Close)
-	if res := negB.Tick(); !res.Standby {
+	if res := negB.Tick(false); !res.Standby {
 		t.Fatalf("standby tick against a leading manager = %+v", res)
 	}
 	ds2, err := o2.ServeDebug("127.0.0.1:0")

@@ -41,32 +41,3 @@ func DaemonAd(kind, name string, o *obs.Obs) *classad.Ad {
 	ad.SetInt("SpansDropped", o.Spans().Dropped())
 	return ad
 }
-
-// publishDaemonAds stores the manager's own self-ads (its collector
-// and co-located negotiator halves) after each cycle. Skipped when
-// the manager is uninstrumented — there is no health to report.
-func (m *Manager) publishDaemonAds() {
-	if m.obs == nil {
-		return
-	}
-	name := m.haName
-	if name == "" {
-		name = "pool"
-	}
-	for _, kind := range []string{"collector", "negotiator"} {
-		ad := DaemonAd(kind, name, m.obs)
-		if kind == "negotiator" {
-			m.mu.Lock()
-			ad.SetInt("LeaderEpoch", int64(m.epoch))
-			m.mu.Unlock()
-			if m.ledger != nil {
-				ad.SetInt("WALGeneration", int64(m.ledger.Stats().Gen))
-			}
-		} else if stats, ok := m.store.LogStats(); ok {
-			ad.SetInt("WALGeneration", int64(stats.Gen))
-		}
-		if err := m.store.Update(ad, daemonAdLifetime); err != nil {
-			m.logf("pool: publishing %s self-ad: %v", kind, err)
-		}
-	}
-}
