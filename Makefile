@@ -8,18 +8,17 @@
 #   make lint-fix-list machine-readable analyzer findings: file:line: code
 #   make mc-short     exhaustive model check of the canonical small pool (the verify-depth run)
 #   make mc           deeper model check (MC_FULL=1), plus liveness and mutant self-tests
-#   make fuzz         short protocol fuzz run (FuzzReadEnvelope)
+#   make fuzz         short fuzz run of every Fuzz* target in the tree
 #   make crash        durability soak: crash-point matrices + randomized fault soak
 #   make bench        matchmaker/classad hot-path benchmarks -> BENCH_matchmaker.json
 #   make bench-check  rerun the benchmarks and fail on >20% ns/op regression
 #   make bench-smoke  vet and test the pool benchmark's own module (bench/)
-#   make ci           everything CI runs: verify + repeated timing-sensitive suites + fuzz
+#   make ci           everything CI runs: verify + repeated timing-sensitive suites + race pass + fuzz
 
 GO ?= go
 FUZZTIME ?= 15s
 # The hot paths a matchmaker lives on: classad parse/eval/match and
-# the negotiation-cycle variants (Negotiat covers both the Negotiation*
-# cycle benchmarks and the Negotiate* index/scan benchmarks;
+# negotiation (Negotiat covers NegotiationCycle and NegotiateTraced;
 # SteadyState is the event-driven delta wake vs full-rebuild pair).
 BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState
 
@@ -103,10 +102,17 @@ crash:
 	$(GO) test -race -count=1 -run 'TestCrash|TestDurableStoreCrashPoints|TestUsageLedgerCrashPoints' \
 		./internal/store ./internal/collector ./internal/matchmaker
 
-# Wire-protocol fuzzing: Read/Write round-trips, oversized frames,
-# malformed JSON. Continuous deep fuzzing raises FUZZTIME.
+# Every fuzz target in the tree, FUZZTIME each (go test -fuzz takes one
+# target in one package per run, hence the loop): today the wire
+# protocol's FuzzReadEnvelope and the WAL's FuzzWALRecord. Continuous
+# deep fuzzing raises FUZZTIME.
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzReadEnvelope -fuzztime=$(FUZZTIME) ./internal/protocol
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 # Benchmark the matchmaking hot paths and refresh the checked-in
 # baseline. benchjson compiles under `make verify` (go build ./...),
@@ -129,6 +135,9 @@ bench-check:
 
 # The netx and pool suites drive real sockets and timers; running them
 # five times over catches a timing-dependent test before the next
-# machine does.
+# machine does. The sharded scan, the pump goroutine and the cycle
+# mutex sit under every entry point, so the packages that own them get
+# a race-detector pass of their own.
 ci: verify fuzz
 	$(GO) test -count=5 ./internal/netx ./internal/pool
+	$(GO) test -race -short ./internal/pool ./internal/collector ./internal/matchmaker ./internal/obs

@@ -15,7 +15,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/baseline"
 	"repro/internal/classad"
-	"repro/internal/collector"
 	"repro/internal/matchmaker"
 	"repro/internal/obs"
 	"repro/internal/remote"
@@ -100,23 +99,6 @@ func BenchmarkUnparse(b *testing.B) {
 	}
 }
 
-// BenchmarkJSONRoundTrip measures the JSON wire mapping.
-func BenchmarkJSONRoundTrip(b *testing.B) {
-	machine := classad.Figure1()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		data, err := machine.MarshalJSON()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var back classad.Ad
-		if err := back.UnmarshalJSON(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- E10: negotiation cycle scaling ----
 
 func poolAds(n int, seed int64) []*classad.Ad {
@@ -150,48 +132,9 @@ func jobAds(n int, seed int64) []*classad.Ad {
 	return out
 }
 
-// BenchmarkNegotiationCycle measures one full cycle (rank-sorted
-// candidate selection) at several pool sizes; each op matches
-// N/2 requests against N offers.
-func BenchmarkNegotiationCycle(b *testing.B) {
-	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
-			offers := poolAds(n, 42)
-			requests := jobAds(n/2, 42)
-			mm := matchmaker.New(matchmaker.Config{Env: classad.FixedEnv(0, 1)})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(mm.Negotiate(requests, offers)) == 0 {
-					b.Fatal("no matches")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkNegotiationFirstFit is the rank-selection ablation: taking
-// the first compatible offer instead of the best-ranked one.
-func BenchmarkNegotiationFirstFit(b *testing.B) {
-	for _, n := range []int{100, 1000} {
-		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
-			offers := poolAds(n, 42)
-			requests := jobAds(n/2, 42)
-			mm := matchmaker.New(matchmaker.Config{
-				Env: classad.FixedEnv(0, 1), FirstFit: true,
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(mm.Negotiate(requests, offers)) == 0 {
-					b.Fatal("no matches")
-				}
-			}
-		})
-	}
-}
-
-// bigPool builds a heterogeneous offer set for the index benchmarks:
-// four architectures crossed with eight memory tiers, so a typical
-// arch+memory constraint selects roughly 1/8 of the pool.
+// bigPool builds a heterogeneous offer set for the negotiation
+// benchmarks: four architectures crossed with eight memory tiers, so a
+// typical arch+memory constraint selects roughly 1/8 of the pool.
 func bigPool(n int) []*classad.Ad {
 	archs := []string{"INTEL", "SPARC", "ALPHA", "HPPA"}
 	out := make([]*classad.Ad, n)
@@ -237,45 +180,15 @@ func bigRequests(n int) []*classad.Ad {
 	return out
 }
 
-// BenchmarkNegotiate10kOffers is the two-stage engine's headline
-// number: one cycle of 32 requests against 10k offers, sequential
-// scan versus the offer index. The indexed run prunes each request's
-// scan to the posting-list intersection, so the speedup tracks the
-// candidate fraction (~1/8 here).
-func BenchmarkNegotiate10kOffers(b *testing.B) {
-	offers := bigPool(10000)
-	requests := bigRequests(32)
-	env := classad.FixedEnv(0, 1)
-	for _, mode := range []struct {
-		name string
-		cfg  matchmaker.Config
-	}{
-		{"sequential", matchmaker.Config{Env: env}},
-		{"indexed", matchmaker.Config{Env: env, Index: true}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			mm := matchmaker.New(mode.cfg)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(mm.Negotiate(requests, offers)) == 0 {
-					b.Fatal("no matches")
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkNegotiateIndexed tracks the indexed engine across pool
-// sizes — the bench-check regression gate's guard on the two-stage
-// path itself.
-func BenchmarkNegotiateIndexed(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
+// BenchmarkNegotiationCycle measures one one-shot cycle — index
+// build, per-request candidate pruning, rank-maximizing scan — of 32
+// requests against N offers.
+func BenchmarkNegotiationCycle(b *testing.B) {
+	for _, n := range []int{10, 100, 1000, 10000} {
 		b.Run(fmt.Sprintf("machines=%d", n), func(b *testing.B) {
 			offers := bigPool(n)
 			requests := bigRequests(32)
-			mm := matchmaker.New(matchmaker.Config{
-				Env: classad.FixedEnv(0, 1), Index: true,
-			})
+			mm := matchmaker.New(matchmaker.Config{Env: classad.FixedEnv(0, 1)})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if len(mm.Negotiate(requests, offers)) == 0 {
@@ -553,51 +466,6 @@ func BenchmarkPartialEval(b *testing.B) {
 
 // ---- protocol and execution-substrate costs ----
 
-// BenchmarkAdvertiseOverTCP measures one advertising-protocol round
-// trip (dial, ADVERTISE, ACK) against a live collector — the cost an
-// RA pays per refresh.
-func BenchmarkAdvertiseOverTCP(b *testing.B) {
-	srv := collector.NewServer(collector.New(nil), nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := &collector.Client{Addr: addr}
-	ad := classad.Figure1()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.Advertise(ad, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkQueryOverTCP measures a one-way query against a 100-ad
-// collector, full ads returned.
-func BenchmarkQueryOverTCP(b *testing.B) {
-	store := collector.New(nil)
-	for _, ad := range poolAds(100, 13) {
-		if err := store.Update(ad, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	srv := collector.NewServer(store, nil)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := &collector.Client{Addr: addr}
-	query := classad.MustParse(`[ Constraint = other.Memory >= 64 ]`)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.Query(query); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkRemoteSyscallStep measures one record of remote-syscall
 // execution: a read, a write, and their framing — the per-step tax of
 // keeping the execution site stateless.
@@ -715,7 +583,7 @@ func BenchmarkSteadyStateDeltas(b *testing.B) {
 	}
 
 	b.Run("incremental", func(b *testing.B) {
-		eng := matchmaker.NewIncremental(matchmaker.New(matchmaker.Config{Env: env, Index: true}))
+		eng := matchmaker.NewIncremental(matchmaker.New(matchmaker.Config{Env: env}))
 		for _, ad := range offers {
 			name, _ := ad.Eval("Name").StringVal()
 			eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdOffer, Key: name, Ad: ad})
@@ -743,7 +611,7 @@ func BenchmarkSteadyStateDeltas(b *testing.B) {
 	})
 
 	b.Run("full-rebuild", func(b *testing.B) {
-		mm := matchmaker.New(matchmaker.Config{Env: env, Index: true})
+		mm := matchmaker.New(matchmaker.Config{Env: env})
 		work := append([]*classad.Ad(nil), offers...)
 		b.ReportAllocs()
 		b.ResetTimer()

@@ -163,15 +163,12 @@ func runE8(seed int64) {
 // scalability of the matchmaking algorithm itself, no simulation.
 func runE10(seed int64) {
 	fmt.Println("E10: negotiation cycle latency vs pool size (wall clock)")
-	fmt.Printf("  %-10s %-10s %14s %14s %10s\n",
-		"machines", "jobs", "rank-sorted", "first-fit", "matches")
+	fmt.Printf("  %-10s %-10s %14s %10s\n", "machines", "jobs", "cycle", "matches")
 	for _, n := range []int{10, 100, 1000, 5000} {
 		machines := syntheticMachines(n, seed)
 		jobs := syntheticJobs(n/2, seed)
-		rankTime, matches := timeCycle(matchmaker.Config{}, jobs, machines)
-		ffTime, _ := timeCycle(matchmaker.Config{FirstFit: true}, jobs, machines)
-		fmt.Printf("  %-10d %-10d %14s %14s %10d\n",
-			n, n/2, rankTime, ffTime, matches)
+		cycleTime, matches := timeCycle(matchmaker.Config{}, jobs, machines)
+		fmt.Printf("  %-10d %-10d %14s %10d\n", n, n/2, cycleTime, matches)
 	}
 	fmt.Println()
 }
@@ -182,18 +179,18 @@ func runE11(seed int64) {
 	fmt.Println("E11: ad aggregation (group matching) vs pool regularity")
 	const n = 2000
 	fmt.Printf("  pool: %d machines; 200 jobs\n", n)
-	fmt.Printf("  %-10s %14s %14s %10s\n", "classes", "linear", "aggregated", "speedup")
+	fmt.Printf("  %-10s %14s %14s %10s\n", "classes", "indexed", "aggregated", "speedup")
 	for _, classes := range []int{1, 4, 16, 64, 256} {
 		machines := regularMachines(n, classes, seed)
 		jobs := syntheticJobs(200, seed)
-		linTime, linMatches := timeCycle(matchmaker.Config{}, jobs, machines)
+		ixTime, ixMatches := timeCycle(matchmaker.Config{}, jobs, machines)
 		aggTime, aggMatches := timeCycle(matchmaker.Config{Aggregate: true}, jobs, machines)
-		if linMatches != aggMatches {
+		if ixMatches != aggMatches {
 			fmt.Printf("  WARNING: aggregation changed the match count: %d vs %d\n",
-				linMatches, aggMatches)
+				ixMatches, aggMatches)
 		}
-		speedup := float64(linTime) / float64(aggTime)
-		fmt.Printf("  %-10d %14s %14s %10.1fx\n", classes, linTime, aggTime, speedup)
+		speedup := float64(ixTime) / float64(aggTime)
+		fmt.Printf("  %-10d %14s %14s %10.1fx\n", classes, ixTime, aggTime, speedup)
 	}
 	fmt.Println()
 }

@@ -22,16 +22,14 @@ import (
 //
 // The optimization is sound exactly when constraints and ranks do not
 // discriminate between members of a class, i.e. they do not reference
-// the excluded identity attributes. That is the same assumption the
-// deployed negotiator's auto-clustering makes.
+// the excluded identity attributes. The engine checks rather than
+// assumes: identity attributes some expression of the wake's ads reads
+// (referencedIdentity) stay in the signature, so a pool that matches on
+// Name degrades to one class per machine instead of matching wrongly.
 
-// identityAttrs are excluded from the aggregation signature: they
-// identify an individual resource or queue entry without describing
-// its capability or requirements. (The deployed system computes the
-// "significant attributes" actually referenced by pool expressions;
-// this static list covers the conventional schema and carries the same
-// caveat — constraints that discriminate on identity attributes defeat
-// aggregation's assumption.)
+// identityAttrs are excluded from the aggregation signature unless
+// referenced: they identify an individual resource or queue entry
+// without describing its capability or requirements.
 var identityAttrs = map[string]bool{
 	classad.Fold(classad.AttrName):    true,
 	classad.Fold(classad.AttrContact): true,
@@ -47,14 +45,19 @@ var identityAttrs = map[string]bool{
 // Signature returns the aggregation key of an ad: attributes sorted
 // case-insensitively, identity attributes removed, expressions in
 // canonical unparsed form.
-func Signature(ad *classad.Ad) string {
+func Signature(ad *classad.Ad) string { return signature(ad, nil) }
+
+// signature is Signature with the identity attributes in keep (folded
+// names) left in.
+func signature(ad *classad.Ad, keep map[string]bool) string {
 	var b strings.Builder
 	for _, n := range ad.SortedNames() {
-		if identityAttrs[classad.Fold(n)] {
+		f := classad.Fold(n)
+		if identityAttrs[f] && !keep[f] {
 			continue
 		}
 		e, _ := ad.Lookup(n)
-		b.WriteString(classad.Fold(n))
+		b.WriteString(f)
 		b.WriteByte('=')
 		b.WriteString(e.String())
 		b.WriteByte(';')
@@ -62,17 +65,62 @@ func Signature(ad *classad.Ad) string {
 	return b.String()
 }
 
-// aggregation holds the equivalence classes of one cycle's offers.
-type aggregation struct {
-	groups [][]int // offer indices per class, in first-seen order
+// referencedIdentity returns the identity attributes that some
+// expression of some ad in pools reads, under any scope: a request
+// constraint on other.Name tells two otherwise identical machines
+// apart, a machine Rank on other.JobId two otherwise identical jobs,
+// so neither attribute may be dropped from this wake's signatures.
+func referencedIdentity(pools ...[]*classad.Ad) map[string]bool {
+	keep := make(map[string]bool)
+	var visitAd func(ad *classad.Ad)
+	visit := func(e classad.Expr) bool {
+		switch info := classad.Inspect(e); info.Kind {
+		case classad.KindAttrRef:
+			if f := classad.Fold(info.Name); identityAttrs[f] {
+				keep[f] = true
+			}
+		case classad.KindAd:
+			visitAd(info.Ad) // Walk stops at nested ads
+		}
+		return true
+	}
+	visitAd = func(ad *classad.Ad) {
+		for _, n := range ad.Names() {
+			e, _ := ad.Lookup(n)
+			classad.Walk(e, visit)
+		}
+	}
+	for _, ads := range pools {
+		for _, ad := range ads {
+			visitAd(ad)
+		}
+	}
+	return keep
 }
 
-// aggregate partitions offers into classes by Signature.
-func aggregate(offers []*classad.Ad) *aggregation {
+// aggregation holds the equivalence classes of one wake's offers and
+// the candidate classes already computed for its requests.
+type aggregation struct {
+	groups [][]int // offer indices per class, in first-seen order
+	// keep is the referenced identity attributes, which stay in every
+	// signature of the wake.
+	keep map[string]bool
+	// memo maps a request signature to its candidate classes, so a
+	// batch of identical jobs costs one sweep of the classes.
+	memo map[string][]classCand
+}
+
+// aggregate partitions offers into classes by signature. requests are
+// the ads the classes will be matched against: their expressions, like
+// the offers' own, decide which identity attributes still matter.
+func aggregate(offers, requests []*classad.Ad) *aggregation {
+	a := &aggregation{
+		keep: referencedIdentity(offers, requests),
+		memo: make(map[string][]classCand),
+	}
 	index := make(map[string]int)
-	a := &aggregation{}
 	for i, off := range offers {
-		sig := Signature(off)
+		sig := signature(off, a.keep)
 		gi, ok := index[sig]
 		if !ok {
 			gi = len(a.groups)
@@ -84,63 +132,48 @@ func aggregate(offers []*classad.Ad) *aggregation {
 	return a
 }
 
-// NumClasses reports how many equivalence classes the offers formed —
-// the benchmark's measure of value regularity.
-func (a *aggregation) NumClasses() int { return len(a.groups) }
-
-// classCand is one offer class a request is compatible with, with the
-// ranks every member of the class shares. Candidate lists are computed
-// once per *request signature* and reused across a whole batch of
-// identical jobs.
+// classCand is one offer class a request is compatible with. rep is
+// the evaluation against the class's first member: members are
+// identical modulo unreferenced identity attributes (State, which
+// better()'s claimed tie-break reads, is part of the signature), so
+// its ranks and claimed status stand for the whole class.
 type classCand struct {
-	group            int
-	reqRank, offRank float64
-	// claimed is the class's State == "Claimed" status. State is part
-	// of the aggregation signature (it is not an identity attribute),
-	// so every member of a class shares it and the representative's
-	// value stands for the group in better()'s tie-break.
-	claimed bool
+	group int
+	rep   candidate
 }
 
-// candidates evaluates the request against one representative per
-// class and returns the compatible classes. Members of a class are
-// identical modulo identity attributes, so any member represents.
-func (a *aggregation) candidates(req *classad.Ad, offers []*classad.Ad, cfg Config) []classCand {
-	var out []classCand
-	for gi, group := range a.groups {
-		res := classad.MatchEnv(req, offers[group[0]], cfg.Env)
-		if !res.Matched {
-			continue
-		}
-		out = append(out, classCand{group: gi, reqRank: res.LeftRank, offRank: res.RightRank,
-			claimed: !cfg.LegacyClaimedTieBreak && offerClaimed(offers[group[0]])})
+// candidates returns the classes req is compatible with — memoized by
+// the request's own signature — and how many representatives it had to
+// evaluate to find out.
+func (a *aggregation) candidates(ev evaluator, req *classad.Ad, offers []*classad.Ad) (classes []classCand, scanned int) {
+	sig := signature(req, a.keep)
+	if classes, seen := a.memo[sig]; seen {
+		return classes, 0
 	}
-	return out
+	for gi, group := range a.groups {
+		if c, ok := ev.try(req, offers, group[0]); ok {
+			classes = append(classes, classCand{group: gi, rep: c})
+		}
+	}
+	a.memo[sig] = classes
+	return classes, len(a.groups)
 }
 
 // pick selects the offer for one request from its candidate classes,
 // reproducing the scan's choice exactly — better() is the shared
-// selection rule: the best-ranked compatible offer, ties broken by
-// the earliest available offer index (first-fit mode: simply the
-// earliest available compatible offer).
-func (a *aggregation) pick(cands []classCand, available []bool, firstFit bool) (best int, reqRank, offRank float64) {
-	best = -1
-	var bestClaimed bool
-	for _, c := range cands {
-		oi := a.firstAvailable(c.group, available)
-		if oi < 0 {
+// selection rule, and each class bids its earliest available member.
+func (a *aggregation) pick(classes []classCand, available []bool) candidate {
+	best := candidate{index: -1}
+	for _, cc := range classes {
+		c := cc.rep
+		if c.index = a.firstAvailable(cc.group, available); c.index < 0 {
 			continue
 		}
-		switch {
-		case firstFit:
-			if best < 0 || oi < best {
-				best, reqRank, offRank = oi, c.reqRank, c.offRank
-			}
-		case best < 0 || better(candidate{oi, c.reqRank, c.offRank, c.claimed}, candidate{best, reqRank, offRank, bestClaimed}):
-			best, reqRank, offRank, bestClaimed = oi, c.reqRank, c.offRank, c.claimed
+		if best.index < 0 || better(c, best) {
+			best = c
 		}
 	}
-	return best, reqRank, offRank
+	return best
 }
 
 // firstAvailable returns the smallest available offer index in a
@@ -157,5 +190,5 @@ func (a *aggregation) firstAvailable(group int, available []bool) int {
 // AggregateClasses exposes the class decomposition for tools and
 // benchmarks: it returns the offer indices of each class.
 func AggregateClasses(offers []*classad.Ad) [][]int {
-	return aggregate(offers).groups
+	return aggregate(offers, nil).groups
 }

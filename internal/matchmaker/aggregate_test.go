@@ -63,35 +63,41 @@ func TestAggregateClasses(t *testing.T) {
 }
 
 // TestAggregationMatchesLinearScan is the soundness half of E11: with
-// aggregation on, every request gets an offer from the same class the
-// linear scan would pick, and the total number of matches is
-// identical.
+// aggregation on, every request gets the offer, at the rank, the
+// unaggregated scan would pick.
 func TestAggregationMatchesLinearScan(t *testing.T) {
-	offers := regularPool(60, 3)
-	var requests []*classad.Ad
+	var ranked []*classad.Ad
 	for i := 0; i < 40; i++ {
 		r := job(fmt.Sprintf("u%d", i%5), "INTEL", int64(32*(i%3+1)))
 		if err := r.SetExprString("Rank", "other.Memory"); err != nil {
 			t.Fatal(err)
 		}
-		requests = append(requests, r)
+		ranked = append(ranked, r)
 	}
-	plain := New(Config{}).Negotiate(requests, offers)
-	agg := New(Config{Aggregate: true}).Negotiate(requests, offers)
-	if len(plain) != len(agg) {
-		t.Fatalf("aggregation changed match count: %d vs %d", len(agg), len(plain))
+	cases := []struct {
+		name             string
+		requests, offers []*classad.Ad
+	}{
+		{"value-regular pool", ranked, regularPool(60, 3)},
+		// Two machines identical but for Name: dropping Name from the
+		// signature would let "a" speak for "b" and lose the match.
+		{"constraint reads an identity attribute",
+			[]*classad.Ad{mustAd(t, `[ Type = "Job"; Owner = "u"; Constraint = other.Name == "b" ]`)},
+			[]*classad.Ad{machine("a", "INTEL", 64), machine("b", "INTEL", 64)}},
 	}
-	for i := range plain {
-		if plain[i].Request != agg[i].Request {
-			t.Errorf("match %d pairs a different request", i)
-		}
-		if Signature(plain[i].Offer) != Signature(agg[i].Offer) {
-			t.Errorf("match %d picks a different offer class", i)
-		}
-		if plain[i].RequestRank != agg[i].RequestRank {
-			t.Errorf("match %d rank differs: %v vs %v", i,
-				plain[i].RequestRank, agg[i].RequestRank)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			plain := New(Config{}).Negotiate(tc.requests, tc.offers)
+			agg := New(Config{Aggregate: true}).Negotiate(tc.requests, tc.offers)
+			if len(plain) == 0 || len(plain) != len(agg) {
+				t.Fatalf("aggregation changed match count: %d vs %d", len(agg), len(plain))
+			}
+			for i := range plain {
+				if plain[i] != agg[i] {
+					t.Errorf("match %d differs: %+v vs %+v", i, plain[i], agg[i])
+				}
+			}
+		})
 	}
 }
 

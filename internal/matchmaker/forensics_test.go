@@ -49,7 +49,13 @@ func TestForensicsConstraintFailedNamesConjunct(t *testing.T) {
 	m := New(Config{})
 	m.Instrument(obs.New())
 	offers := []*classad.Ad{named(machine("m1", "INTEL", 32), "m1")}
-	req := named(job("alice", "INTEL", 64), "alice/job1")
+	// The failing conjunct is one the offer index cannot decide (an
+	// indexable one is reported as index-pruned, tested below), so the
+	// offer reaches the scan and fails bilateral evaluation.
+	req := named(job("alice", "INTEL", 1), "alice/job1")
+	if err := req.SetExprString("Constraint", `other.Arch == "INTEL" && other.Memory / 2 >= 32`); err != nil {
+		t.Fatal(err)
+	}
 	if got := negotiateAs(m, "c-1", []*classad.Ad{req}, offers); len(got) != 0 {
 		t.Fatalf("unexpected match: %+v", got)
 	}
@@ -63,7 +69,7 @@ func TestForensicsConstraintFailedNamesConjunct(t *testing.T) {
 	if len(r.Ledger) != 1 || r.Ledger[0].Outcome != VerdictConstraintFailed {
 		t.Fatalf("ledger = %+v", r.Ledger)
 	}
-	if !strings.Contains(r.Ledger[0].Detail, "other.Memory >= 64") {
+	if !strings.Contains(r.Ledger[0].Detail, "(other.Memory / 2) >= 32") {
 		t.Fatalf("detail %q does not name the failing conjunct", r.Ledger[0].Detail)
 	}
 }
@@ -101,7 +107,7 @@ func TestForensicsOutrankedNamesWinner(t *testing.T) {
 }
 
 func TestForensicsIndexPruned(t *testing.T) {
-	m := New(Config{Index: true})
+	m := New(Config{})
 	m.Instrument(obs.New())
 	offers := []*classad.Ad{named(machine("m1", "SPARC", 64), "m1")}
 	req := named(job("alice", "INTEL", 32), "alice/job1")

@@ -88,16 +88,6 @@ func MatchGang(req *classad.Ad, offers []*classad.Ad, env *classad.Env) (GangMat
 	if len(offers) >= gangIndexThreshold {
 		ix = NewOfferIndex(offers)
 	}
-	return matchGang(req, offers, ix, env)
-}
-
-// MatchGangIndexed is MatchGang against a prebuilt index over the same
-// offer slice, for callers serving several gangs against one pool.
-func MatchGangIndexed(req *classad.Ad, offers []*classad.Ad, ix *OfferIndex, env *classad.Env) (GangMatch, bool) {
-	return matchGang(req, offers, ix, env)
-}
-
-func matchGang(req *classad.Ad, offers []*classad.Ad, ix *OfferIndex, env *classad.Env) (GangMatch, bool) {
 	subs, err := GangSubRequests(req)
 	if err != nil {
 		return GangMatch{}, false

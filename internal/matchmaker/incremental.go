@@ -12,8 +12,8 @@ package matchmaker
 // a dirty request set: a request is dirty if it is new or changed, was
 // unmatched, or its prior match's offer was touched by a delta. A
 // "full cycle" is the same loop with every request dirty
-// (MarkAllDirty, the first wake, or a config that rules the shortcut
-// out).
+// (MarkAllDirty, the first wake, or aggregation, which rebuilds its
+// classes per wake).
 //
 // Correctness contract (pinned by TestIncrementalDifferential against
 // the naive oracle in oracle_test.go): after any delta stream,
@@ -43,9 +43,11 @@ package matchmaker
 //     the previous pick and the best frontier challenger — a scan
 //     over the frontier only.
 //
-// Unmatched and dirty requests take the full scan (index-pruned,
-// aggregated, or linear per Config), which evaluates every offer that
-// could match.
+// Unmatched and dirty requests take the full scan, which evaluates
+// every offer the index (or, under Config.Aggregate, the class
+// decomposition) cannot rule out. Both paths end in the same kernel
+// (scanRange); the shortcut merely hands it an incumbent and the
+// frontier as its candidate list.
 
 import (
 	"fmt"
@@ -87,6 +89,11 @@ type IncrementalHooks struct {
 	// differential suite and the modelcheck delivery-order schedule
 	// must both rediscover it.
 	DropDirtyNotification bool
+	// LegacyClaimedTieBreak reinstates the pre-fix selection order that
+	// ignored an offer's claimed state on rank ties (earliest index
+	// won), so modelcheck's MC201 regression can mechanically
+	// rediscover the claimed-offer livelock (ROADMAP item 1).
+	LegacyClaimedTieBreak bool
 }
 
 // offerRec is the engine's record of one live offer.
@@ -120,7 +127,7 @@ type WakeStats struct {
 	// negotiation work the incremental engine exists to avoid.
 	Evals int
 	// FullRebuild reports that this wake ran with every request dirty
-	// (first wake, MarkAllDirty fallback, aggregation or first-fit).
+	// (first wake, MarkAllDirty fallback, or aggregation).
 	FullRebuild bool
 }
 
@@ -143,9 +150,9 @@ type Incremental struct {
 	ready     chan struct{}
 	applied   int // pool changes absorbed since the last wake
 
-	// Persistent negotiation state. ix exists only under Config.Index,
-	// and stays nil until the first wake builds it over the whole pool
-	// in one batch.
+	// Persistent negotiation state. ix stays nil until the first wake
+	// builds it over the whole pool in one batch (and for good under
+	// Config.Aggregate, which prunes by class instead).
 	ix       *OfferIndex
 	offers   map[string]*offerRec
 	requests map[string]*reqRec
@@ -386,9 +393,10 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 	defer e.mu.Unlock()
 
 	stats := WakeStats{Deltas: e.applied}
-	// First-fit keeps no rank to defend and aggregation rebuilds its
-	// classes per wake, so neither can take the frontier shortcut.
-	full := e.forceFull || e.firstWake || m.cfg.Aggregate || m.cfg.FirstFit
+	ev := evaluator{env: m.cfg.Env, legacyTie: e.Hooks.LegacyClaimedTieBreak}
+	// Aggregation rebuilds its classes per wake, so it cannot take the
+	// frontier shortcut.
+	full := e.forceFull || e.firstWake || m.cfg.Aggregate
 	e.changed, e.forceFull, e.firstWake, e.applied = false, false, false, 0
 	if full {
 		stats.FullRebuild = true
@@ -408,33 +416,6 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 	for i, key := range offerKeys {
 		view[i] = e.offers[key].ad
 		posOf[key] = i
-	}
-
-	// The scan's pruning structure: equivalence classes rebuilt per
-	// wake, or the persistent index — built over the whole view in one
-	// batch on the first wake and again once dead slots outnumber live
-	// ones, maintained by Add/Remove in between.
-	var agg *aggregation
-	var memo map[string][]classCand
-	var posOfSlot []int
-	switch {
-	case m.cfg.Aggregate:
-		agg = aggregate(view)
-		memo = make(map[string][]classCand)
-	case m.cfg.Index:
-		if e.ix == nil || (len(e.ix.offers) >= 64 && 2*len(view) <= len(e.ix.offers)) {
-			e.ix = NewOfferIndex(view)
-			for i, key := range offerKeys {
-				e.offers[key].slot = i
-			}
-		}
-		posOfSlot = make([]int, len(e.ix.offers))
-		for i := range posOfSlot {
-			posOfSlot[i] = -1
-		}
-		for i, key := range offerKeys {
-			posOfSlot[e.offers[key].slot] = i
-		}
 	}
 
 	// Canonical request order: key-sorted base, fair-share on top. Any
@@ -459,6 +440,30 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		}
 	}
 	e.prevOrder = ordered
+
+	// The scan's pruning structure: equivalence classes rebuilt per
+	// wake, or the persistent index — built over the whole view in one
+	// batch on the first wake and again once dead slots outnumber live
+	// ones, maintained by Add/Remove in between.
+	var agg *aggregation
+	var posOfSlot []int
+	if m.cfg.Aggregate {
+		agg = aggregate(view, reqAds)
+	} else {
+		if e.ix == nil || (len(e.ix.offers) >= 64 && 2*len(view) <= len(e.ix.offers)) {
+			e.ix = NewOfferIndex(view)
+			for i, key := range offerKeys {
+				e.offers[key].slot = i
+			}
+		}
+		posOfSlot = make([]int, len(e.ix.offers))
+		for i := range posOfSlot {
+			posOfSlot[i] = -1
+		}
+		for i, key := range offerKeys {
+			posOfSlot[e.offers[key].slot] = i
+		}
+	}
 
 	// Initial frontier: touched offers plus offers freed by departed
 	// requests, as view positions. It grows as replayed picks change.
@@ -495,13 +500,13 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		}
 	}
 
-	// Snapshot the initial frontier and, when indexing is on, build a
-	// mini-index over just those offers: a clean request's challenger
-	// scan then evaluates only the frontier members that could possibly
-	// satisfy its constraint (Candidates is a superset of the matching
-	// offers, so skipping the rest drops no challenger). Offers the
-	// replay adds to the frontier later are collected in grown and
-	// scanned unpruned — there are few of them.
+	// Snapshot the initial frontier and build a mini-index over just
+	// those offers: a clean request's challenger scan then evaluates
+	// only the frontier members that could possibly satisfy its
+	// constraint (Candidates is a superset of the matching offers, so
+	// skipping the rest drops no challenger). Offers the replay adds to
+	// the frontier later are collected in grown and scanned unpruned —
+	// there are few of them.
 	var frontierPos []int
 	for ci := range frontier {
 		if frontier[ci] {
@@ -509,7 +514,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		}
 	}
 	var fix *OfferIndex
-	if m.cfg.Index && !full && len(frontierPos) > 0 {
+	if !full && len(frontierPos) > 0 {
 		fads := make([]*classad.Ad, len(frontierPos))
 		for k, pos := range frontierPos {
 			fads[k] = view[pos]
@@ -543,7 +548,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 	var out []Match
 	for _, key := range ordered {
 		rec := e.requests[key]
-		o := outcome{best: -1}
+		o := outcome{best: candidate{index: -1}}
 		if !rec.dirty {
 			// Frontier shortcut: the previous pick still beats every
 			// unchanged offer; only frontier members can challenge it.
@@ -555,41 +560,23 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 				stats.Dirty++
 				stats.Clean--
 			} else {
-				o.best, o.reqRank, o.offRank = pos, rec.reqRank, rec.offRank
-				cur := candidate{pos, rec.reqRank, rec.offRank,
-					!m.cfg.LegacyClaimedTieBreak && offerClaimed(view[pos])}
-				challenge := func(ci int) {
-					if !avail[ci] || ci == pos {
-						return
-					}
-					stats.Evals++
-					res := classad.MatchEnv(rec.ad, view[ci], m.cfg.Env)
-					if !res.Matched {
-						return
-					}
-					ch := candidate{ci, res.LeftRank, res.RightRank,
-						!m.cfg.LegacyClaimedTieBreak && offerClaimed(view[ci])}
-					if better(ch, cur) {
-						cur = ch
-						o.best, o.reqRank, o.offRank = ci, res.LeftRank, res.RightRank
-					}
-				}
-				pruned := false
+				challengers := frontierPos
 				if fix != nil {
-					var slots []int
-					if slots, pruned = fix.Candidates(rec.ad, m.cfg.Env); pruned {
-						for _, s := range slots {
-							challenge(frontierPos[s])
+					if slots, pruned := fix.Candidates(rec.ad, m.cfg.Env); pruned {
+						challengers = make([]int, len(slots))
+						for k, s := range slots {
+							challengers[k] = frontierPos[s]
 						}
 					}
 				}
-				if !pruned {
-					for _, ci := range frontierPos {
-						challenge(ci)
+				o.best = candidate{pos, rec.reqRank, rec.offRank, ev.claimed(view[pos])}
+				for _, cand := range [][]int{challengers, grown} {
+					if len(cand) == 0 {
+						continue // to the scan, a nil list is every offer
 					}
-				}
-				for _, ci := range grown {
-					challenge(ci)
+					var n int
+					o.best, n, _ = ev.scanOffers(rec.ad, view, cand, avail, o.best)
+					stats.Evals += n
 				}
 			}
 		}
@@ -600,21 +587,21 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 			// and emits none.
 			sp = m.spans.Start(classad.TraceOf(rec.ad), classad.TraceSpanOf(rec.ad), "matchmaker", "negotiate")
 			sp.Set("request", adName(rec.ad))
-			o = e.scan(rec.ad, view, posOfSlot, avail, agg, memo)
+			o = e.scan(ev, rec.ad, view, posOfSlot, avail, agg)
 			stats.Evals += o.scanned
 		}
 
 		prevMatched, prevOffer := rec.matched, rec.offer
-		if o.best >= 0 {
-			avail[o.best] = false
+		if best := o.best; best.index >= 0 {
+			avail[best.index] = false
 			if takenBy != nil {
-				takenBy[o.best] = adName(rec.ad)
+				takenBy[best.index] = adName(rec.ad)
 			}
-			rec.matched, rec.offer = true, offerKeys[o.best]
-			rec.reqRank, rec.offRank = o.reqRank, o.offRank
+			rec.matched, rec.offer = true, offerKeys[best.index]
+			rec.reqRank, rec.offRank = best.reqRank, best.offRank
 			out = append(out, Match{
-				Request: rec.ad, Offer: view[o.best],
-				RequestRank: o.reqRank, OfferRank: o.offRank,
+				Request: rec.ad, Offer: view[best.index],
+				RequestRank: best.reqRank, OfferRank: best.offRank,
 				Trace: classad.TraceOf(rec.ad),
 				Span:  sp.ID(),
 			})
@@ -630,7 +617,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 				}
 			}
 			if rec.matched {
-				extendFrontier(o.best)
+				extendFrontier(o.best.index)
 			}
 		}
 		m.record(cycle, rec.ad, sp, view, avail, takenBy, o)
@@ -646,9 +633,8 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 // view position, -1 for none) with its ranks, and what the scan knew,
 // for the forensic ledger.
 type outcome struct {
-	best             int
-	reqRank, offRank float64
-	scanned          int
+	best    candidate
+	scanned int
 	// cand/indexed are the offer index's candidate set (indexed=false:
 	// every offer was scanned); classes/aggregated the compatible
 	// equivalence classes under aggregation.
@@ -659,45 +645,35 @@ type outcome struct {
 }
 
 // scan is the full path for one request — the engine's single scan
-// point: candidate classes under aggregation (memoized per request
-// signature, so a batch of identical jobs costs one sweep), otherwise
-// the persistent index's candidates mapped into view positions and the
-// scanOffers kernel.
-func (e *Incremental) scan(req *classad.Ad, view []*classad.Ad, posOfSlot []int, avail []bool, agg *aggregation, memo map[string][]classCand) outcome {
+// point: the best bid of its candidate classes under aggregation,
+// otherwise the persistent index's candidates mapped into view
+// positions and handed to the scanOffers kernel.
+func (e *Incremental) scan(ev evaluator, req *classad.Ad, view []*classad.Ad, posOfSlot []int, avail []bool, agg *aggregation) outcome {
 	m := e.m
 	var o outcome
 	if agg != nil {
 		o.aggregated = true
-		sig := Signature(req)
-		var seen bool
-		if o.classes, seen = memo[sig]; !seen {
-			o.classes = agg.candidates(req, view, m.cfg)
-			memo[sig] = o.classes
-			o.scanned = agg.NumClasses()
-		}
-		o.best, o.reqRank, o.offRank = agg.pick(o.classes, avail, m.cfg.FirstFit)
+		o.classes, o.scanned = agg.candidates(ev, req, view)
+		o.best = agg.pick(o.classes, avail)
 		m.hScanned.Observe(float64(o.scanned))
 		return o
 	}
-	if e.ix != nil {
-		var slots []int
-		slots, o.indexed = e.ix.Candidates(req, m.cfg.Env)
-		if o.indexed {
-			o.cand = make([]int, 0, len(slots))
-			for _, s := range slots {
-				if pos := posOfSlot[s]; pos >= 0 {
-					o.cand = append(o.cand, pos)
-				}
+	var slots []int
+	if slots, o.indexed = e.ix.Candidates(req, m.cfg.Env); o.indexed {
+		o.cand = make([]int, 0, len(slots))
+		for _, s := range slots {
+			if pos := posOfSlot[s]; pos >= 0 {
+				o.cand = append(o.cand, pos)
 			}
-			sort.Ints(o.cand)
-			m.mIdxCand.Add(int64(len(o.cand)))
-			m.mIdxPruned.Add(int64(len(view) - len(o.cand)))
-		} else {
-			m.mIdxMisses.Inc()
 		}
+		sort.Ints(o.cand)
+		m.mIdxCand.Add(int64(len(o.cand)))
+		m.mIdxPruned.Add(int64(len(view) - len(o.cand)))
+	} else {
+		m.mIdxMisses.Inc()
 	}
 	var workers int
-	o.best, o.reqRank, o.offRank, o.scanned, workers = scanOffers(req, view, o.cand, avail, m.cfg)
+	o.best, o.scanned, workers = ev.scanOffers(req, view, o.cand, avail, candidate{index: -1})
 	m.hScanFanout.Observe(float64(workers))
 	m.hScanned.Observe(float64(o.scanned))
 	return o
@@ -709,29 +685,29 @@ func (e *Incremental) scan(req *classad.Ad, view []*classad.Ad, posOfSlot []int,
 // uninstrumented matchmaker skips it.
 func (m *Matchmaker) record(cycle string, req *classad.Ad, sp *obs.SpanRec, offers []*classad.Ad, avail []bool, takenBy []string, o outcome) {
 	defer sp.End()
-	if o.best >= 0 {
+	if best := o.best; best.index >= 0 {
 		m.mMatches.Inc()
 		if !m.instrumented() {
 			return
 		}
-		offer := adName(offers[o.best])
+		offer := adName(offers[best.index])
 		m.events.Emit("matchmaker", "match", cycle, map[string]string{
 			"request":      adName(req),
 			"offer":        offer,
-			"request_rank": fmt.Sprintf("%g", o.reqRank),
-			"offer_rank":   fmt.Sprintf("%g", o.offRank),
+			"request_rank": fmt.Sprintf("%g", best.reqRank),
+			"offer_rank":   fmt.Sprintf("%g", best.offRank),
 		})
 		r := Report{
 			Request: adName(req), Owner: owner(req), Cycle: cycle,
 			Time: m.now(), Matched: true, Offer: offer,
 		}
-		if offerClaimed(offers[o.best]) {
+		if offerClaimed(offers[best.index]) {
 			r.Claimed = true
 			r.Ledger = []OfferVerdict{{
 				Offer:   offer,
 				Outcome: VerdictMatchedClaimed,
 				Detail: fmt.Sprintf("offer advertises State == \"Claimed\"; "+
-					"claim-time revalidation rejects unless offered rank %g beats the running claim", o.offRank),
+					"claim-time revalidation rejects unless offered rank %g beats the running claim", best.offRank),
 			}}
 		}
 		m.forensics.record(r)

@@ -68,7 +68,7 @@ func newDiffWorld(t *testing.T, seed int64) *diffWorld {
 	// when fed identical charges. The differential compares exact
 	// charge accounting; decay itself is priority_test.go's business.
 	w.shadow.SetHalfLife(0)
-	m := New(Config{Env: w.env, Index: true, FairShare: true})
+	m := New(Config{Env: w.env, FairShare: true})
 	m.Instrument(obs.New())
 	w.eng = NewIncremental(m)
 	w.eng.InstrumentEngine(obs.New())
@@ -268,7 +268,7 @@ func (w *diffWorld) compare() {
 			offs = append(offs, ad)
 		}
 	}
-	ref := naiveNegotiate(Config{Env: w.env, FairShare: true}, w.eng.Matchmaker().Usage(), reqs, offs)
+	ref := naiveNegotiate(Config{Env: w.env, FairShare: true}, false, w.eng.Matchmaker().Usage(), reqs, offs)
 	rm := map[string]string{}
 	for _, o := range ref {
 		if o.Offer != nil {
@@ -420,7 +420,7 @@ func TestIncrementalNeedsWake(t *testing.T) {
 // snapshot holds, leaves identical records alone, and removes what it
 // no longer mentions — freeing the offer a departed request held.
 func TestIncrementalSync(t *testing.T) {
-	eng := NewIncremental(New(Config{Index: true}))
+	eng := NewIncremental(New(Config{}))
 	m1, j1 := machine("m1", "INTEL", 64), namedJob("j1", "u1", "INTEL", 32)
 	snapshot := []AdDelta{
 		{Kind: AdOffer, Key: "m1", Ad: m1},

@@ -196,12 +196,11 @@ type postings struct {
 }
 
 // OfferIndex is a set of per-attribute posting lists over an offer
-// set. The matchmaker builds one per negotiation cycle from the
-// cycle's snapshot — the same weak-consistency stance as the rest of
-// the system: decisions are made against a possibly stale snapshot
-// and validated by the claiming protocol. The index also supports
-// incremental maintenance (Add/Remove) under a lock for callers that
-// keep one alive across snapshots.
+// set. The engine builds one over its whole pool in a batch and keeps
+// it current (Add/Remove, under a lock) as ads change; BestOffer and
+// MatchGang build a throwaway one. Either way it describes a possibly
+// stale snapshot — the same weak-consistency stance as the rest of the
+// system: decisions are validated by the claiming protocol.
 type OfferIndex struct {
 	mu     sync.RWMutex
 	offers []*classad.Ad
@@ -233,17 +232,6 @@ func (ix *OfferIndex) Len() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.nlive
-}
-
-// Offers returns the indexed offer slice; slot i corresponds to the
-// candidate indices Candidates returns. Removed slots stay in place
-// (and are never returned as candidates) so indices remain stable.
-func (ix *OfferIndex) Offers() []*classad.Ad {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	out := make([]*classad.Ad, len(ix.offers))
-	copy(out, ix.offers)
-	return out
 }
 
 // Add indexes one more offer and returns its slot.
@@ -375,23 +363,6 @@ func (ix *OfferIndex) Candidates(req *classad.Ad, env *classad.Env) (cand []int,
 		cand = []int{}
 	}
 	return cand, true
-}
-
-// liveIndices returns the live slots explicitly, or nil when every
-// slot is live (callers treat nil as "all").
-func (ix *OfferIndex) liveIndices() []int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if ix.nlive == len(ix.offers) {
-		return nil
-	}
-	out := make([]int, 0, ix.nlive)
-	for i, ok := range ix.live {
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // fill sets the bit of every offer test t admits: literal values that

@@ -166,15 +166,15 @@ func TestIndexAddRemove(t *testing.T) {
 }
 
 // TestNegotiateIndexedMatchesPlain is the deterministic spot check the
-// randomized differential test generalizes: one mixed pool, identical
-// results with and without the index.
+// randomized differential test generalizes: one mixed pool, the
+// engine's index-pruned scan against the oracle's linear one.
 func TestNegotiateIndexedMatchesPlain(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	offers := randomPool(r, 40)
 	requests := randomRequests(r, 25)
 	env := classad.FixedEnv(0, 7)
-	plain := New(Config{Env: env}).Negotiate(requests, offers)
-	indexed := New(Config{Env: env, Index: true}).Negotiate(requests, offers)
+	plain := naiveMatches(Config{Env: env}, requests, offers)
+	indexed := New(Config{Env: env}).Negotiate(requests, offers)
 	if len(plain) != len(indexed) {
 		t.Fatalf("match counts differ: %d vs %d", len(plain), len(indexed))
 	}

@@ -38,7 +38,9 @@ type Match struct {
 	Trace, Span string
 }
 
-// Config tunes a negotiation cycle.
+// Config tunes a negotiation cycle. How offers are scanned is not
+// configurable: every cycle prunes through the offer index (index.go)
+// and shards large candidate lists across the CPUs (scan.go).
 type Config struct {
 	// Env supplies time and randomness to constraint evaluation; nil
 	// means the process default.
@@ -46,33 +48,12 @@ type Config struct {
 	// FairShare orders customers by accumulated usage (lightest
 	// first) instead of submission order.
 	FairShare bool
-	// Aggregate enables group matching over equivalence classes of
-	// offers (paper §5 future work). Results are identical to the
-	// linear scan; only the work per request shrinks when offers are
-	// value-regular.
+	// Aggregate prunes by equivalence classes of offers instead of by
+	// the offer index (group matching, paper §5 future work). Results
+	// are identical either way (property-tested); the work per request
+	// shrinks to one evaluation per class when offers are
+	// value-regular, where the index has nothing to prune.
 	Aggregate bool
-	// FirstFit skips rank maximization and takes the first
-	// compatible offer; exists for the ablation benchmark only.
-	FirstFit bool
-	// Index enables the offer index: indexable conjuncts of each
-	// request's constraint (equality and interval bounds on literal
-	// offer attributes) are answered from per-attribute posting lists,
-	// so the scan only evaluates candidate offers. Results are
-	// identical to the full scan (property-tested); ignored when
-	// Aggregate is on, which prunes by equivalence class instead.
-	Index bool
-	// Parallel shards each request's candidate scan across workers:
-	// 0 or 1 is sequential, ParallelAuto (-1) uses one worker per CPU,
-	// n>1 forces exactly n workers. The reduction is deterministic —
-	// parallel results are bit-identical to the sequential scan.
-	Parallel int
-	// LegacyClaimedTieBreak reinstates the pre-fix selection order that
-	// ignored an offer's claimed state on rank ties (earliest index
-	// won). It exists solely so modelcheck's MC201 regression and the
-	// seeded-mutant self-tests can mechanically rediscover the
-	// claimed-offer livelock (ROADMAP item 1); production configs must
-	// leave it off.
-	LegacyClaimedTieBreak bool
 }
 
 // Matchmaker runs negotiation cycles. The zero value is usable; usage
@@ -224,9 +205,9 @@ func OwnerOf(ad *classad.Ad) string { return owner(ad) }
 // per-request candidate list is additionally memoized by the request's
 // own signature, so a batch of identical jobs — the high-throughput
 // norm — costs one evaluation sweep instead of one per job. Outcomes
-// are identical to the linear scan (property-tested) provided
-// constraints and ranks are pure and do not reference identity
-// attributes.
+// are identical to the unaggregated scan (property-tested) provided
+// constraints and ranks are pure; identity attributes they reference
+// stay part of the class signature.
 func (m *Matchmaker) Negotiate(requests, offers []*classad.Ad) []Match {
 	deltas := make([]AdDelta, 0, len(offers)+len(requests))
 	for i, ad := range offers {
@@ -323,37 +304,20 @@ const bestOfferIndexThreshold = 256
 // Large offer lists are pruned through a throwaway offer index; the
 // result is identical either way.
 func BestOffer(req *classad.Ad, offers []*classad.Ad, env *classad.Env) (int, Match) {
-	var ix *OfferIndex
-	if len(offers) >= bestOfferIndexThreshold {
-		ix = NewOfferIndex(offers)
-	}
-	return bestOffer(req, offers, ix, env)
-}
-
-// BestOfferIndexed is BestOffer against a prebuilt index (covering
-// exactly the offers of interest), for callers answering many
-// requests against one offer set.
-func BestOfferIndexed(req *classad.Ad, ix *OfferIndex, env *classad.Env) (int, Match) {
-	return bestOffer(req, ix.Offers(), ix, env)
-}
-
-func bestOffer(req *classad.Ad, offers []*classad.Ad, ix *OfferIndex, env *classad.Env) (int, Match) {
 	var cand []int
-	if ix != nil {
-		var indexed bool
-		cand, indexed = ix.Candidates(req, env)
-		if !indexed {
-			cand = ix.liveIndices() // skip removed slots; nil when all live
+	if len(offers) >= bestOfferIndexThreshold {
+		if c, indexed := NewOfferIndex(offers).Candidates(req, env); indexed {
+			cand = c
 		}
 	}
 	available := make([]bool, len(offers))
 	for i := range available {
 		available[i] = true
 	}
-	best, reqRank, offRank, _, _ := scanOffers(req, offers, cand, available, Config{Env: env})
-	if best < 0 {
+	best, _, _ := evaluator{env: env}.scanOffers(req, offers, cand, available, candidate{index: -1})
+	if best.index < 0 {
 		return -1, Match{}
 	}
-	return best, Match{Request: req, Offer: offers[best],
-		RequestRank: reqRank, OfferRank: offRank}
+	return best.index, Match{Request: req, Offer: offers[best.index],
+		RequestRank: best.reqRank, OfferRank: best.offRank}
 }

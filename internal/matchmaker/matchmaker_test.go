@@ -145,21 +145,24 @@ func TestNegotiateFigureAds(t *testing.T) {
 }
 
 func TestNegotiateFirstFitAblation(t *testing.T) {
-	// First-fit takes the first compatible offer in pool order even
-	// when a higher-ranked one exists.
+	// Rank maximization is what separates the matchmaker from
+	// first-fit (the oracle's ablation), which takes the first
+	// compatible offer in pool order even when a higher-ranked one
+	// exists.
 	small := machine("small", "INTEL", 32)
 	big := machine("big", "INTEL", 256)
 	req := job("u", "INTEL", 1)
 	if err := req.SetExprString("Rank", "other.Memory"); err != nil {
 		t.Fatal(err)
 	}
-	m := New(Config{FirstFit: true})
-	matches := m.Negotiate([]*classad.Ad{req}, []*classad.Ad{small, big})
-	if len(matches) != 1 {
-		t.Fatalf("got %d matches", len(matches))
+	requests, offers := []*classad.Ad{req}, []*classad.Ad{small, big}
+	matches := New(Config{}).Negotiate(requests, offers)
+	if len(matches) != 1 || matches[0].Offer != big {
+		t.Errorf("rank selection: got %v, want one match on \"big\"", matches)
 	}
-	if name, _ := matches[0].Offer.Eval("Name").StringVal(); name != "small" {
-		t.Errorf("first-fit picked %q, want \"small\"", name)
+	firstFit := naiveNegotiate(Config{}, true, NewPriorityTable(), requests, offers)
+	if len(firstFit) != 1 || firstFit[0].Offer != small {
+		t.Errorf("first-fit: got %v, want one match on \"small\"", firstFit)
 	}
 }
 

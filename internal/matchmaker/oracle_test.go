@@ -2,8 +2,10 @@ package matchmaker
 
 // The from-scratch reference the differential suites compare the
 // engine against: order the requests, evaluate every request against
-// every offer, pick with better(). No index, no aggregation, no
-// instrumentation, no state — slow and obviously right.
+// every offer, pick with better(). No index, no sharding, no
+// aggregation, no instrumentation, no state — slow and obviously
+// right. It is also the only home of the linear scan and of first-fit,
+// the rank-selection ablation production no longer carries.
 
 import (
 	"sort"
@@ -20,8 +22,10 @@ type naiveOutcome struct {
 
 // naiveNegotiate serves requests in slice order — stably reordered by
 // usage (lightest customer first) under cfg.FairShare — against offers,
-// ties going to the earliest offer in slice order. It charges nothing.
-func naiveNegotiate(cfg Config, usage *PriorityTable, requests, offers []*classad.Ad) []naiveOutcome {
+// ties going to the earliest offer in slice order. firstFit skips rank
+// maximization and takes the earliest compatible offer. It charges
+// nothing.
+func naiveNegotiate(cfg Config, firstFit bool, usage *PriorityTable, requests, offers []*classad.Ad) []naiveOutcome {
 	order := make([]int, len(requests))
 	for i := range order {
 		order[i] = i
@@ -46,8 +50,8 @@ func naiveNegotiate(cfg Config, usage *PriorityTable, requests, offers []*classa
 			if taken[oi] {
 				continue
 			}
-			c := candidate{oi, res.LeftRank, res.RightRank, !cfg.LegacyClaimedTieBreak && offerClaimed(off)}
-			if best.index < 0 || (!cfg.FirstFit && better(c, best)) {
+			c := candidate{oi, res.LeftRank, res.RightRank, offerClaimed(off)}
+			if best.index < 0 || (!firstFit && better(c, best)) {
 				best = c
 			}
 		}
@@ -72,7 +76,7 @@ func naiveNegotiate(cfg Config, usage *PriorityTable, requests, offers []*classa
 // Negotiate's result.
 func naiveMatches(cfg Config, requests, offers []*classad.Ad) []Match {
 	var out []Match
-	for _, o := range naiveNegotiate(cfg, NewPriorityTable(), requests, offers) {
+	for _, o := range naiveNegotiate(cfg, false, NewPriorityTable(), requests, offers) {
 		if o.Offer != nil {
 			out = append(out, o.Match)
 		}

@@ -120,76 +120,38 @@ func trickyRequests(r *rand.Rand, n int) []*classad.Ad {
 // TestQuickDifferentialIndexParallel is the differential property test
 // locking the engine to the naive oracle: over randomized pools mixing
 // matchable, unsatisfiable, and undefined-yielding constraints,
-// Negotiate — plain, indexed, and/or parallel — returns identical
-// matches, ranks, and ordering to the oracle, with and without
-// FairShare.
+// Negotiate — index-pruned, and sharded wherever a candidate list is
+// long enough — returns identical matches, ranks, and ordering to the
+// oracle's linear scan, with and without FairShare.
 func TestQuickDifferentialIndexParallel(t *testing.T) {
+	withProcs(t, 4)
 	maxCount := 120
 	if testing.Short() {
 		maxCount = 25
 	}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		offers := trickyPool(r, 1+r.Intn(40))
+		// Every third pool is large enough for unindexed requests (and
+		// weakly pruned ones) to cross minParallelScan.
+		size := 1 + r.Intn(40)
+		if seed%3 == 0 {
+			size += 2 * minParallelScan
+		}
+		offers := trickyPool(r, size)
 		requests := trickyRequests(r, 1+r.Intn(25))
 		env := classad.FixedEnv(0, seed)
 		for _, fair := range []bool{false, true} {
-			ref := naiveMatches(Config{Env: env, FairShare: fair}, requests, offers)
-			for _, cfg := range []Config{
-				{Env: env, FairShare: fair},
-				{Env: env, FairShare: fair, Index: true},
-				{Env: env, FairShare: fair, Parallel: 4},
-				{Env: env, FairShare: fair, Index: true, Parallel: 4},
-				{Env: env, FairShare: fair, Index: true, Parallel: ParallelAuto},
-			} {
-				got := New(cfg).Negotiate(requests, offers)
-				if len(got) != len(ref) {
-					t.Logf("seed %d cfg %+v: %d matches, reference %d", seed, cfg, len(got), len(ref))
-					return false
-				}
-				for i := range ref {
-					if got[i] != ref[i] {
-						t.Logf("seed %d cfg %+v: match %d differs:\n got %+v\n ref %+v",
-							seed, cfg, i, got[i], ref[i])
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: maxCount}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestQuickDifferentialFirstFit extends the differential guarantee to
-// first-fit mode: index and parallelism must still pick the earliest
-// compatible available offer.
-func TestQuickDifferentialFirstFit(t *testing.T) {
-	maxCount := 60
-	if testing.Short() {
-		maxCount = 15
-	}
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		offers := trickyPool(r, 1+r.Intn(40))
-		requests := trickyRequests(r, 1+r.Intn(20))
-		env := classad.FixedEnv(0, seed)
-		ref := naiveMatches(Config{Env: env, FirstFit: true}, requests, offers)
-		for _, cfg := range []Config{
-			{Env: env, FirstFit: true},
-			{Env: env, FirstFit: true, Index: true},
-			{Env: env, FirstFit: true, Index: true, Parallel: 4},
-		} {
+			cfg := Config{Env: env, FairShare: fair}
+			ref := naiveMatches(cfg, requests, offers)
 			got := New(cfg).Negotiate(requests, offers)
 			if len(got) != len(ref) {
-				t.Logf("seed %d cfg %+v: %d matches, reference %d", seed, cfg, len(got), len(ref))
+				t.Logf("seed %d fair=%v: %d matches, reference %d", seed, fair, len(got), len(ref))
 				return false
 			}
 			for i := range ref {
-				if got[i].Request != ref[i].Request || got[i].Offer != ref[i].Offer {
-					t.Logf("seed %d cfg %+v: match %d differs", seed, cfg, i)
+				if got[i] != ref[i] {
+					t.Logf("seed %d fair=%v: match %d differs:\n got %+v\n ref %+v",
+						seed, fair, i, got[i], ref[i])
 					return false
 				}
 			}
@@ -214,7 +176,6 @@ func TestQuickNegotiateInvariants(t *testing.T) {
 			{Env: env},
 			{Env: env, FairShare: true},
 			{Env: env, Aggregate: true},
-			{Env: env, FirstFit: true},
 		} {
 			matches := New(cfg).Negotiate(requests, offers)
 			usedOffer := map[*classad.Ad]bool{}
@@ -284,7 +245,10 @@ func TestQuickNegotiateNoStrandedWork(t *testing.T) {
 }
 
 // TestQuickAggregationEquivalence: aggregation never changes who gets
-// served or the rank they get, over random value-regular pools.
+// served, by which offer, or at what rank, over random value-regular
+// pools — including pools where a constraint or rank reads an identity
+// attribute (other.Name on the request side, other.JobId / Cluster on
+// the offer side), which the class signature must then keep.
 func TestQuickAggregationEquivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -295,9 +259,26 @@ func TestQuickAggregationEquivalence(t *testing.T) {
 			c := i % classes
 			m := machine(fmt.Sprintf("m%d", i), "INTEL", int64(32*(c+1)))
 			m.SetInt("Class", int64(c))
+			switch r.Intn(6) {
+			case 0:
+				_ = m.SetExprString("Constraint", fmt.Sprintf(`other.JobId != %d`, r.Intn(4)))
+			case 1:
+				_ = m.SetExprString("Rank", fmt.Sprintf(`other.Cluster == %d ? 5 : 0`, r.Intn(3)))
+			}
 			offers[i] = m
 		}
 		requests := randomRequests(r, 1+r.Intn(12))
+		for i, req := range requests {
+			req.SetInt("JobId", int64(i%4))
+			req.SetInt("Cluster", int64(r.Intn(3)))
+			c, _ := req.Lookup("Constraint")
+			switch r.Intn(6) {
+			case 0:
+				_ = req.SetExprString("Constraint", fmt.Sprintf(`%s && other.Name != "m%d"`, c, r.Intn(n)))
+			case 1:
+				_ = req.SetExprString("Rank", fmt.Sprintf(`other.Name == "m%d" ? 1000 : 0`, r.Intn(n)))
+			}
+		}
 		env := classad.FixedEnv(0, seed)
 		plain := naiveMatches(Config{Env: env}, requests, offers)
 		agg := New(Config{Env: env, Aggregate: true}).Negotiate(requests, offers)
@@ -306,10 +287,8 @@ func TestQuickAggregationEquivalence(t *testing.T) {
 			return false
 		}
 		for i := range plain {
-			if plain[i].Request != agg[i].Request ||
-				plain[i].RequestRank != agg[i].RequestRank ||
-				Signature(plain[i].Offer) != Signature(agg[i].Offer) {
-				t.Logf("seed %d: match %d differs", seed, i)
+			if plain[i] != agg[i] {
+				t.Logf("seed %d: match %d differs:\n oracle %+v\n    agg %+v", seed, i, plain[i], agg[i])
 				return false
 			}
 		}

@@ -1,15 +1,14 @@
 package matchmaker
 
-// Stage two of the negotiation engine: scanning the candidate offers
-// for one request. The scan is the same selection whether it runs
-// sequentially or sharded across workers, because selection is defined
-// entirely by the better comparator below — a strict total order on
-// candidates — and the parallel reduction folds shard results in shard
-// order. The parallel path is therefore bit-identical to the
-// sequential one (property-tested in quick_test.go), provided
-// constraints and ranks are pure; an Env whose Rand is consulted by a
-// constraint yields a nondeterministic stream order under any
-// concurrent evaluation.
+// Scanning the candidate offers for one request. The scan is the same
+// selection whether it runs on one goroutine or sharded across the
+// CPUs, because selection is defined entirely by the better comparator
+// below — a strict total order on candidates — and the reduction folds
+// shard results in shard order. The sharded path is therefore
+// bit-identical to the sequential one (property-tested against the
+// oracle in quick_test.go), provided constraints and ranks are pure;
+// an Env whose Rand is consulted by a constraint yields a
+// nondeterministic stream order under any concurrent evaluation.
 //
 // Shared state during one scan is read-only: the request and offer ads
 // (never mutated after construction), the availability vector (only
@@ -25,17 +24,14 @@ import (
 	"repro/internal/classad"
 )
 
-// ParallelAuto selects one scan worker per available CPU
-// (GOMAXPROCS); see Config.Parallel.
-const ParallelAuto = -1
-
 // minParallelScan is the candidate count below which sharding costs
-// more than it saves and the scan stays sequential.
+// more than it saves and the scan stays on the calling goroutine.
 const minParallelScan = 64
 
 // candidate identifies one compatible offer, the two ranks the
 // selection rule orders by, and whether the offer advertises itself as
-// already claimed (the ROADMAP item 1 tie-break input).
+// already claimed (the ROADMAP item 1 tie-break input). index -1 is
+// "no candidate".
 type candidate struct {
 	index            int
 	reqRank, offRank float64
@@ -43,12 +39,11 @@ type candidate struct {
 }
 
 // better reports whether a should be selected over b. This is THE
-// selection rule of the negotiation cycle — linearScan, BestOffer,
-// aggregation and the parallel reduction all defer to it: higher
-// request rank wins, ties go first to unclaimed offers, then to the
-// higher offer rank, remaining ties to the earliest offer (paper
-// §3.2: "the Rank attributes are then used to choose among compatible
-// matches").
+// selection rule of the negotiation cycle — the scan kernel, BestOffer,
+// aggregation and the shard reduction all defer to it: higher request
+// rank wins, ties go first to unclaimed offers, then to the higher
+// offer rank, remaining ties to the earliest offer (paper §3.2: "the
+// Rank attributes are then used to choose among compatible matches").
 //
 // The unclaimed-over-claimed preference resolves the claimed-offer
 // livelock (ROADMAP item 1, pinned by TestForensicsClaimedOfferLivelock
@@ -71,45 +66,61 @@ func better(a, b candidate) bool {
 	return a.index < b.index
 }
 
-// scanWorkers resolves the Parallel config knob against the candidate
-// count: 0 and 1 mean sequential, ParallelAuto means GOMAXPROCS, n>1
-// means exactly n (tests use this to force concurrency on small
-// machines). Scans below minParallelScan stay sequential regardless.
-func scanWorkers(parallel, candidates int) int {
-	w := parallel
-	if w == ParallelAuto {
-		w = runtime.GOMAXPROCS(0)
+// evaluator is what every bilateral evaluation of one wake shares.
+type evaluator struct {
+	env *classad.Env
+	// legacyTie hides claimed state from better(), restoring the
+	// livelock-prone pre-fix order
+	// (IncrementalHooks.LegacyClaimedTieBreak).
+	legacyTie bool
+}
+
+// claimed is the offer's claimed state as better() is to see it.
+func (ev evaluator) claimed(off *classad.Ad) bool {
+	return !ev.legacyTie && offerClaimed(off)
+}
+
+// try evaluates req against offers[oi]; ok reports a bilateral match.
+func (ev evaluator) try(req *classad.Ad, offers []*classad.Ad, oi int) (c candidate, ok bool) {
+	res := classad.MatchEnv(req, offers[oi], ev.env)
+	if !res.Matched {
+		return candidate{index: -1}, false
 	}
-	if w < 2 || candidates < minParallelScan {
+	return candidate{oi, res.LeftRank, res.RightRank, ev.claimed(offers[oi])}, true
+}
+
+// scanWorkers is how many goroutines a scan of n candidates uses: one
+// per CPU, or one when there are too few candidates to shard.
+func scanWorkers(n int) int {
+	w := runtime.GOMAXPROCS(0)
+	if w < 2 || n < minParallelScan {
 		return 1
 	}
-	if w > candidates {
-		w = candidates
+	if w > n {
+		w = n
 	}
 	return w
 }
 
 // scanOffers selects the offer for one request among cand (indices
-// into offers; nil means every offer), honouring availability. It
-// reports the winner per better, the ranks, and how many offers it
-// evaluated. FirstFit takes the earliest available compatible offer
-// instead of maximizing rank.
-func scanOffers(req *classad.Ad, offers []*classad.Ad, cand []int, available []bool, cfg Config) (best int, reqRank, offRank float64, scanned, workers int) {
+// into offers; nil means every offer), honouring availability. best is
+// the incumbent the candidates must beat (index -1 for none); the
+// result is the winner per better, how many offers were evaluated, and
+// how many workers evaluated them.
+func (ev evaluator) scanOffers(req *classad.Ad, offers []*classad.Ad, cand []int, available []bool, best candidate) (winner candidate, scanned, workers int) {
 	n := len(offers)
 	if cand != nil {
 		n = len(cand)
 	}
-	workers = scanWorkers(cfg.Parallel, n)
+	workers = scanWorkers(n)
 	if workers <= 1 {
-		best, reqRank, offRank, _, scanned = scanRange(req, offers, cand, available, cfg, 0, n)
-		return best, reqRank, offRank, scanned, 1
+		best, scanned = ev.scanRange(req, offers, cand, available, best, 0, n)
+		return best, scanned, 1
 	}
 
 	type shard struct {
-		best             int
-		reqRank, offRank float64
-		claimed          bool
-		scanned          int
+		best    candidate
+		scanned int
 	}
 	results := make([]shard, workers)
 	var wg sync.WaitGroup
@@ -117,70 +128,44 @@ func scanOffers(req *classad.Ad, offers []*classad.Ad, cand []int, available []b
 		lo := w * n / workers
 		hi := (w + 1) * n / workers
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(s *shard, lo, hi int) {
 			defer wg.Done()
-			s := &results[w]
-			s.best, s.reqRank, s.offRank, s.claimed, s.scanned = scanRange(req, offers, cand, available, cfg, lo, hi)
-		}(w, lo, hi)
+			s.best, s.scanned = ev.scanRange(req, offers, cand, available, best, lo, hi)
+		}(&results[w], lo, hi)
 	}
 	wg.Wait()
 
-	// Deterministic reduction: fold shard winners in shard order.
-	// Shards cover ascending candidate ranges and each shard keeps its
-	// earliest winner on full ties, so the fold reproduces the
-	// sequential scan's keep-first behaviour exactly. In first-fit
-	// mode the first shard with a hit holds the lowest compatible
-	// index.
-	best = -1
-	var bestClaimed bool
+	// Deterministic reduction: every shard started from the same
+	// incumbent, and better is a strict total order, so folding the
+	// shard winners picks the scan's one maximum.
 	for _, s := range results {
 		scanned += s.scanned
-		if s.best < 0 {
-			continue
-		}
-		if cfg.FirstFit {
-			if best < 0 {
-				best, reqRank, offRank = s.best, s.reqRank, s.offRank
-			}
-			continue
-		}
-		if best < 0 || better(candidate{s.best, s.reqRank, s.offRank, s.claimed}, candidate{best, reqRank, offRank, bestClaimed}) {
-			best, reqRank, offRank, bestClaimed = s.best, s.reqRank, s.offRank, s.claimed
+		if s.best.index >= 0 && (best.index < 0 || better(s.best, best)) {
+			best = s.best
 		}
 	}
-	return best, reqRank, offRank, scanned, workers
+	return best, scanned, workers
 }
 
-// scanRange is the sequential kernel: it evaluates candidates lo..hi
-// (indices into cand, or into offers directly when cand is nil) and
-// returns the local winner (claimed reports the winner's claimed
-// status, for the shard fold). In first-fit mode it stops at the first
-// hit.
-func scanRange(req *classad.Ad, offers []*classad.Ad, cand []int, available []bool, cfg Config, lo, hi int) (best int, reqRank, offRank float64, claimed bool, scanned int) {
-	best = -1
+// scanRange is the kernel — the one place a request is evaluated
+// against an offer and the result put to better(): it evaluates
+// candidates lo..hi (indices into cand, or into offers directly when
+// cand is nil) and returns whichever of them, or the incumbent best,
+// wins.
+func (ev evaluator) scanRange(req *classad.Ad, offers []*classad.Ad, cand []int, available []bool, best candidate, lo, hi int) (candidate, int) {
+	scanned := 0
 	for i := lo; i < hi; i++ {
 		oi := i
 		if cand != nil {
 			oi = cand[i]
 		}
-		if !available[oi] {
+		if !available[oi] || oi == best.index {
 			continue
 		}
 		scanned++
-		res := classad.MatchEnv(req, offers[oi], cfg.Env)
-		if !res.Matched {
-			continue
-		}
-		// Under LegacyClaimedTieBreak (modelcheck regression harness
-		// only) claimed state is invisible to better(), restoring the
-		// livelock-prone pre-fix order.
-		cl := !cfg.LegacyClaimedTieBreak && offerClaimed(offers[oi])
-		if cfg.FirstFit {
-			return oi, res.LeftRank, res.RightRank, cl, scanned
-		}
-		if best < 0 || better(candidate{oi, res.LeftRank, res.RightRank, cl}, candidate{best, reqRank, offRank, claimed}) {
-			best, reqRank, offRank, claimed = oi, res.LeftRank, res.RightRank, cl
+		if c, ok := ev.try(req, offers, oi); ok && (best.index < 0 || better(c, best)) {
+			best = c
 		}
 	}
-	return best, reqRank, offRank, claimed, scanned
+	return best, scanned
 }

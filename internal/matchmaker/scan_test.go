@@ -3,6 +3,7 @@ package matchmaker
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/classad"
@@ -81,84 +82,65 @@ func TestBestOfferTieBreaks(t *testing.T) {
 	}
 }
 
+// withProcs runs the rest of the test under GOMAXPROCS(n): worker
+// count comes from the runtime, not a knob, so tests that need the
+// sharded scan (or need it off) set the runtime.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestParallelScanMatchesSequential: the sharded scan returns exactly
-// the sequential scan's pick across worker counts, including ones
-// that do not divide the candidate count.
+// the sequential kernel's pick and evaluation count, with and without
+// an incumbent, for candidate counts on both sides of minParallelScan
+// and ones the worker count does not divide.
 func TestParallelScanMatchesSequential(t *testing.T) {
+	withProcs(t, 4)
 	r := rand.New(rand.NewSource(11))
-	offers := randomPool(r, 300) // above minParallelScan
+	pool := randomPool(r, 301)
 	requests := randomRequests(r, 30)
-	env := classad.FixedEnv(0, 11)
-	available := make([]bool, len(offers))
+	ev := evaluator{env: classad.FixedEnv(0, 11)}
+	available := make([]bool, len(pool))
 	for i := range available {
-		available[i] = true
+		available[i] = i%7 != 0
 	}
-	for _, req := range requests {
-		wantBest, wantReq, wantOff, _, wantScanned := scanRange(
-			req, offers, nil, available, Config{Env: env}, 0, len(offers))
-		for _, workers := range []int{2, 3, 7, 16} {
-			cfg := Config{Env: env, Parallel: workers}
-			best, reqRank, offRank, scanned, used := scanOffers(req, offers, nil, available, cfg)
-			if used < 2 {
-				t.Fatalf("workers=%d: parallel scan did not shard", workers)
-			}
-			if best != wantBest || reqRank != wantReq || offRank != wantOff {
-				t.Errorf("workers=%d: pick (%d,%g,%g) != sequential (%d,%g,%g)",
-					workers, best, reqRank, offRank, wantBest, wantReq, wantOff)
-			}
-			if scanned != wantScanned {
-				t.Errorf("workers=%d: scanned %d != sequential %d", workers, scanned, wantScanned)
+	none := candidate{index: -1}
+	for _, n := range []int{minParallelScan - 1, minParallelScan, 130, 301} {
+		offers := pool[:n]
+		for _, req := range requests {
+			for _, incumbent := range []candidate{none, {index: 1, reqRank: 64, offRank: 32}} {
+				want, wantScanned := ev.scanRange(req, offers, nil, available, incumbent, 0, n)
+				got, scanned, used := ev.scanOffers(req, offers, nil, available, incumbent)
+				if sharded := n >= minParallelScan; sharded != (used == 4) {
+					t.Fatalf("n=%d: scan used %d workers", n, used)
+				}
+				if got != want || scanned != wantScanned {
+					t.Errorf("n=%d: pick %+v after %d evals != sequential %+v after %d",
+						n, got, scanned, want, wantScanned)
+				}
 			}
 		}
 	}
 }
 
-// TestParallelFirstFitLowestIndex: first-fit sharding still returns
-// the globally lowest compatible offer index.
-func TestParallelFirstFitLowestIndex(t *testing.T) {
-	env := classad.FixedEnv(0, 1)
-	offers := make([]*classad.Ad, 200)
-	for i := range offers {
-		offers[i] = machine(fmt.Sprintf("m%d", i), "INTEL", 64)
-	}
-	req := job("u", "INTEL", 32)
-	available := make([]bool, len(offers))
-	for i := range available {
-		available[i] = true
-	}
-	// Knock out a prefix so the answer is not trivially zero.
-	for i := 0; i < 37; i++ {
-		available[i] = false
-	}
-	best, _, _, _, used := scanOffers(req, offers, nil, available,
-		Config{Env: env, FirstFit: true, Parallel: 8})
-	if used < 2 {
-		t.Fatal("scan did not shard")
-	}
-	if best != 37 {
-		t.Errorf("first-fit pick = %d, want 37", best)
-	}
-}
-
-// TestScanWorkersResolution pins the Parallel knob semantics.
+// TestScanWorkersResolution pins how worker count follows from the
+// CPUs and the candidate count.
 func TestScanWorkersResolution(t *testing.T) {
 	cases := []struct {
-		parallel, candidates, want int
+		procs, candidates, want int
 	}{
-		{0, 1000, 1},             // default: sequential
-		{1, 1000, 1},             // explicit sequential
-		{4, 1000, 4},             // forced worker count
-		{4, 10, 1},               // too few candidates to shard
-		{8, minParallelScan, 8},  // at the threshold
-		{200, 100, 100},          // capped at candidate count
+		{1, 1000, 1},                // one CPU: nothing to shard across
+		{4, 1000, 4},                // one worker per CPU
+		{4, minParallelScan - 1, 1}, // too few candidates to shard
+		{8, minParallelScan, 8},     // at the threshold
+		{128, 100, 100},             // capped at candidate count
 	}
 	for _, tc := range cases {
-		if got := scanWorkers(tc.parallel, tc.candidates); got != tc.want {
-			t.Errorf("scanWorkers(%d, %d) = %d, want %d",
-				tc.parallel, tc.candidates, got, tc.want)
+		withProcs(t, tc.procs)
+		if got := scanWorkers(tc.candidates); got != tc.want {
+			t.Errorf("GOMAXPROCS=%d: scanWorkers(%d) = %d, want %d",
+				tc.procs, tc.candidates, got, tc.want)
 		}
-	}
-	if got := scanWorkers(ParallelAuto, 1000); got < 1 {
-		t.Errorf("scanWorkers(auto) = %d, want >= 1", got)
 	}
 }

@@ -12,14 +12,15 @@ import (
 )
 
 // TestStressNegotiateAgainstMutatingStore exercises the weak-
-// consistency model under the race detector: negotiators run indexed,
-// parallel cycles against snapshots of a collector store while a
+// consistency model under the race detector: negotiators run sharded
+// cycles (GOMAXPROCS 4) against snapshots of a collector store while a
 // writer concurrently adds, invalidates, and expires advertisements.
 // Matchmaking decisions are made against possibly-stale snapshots and
 // validated later by the claiming protocol, so the only requirements
 // here are memory safety (no data races) and that every match pairs a
 // request with an offer from the negotiator's own snapshot.
 func TestStressNegotiateAgainstMutatingStore(t *testing.T) {
+	withProcs(t, 4)
 	iters := 60
 	if testing.Short() {
 		iters = 10
@@ -33,14 +34,16 @@ func TestStressNegotiateAgainstMutatingStore(t *testing.T) {
 	}
 	store := collector.New(env)
 
-	// Seed the pool large enough that the parallel scan actually
-	// shards (minParallelScan candidates after pruning).
+	// Seed the pool so that candidate lists land on both sides of
+	// minParallelScan: a request's arch conjunct keeps about a third of
+	// the ~400 machines, its memory floor between all and an eighth of
+	// those.
 	archs := []string{"INTEL", "SPARC", "ALPHA"}
 	seedAd := func(i int) *classad.Ad {
 		m := machine(fmt.Sprintf("m%d", i), archs[i%len(archs)], int64(32*(1+i%8)))
 		return m
 	}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 400; i++ {
 		if err := store.Update(seedAd(i), 1000); err != nil {
 			t.Fatal(err)
 		}
@@ -72,13 +75,13 @@ func TestStressNegotiateAgainstMutatingStore(t *testing.T) {
 	}()
 
 	// Negotiators: one Matchmaker per goroutine (usage accounting is
-	// per-instance), index and parallelism forced on.
+	// per-instance).
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			r := rand.New(rand.NewSource(int64(g)))
-			m := New(Config{Env: env, Index: true, Parallel: 4, FairShare: g%2 == 0})
+			m := New(Config{Env: env, FairShare: g%2 == 0})
 			for i := 0; i < iters; i++ {
 				requests := randomRequests(r, 10)
 				snapshot := store.All()

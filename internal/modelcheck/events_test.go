@@ -75,7 +75,7 @@ func interleavings(streams [][]matchmaker.AdDelta) [][]matchmaker.AdDelta {
 // position whose bit is set in wakeMask (and always at the end), and
 // returns the final request -> offer assignment.
 func runSchedule(seq []matchmaker.AdDelta, wakeMask int, mutant bool) map[string]string {
-	m := matchmaker.New(matchmaker.Config{Index: true})
+	m := matchmaker.New(matchmaker.Config{})
 	eng := matchmaker.NewIncremental(m)
 	eng.Hooks.DropDirtyNotification = mutant
 	cycle := 0
@@ -119,7 +119,7 @@ func referenceAssignment(streams [][]matchmaker.AdDelta) map[string]string {
 		}
 	}
 	want := map[string]string{}
-	for _, match := range matchmaker.New(matchmaker.Config{Index: true}).Negotiate(reqs, offs) {
+	for _, match := range matchmaker.New(matchmaker.Config{}).Negotiate(reqs, offs) {
 		r, _ := match.Request.Eval("Name").StringVal()
 		o, _ := match.Offer.Eval("Name").StringVal()
 		want[r] = o

@@ -79,10 +79,10 @@ type Config struct {
 	// StopOnViolation ends exploration at the first counterexample
 	// instead of collecting one per invariant code.
 	StopOnViolation bool
-	// LegacyClaimedTieBreak runs the matchmakers with the pre-fix
-	// selection order that ignored claimed state on rank ties; the
-	// MC201 regression test uses it to rediscover the claimed-offer
-	// livelock mechanically.
+	// LegacyClaimedTieBreak runs the engines with the pre-fix selection
+	// order that ignored claimed state on rank ties (the engine's
+	// seeded IncrementalHooks mutant); the MC201 regression test uses
+	// it to rediscover the claimed-offer livelock mechanically.
 	LegacyClaimedTieBreak bool
 	Hooks                 Hooks
 }
@@ -272,15 +272,14 @@ func (s *system) newWorld(o *obs.Obs) *World {
 	w.store = collector.New(w.env)
 	w.usage = matchmaker.NewPriorityTable()
 	for _, neg := range s.cfg.Negotiators {
-		mm := matchmaker.New(matchmaker.Config{
-			Env:                   w.env,
-			LegacyClaimedTieBreak: s.cfg.LegacyClaimedTieBreak,
-		})
+		mm := matchmaker.New(matchmaker.Config{Env: w.env})
 		mm.SetUsage(w.usage)
 		if o != nil {
 			mm.Instrument(o)
 		}
-		w.negs[neg] = &negotiatorState{mm: mm, eng: matchmaker.NewIncremental(mm), sub: w.store.Subscribe()}
+		eng := matchmaker.NewIncremental(mm)
+		eng.Hooks.LegacyClaimedTieBreak = s.cfg.LegacyClaimedTieBreak
+		w.negs[neg] = &negotiatorState{mm: mm, eng: eng, sub: w.store.Subscribe()}
 	}
 	for i := range s.cfg.Machines {
 		w.machines = append(w.machines, &machineState{

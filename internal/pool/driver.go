@@ -246,14 +246,6 @@ type negotiator struct {
 }
 
 func newNegotiator(src, self string, pool adPool, cfg matchmaker.Config, ledger *matchmaker.UsageLedger) *negotiator {
-	// Production cycles default to the two-stage engine: the offer
-	// index plus a CPU-bounded parallel scan, which reproduce the
-	// sequential scan's matches exactly. Aggregation has its own
-	// pruning, and Parallel=1 is the explicit sequential opt-out.
-	if !cfg.Aggregate && !cfg.Index && cfg.Parallel == 0 {
-		cfg.Index = true
-		cfg.Parallel = matchmaker.ParallelAuto
-	}
 	n := &negotiator{
 		src: src, self: self, pool: pool,
 		mm:     matchmaker.New(cfg),

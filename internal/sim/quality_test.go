@@ -38,6 +38,29 @@ func buildSpeedView(t *testing.T, mips []int64, jobs int) *CycleView {
 	return view
 }
 
+// firstFitScheduler is the rank-selection ablation: each job, in queue
+// order, takes the first bilaterally compatible machine in scan order.
+// It lives here because the matchmaker has no such mode.
+type firstFitScheduler struct{ env *classad.Env }
+
+func (firstFitScheduler) Name() string           { return "first-fit" }
+func (firstFitScheduler) EnforcesPolicies() bool { return true }
+
+func (s firstFitScheduler) Assign(view *CycleView) []Assignment {
+	taken := make([]bool, len(view.MachineAds))
+	var out []Assignment
+	for ji, job := range view.JobAds {
+		for mi, machine := range view.MachineAds {
+			if !taken[mi] && classad.MatchEnv(job, machine, s.env).Matched {
+				taken[mi] = true
+				out = append(out, Assignment{Job: ji, Machine: mi})
+				break
+			}
+		}
+	}
+	return out
+}
+
 func assignedMips(view *CycleView, as []Assignment) (total int64) {
 	for _, a := range as {
 		m, _ := view.MachineAds[a.Machine].Eval("Mips").IntVal()
@@ -57,7 +80,7 @@ func TestRankSelectionMaximizesPreference(t *testing.T) {
 	env := classad.FixedEnv(0, 1)
 
 	ranked := NewMatchmakerSchedulerCfg(matchmaker.Config{Env: env})
-	firstFit := NewMatchmakerSchedulerCfg(matchmaker.Config{Env: env, FirstFit: true})
+	firstFit := firstFitScheduler{env}
 
 	ra := ranked.Assign(view)
 	fa := firstFit.Assign(view)
@@ -98,9 +121,7 @@ func TestRankSelectionFasterCompletionInSim(t *testing.T) {
 
 	cfg := mkCfg()
 	probe := New(cfg)
-	cfg.Scheduler = NewMatchmakerSchedulerCfg(matchmaker.Config{
-		Env: probe.Env(), FirstFit: true, FairShare: true,
-	})
+	cfg.Scheduler = firstFitScheduler{probe.Env()}
 	firstFit := New(cfg).Run()
 
 	t.Logf("ranked:    completed=%d turnaround=%.0f", ranked.Completed, ranked.MeanTurnaround())
@@ -124,9 +145,7 @@ func TestFirstFitSchedulerStillSound(t *testing.T) {
 		Duration: 86400,
 	}
 	probe := New(cfg)
-	cfg.Scheduler = NewMatchmakerSchedulerCfg(matchmaker.Config{
-		Env: probe.Env(), FirstFit: true,
-	})
+	cfg.Scheduler = firstFitScheduler{probe.Env()}
 	m := New(cfg).Run()
 	if m.Completed == 0 {
 		t.Error("first-fit completed nothing")

@@ -20,8 +20,7 @@ func NewMatchmakerScheduler(env *classad.Env) *MatchmakerScheduler {
 }
 
 // NewMatchmakerSchedulerCfg builds a matchmaking scheduler with an
-// explicit configuration (used by the aggregation and first-fit
-// ablation benchmarks).
+// explicit configuration (used by the aggregation benchmarks).
 func NewMatchmakerSchedulerCfg(cfg matchmaker.Config) *MatchmakerScheduler {
 	return &MatchmakerScheduler{mm: matchmaker.New(cfg)}
 }
