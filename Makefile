@@ -19,8 +19,10 @@ GO ?= go
 FUZZTIME ?= 15s
 # The hot paths a matchmaker lives on: classad parse/eval/match and
 # negotiation (Negotiat covers NegotiationCycle and NegotiateTraced;
-# SteadyState is the event-driven delta wake vs full-rebuild pair).
-BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState
+# SteadyState is the event-driven delta wake vs full-rebuild pair;
+# WakeOneDelta is the quiet wake at two pool sizes, whose ratio pins
+# that a wake's cost follows the delta, not the pool).
+BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState|WakeOneDelta
 
 .PHONY: verify test test-short build vet lint lint-codes lint-fix-list mc mc-short fuzz crash bench bench-check bench-smoke ci
 
@@ -137,7 +139,9 @@ bench-check:
 # five times over catches a timing-dependent test before the next
 # machine does. The sharded scan, the pump goroutine and the cycle
 # mutex sit under every entry point, so the packages that own them get
-# a race-detector pass of their own.
+# a race-detector pass of their own — and so does the evaluator under
+# the scan: the shards evaluate the same ads from several goroutines
+# (TestParallelScanMatchesSequential runs in this pass).
 ci: verify fuzz
 	$(GO) test -count=5 ./internal/netx ./internal/pool
-	$(GO) test -race -short ./internal/pool ./internal/collector ./internal/matchmaker ./internal/obs
+	$(GO) test -race -short ./internal/pool ./internal/collector ./internal/matchmaker ./internal/obs ./internal/classad

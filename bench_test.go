@@ -626,3 +626,55 @@ func BenchmarkSteadyStateDeltas(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkWakeOneDelta measures what a wake costs when almost nothing
+// changed and nobody is waiting: no requests, and per wake either one
+// offer's content changing (offers=N) or one offer leaving while
+// another arrives mid-list (membership/offers=N). The engine's ordered
+// offer list and index are maintained by Apply and its per-wake
+// vectors are reused, so ten times the pool must cost well under ten
+// times the wake (the committed baseline pins <= 3x in time and
+// bytes/op).
+func BenchmarkWakeOneDelta(b *testing.B) {
+	env := classad.FixedEnv(0, 1)
+	seeded := func(b *testing.B, n int) (*matchmaker.Incremental, []*classad.Ad) {
+		offers := bigPool(n)
+		eng := matchmaker.NewIncremental(matchmaker.New(matchmaker.Config{Env: env}))
+		for i, ad := range offers {
+			eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdOffer, Key: fmt.Sprintf("m%05d", i), Ad: ad})
+		}
+		eng.Recompute("seed")
+		b.ReportAllocs()
+		return eng, offers
+	}
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("offers=%d", n), func(b *testing.B) {
+			eng, offers := seeded(b, n)
+			key := fmt.Sprintf("m%05d", n/2)
+			changed := offers[n/2].Copy()
+			changed.SetInt("Mips", 7)
+			versions := [2]*classad.Ad{changed, offers[n/2]}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdOffer, Key: key, Ad: versions[i%2]})
+				eng.Recompute("wake")
+			}
+		})
+	}
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("membership/offers=%d", n), func(b *testing.B) {
+			eng, offers := seeded(b, n)
+			// The offer at n/2 and a newcomer just after it take turns.
+			keys := [2]string{fmt.Sprintf("m%05d", n/2), fmt.Sprintf("m%05d+", n/2)}
+			ads := [2]*classad.Ad{offers[n/2], offers[n/2].Copy()}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.Apply(
+					matchmaker.AdDelta{Kind: matchmaker.AdRemove, Key: keys[i%2]},
+					matchmaker.AdDelta{Kind: matchmaker.AdOffer, Key: keys[(i+1)%2], Ad: ads[(i+1)%2]},
+				)
+				eng.Recompute("wake")
+			}
+		})
+	}
+}

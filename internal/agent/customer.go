@@ -53,7 +53,12 @@ type Customer struct {
 	nextID int
 	jobs   map[int]*Job
 	order  []int
-	env    *classad.Env
+	// settled counts the leading entries of order that are Completed or
+	// Removed. Neither state is ever left, so IdleRequests starts after
+	// them: what a queue answers per match costs the jobs still in play,
+	// not every job it ever held.
+	settled int
+	env     *classad.Env
 }
 
 // NewCustomer builds a CA for owner.
@@ -127,8 +132,14 @@ func (c *Customer) Job(id int) (Job, bool) {
 func (c *Customer) IdleRequests() []*classad.Ad {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	for c.settled < len(c.order) {
+		if st := c.jobs[c.order[c.settled]].Status; st != JobCompleted && st != JobRemoved {
+			break
+		}
+		c.settled++
+	}
 	var out []*classad.Ad
-	for _, id := range c.order {
+	for _, id := range c.order[c.settled:] {
 		if j := c.jobs[id]; j.Status == JobIdle {
 			out = append(out, j.Ad)
 		}

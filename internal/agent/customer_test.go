@@ -94,6 +94,43 @@ func TestIdleRequestsLifecycle(t *testing.T) {
 	}
 }
 
+// IdleRequests skips the settled head of the queue; what follows it
+// must still come back in submission order, an evicted job included.
+func TestIdleRequestsAfterSettledJobs(t *testing.T) {
+	c := newCA(t)
+	var ids []int
+	for _, cmd := range []string{"a", "b", "c", "d"} {
+		ids = append(ids, c.Submit(classad.MustParse(`[ Cmd = "`+cmd+`" ]`), 1).ID)
+	}
+	for _, id := range ids[:3] {
+		if err := c.MarkRunning(id, "w"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []int{ids[0], ids[1]} {
+		if done, err := c.Progress(id, 1, false); err != nil || !done {
+			t.Fatalf("progress %d: done=%v err=%v", id, done, err)
+		}
+	}
+	idle := func() []int {
+		var got []int
+		for _, ad := range c.IdleRequests() {
+			id, _ := JobIDOf(ad)
+			got = append(got, id)
+		}
+		return got
+	}
+	if got := idle(); len(got) != 1 || got[0] != ids[3] {
+		t.Fatalf("idle = %v, want [%d]", got, ids[3])
+	}
+	if err := c.Evicted(ids[2]); err != nil {
+		t.Fatal(err)
+	}
+	if got := idle(); len(got) != 2 || got[0] != ids[2] || got[1] != ids[3] {
+		t.Fatalf("idle after eviction = %v, want [%d %d]", got, ids[2], ids[3])
+	}
+}
+
 func TestEvictionLosesUnbankedProgress(t *testing.T) {
 	c := newCA(t)
 	j := c.Submit(classad.MustParse(`[ Cmd = "sim" ]`), 100)

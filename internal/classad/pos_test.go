@@ -54,6 +54,21 @@ func TestAttrPosSurvivesCopyAndDelete(t *testing.T) {
 	if _, ok := ad.AttrPos("B"); !ok {
 		t.Error("original lost position after copy mutation")
 	}
+	// Positions sit beside the names: deleting an earlier attribute
+	// must not shift a later one's, and an attribute set by the program
+	// on a parsed ad has none.
+	d := MustParse("[ A = 1;\n B = 2;\n C = 3 ]")
+	d.Delete("A")
+	d.SetInt("D", 4)
+	if p, ok := d.AttrPos("C"); !ok || p.Line != 3 || p.Col != 2 {
+		t.Errorf("AttrPos(C) after deleting A = %v %v, want 3:2", p, ok)
+	}
+	if p, ok := d.AttrPos("D"); ok {
+		t.Errorf("attribute set by the program reports position %v", p)
+	}
+	if keys := d.Keys(); len(keys) != 3 || keys[0] != "b" || keys[2] != "d" {
+		t.Errorf("Keys() = %v, want [b c d]", keys)
+	}
 }
 
 // TestAttrPosBareAd checks the unbracketed form tracks positions too.

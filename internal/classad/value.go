@@ -20,6 +20,7 @@ package classad
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -321,14 +322,22 @@ func writeQuoted(b *strings.Builder, s string) {
 // order is preserved for printing; lookup is by folded name.
 type Ad struct {
 	names []string        // defining-case names, in insertion order
+	keys  []string        // their folded forms, parallel to names
 	attrs map[string]Expr // folded name -> expression
-	pos   map[string]Pos  // folded name -> source position, when parsed
+	// pos holds source positions, parallel to names, when the ad was
+	// parsed; nil for ads built programmatically. The zero value marks
+	// an attribute set programmatically on a parsed ad.
+	pos []srcPos
 }
 
 // Pos is a 1-based line/column source position.
 type Pos struct {
 	Line, Col int
 }
+
+// srcPos is a Pos as an ad stores it: every stored ad pays for its
+// positions, and no source has two billion lines.
+type srcPos struct{ line, col int32 }
 
 // NewAd returns an empty classad.
 func NewAd() *Ad {
@@ -355,12 +364,28 @@ func (a *Ad) Names() []string {
 	return a.names
 }
 
+// Keys returns the folded attribute names, parallel to Names: what
+// LookupKey takes, for callers that walk an ad's attributes and must
+// not pay for folding each name again. The caller must not modify the
+// returned slice.
+func (a *Ad) Keys() []string {
+	if a == nil {
+		return nil
+	}
+	return a.keys
+}
+
 // Lookup returns the expression bound to name (case-insensitive).
 func (a *Ad) Lookup(name string) (Expr, bool) {
+	return a.LookupKey(Fold(name))
+}
+
+// LookupKey is Lookup by the already folded name (Fold, Keys).
+func (a *Ad) LookupKey(key string) (Expr, bool) {
 	if a == nil {
 		return nil, false
 	}
-	e, ok := a.attrs[Fold(name)]
+	e, ok := a.attrs[key]
 	return e, ok
 }
 
@@ -370,18 +395,27 @@ func (a *Ad) Set(name string, expr Expr) {
 	key := Fold(name)
 	if _, exists := a.attrs[key]; !exists {
 		a.names = append(a.names, name)
+		a.keys = append(a.keys, key)
+		if a.pos != nil {
+			a.pos = append(a.pos, srcPos{})
+		}
 	}
 	a.attrs[key] = expr
 }
 
+// index returns the position in a.names of the attribute with folded
+// name key, or -1.
+func (a *Ad) index(key string) int { return slices.Index(a.keys, key) }
+
 // setPos records the source position of an attribute's name token; the
-// parser calls it so that diagnostics can point into the original
-// source. Programmatically built ads carry no positions.
+// parser calls it, after Set, so that diagnostics can point into the
+// original source. A repeated attribute keeps its first slot and takes
+// the later position. Programmatically built ads carry no positions.
 func (a *Ad) setPos(name string, p Pos) {
 	if a.pos == nil {
-		a.pos = make(map[string]Pos)
+		a.pos = make([]srcPos, len(a.names))
 	}
-	a.pos[Fold(name)] = p
+	a.pos[a.index(Fold(name))] = srcPos{int32(p.Line), int32(p.Col)}
 }
 
 // AttrPos returns the source position of the attribute's definition
@@ -391,8 +425,11 @@ func (a *Ad) AttrPos(name string) (Pos, bool) {
 	if a == nil || a.pos == nil {
 		return Pos{}, false
 	}
-	p, ok := a.pos[Fold(name)]
-	return p, ok
+	i := a.index(Fold(name))
+	if i < 0 || a.pos[i] == (srcPos{}) {
+		return Pos{}, false
+	}
+	return Pos{int(a.pos[i].line), int(a.pos[i].col)}, true
 }
 
 // Delete removes the binding for name, if any.
@@ -402,12 +439,11 @@ func (a *Ad) Delete(name string) {
 		return
 	}
 	delete(a.attrs, key)
-	delete(a.pos, key)
-	for i, n := range a.names {
-		if Fold(n) == key {
-			a.names = append(a.names[:i], a.names[i+1:]...)
-			break
-		}
+	i := a.index(key)
+	a.names = slices.Delete(a.names, i, i+1)
+	a.keys = slices.Delete(a.keys, i, i+1)
+	if a.pos != nil {
+		a.pos = slices.Delete(a.pos, i, i+1)
 	}
 }
 
@@ -440,17 +476,13 @@ func (a *Ad) Copy() *Ad {
 		return nil
 	}
 	c := &Ad{
-		names: append([]string(nil), a.names...),
+		names: slices.Clone(a.names),
+		keys:  slices.Clone(a.keys),
 		attrs: make(map[string]Expr, len(a.attrs)),
+		pos:   slices.Clone(a.pos),
 	}
 	for k, v := range a.attrs {
 		c.attrs[k] = v
-	}
-	if a.pos != nil {
-		c.pos = make(map[string]Pos, len(a.pos))
-		for k, v := range a.pos {
-			c.pos[k] = v
-		}
 	}
 	return c
 }
@@ -461,21 +493,27 @@ func (a *Ad) identical(b *Ad) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	for k, e := range a.attrs {
+	for _, k := range a.keys { // in order: what a comparison costs does not depend on map iteration
 		f, ok := b.attrs[k]
-		if !ok || e.String() != f.String() {
+		if !ok || !SameExpr(a.attrs[k], f) {
 			return false
 		}
 	}
 	return true
 }
 
+// SameExpr reports whether a and b unparse identically — the equality
+// behind (*Ad).Equal, the collector's "did this refresh change
+// anything" and its wire deltas.
+func SameExpr(a, b Expr) bool { return a.String() == b.String() }
+
 // Equal reports whether a and b define the same attributes with
 // expressions that unparse identically (a structural, not semantic,
-// comparison).
+// comparison). Published ads are immutable, so the common refresh —
+// the same ad again — is decided by the pointer.
 func (a *Ad) Equal(b *Ad) bool {
 	switch {
-	case a == nil && b == nil:
+	case a == b:
 		return true
 	case a == nil || b == nil:
 		return false
@@ -497,7 +535,7 @@ func (a *Ad) String() string {
 		}
 		b.WriteString(n)
 		b.WriteString(" = ")
-		b.WriteString(a.attrs[Fold(n)].String())
+		b.WriteString(a.attrs[a.keys[i]].String())
 	}
 	b.WriteString(" ]")
 	return b.String()
@@ -511,8 +549,8 @@ func (a *Ad) Pretty() string {
 	}
 	var b strings.Builder
 	b.WriteString("[\n")
-	for _, n := range a.names {
-		fmt.Fprintf(&b, "    %s = %s;\n", n, a.attrs[Fold(n)].String())
+	for i, n := range a.names {
+		fmt.Fprintf(&b, "    %s = %s;\n", n, a.attrs[a.keys[i]].String())
 	}
 	b.WriteString("]")
 	return b.String()

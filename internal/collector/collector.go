@@ -9,6 +9,7 @@ package collector
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -29,10 +30,6 @@ type entry struct {
 	// seq is the advertiser-assigned sequence number of this ad state;
 	// an UPDATE_DELTA applies only against a matching seq (delta.go).
 	seq uint64
-	// src caches ad.String() so a refresh can cheaply detect that the
-	// content did not change — the steady-state heartbeat — and skip
-	// publishing a delta to the change feed.
-	src string
 }
 
 // Store is a thread-safe advertisement store. The zero value is not
@@ -41,6 +38,14 @@ type Store struct {
 	mu  sync.RWMutex
 	ads map[string]entry // folded Name -> entry
 	env *classad.Env
+	// nextExpiry is a lower bound on the earliest deadline among ads:
+	// no ad can be due before it, so pruneLocked returns at once until
+	// the clock reaches it. Storing an ad lowers it; only a scan that
+	// ran raises it, to the earliest deadline the scan saw. A renewal
+	// therefore leaves it stale-low, which costs one scan that finds
+	// nothing due, never a missed expiry. scans counts the scans run.
+	nextExpiry int64
+	scans      uint64
 
 	// Durability (persist.go); nil for a plain in-memory store.
 	log        *store.Log
@@ -98,7 +103,7 @@ func New(env *classad.Env) *Store {
 	if env == nil {
 		env = classad.DefaultEnv()
 	}
-	return &Store{ads: make(map[string]entry), env: env}
+	return &Store{ads: make(map[string]entry), env: env, nextExpiry: math.MaxInt64}
 }
 
 // Instrument routes store activity into reg's counters:
@@ -167,22 +172,32 @@ func (s *Store) UpdateSeq(ad *classad.Ad, lifetime int64, seq uint64) error {
 	if seq == 0 {
 		seq = prev.seq + 1
 	}
-	src := ad.String()
 	expires := s.env.Now() + lifetime
-	s.ads[key] = entry{ad: ad, expires: expires, seq: seq, src: src}
+	s.putLocked(key, entry{ad: ad, expires: expires, seq: seq})
 	s.mStored.Inc()
 	s.trackDaemonLocked(ad, key, expires)
 	switch {
 	case !existed:
 		s.publishLocked(Delta{Kind: DeltaAdded, Name: key, Ad: ad})
-	case prev.src != src:
+	case !prev.ad.Equal(ad):
 		s.publishLocked(Delta{Kind: DeltaChanged, Name: key, Ad: ad})
 		// Content-identical refresh: a pure heartbeat publishes nothing.
+		// Equal decides it (by the pointer, when the same ad is stored
+		// again); the store keeps no rendered copy to compare with.
 	}
 	// Journal after applying: a failure leaves the ad live in memory
 	// (harmless — it would simply be lost with the process) but
 	// unacknowledged, so the advertiser retries (persist.go).
-	return s.journalLocked(persistRecord{Op: opUpdate, Ad: src, Expires: expires, Seq: seq})
+	return s.journalUpdateLocked(ad, expires, seq)
+}
+
+// putLocked stores e under key, keeping the expiry watermark a lower
+// bound. The caller holds s.mu.
+func (s *Store) putLocked(key string, e entry) {
+	s.ads[key] = e
+	if e.expires != 0 && e.expires < s.nextExpiry {
+		s.nextExpiry = e.expires
+	}
 }
 
 // trackDaemonLocked maintains the daemon-health map for ads of
@@ -221,16 +236,29 @@ func (s *Store) Invalidate(name string) bool {
 	return ok
 }
 
-// prune drops expired entries; the caller holds the write lock.
+// pruneLocked drops expired entries; the caller holds the write lock.
+// Every operation that reads or writes ads calls it first, so an
+// expiry is published by the first operation at or after the deadline;
+// until the clock reaches the watermark that costs one comparison.
 func (s *Store) pruneLocked() {
 	now := s.env.Now()
+	if now < s.nextExpiry {
+		return
+	}
+	s.scans++
+	next := int64(math.MaxInt64)
 	for k, e := range s.ads {
-		if e.expires != 0 && e.expires <= now {
+		switch {
+		case e.expires == 0:
+		case e.expires <= now:
 			delete(s.ads, k)
 			s.mExpired.Inc()
 			s.publishLocked(Delta{Kind: DeltaExpired, Name: k, Ad: e.ad})
+		case e.expires < next:
+			next = e.expires
 		}
 	}
+	s.nextExpiry = next
 }
 
 // Prune removes expired advertisements immediately.

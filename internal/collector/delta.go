@@ -204,15 +204,15 @@ func MergeAd(base, changes *classad.Ad, removed []string) *classad.Ad {
 
 // DiffAds computes the delta that turns prev into next: an ad holding
 // every attribute of next that is new or textually different in prev,
-// and the names present in prev but gone from next. Attribute
-// comparison is on unparsed expression text — the same canonical form
-// the store journals — so a semantically identical re-parse never
-// manufactures a spurious delta.
+// and the names present in prev but gone from next. Attributes are
+// compared with classad.SameExpr — equal exactly when their unparsed
+// text, the canonical form the store journals, is — so a semantically
+// identical re-parse never manufactures a spurious delta.
 func DiffAds(prev, next *classad.Ad) (changes *classad.Ad, removed []string) {
 	changes = classad.NewAd()
 	for _, name := range next.Names() {
 		ne, _ := next.Lookup(name)
-		if pe, ok := prev.Lookup(name); ok && pe.String() == ne.String() {
+		if pe, ok := prev.Lookup(name); ok && classad.SameExpr(pe, ne) {
 			continue
 		}
 		changes.Set(name, ne)
@@ -255,23 +255,25 @@ func (s *Store) ApplyDelta(name string, baseSeq, seq uint64, changes *classad.Ad
 	if mergedName, err := NameOf(merged); err != nil || classad.Fold(mergedName) != key {
 		return fmt.Errorf("collector: delta for %q may not change the ad's Name", name)
 	}
-	src := merged.String()
 	expires := s.env.Now() + lifetime
-	s.ads[key] = entry{ad: merged, expires: expires, seq: seq, src: src}
+	s.putLocked(key, entry{ad: merged, expires: expires, seq: seq})
 	s.mStored.Inc()
 	s.mDeltaApplied.Inc()
-	deltaLen := len(removed)
-	if changes != nil {
-		deltaLen += len(changes.String())
-	}
-	if saved := len(src) - deltaLen; saved > 0 {
-		s.mDeltaBytesSaved.Add(int64(saved))
+	if s.mDeltaBytesSaved != nil {
+		// What the full ad would have cost on the wire, less the delta.
+		deltaLen := len(removed)
+		if changes != nil {
+			deltaLen += len(changes.String())
+		}
+		if saved := len(merged.String()) - deltaLen; saved > 0 {
+			s.mDeltaBytesSaved.Add(int64(saved))
+		}
 	}
 	s.trackDaemonLocked(merged, key, expires)
-	if src != e.src {
+	if !e.ad.Equal(merged) {
 		s.publishLocked(Delta{Kind: DeltaChanged, Name: key, Ad: merged})
 	}
-	return s.journalLocked(persistRecord{Op: opUpdate, Ad: src, Expires: expires, Seq: seq})
+	return s.journalUpdateLocked(merged, expires, seq)
 }
 
 // Version reports the store's pool-change counter: it advances once

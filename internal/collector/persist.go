@@ -127,8 +127,18 @@ func (s *Store) replayUpdate(src string, expires int64, seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("collector: journaled ad lost its name: %w", err)
 	}
-	s.ads[classad.Fold(name)] = entry{ad: ad, expires: expires, seq: seq, src: src}
+	s.putLocked(classad.Fold(name), entry{ad: ad, expires: expires, seq: seq})
 	return nil
+}
+
+// journalUpdateLocked journals one stored advertisement. The ad is
+// unparsed only here, and only when there is a journal to write it to.
+// The caller holds s.mu.
+func (s *Store) journalUpdateLocked(ad *classad.Ad, expires int64, seq uint64) error {
+	if s.log == nil {
+		return nil
+	}
+	return s.journalLocked(persistRecord{Op: opUpdate, Ad: ad.String(), Expires: expires, Seq: seq})
 }
 
 // journalLocked appends one mutation record, folding the store into a

@@ -231,7 +231,7 @@ func pruneDetail(tests []reqTest, off *classad.Ad) string {
 // always are (strict comparison with undefined is never true), and
 // literal values are tested directly.
 func testExcludes(t reqTest, off *classad.Ad) (bool, string) {
-	e, ok := off.Lookup(t.attr)
+	e, ok := off.LookupKey(t.attr)
 	if !ok {
 		return true, "attribute undefined"
 	}

@@ -15,6 +15,19 @@ package matchmaker
 // (MarkAllDirty, the first wake, or aggregation, which rebuilds its
 // classes per wake).
 //
+// What a wake costs follows what changed, not how big the pool is.
+// Persistent, maintained by Apply: the live offers as parallel lists
+// in byte-wise key order — keys, ads (the view the scan reads: a
+// position in it is an offer's tie-break index) and index slots — and
+// the OfferIndex over them. A membership change is a binary search
+// and an insert or a removal, a content change a binary search and a
+// pointer store. Per-wake scratch, kept and refilled: the
+// avail/frontier/takenBy vectors and the slot-to-position table, which
+// only a wake that runs a full scan fills. A wake sorts no offer keys,
+// builds no map over the offers and allocates nothing sized by them;
+// the few positions it needs by key (touched, freed, each matched
+// request's previous offer) it finds by binary search.
+//
 // Correctness contract (pinned by TestIncrementalDifferential against
 // the naive oracle in oracle_test.go): after any delta stream,
 // Recompute's assignment and forensic verdicts are those of a
@@ -37,11 +50,11 @@ package matchmaker
 //     turn.
 //   - A clean request's previous pick therefore still beats every
 //     non-frontier offer (same ads, same ranks, same claimed state,
-//     and the same relative tie-break order, because positions are
-//     assigned in key-sorted order and the relative order of two
-//     fixed keys never changes). The new winner is the better() of
-//     the previous pick and the best frontier challenger — a scan
-//     over the frontier only.
+//     and the same relative tie-break order: a position is an offer's
+//     rank in the key-ordered list, so arrivals and departures shift
+//     positions but never swap two offers that stay). The new winner
+//     is the better() of the previous pick and the best frontier
+//     challenger — a scan over the frontier only.
 //
 // Unmatched and dirty requests take the full scan, which evaluates
 // every offer the index (or, under Config.Aggregate, the class
@@ -51,6 +64,7 @@ package matchmaker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -94,12 +108,13 @@ type IncrementalHooks struct {
 	// won), so modelcheck's MC201 regression can mechanically
 	// rediscover the claimed-offer livelock (ROADMAP item 1).
 	LegacyClaimedTieBreak bool
-}
-
-// offerRec is the engine's record of one live offer.
-type offerRec struct {
-	ad   *classad.Ad
-	slot int // slot in the persistent OfferIndex, once built
+	// StaleOrderOnInsert skips the ordered insert for an offer under a
+	// new key and files it at the tail of the list instead — the bug a
+	// persistent order invites: the list is no longer sorted, so binary
+	// searches miss live offers and tie-breaks follow arrival order.
+	// The differential suite and the modelcheck delivery-order schedule
+	// must both rediscover it.
+	StaleOrderOnInsert bool
 }
 
 // reqRec is the engine's record of one live request and its previous
@@ -153,19 +168,27 @@ type Incremental struct {
 	// Persistent negotiation state. ix stays nil until the first wake
 	// builds it over the whole pool in one batch (and for good under
 	// Config.Aggregate, which prunes by class instead).
-	ix       *OfferIndex
-	offers   map[string]*offerRec
-	requests map[string]*reqRec
-	// touched accumulates offer keys whose content changed (or that
-	// appeared/disappeared) since the last wake — the initial
-	// frontier.
-	touched map[string]bool
-	// freed accumulates offers released by requests that left the
-	// pool since the last wake.
-	freed map[string]bool
+	ix *OfferIndex
+	// The live offers, as three parallel lists in byte-wise key order:
+	// each offer's key, its ad (the view the scan reads; a position in
+	// it is the offer's tie-break index), and its slot in ix once that
+	// is built.
+	offerKeys []string
+	view      []*classad.Ad
+	slots     []int
+	requests  map[string]*reqRec
+	// touched accumulates the keys of offers whose content changed (or
+	// that appeared or disappeared) since the last wake, and freed those
+	// of offers released by requests that left the pool: together the
+	// initial frontier. They are lists, not sets (a key may repeat): a
+	// wake's cost must follow how many deltas arrived, and clearing a
+	// map costs what the map once held.
+	touched, freed []string
 	// prevOrder is the request-key order the previous wake served.
 	prevOrder []string
 	firstWake bool
+	// scratch is Recompute's per-wake working set, kept between wakes.
+	scratch wakeScratch
 
 	// Observability; nil-safe until InstrumentEngine.
 	gDirty        *obs.Gauge
@@ -182,10 +205,7 @@ func NewIncremental(m *Matchmaker) *Incremental {
 	return &Incremental{
 		m:         m,
 		ready:     make(chan struct{}, 1),
-		offers:    make(map[string]*offerRec),
 		requests:  make(map[string]*reqRec),
-		touched:   make(map[string]bool),
-		freed:     make(map[string]bool),
 		firstWake: true,
 	}
 }
@@ -235,16 +255,26 @@ func (e *Incremental) Sync(snapshot []AdDelta) {
 		seen[d.Key] = true
 		e.applyLocked(d)
 	}
-	for key := range e.offers {
+	var gone []string
+	for _, key := range e.offerKeys {
 		if !seen[key] {
-			e.applyLocked(AdDelta{Kind: AdRemove, Key: key})
+			gone = append(gone, key)
 		}
 	}
-	for key := range e.requests {
+	for _, key := range sortedKeys(e.requests) {
 		if !seen[key] {
-			e.applyLocked(AdDelta{Kind: AdRemove, Key: key})
+			gone = append(gone, key)
 		}
 	}
+	for _, key := range gone {
+		e.applyLocked(AdDelta{Kind: AdRemove, Key: key})
+	}
+}
+
+// findOffer returns the position of key in the ordered offer list, or
+// where it would be inserted.
+func (e *Incremental) findOffer(key string) (pos int, found bool) {
+	return slices.BinarySearch(e.offerKeys, key)
 }
 
 // applyLocked applies one delta to the persistent state: the offer
@@ -254,7 +284,7 @@ func (e *Incremental) applyLocked(d AdDelta) {
 	switch d.Kind {
 	case AdRequest:
 		if prev, ok := e.requests[d.Key]; ok {
-			if sameAd(prev.ad, d.Ad) {
+			if prev.ad.Equal(d.Ad) {
 				return
 			}
 			prev.ad, prev.dirty = d.Ad, true
@@ -265,32 +295,37 @@ func (e *Incremental) applyLocked(d AdDelta) {
 		// whatever offer it named before.
 		e.dropOfferLocked(d.Key)
 	case AdOffer:
-		if prev, ok := e.offers[d.Key]; ok {
-			if sameAd(prev.ad, d.Ad) {
+		if pos, ok := e.findOffer(d.Key); ok {
+			if e.view[pos].Equal(d.Ad) {
 				return
 			}
-			if e.Hooks.DropDirtyNotification && !e.touched[d.Key] {
+			if e.Hooks.DropDirtyNotification && !slices.Contains(e.touched, d.Key) {
 				// The seeded mutant drops a change to an offer the last
 				// wake already served: the index keeps the stale ad and
 				// nothing re-enters negotiation for it.
 				return
 			}
 			if e.ix != nil {
-				e.ix.Remove(prev.slot)
-				prev.slot = e.ix.Add(d.Ad)
+				e.ix.Remove(e.slots[pos])
+				e.slots[pos] = e.ix.Add(d.Ad)
 			}
-			prev.ad = d.Ad
+			e.view[pos] = d.Ad
 		} else {
-			rec := &offerRec{ad: d.Ad}
+			slot := 0
 			if e.ix != nil {
-				rec.slot = e.ix.Add(d.Ad)
+				slot = e.ix.Add(d.Ad)
 			}
-			e.offers[d.Key] = rec
+			if e.Hooks.StaleOrderOnInsert {
+				pos = len(e.offerKeys)
+			}
+			e.offerKeys = slices.Insert(e.offerKeys, pos, d.Key)
+			e.view = slices.Insert(e.view, pos, d.Ad)
+			e.slots = slices.Insert(e.slots, pos, slot)
 		}
 		// A request re-advertised as an offer frees whatever it held,
 		// like any other request departure.
 		e.dropRequestLocked(d.Key)
-		e.touched[d.Key] = true
+		e.touched = append(e.touched, d.Key)
 	case AdRemove:
 		wasRequest := e.dropRequestLocked(d.Key)
 		wasOffer := e.dropOfferLocked(d.Key)
@@ -306,12 +341,6 @@ func (e *Incremental) applyLocked(d AdDelta) {
 	e.signalLocked()
 }
 
-// sameAd reports a content-identical refresh. Ads are immutable once
-// published, so the common resync case is decided by the pointer.
-func sameAd(prev, next *classad.Ad) bool {
-	return prev == next || prev.Equal(next)
-}
-
 func (e *Incremental) signalLocked() {
 	select {
 	case e.ready <- struct{}{}:
@@ -325,7 +354,7 @@ func (e *Incremental) dropRequestLocked(key string) bool {
 	rec, ok := e.requests[key]
 	if ok {
 		if rec.matched {
-			e.freed[rec.offer] = true
+			e.freed = append(e.freed, rec.offer)
 		}
 		delete(e.requests, key)
 	}
@@ -334,13 +363,15 @@ func (e *Incremental) dropRequestLocked(key string) bool {
 
 // dropOfferLocked retires the offer stored under key, if any.
 func (e *Incremental) dropOfferLocked(key string) bool {
-	rec, ok := e.offers[key]
+	pos, ok := e.findOffer(key)
 	if ok {
 		if e.ix != nil {
-			e.ix.Remove(rec.slot)
+			e.ix.Remove(e.slots[pos])
 		}
-		delete(e.offers, key)
-		e.touched[key] = true
+		e.offerKeys = slices.Delete(e.offerKeys, pos, pos+1)
+		e.view = slices.Delete(e.view, pos, pos+1)
+		e.slots = slices.Delete(e.slots, pos, pos+1)
+		e.touched = append(e.touched, key)
 	}
 	return ok
 }
@@ -367,8 +398,8 @@ func (e *Incremental) NeedsWake() bool {
 // receiver re-checks NeedsWake.
 func (e *Incremental) Ready() <-chan struct{} { return e.ready }
 
-// sortedKeys returns m's keys in the byte-wise order that fixes the
-// engine's service and tie-break positions.
+// sortedKeys returns m's keys in byte-wise order — the base of the
+// engine's request service order.
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -406,17 +437,12 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		}
 	}
 
-	// Key-sorted view of the live offers: positions in this view are
-	// the tie-break indices. Relative order of two fixed keys never
-	// changes across wakes, which is what keeps the previous pick's
-	// tie-break comparisons valid.
-	offerKeys := sortedKeys(e.offers)
-	view := make([]*classad.Ad, len(offerKeys))
-	posOf := make(map[string]int, len(offerKeys))
-	for i, key := range offerKeys {
-		view[i] = e.offers[key].ad
-		posOf[key] = i
-	}
+	// Positions in the view are the tie-break indices; arrivals and
+	// departures shift them but never swap two offers that stay, which
+	// is what keeps the previous pick's tie-break comparisons valid.
+	view := e.view
+	sc := &e.scratch
+	sc.reset(len(view), m.forensics != nil)
 
 	// Canonical request order: key-sorted base, fair-share on top. Any
 	// divergence from the previous wake's order dirties every request
@@ -446,40 +472,27 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 	// batch on the first wake and again once dead slots outnumber live
 	// ones, maintained by Add/Remove in between.
 	var agg *aggregation
-	var posOfSlot []int
 	if m.cfg.Aggregate {
 		agg = aggregate(view, reqAds)
-	} else {
-		if e.ix == nil || (len(e.ix.offers) >= 64 && 2*len(view) <= len(e.ix.offers)) {
-			e.ix = NewOfferIndex(view)
-			for i, key := range offerKeys {
-				e.offers[key].slot = i
-			}
-		}
-		posOfSlot = make([]int, len(e.ix.offers))
-		for i := range posOfSlot {
-			posOfSlot[i] = -1
-		}
-		for i, key := range offerKeys {
-			posOfSlot[e.offers[key].slot] = i
+	} else if e.ix == nil || (len(e.ix.offers) >= 64 && 2*len(view) <= len(e.ix.offers)) {
+		e.ix = NewOfferIndex(view)
+		for i := range e.slots {
+			e.slots[i] = i
 		}
 	}
 
 	// Initial frontier: touched offers plus offers freed by departed
 	// requests, as view positions. It grows as replayed picks change.
-	frontier := make([]bool, len(view))
-	for key := range e.touched {
-		if pos, ok := posOf[key]; ok {
-			frontier[pos] = true
+	frontier := sc.frontier
+	for _, keys := range [][]string{e.touched, e.freed} {
+		for _, key := range keys {
+			if pos, ok := e.findOffer(key); ok {
+				frontier[pos] = true
+			}
 		}
+		clear(keys) // let departed keys go
 	}
-	for key := range e.freed {
-		if pos, ok := posOf[key]; ok {
-			frontier[pos] = true
-		}
-	}
-	e.touched = make(map[string]bool)
-	e.freed = make(map[string]bool)
+	e.touched, e.freed = e.touched[:0], e.freed[:0]
 
 	// Unmatched requests are always dirty (an empty<->non-empty pool
 	// flips their reason, a new offer may serve them); matched ones
@@ -490,7 +503,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 			rec.dirty = true
 			continue
 		}
-		if pos, alive := posOf[rec.offer]; !alive || frontier[pos] {
+		if pos, alive := e.findOffer(rec.offer); !alive || frontier[pos] {
 			rec.dirty = true
 		}
 	}
@@ -500,28 +513,35 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		}
 	}
 
-	// Snapshot the initial frontier and build a mini-index over just
-	// those offers: a clean request's challenger scan then evaluates
-	// only the frontier members that could possibly satisfy its
-	// constraint (Candidates is a superset of the matching offers, so
-	// skipping the rest drops no challenger). Offers the replay adds to
-	// the frontier later are collected in grown and scanned unpruned —
-	// there are few of them.
-	var frontierPos []int
-	for ci := range frontier {
-		if frontier[ci] {
-			frontierPos = append(frontierPos, ci)
-		}
-	}
+	stats.Requests, stats.Offers = len(ordered), len(view)
+	stats.Clean = len(ordered) - stats.Dirty
+	e.gDirty.Set(int64(stats.Dirty))
+	e.mWakes.Inc()
+
+	// If any request is clean, snapshot the initial frontier and build
+	// a mini-index over just those offers: a clean request's challenger
+	// scan then evaluates only the frontier members that could possibly
+	// satisfy its constraint (Candidates is a superset of the matching
+	// offers, so skipping the rest drops no challenger). Offers the
+	// replay adds to the frontier later are collected in grown and
+	// scanned unpruned — there are few of them.
+	frontierPos := sc.frontierPos[:0]
 	var fix *OfferIndex
-	if !full && len(frontierPos) > 0 {
-		fads := make([]*classad.Ad, len(frontierPos))
-		for k, pos := range frontierPos {
-			fads[k] = view[pos]
+	if stats.Clean > 0 {
+		for ci := range frontier {
+			if frontier[ci] {
+				frontierPos = append(frontierPos, ci)
+			}
 		}
-		fix = NewOfferIndex(fads)
+		if len(frontierPos) > 0 {
+			fads := make([]*classad.Ad, len(frontierPos))
+			for k, pos := range frontierPos {
+				fads[k] = view[pos]
+			}
+			fix = NewOfferIndex(fads)
+		}
 	}
-	var grown []int
+	grown := sc.grown[:0]
 	extendFrontier := func(pos int) {
 		if !frontier[pos] {
 			frontier[pos] = true
@@ -529,21 +549,10 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		}
 	}
 
-	stats.Requests, stats.Offers = len(ordered), len(view)
-	stats.Clean = len(ordered) - stats.Dirty
-	e.gDirty.Set(int64(stats.Dirty))
-	e.mWakes.Inc()
-
-	avail := make([]bool, len(view))
-	for i := range avail {
-		avail[i] = true
-	}
-	// takenBy records which request consumed each offer this wake, so
-	// forensic "outranked" verdicts can name the winner.
-	var takenBy []string
-	if m.forensics != nil {
-		takenBy = make([]string, len(view))
-	}
+	// avail starts all true; takenBy (forensics only) records which
+	// request consumed each offer this wake, so "outranked" verdicts
+	// can name the winner.
+	avail, takenBy := sc.avail, sc.takenBy
 
 	var out []Match
 	for _, key := range ordered {
@@ -552,7 +561,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		if !rec.dirty {
 			// Frontier shortcut: the previous pick still beats every
 			// unchanged offer; only frontier members can challenge it.
-			pos := posOf[rec.offer]
+			pos, _ := e.findOffer(rec.offer) // alive, or it were dirty
 			if !avail[pos] {
 				// An earlier changed pick took it; fall back to the
 				// full scan for this request.
@@ -587,7 +596,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 			// and emits none.
 			sp = m.spans.Start(classad.TraceOf(rec.ad), classad.TraceSpanOf(rec.ad), "matchmaker", "negotiate")
 			sp.Set("request", adName(rec.ad))
-			o = e.scan(ev, rec.ad, view, posOfSlot, avail, agg)
+			o = e.scan(ev, rec.ad, view, avail, agg)
 			stats.Evals += o.scanned
 		}
 
@@ -597,7 +606,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 			if takenBy != nil {
 				takenBy[best.index] = adName(rec.ad)
 			}
-			rec.matched, rec.offer = true, offerKeys[best.index]
+			rec.matched, rec.offer = true, e.offerKeys[best.index]
 			rec.reqRank, rec.offRank = best.reqRank, best.offRank
 			out = append(out, Match{
 				Request: rec.ad, Offer: view[best.index],
@@ -612,7 +621,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		// free where it was taken, the new one taken where it was free.
 		if rec.offer != prevOffer || rec.matched != prevMatched {
 			if prevMatched {
-				if pos, ok := posOf[prevOffer]; ok {
+				if pos, ok := e.findOffer(prevOffer); ok {
 					extendFrontier(pos)
 				}
 			}
@@ -624,9 +633,66 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 		rec.dirty = false
 	}
 
+	sc.frontierPos, sc.grown = frontierPos, grown
 	e.mEvals.Add(int64(stats.Evals))
 	m.hNegotiate.Observe(m.now().Sub(start).Seconds())
 	return out, stats
+}
+
+// wakeScratch is the working set of one wake, kept so the next reuses
+// its memory: each vector grows to the largest pool seen and is then
+// only refilled.
+type wakeScratch struct {
+	posOfSlot []int    // index slot -> view position, filled on demand
+	avail     []bool   // not yet taken this wake
+	frontier  []bool   // may differ from the previous wake
+	takenBy   []string // forensics: who took each offer
+	// frontierPos and grown list the frontier's positions: as the wake
+	// began, and added by the replay.
+	frontierPos, grown []int
+}
+
+// slotPositions maps index slots to view positions for the wake in
+// progress, filling the table on the wake's first full scan: a wake
+// that scans nothing never pays for it. Only live slots are ever looked
+// up (Candidates returns no others), and each belongs to exactly one
+// listed offer.
+func (e *Incremental) slotPositions() []int {
+	sc := &e.scratch
+	if len(sc.posOfSlot) == 0 {
+		posOfSlot := growTo(&sc.posOfSlot, len(e.ix.offers))
+		for i, slot := range e.slots {
+			posOfSlot[slot] = i
+		}
+	}
+	return sc.posOfSlot
+}
+
+// reset sizes the per-offer vectors for n offers and refills them:
+// every offer available, none on the frontier, none taken.
+func (sc *wakeScratch) reset(n int, forensics bool) {
+	sc.posOfSlot = sc.posOfSlot[:0] // empty: not yet filled this wake
+	// Fill avail by doubling copies: memmove speed, where a byte loop
+	// is the one per-offer cost a quiet wake has left.
+	if avail := growTo(&sc.avail, n); n > 0 {
+		avail[0] = true
+		for done := 1; done < n; done *= 2 {
+			copy(avail[done:], avail[:done])
+		}
+	}
+	clear(growTo(&sc.frontier, n))
+	if forensics {
+		clear(growTo(&sc.takenBy, n))
+	}
+}
+
+// growTo sets *s to length n and returns it, reallocating only when
+// its capacity is short, and then with append's headroom: a pool that
+// grows by one offer per wake reallocates a logarithmic number of
+// times. Contents are whatever the last use left.
+func growTo[T any](s *[]T, n int) []T {
+	*s = slices.Grow((*s)[:0], n)[:n]
+	return *s
 }
 
 // outcome is what serving one request produced: the picked offer (a
@@ -648,7 +714,7 @@ type outcome struct {
 // point: the best bid of its candidate classes under aggregation,
 // otherwise the persistent index's candidates mapped into view
 // positions and handed to the scanOffers kernel.
-func (e *Incremental) scan(ev evaluator, req *classad.Ad, view []*classad.Ad, posOfSlot []int, avail []bool, agg *aggregation) outcome {
+func (e *Incremental) scan(ev evaluator, req *classad.Ad, view []*classad.Ad, avail []bool, agg *aggregation) outcome {
 	m := e.m
 	var o outcome
 	if agg != nil {
@@ -658,13 +724,12 @@ func (e *Incremental) scan(ev evaluator, req *classad.Ad, view []*classad.Ad, po
 		m.hScanned.Observe(float64(o.scanned))
 		return o
 	}
-	var slots []int
-	if slots, o.indexed = e.ix.Candidates(req, m.cfg.Env); o.indexed {
-		o.cand = make([]int, 0, len(slots))
-		for _, s := range slots {
-			if pos := posOfSlot[s]; pos >= 0 {
-				o.cand = append(o.cand, pos)
-			}
+	if o.cand, o.indexed = e.ix.Candidates(req, m.cfg.Env); o.indexed {
+		// Candidates are live slots; the scan wants view positions,
+		// ascending.
+		posOfSlot := e.slotPositions()
+		for i, s := range o.cand {
+			o.cand[i] = posOfSlot[s]
 		}
 		sort.Ints(o.cand)
 		m.mIdxCand.Add(int64(len(o.cand)))
@@ -751,12 +816,12 @@ func (e *Incremental) Matches() []Match {
 		if !ok || !rec.matched {
 			continue
 		}
-		off, ok := e.offers[rec.offer]
+		pos, ok := e.findOffer(rec.offer)
 		if !ok {
 			continue
 		}
 		out = append(out, Match{
-			Request: rec.ad, Offer: off.ad,
+			Request: rec.ad, Offer: e.view[pos],
 			RequestRank: rec.reqRank, OfferRank: rec.offRank,
 			Trace: classad.TraceOf(rec.ad),
 		})

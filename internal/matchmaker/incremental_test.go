@@ -5,11 +5,12 @@ package matchmaker
 // into an Incremental engine, and at every quiescent point the
 // engine's assignment, fair-share charges, and forensic verdicts are
 // compared against the naive oracle (oracle_test.go) over the same
-// live ads. The same harness, with Hooks.DropDirtyNotification on,
-// must mechanically rediscover the dropped-wake mutant.
+// live ads. The same harness, with Hooks.DropDirtyNotification or
+// Hooks.StaleOrderOnInsert on, must mechanically rediscover the mutant.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -41,6 +42,9 @@ type diffWorld struct {
 	owners   []string
 	step     int
 	wakes    int
+	// ixBuilds counts wakes that (re)built the offer index in one batch:
+	// the first, and every compaction past the dead-slot threshold.
+	ixBuilds int
 
 	// diffs accumulates every divergence found at a quiescent point;
 	// the healthy run asserts it stays empty, the mutant run asserts
@@ -125,11 +129,37 @@ func (w *diffWorld) genJob(name string) *classad.Ad {
 	return ad
 }
 
+// twinNames are machines advertised with identical content (genTwin),
+// so every request ranks them equally and only key order separates
+// them. They sit before the first ordinary key, after the last, and
+// between two neighbours, in pairs: their arrivals and departures are
+// membership churn at the extremes of the engine's ordered offer list
+// and between equal-rank twins.
+var twinNames = []string{"!a", "!b", "mach-10+a", "mach-10+b", "~y", "~z"}
+
+// flipNames are keys re-advertised now as a job, now as a machine.
+var flipNames = []string{"flip-0", "flip-1"}
+
+func (w *diffWorld) genTwin(name string) *classad.Ad {
+	ad := classad.NewAd()
+	ad.SetString("Type", "Machine")
+	ad.SetString("Name", name)
+	ad.SetString("Arch", "INTEL")
+	ad.SetInt("Memory", 256)
+	ad.SetInt("Mips", 200)
+	ad.SetString("State", "Unclaimed")
+	ad.Set("Constraint", classad.Lit(classad.Bool(true)))
+	if err := ad.SetExprString("Rank", "other.Prio"); err != nil {
+		w.t.Fatal(err)
+	}
+	return ad
+}
+
 // op applies one random pool mutation. Machine names come from a pool
-// of 30 and job names from a pool of 100, so forensics never evicts
+// of 38 and job names from a pool of 102, so forensics never evicts
 // (the report store holds 256 distinct request names).
 func (w *diffWorld) op() {
-	switch n := w.rng.Intn(100); {
+	switch n := w.rng.Intn(116); {
 	case n < 25: // advertise (new or changed) machine
 		name := fmt.Sprintf("mach-%02d", w.rng.Intn(30))
 		ad := w.genMachine(name)
@@ -195,7 +225,7 @@ func (w *diffWorld) op() {
 		name := adName(m.Request)
 		w.store.Invalidate(name)
 		delete(w.jobs, classad.Fold(name))
-	default: // flip a machine's claimed state, all else unchanged
+	case n < 100: // flip a machine's claimed state, all else unchanged
 		names := sortedKeys(w.machines)
 		if len(names) == 0 {
 			return
@@ -211,6 +241,32 @@ func (w *diffWorld) op() {
 			w.t.Fatal(err)
 		}
 		w.machines[name] = ad
+	case n < 108: // a twin arrives or leaves
+		name := twinNames[w.rng.Intn(len(twinNames))]
+		if _, live := w.machines[name]; live {
+			w.store.Invalidate(name)
+			delete(w.machines, name)
+			return
+		}
+		ad := w.genTwin(name)
+		if err := w.store.Update(ad, int64(120+w.rng.Intn(600))); err != nil {
+			w.t.Fatal(err)
+		}
+		w.machines[name] = ad
+	case n < 116: // one key flips between request and offer
+		name := flipNames[w.rng.Intn(len(flipNames))]
+		delete(w.machines, name)
+		delete(w.jobs, name)
+		ad := w.genJob(name)
+		if w.rng.Intn(2) == 0 {
+			ad = w.genMachine(name)
+			w.machines[name] = ad
+		} else {
+			w.jobs[name] = true
+		}
+		if err := w.store.Update(ad, int64(300+w.rng.Intn(600))); err != nil {
+			w.t.Fatal(err)
+		}
 	}
 }
 
@@ -240,8 +296,12 @@ func (w *diffWorld) quiesce() {
 		w.eng.Apply(testDelta(d))
 	}
 	if w.eng.NeedsWake() {
+		ix := w.eng.ix
 		w.eng.Recompute(fmt.Sprintf("w%04d", w.step))
 		w.wakes++
+		if w.eng.ix != ix {
+			w.ixBuilds++
+		}
 	}
 	w.compare()
 }
@@ -326,7 +386,7 @@ func (w *diffWorld) run(steps int) {
 
 func diffSteps(t *testing.T) int {
 	if testing.Short() {
-		return 150
+		return 300 // enough to cross the index-rebuild threshold
 	}
 	return 600
 }
@@ -349,6 +409,12 @@ func TestIncrementalDifferential(t *testing.T) {
 			if w.wakes == 0 {
 				t.Fatalf("stream produced no wakes; differential exercised nothing")
 			}
+			// Every content change retires an index slot, so the run
+			// must have crossed the compaction threshold (dead slots
+			// outnumbering live ones) and renumbered every slot.
+			if w.ixBuilds < 2 {
+				t.Fatalf("offer index built %d time(s); the run never crossed the rebuild threshold", w.ixBuilds)
+			}
 		})
 	}
 }
@@ -367,6 +433,23 @@ func TestIncrementalDifferentialRediscoversDroppedWake(t *testing.T) {
 		}
 	}
 	t.Fatalf("DropDirtyNotification mutant survived the differential suite on every seed")
+}
+
+// TestIncrementalDifferentialRediscoversStaleOrder seeds the
+// StaleOrderOnInsert mutant — a new offer is filed at the tail of the
+// ordered list instead of at its key — and demands the differential
+// suite catch it.
+func TestIncrementalDifferentialRediscoversStaleOrder(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		w := newDiffWorld(t, seed)
+		w.eng.Hooks.StaleOrderOnInsert = true
+		w.run(diffSteps(t))
+		if len(w.diffs) > 0 {
+			t.Logf("seed %d: mutant rediscovered after %d steps: %s", seed, w.step, w.diffs[0])
+			return
+		}
+	}
+	t.Fatalf("StaleOrderOnInsert mutant survived the differential suite on every seed")
 }
 
 func joinLines(lines []string) string {
@@ -490,4 +573,54 @@ func namedJob(name, owner, arch string, minMem int64) *classad.Ad {
 	ad := job(owner, arch, minMem)
 	ad.SetString("Name", name)
 	return ad
+}
+
+// TestWakeCostIndependentOfPoolSize pins what a wake may allocate: with
+// no request to serve, one content delta — or one offer added and one
+// removed — costs the same number of allocations (to within one, see
+// below) at 1,000 offers as at 16,000. Time and bytes are
+// BenchmarkWakeOneDelta's business. The index is built by the seeding
+// wake; a wake that rebuilt it would be a different measurement, so
+// the run stays below the compaction threshold.
+func TestWakeCostIndependentOfPoolSize(t *testing.T) {
+	measure := func(n int, membership bool) float64 {
+		eng := NewIncremental(New(Config{Env: classad.FixedEnv(0, 1)}))
+		for i := 0; i < n; i++ {
+			key := fmt.Sprintf("m%05d", i)
+			eng.Apply(AdDelta{Kind: AdOffer, Key: key, Ad: machine(key, "INTEL", 64)})
+		}
+		eng.Recompute("seed")
+		// The deltas are prepared outside the measured function: only
+		// Apply and Recompute are on the wake's bill.
+		const runs = 50
+		var deltas [runs + 1][]AdDelta
+		for r := range deltas {
+			if membership {
+				gone, added := fmt.Sprintf("m%05d", r), fmt.Sprintf("m%05d+", n/2+r)
+				deltas[r] = []AdDelta{
+					{Kind: AdRemove, Key: gone},
+					{Kind: AdOffer, Key: added, Ad: machine(added, "INTEL", 64)},
+				}
+			} else {
+				key := fmt.Sprintf("m%05d", n/2)
+				deltas[r] = []AdDelta{{Kind: AdOffer, Key: key, Ad: machine(key, "INTEL", int64(65+r))}}
+			}
+		}
+		r := 0
+		return testing.AllocsPerRun(runs, func() {
+			eng.Apply(deltas[r]...)
+			eng.Recompute("wake")
+			r++
+		})
+	}
+	for _, membership := range []bool{false, true} {
+		small, large := measure(1000, membership), measure(16000, membership)
+		t.Logf("membership=%v: %.0f allocs/wake at 1,000 offers, %.0f at 16,000", membership, small, large)
+		// The index's posting lists grow by amortized appends, and a
+		// reallocation lands on different wakes at different sizes: the
+		// averages may differ by one, never by anything the pool scales.
+		if math.Abs(small-large) > 1 {
+			t.Errorf("membership=%v: a wake allocates %.0f times at 1,000 offers and %.0f at 16,000", membership, small, large)
+		}
+	}
 }

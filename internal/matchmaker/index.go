@@ -28,7 +28,9 @@ package matchmaker
 // always candidates for tests on that attribute.
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -187,8 +189,11 @@ type postings struct {
 	// advertising it, ascending by offer index.
 	strs map[string][]int
 	// nums lists offers with a literal numeric (or boolean, coerced)
-	// value, sorted by value then offer index.
-	nums []numEntry
+	// value. Its first sorted entries are ordered by value then offer
+	// index; entries added since are an unordered tail, which settle
+	// merges in before the axis is read.
+	nums   []numEntry
+	sorted int
 	// exprs lists offers whose definition is not a literal: their
 	// value depends on the match, so every test on this attribute must
 	// keep them. Ascending by offer index.
@@ -207,6 +212,10 @@ type OfferIndex struct {
 	live   []bool
 	nlive  int
 	attrs  map[string]*postings
+	// acc and tmp are Candidates' bitsets (one bit per slot), kept so a
+	// lookup allocates only its result; Candidates holds mu exclusively
+	// while it uses them.
+	acc, tmp []uint64
 }
 
 // NewOfferIndex builds posting lists over offers. Build cost is one
@@ -217,12 +226,7 @@ func NewOfferIndex(offers []*classad.Ad) *OfferIndex {
 		ix.addLocked(off)
 	}
 	for _, p := range ix.attrs {
-		sort.Slice(p.nums, func(a, b int) bool {
-			if p.nums[a].val != p.nums[b].val {
-				return p.nums[a].val < p.nums[b].val
-			}
-			return p.nums[a].idx < p.nums[b].idx
-		})
+		p.settle()
 	}
 	return ix
 }
@@ -234,37 +238,45 @@ func (ix *OfferIndex) Len() int {
 	return ix.nlive
 }
 
-// Add indexes one more offer and returns its slot.
+// Add indexes one more offer and returns its slot. It is an append
+// per attribute: a freshly appended slot has the highest index, so
+// string and expression lists stay sorted, and a numeric axis takes
+// the entry on its unordered tail until a lookup next reads it.
 func (ix *OfferIndex) Add(off *classad.Ad) int {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	i := ix.addLocked(off)
-	// A freshly appended slot has the highest index, so string and
-	// expression lists stay sorted; the numeric axis needs an insert.
-	// addLocked appended the new entry at the tail, so one rotation
-	// into its binary-searched position restores order — a full
-	// re-sort here is O(n log n) per Add and dominates steady-state
-	// delta wakes at pool scale.
-	for _, name := range off.Names() {
-		p := ix.attrs[classad.Fold(name)]
-		if p == nil || len(p.nums) == 0 {
-			continue
-		}
-		last := len(p.nums) - 1
-		e := p.nums[last]
-		if e.idx != i {
-			continue // this attribute was not numeric on the new offer
-		}
-		at := sort.Search(last, func(k int) bool {
-			if p.nums[k].val != e.val {
-				return p.nums[k].val > e.val
-			}
-			return p.nums[k].idx > e.idx
-		})
-		copy(p.nums[at+1:], p.nums[at:last])
-		p.nums[at] = e
+	return ix.addLocked(off)
+}
+
+// settle brings the axis into order: it sorts the entries added since
+// the last time and merges them into the sorted prefix from the back,
+// moving only what lies above the lowest newcomer. An ad that changes
+// costs its numeric attributes one append each; the merge is paid once
+// per lookup that tests the attribute, however many ads changed.
+func (p *postings) settle() {
+	if p.sorted == len(p.nums) {
+		return
 	}
-	return i
+	tail := slices.Clone(p.nums[p.sorted:])
+	slices.SortFunc(tail, cmpNumEntry)
+	i, w := p.sorted-1, len(p.nums)-1
+	for j := len(tail) - 1; j >= 0; w-- {
+		if i >= 0 && cmpNumEntry(p.nums[i], tail[j]) > 0 {
+			p.nums[w] = p.nums[i]
+			i--
+		} else {
+			p.nums[w] = tail[j]
+			j--
+		}
+	}
+	p.sorted = len(p.nums)
+}
+
+func cmpNumEntry(a, b numEntry) int {
+	if c := cmp.Compare(a.val, b.val); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 // Remove retires the offer in slot i: it stops appearing in candidate
@@ -280,18 +292,14 @@ func (ix *OfferIndex) Remove(i int) {
 }
 
 // addLocked appends the offer and files every literal attribute into
-// its posting list. Callers sort numeric axes afterwards.
+// its posting list.
 func (ix *OfferIndex) addLocked(off *classad.Ad) int {
 	i := len(ix.offers)
 	ix.offers = append(ix.offers, off)
 	ix.live = append(ix.live, true)
 	ix.nlive++
-	for _, name := range off.Names() {
-		e, ok := off.Lookup(name)
-		if !ok {
-			continue
-		}
-		key := classad.Fold(name)
+	for _, key := range off.Keys() {
+		e, _ := off.LookupKey(key)
 		p := ix.attrs[key]
 		if p == nil {
 			p = &postings{strs: make(map[string][]int)}
@@ -333,19 +341,17 @@ func (ix *OfferIndex) Candidates(req *classad.Ad, env *classad.Env) (cand []int,
 	if len(tests) == 0 {
 		return nil, false
 	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	n := len(ix.offers)
 	words := (n + 63) / 64
-	acc := make([]uint64, words)
-	scratch := make([]uint64, words)
+	acc, scratch := growTo(&ix.acc, words), growTo(&ix.tmp, words)
+	clear(acc)
 	for ti, t := range tests {
 		set := acc
 		if ti > 0 {
 			set = scratch
-			for w := range set {
-				set[w] = 0
-			}
+			clear(set)
 		}
 		ix.fill(set, t)
 		if ti > 0 {
@@ -383,6 +389,7 @@ func (ix *OfferIndex) fill(set []uint64, t reqTest) {
 			set[i/64] |= 1 << (uint(i) % 64)
 		}
 	case testNum:
+		p.settle() // Candidates holds the lock exclusively
 		lo, hi := numRange(p.nums, t.op, t.num)
 		for _, e := range p.nums[lo:hi] {
 			set[e.idx/64] |= 1 << (uint(e.idx) % 64)

@@ -81,12 +81,16 @@ func (ev evaluator) claimed(off *classad.Ad) bool {
 }
 
 // try evaluates req against offers[oi]; ok reports a bilateral match.
+// It decides what classad.MatchEnv decides, but evaluates only as far
+// as the answer needs: the offer's constraint only if the request's
+// holds, the two ranks only on a match (most pairs a scan tries fail
+// the first test).
 func (ev evaluator) try(req *classad.Ad, offers []*classad.Ad, oi int) (c candidate, ok bool) {
-	res := classad.MatchEnv(req, offers[oi], ev.env)
-	if !res.Matched {
+	off := offers[oi]
+	if !classad.EvalConstraint(req, off, ev.env) || !classad.EvalConstraint(off, req, ev.env) {
 		return candidate{index: -1}, false
 	}
-	return candidate{oi, res.LeftRank, res.RightRank, ev.claimed(offers[oi])}, true
+	return candidate{oi, classad.EvalRank(req, off, ev.env), classad.EvalRank(off, req, ev.env), ev.claimed(off)}, true
 }
 
 // scanWorkers is how many goroutines a scan of n candidates uses: one

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/classad"
 )
@@ -142,5 +143,45 @@ func TestScanWorkersResolution(t *testing.T) {
 			t.Errorf("GOMAXPROCS=%d: scanWorkers(%d) = %d, want %d",
 				tc.procs, tc.candidates, got, tc.want)
 		}
+	}
+}
+
+// TestTryMatchesMatchEnv: the kernel's short-circuit evaluation decides
+// exactly what classad.MatchEnv decides — a match iff both constraints
+// hold, with the same two ranks — over generated pairs that match, fail
+// on either side, and evaluate to undefined or error.
+func TestTryMatchesMatchEnv(t *testing.T) {
+	env := classad.FixedEnv(0, 5)
+	ev := evaluator{env: env}
+	matched, failed := 0, 0
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		offers := trickyPool(r, 24)
+		for _, req := range trickyRequests(r, 12) {
+			for oi, off := range offers {
+				want := classad.MatchEnv(req, off, env)
+				c, ok := ev.try(req, offers, oi)
+				if ok {
+					matched++
+				} else {
+					failed++
+				}
+				if ok != want.Matched {
+					t.Errorf("seed %d: try(%s, %s) matched=%v, MatchEnv %+v", seed, req, off, ok, want)
+					return false
+				}
+				if ok && (c.index != oi || c.reqRank != want.LeftRank || c.offRank != want.RightRank) {
+					t.Errorf("seed %d: try(%s, %s) = %+v, MatchEnv %+v", seed, req, off, c, want)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
+	}
+	if matched == 0 || failed == 0 {
+		t.Fatalf("generated pairs: %d matched, %d failed; both outcomes must occur", matched, failed)
 	}
 }

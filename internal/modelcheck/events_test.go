@@ -1,13 +1,15 @@
 package modelcheck
 
 // Delivery-order schedule exploration for the event-driven engine
-// (the modelcheck half of the DropDirtyNotification rediscovery): a
-// small pool's delta streams are delivered in every interleaving and
-// every wake batching, and the engine's final assignment must equal a
-// from-scratch negotiation on every schedule. The dropped-wake mutant
-// survives some schedules — the ones where the change lands in the
-// same wake as the ad it patches — which is exactly why a fixed-order
-// test cannot pin this bug and an exhaustive schedule walk can.
+// (the modelcheck half of the DropDirtyNotification and
+// StaleOrderOnInsert rediscoveries): a small pool's delta streams are
+// delivered in every interleaving and every wake batching, and the
+// engine's final assignment must equal a from-scratch negotiation on
+// every schedule. The dropped-wake mutant survives some schedules —
+// the ones where the change lands in the same wake as the ad it
+// patches — and the stale-order mutant survives the ones that deliver
+// offers in key order, which is exactly why a fixed-order test cannot
+// pin these bugs and an exhaustive schedule walk can.
 
 import (
 	"fmt"
@@ -74,10 +76,10 @@ func interleavings(streams [][]matchmaker.AdDelta) [][]matchmaker.AdDelta {
 // runSchedule feeds seq into a fresh engine, waking after every
 // position whose bit is set in wakeMask (and always at the end), and
 // returns the final request -> offer assignment.
-func runSchedule(seq []matchmaker.AdDelta, wakeMask int, mutant bool) map[string]string {
+func runSchedule(seq []matchmaker.AdDelta, wakeMask int, mutant matchmaker.IncrementalHooks) map[string]string {
 	m := matchmaker.New(matchmaker.Config{})
 	eng := matchmaker.NewIncremental(m)
-	eng.Hooks.DropDirtyNotification = mutant
+	eng.Hooks = mutant
 	cycle := 0
 	for i, d := range seq {
 		eng.Apply(d)
@@ -151,7 +153,7 @@ func TestDeliveryScheduleConvergence(t *testing.T) {
 	for _, seq := range orders {
 		for mask := 0; mask < 1<<len(seq); mask++ {
 			total++
-			if got := runSchedule(seq, mask, false); !sameAssignment(got, want) {
+			if got := runSchedule(seq, mask, matchmaker.IncrementalHooks{}); !sameAssignment(got, want) {
 				t.Fatalf("schedule (order %v, wake mask %b) diverged: got %v, want %v",
 					names(seq), mask, got, want)
 			}
@@ -160,36 +162,43 @@ func TestDeliveryScheduleConvergence(t *testing.T) {
 	t.Logf("%d schedules explored (%d interleavings), all converged to %v", total, len(orders), want)
 }
 
-// TestDeliveryScheduleRediscoversDroppedWake: with the
-// DropDirtyNotification mutant seeded there EXISTS a schedule whose
-// final state diverges — and also schedules that mask the bug, which
-// is why the exhaustive walk (not one lucky order) is the test.
-func TestDeliveryScheduleRediscoversDroppedWake(t *testing.T) {
+// TestDeliveryScheduleRediscoversMutants: with either engine mutant
+// seeded — DropDirtyNotification (a content change to a known offer is
+// discarded) or StaleOrderOnInsert (a new offer is filed at the tail of
+// the ordered list, not at its key) — there EXISTS a schedule whose
+// final state diverges, and also schedules that mask the bug, which is
+// why the exhaustive walk (not one lucky order) is the test.
+func TestDeliveryScheduleRediscoversMutants(t *testing.T) {
 	streams := eventStreams()
 	want := referenceAssignment(streams)
 	orders := interleavings(streams)
-	diverged, agreed := 0, 0
-	var witness string
-	for _, seq := range orders {
-		for mask := 0; mask < 1<<len(seq); mask++ {
-			if got := runSchedule(seq, mask, true); sameAssignment(got, want) {
-				agreed++
-			} else {
+	for name, mutant := range map[string]matchmaker.IncrementalHooks{
+		"DropDirtyNotification": {DropDirtyNotification: true},
+		"StaleOrderOnInsert":    {StaleOrderOnInsert: true},
+	} {
+		diverged, agreed := 0, 0
+		var witness string
+		for _, seq := range orders {
+			for mask := 0; mask < 1<<len(seq); mask++ {
+				got := runSchedule(seq, mask, mutant)
+				if sameAssignment(got, want) {
+					agreed++
+					continue
+				}
 				diverged++
 				if witness == "" {
-					witness = fmt.Sprintf("order %v, wake mask %b: got %v, want %v",
-						names(seq), mask, runSchedule(seq, mask, true), want)
+					witness = fmt.Sprintf("order %v, wake mask %b: got %v, want %v", names(seq), mask, got, want)
 				}
 			}
 		}
+		if diverged == 0 {
+			t.Fatalf("%s mutant survived every delivery schedule", name)
+		}
+		if agreed == 0 {
+			t.Fatalf("%s mutant diverged on every schedule; the bug would not need schedule exploration", name)
+		}
+		t.Logf("%s rediscovered: %d/%d schedules diverged; witness: %s", name, diverged, diverged+agreed, witness)
 	}
-	if diverged == 0 {
-		t.Fatalf("DropDirtyNotification mutant survived every delivery schedule")
-	}
-	if agreed == 0 {
-		t.Fatalf("mutant diverged on every schedule; the bug would not need schedule exploration")
-	}
-	t.Logf("mutant rediscovered: %d/%d schedules diverged; witness: %s", diverged, diverged+agreed, witness)
 }
 
 func names(seq []matchmaker.AdDelta) []string {
