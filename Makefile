@@ -1,6 +1,6 @@
 # Verification loop for the matchmaking reproduction.
 #
-#   make verify       lint + vet + build + race-enabled shuffled tests + bench-smoke (the PR gate)
+#   make verify       lint + vet + build + race-enabled shuffled tests + bench-smoke + patch-check (the PR gate)
 #   make test         tier-1 check as ROADMAP.md defines it
 #   make test-short   the fast loop: -short skips chaos/simulation soak tests
 #   make lint         go vet + repo-invariant analyzers + cadlint over shipped ads + lint-codes
@@ -13,6 +13,7 @@
 #   make bench        matchmaker/classad hot-path benchmarks -> BENCH_matchmaker.json
 #   make bench-check  rerun the benchmarks and fail on >20% ns/op regression
 #   make bench-smoke  vet and test the pool benchmark's own module (bench/)
+#   make patch-check  the held evaluator patch (docs/patches/) still applies to the tree
 #   make ci           everything CI runs: verify + repeated timing-sensitive suites + race pass + fuzz
 
 GO ?= go
@@ -21,12 +22,13 @@ FUZZTIME ?= 15s
 # negotiation (Negotiat covers NegotiationCycle and NegotiateTraced;
 # SteadyState is the event-driven delta wake vs full-rebuild pair;
 # WakeOneDelta is the quiet wake at two pool sizes, whose ratio pins
-# that a wake's cost follows the delta, not the pool).
-BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState|WakeOneDelta
+# that a wake's cost follows the delta, not the pool), plus E17's
+# per-record remote-syscall tax (RemoteSyscallStep).
+BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState|WakeOneDelta|RemoteSyscallStep
 
-.PHONY: verify test test-short build vet lint lint-codes lint-fix-list mc mc-short fuzz crash bench bench-check bench-smoke ci
+.PHONY: verify test test-short build vet lint lint-codes lint-fix-list mc mc-short fuzz crash bench bench-check bench-smoke patch-check ci
 
-verify: lint mc-short bench-smoke
+verify: lint mc-short bench-smoke patch-check
 	$(GO) build ./...
 	$(GO) test -race -shuffle=on ./...
 
@@ -36,6 +38,16 @@ verify: lint mc-short bench-smoke
 # the benchmark pipeline.
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# docs/patches/pr20-evaluator.patch is the allocation-free evaluator,
+# written and measured but not yet in the tree (ROADMAP item 1a). It
+# edits internal/classad's ast.go, builtins.go, eval.go, match.go,
+# parser.go, partial.go, value.go and three test files; a change to
+# any of them that breaks the patch fails here instead of silently
+# stranding it. The change that lands the last piece of the patch
+# deletes docs/patches/ and this target with it.
+patch-check:
+	git apply --check docs/patches/pr20-evaluator.patch
 
 # All static analysis in one target: go vet, the custom invariant
 # analyzers (tools/analyzers, typed framework v2: nodial, obsguard,
@@ -106,8 +118,8 @@ crash:
 
 # Every fuzz target in the tree, FUZZTIME each (go test -fuzz takes one
 # target in one package per run, hence the loop): today the wire
-# protocol's FuzzReadEnvelope and the WAL's FuzzWALRecord. Continuous
-# deep fuzzing raises FUZZTIME.
+# protocol's FuzzReadEnvelope, the WAL's FuzzWALRecord and the classad
+# parser's FuzzParseUnparse. Continuous deep fuzzing raises FUZZTIME.
 fuzz:
 	@set -e; for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \

@@ -1,10 +1,10 @@
 // Benchmark harness: one benchmark (or benchmark family) per
 // experiment row in DESIGN.md §4 / EXPERIMENTS.md. The pool-scale
-// simulations behind E5/E7/E8 have full sweeps in cmd/csim; the
-// benchmarks here measure their per-operation costs and the language
-// micro-costs (E13), the negotiation cycle's scaling (E10), the
-// aggregation ablation (E11), fair-share accounting (E9), and
-// gangmatching (E14).
+// simulations behind E5/E7/E8 are reproduced by cmd/csim; the
+// benchmarks here measure the language micro-costs (E13), the
+// negotiation cycle's scaling (E10), the aggregation ablation (E11),
+// fair-share accounting (E9), gangmatching (E14), and the per-record
+// remote-syscall tax (E17).
 package matchmaking_test
 
 import (
@@ -13,7 +13,6 @@ import (
 
 	matchmaking "repro"
 	"repro/internal/agent"
-	"repro/internal/baseline"
 	"repro/internal/classad"
 	"repro/internal/matchmaker"
 	"repro/internal/obs"
@@ -414,43 +413,6 @@ func BenchmarkClaimRevalidation(b *testing.B) {
 	}
 }
 
-// ---- E7/E8: simulation step costs ----
-
-// BenchmarkSimulationDay runs a complete one-day simulation of a
-// 20-machine half-desktop pool per op, for both schedulers. The full
-// parameter sweeps are in cmd/csim.
-func BenchmarkSimulationDay(b *testing.B) {
-	mkCfg := func() sim.Config {
-		return sim.Config{
-			Pool: sim.PoolSpec{Machines: 20, DesktopFraction: 0.5,
-				MeanOwnerActive: 3600, MeanOwnerIdle: 7200, Classes: 1},
-			Workload: sim.JobSpec{Jobs: 100, MeanRuntime: 3600,
-				Users: []string{"u1", "u2"}},
-			Seed:     5,
-			Duration: 86400,
-		}
-	}
-	b.Run("matchmaker", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			m := sim.New(mkCfg()).Run()
-			if m.Completed == 0 {
-				b.Fatal("nothing completed")
-			}
-		}
-	})
-	b.Run("queues", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cfg := mkCfg()
-			s := sim.New(cfg)
-			cfg.Scheduler = baseline.New(s.Env())
-			m := sim.New(cfg).Run()
-			if m.Completed == 0 {
-				b.Fatal("nothing completed")
-			}
-		}
-	})
-}
-
 // BenchmarkPartialEval measures rewriting the Figure 2 constraint to
 // its residual form — the analyzer's per-clause cost.
 func BenchmarkPartialEval(b *testing.B) {
@@ -501,32 +463,6 @@ func BenchmarkRemoteSyscallStep(b *testing.B) {
 		}
 		copy(buf, data)
 		if err := c.WriteAt(out, off, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCheckpointRoundTrip measures saving and reloading a
-// checkpoint at the shadow.
-func BenchmarkCheckpointRoundTrip(b *testing.B) {
-	shadow := remote.NewShadow(remote.NewFileStore(), nil)
-	addr, err := shadow.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer shadow.Close()
-	c, err := remote.DialShadow(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	state := make([]byte, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.SaveCheckpoint("job", state); err != nil {
-			b.Fatal(err)
-		}
-		if _, ok, err := c.LoadCheckpoint("job"); err != nil || !ok {
 			b.Fatal(err)
 		}
 	}

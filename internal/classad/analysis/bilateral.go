@@ -247,24 +247,21 @@ func checkAgainst(self, peer *classad.Ad, env *classad.Env) []Diagnostic {
 	if _, ok := self.Lookup(classad.AttrConstraint); ok {
 		cattr = classad.AttrConstraint
 	}
-	if ce, ok := classad.ConstraintOf(self); ok {
-		for _, conj := range classad.SplitConjuncts(ce) {
-			residual := classad.PartialEval(conj, self, env)
-			if attr, litv, resTS, peerTS, clash := crossTypeClash(residual, self, peer, env); clash {
-				report(CodeCrossTypeClash, Error, cattr, conj,
-					"conjunct %q can never be true: it compares %s of %s (which is %s) with %s — the comparison can only yield %s, so the pair can never match",
-					conj.String(), attr, peerName, peerTS.describe(), litv.String(), resTS.describe())
-				continue
-			}
-			pc := &purityChecker{}
-			if !pc.pure(residual, self, peer) {
-				continue
-			}
-			if v := classad.EvalExprAgainst(residual, self, peer, env); neverTruthy(v) {
-				report(CodePairContradiction, Error, cattr, conj,
-					"conjunct %q evaluates to %s against %s, whatever the environment: the pair can never match",
-					conj.String(), describeValue(v), peerName)
-			}
+	for _, c := range classad.Conjuncts(self, env) {
+		if resTS, peerTS, clash := crossTypeClash(c.Bound, peer, env); clash {
+			report(CodeCrossTypeClash, Error, cattr, c.Expr,
+				"conjunct %q can never be true: it compares %s of %s (which is %s) with %s — the comparison can only yield %s, so the pair can never match",
+				c.Expr.String(), c.Bound.Name, peerName, peerTS.describe(), c.Bound.Lit.String(), resTS.describe())
+			continue
+		}
+		pc := &purityChecker{}
+		if !pc.pure(c.Residual, self, peer) {
+			continue
+		}
+		if v := classad.EvalExprAgainst(c.Residual, self, peer, env); neverTruthy(v) {
+			report(CodePairContradiction, Error, cattr, c.Expr,
+				"conjunct %q evaluates to %s against %s, whatever the environment: the pair can never match",
+				c.Expr.String(), describeValue(v), peerName)
 		}
 	}
 	if re, ok := self.Lookup(classad.AttrRank); ok {
@@ -280,61 +277,25 @@ func checkAgainst(self, peer *classad.Ad, env *classad.Env) []Diagnostic {
 	return diags
 }
 
-// crossTypeClash recognizes a residual conjunct of the form
-// `ref OP literal` (either operand order) where ref is an attribute of
-// the peer — explicitly other-scoped, or unqualified and not supplied
-// by self — and decides from the peer definition's inferred type set
-// whether the comparison can ever produce a boolean. This proof does
-// not need purity: type inference already accounts for impure builtins
-// by their result types.
-func crossTypeClash(residual classad.Expr, self, peer *classad.Ad, env *classad.Env) (attr string, lit classad.Value, res, peerTS typeSet, clash bool) {
-	info := classad.Inspect(residual)
-	if info.Kind != classad.KindBinary {
-		return "", classad.Undef(), 0, 0, false
+// crossTypeClash decides, for a conjunct's bound on a peer attribute,
+// from the peer definition's inferred type set whether the comparison
+// can ever produce a boolean. This proof does not need purity: type
+// inference already accounts for impure builtins by their result
+// types.
+func crossTypeClash(b *classad.Bound, peer *classad.Ad, env *classad.Env) (res, peerTS typeSet, clash bool) {
+	if b == nil {
+		return 0, 0, false
 	}
-	switch info.Op {
-	case classad.OpLt, classad.OpLe, classad.OpGt, classad.OpGe,
-		classad.OpEq, classad.OpNe:
-	default:
-		return "", classad.Undef(), 0, 0, false
-	}
-	l := classad.Inspect(info.Args[0])
-	r := classad.Inspect(info.Args[1])
-	ref, litInfo, refLeft := l, r, true
-	if l.Kind == classad.KindLiteral && r.Kind == classad.KindAttrRef {
-		ref, litInfo, refLeft = r, l, false
-	} else if !(l.Kind == classad.KindAttrRef && r.Kind == classad.KindLiteral) {
-		return "", classad.Undef(), 0, 0, false
-	}
-	switch ref.Scope {
-	case classad.ScopeOther:
-	case classad.ScopeNone:
-		// An unqualified name the request defines resolves in the
-		// request at match time; it says nothing about the peer.
-		if _, bound := self.Lookup(ref.Name); bound {
-			return "", classad.Undef(), 0, 0, false
-		}
-	default:
-		return "", classad.Undef(), 0, 0, false
-	}
-	def, ok := peer.Lookup(ref.Name)
+	def, ok := peer.LookupKey(b.Key)
 	if !ok {
 		// Missing peer attribute: a deterministic undefined. CAD301's
 		// pure-evaluation path reports it with a clearer message.
-		return "", classad.Undef(), 0, 0, false
+		return 0, 0, false
 	}
 	pa := &analyzer{ad: peer, env: env, vocab: buildVocab(nil)}
-	peerTS = pa.inferAttr(ref.Name, def, map[string]bool{})
-	litTS := bit(litInfo.Value.Type())
-	if refLeft {
-		res = compareResult(info.Op, peerTS, litTS)
-	} else {
-		res = compareResult(info.Op, litTS, peerTS)
-	}
-	if res&tBool != 0 {
-		return "", classad.Undef(), 0, 0, false
-	}
-	return ref.Name, litInfo.Value, res, peerTS, true
+	peerTS = pa.inferAttr(b.Name, def, map[string]bool{})
+	res = compareResult(b.Op, peerTS, bit(b.Lit.Type()))
+	return res, peerTS, res&tBool == 0
 }
 
 // describeValue renders a value for a diagnostic message: the bare

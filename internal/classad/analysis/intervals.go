@@ -48,9 +48,7 @@ func (iv *interval) empty() bool {
 
 // checkConstraint runs the satisfiability pass.
 func (a *analyzer) checkConstraint() {
-	if ce, ok := classad.ConstraintOf(a.ad); ok {
-		a.checkConjuncts(a.constraintAttr(), ce)
-	}
+	a.checkConjuncts(a.constraintAttr())
 	if re, ok := a.ad.Lookup(classad.AttrRank); ok {
 		res := classad.PartialEval(re, a.ad, a.env)
 		if info := classad.Inspect(res); info.Kind == classad.KindLiteral {
@@ -70,28 +68,28 @@ func (a *analyzer) constraintAttr() string {
 	return classad.AttrRequirements
 }
 
-func (a *analyzer) checkConjuncts(attr string, ce classad.Expr) {
+func (a *analyzer) checkConjuncts(attr string) {
 	intervals := map[string]*interval{}
-	for _, conj := range classad.SplitConjuncts(ce) {
-		res := classad.PartialEval(conj, a.ad, a.env)
-		info := classad.Inspect(res)
-		if info.Kind == classad.KindLiteral {
+	for _, c := range classad.Conjuncts(a.ad, a.env) {
+		conj := c.Expr
+		if info := classad.Inspect(c.Residual); info.Kind == classad.KindLiteral {
 			a.reportConstant(attr, conj, info.Value)
 			continue
 		}
-		key, disp, op, num, str, ok := boundShape(res, info)
+		b := c.Bound
+		num, str, ok := rangeBound(b)
 		if !ok {
 			continue
 		}
-		iv := intervals[key]
+		iv := intervals[b.Key]
 		if iv == nil {
 			iv = newInterval()
-			intervals[key] = iv
+			intervals[b.Key] = iv
 		}
 		if iv.reported {
 			continue
 		}
-		src := res.String()
+		src, disp, op := c.Residual.String(), b.Name, b.Op
 		if str != "" {
 			if iv.hasEqStr && !equalFoldStr(iv.eqStr, str) {
 				a.report(CodeUnsatisfiable, Error, attr, conj,
@@ -165,62 +163,21 @@ func truthiness(v classad.Value) (truth, coerces bool) {
 	}
 }
 
-// boundShape recognizes residual conjuncts of the form attr OP literal
-// (or literal OP attr), where attr refers to the matched ad — an
-// unqualified reference that did not bind locally, or an explicit
-// other.X. It returns the folded attribute name, the normalized
-// operator with the attribute on the left, and the numeric or string
-// bound.
-func boundShape(res classad.Expr, info classad.ExprInfo) (key, disp string, op classad.Op, num float64, str string, ok bool) {
-	if info.Kind != classad.KindBinary {
-		return "", "", 0, 0, "", false
+// rangeBound is the interval pass's policy over a conjunct's bound on
+// a peer attribute: an order or equality against a number, or an
+// equality with a string (str set). ok is false for anything else.
+func rangeBound(b *classad.Bound) (num float64, str string, ok bool) {
+	if b == nil || b.Op == classad.OpNe {
+		return 0, "", false
 	}
-	switch info.Op {
-	case classad.OpLt, classad.OpLe, classad.OpGt, classad.OpGe, classad.OpEq:
-	default:
-		return "", "", 0, 0, "", false
+	if s, isStr := b.Lit.StringVal(); isStr {
+		return 0, s, b.Op == classad.OpEq
 	}
-	l := classad.Inspect(info.Args[0])
-	r := classad.Inspect(info.Args[1])
-	op = info.Op
-	ref, lit := l, r
-	if l.Kind == classad.KindLiteral && r.Kind == classad.KindAttrRef {
-		ref, lit = r, l
-		op = flip(op)
-	} else if !(l.Kind == classad.KindAttrRef && r.Kind == classad.KindLiteral) {
-		return "", "", 0, 0, "", false
+	if t := b.Lit.Type(); t != classad.IntegerType && t != classad.RealType {
+		return 0, "", false
 	}
-	if ref.Scope == classad.ScopeSelf {
-		// A surviving self.X is an unbound local reference (always
-		// undefined); CAD101 covers it.
-		return "", "", 0, 0, "", false
-	}
-	if s, isStr := lit.Value.StringVal(); isStr {
-		if op != classad.OpEq {
-			return "", "", 0, 0, "", false
-		}
-		return classad.Fold(ref.Name), ref.Name, op, 0, s, true
-	}
-	if lit.Value.Type() != classad.IntegerType && lit.Value.Type() != classad.RealType {
-		return "", "", 0, 0, "", false
-	}
-	n, _ := lit.Value.NumberVal()
-	return classad.Fold(ref.Name), ref.Name, op, n, "", true
-}
-
-// flip mirrors a comparison for swapped operands: 3 < x  ≡  x > 3.
-func flip(op classad.Op) classad.Op {
-	switch op {
-	case classad.OpLt:
-		return classad.OpGt
-	case classad.OpLe:
-		return classad.OpGe
-	case classad.OpGt:
-		return classad.OpLt
-	case classad.OpGe:
-		return classad.OpLe
-	}
-	return op
+	n, _ := b.Lit.NumberVal()
+	return n, "", true
 }
 
 // applyBound tightens iv with "attr op num".

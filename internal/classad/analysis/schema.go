@@ -240,24 +240,20 @@ func conflicting(ts typeSet) bool {
 	return fams > 1
 }
 
-// boundHints explains a dead ad via the schema: for every bound-shaped
-// conjunct of the ad's constraint (other.Memory >= 512 after partial
-// evaluation), compare the bound against what the corpus advertises
-// for that attribute and describe the gap. Empty when no bound is
-// explained by the schema.
+// boundHints explains a dead ad via the schema: for every conjunct the
+// interval pass reads as a range bound (other.Memory >= 512 after
+// partial evaluation), compare the bound against what the corpus
+// advertises for that attribute and describe the gap. Empty when no
+// bound is explained by the schema.
 func (s *Schema) boundHints(ad *classad.Ad, env *classad.Env) string {
-	ce, ok := classad.ConstraintOf(ad)
-	if !ok {
-		return ""
-	}
 	var hints []string
-	for _, conj := range classad.SplitConjuncts(ce) {
-		res := classad.PartialEval(conj, ad, env)
-		key, disp, op, num, str, ok := boundShape(res, classad.Inspect(res))
+	for _, c := range classad.Conjuncts(ad, env) {
+		num, str, ok := rangeBound(c.Bound)
 		if !ok {
 			continue
 		}
-		info, known := s.attrs[key]
+		disp, op := c.Bound.Name, c.Bound.Op
+		info, known := s.attrs[c.Bound.Key]
 		if !known {
 			hints = append(hints, fmt.Sprintf("no ad in the corpus defines %s", disp))
 			continue

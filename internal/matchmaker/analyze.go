@@ -108,14 +108,11 @@ func Analyze(req *classad.Ad, offers []*classad.Ad, env *classad.Env) *Analysis 
 		a.Name = s
 	}
 
-	var conjuncts []classad.Expr
-	if ce, ok := classad.ConstraintOf(req); ok {
-		conjuncts = classad.SplitConjuncts(ce)
-	}
+	conjuncts := classad.Conjuncts(req, env)
 	a.Clauses = make([]ClauseReport, len(conjuncts))
 	for i, c := range conjuncts {
-		a.Clauses[i].Expr = c.String()
-		if res := classad.PartialEval(c, req, env).String(); res != a.Clauses[i].Expr {
+		a.Clauses[i].Expr = c.Expr.String()
+		if res := c.Residual.String(); res != a.Clauses[i].Expr {
 			a.Clauses[i].Residual = res
 		}
 	}
@@ -133,7 +130,7 @@ func Analyze(req *classad.Ad, offers []*classad.Ad, env *classad.Env) *Analysis 
 			a.Compatible++
 		}
 		for i, c := range conjuncts {
-			v := classad.EvalExprAgainst(c, req, off, env)
+			v := classad.EvalExprAgainst(c.Expr, req, off, env)
 			switch {
 			case v.IsTrue():
 				a.Clauses[i].Satisfied++
@@ -142,7 +139,7 @@ func Analyze(req *classad.Ad, offers []*classad.Ad, env *classad.Env) *Analysis 
 			case v.IsError():
 				a.Clauses[i].Errored++
 			}
-			if !v.IsTrue() && analysis.ProvablyNeverTrue(c, req, off, env) {
+			if !v.IsTrue() && analysis.ProvablyNeverTrue(c.Expr, req, off, env) {
 				a.Clauses[i].StaticNever++
 			}
 		}
@@ -150,7 +147,7 @@ func Analyze(req *classad.Ad, offers []*classad.Ad, env *classad.Env) *Analysis 
 	for i, c := range a.Clauses {
 		if c.Satisfied == 0 && a.TotalOffers > 0 {
 			a.Unsatisfiable = true
-			a.Clauses[i].Suggestion = suggestBound(conjuncts[i], req, offers, env)
+			a.Clauses[i].Suggestion = suggestBound(conjuncts[i].Bound, offers, env)
 		}
 	}
 
@@ -180,19 +177,15 @@ func Analyze(req *classad.Ad, offers []*classad.Ad, env *classad.Env) *Analysis 
 	return a
 }
 
-// suggestBound inspects an unsatisfied clause: if (after partial
-// evaluation against the request) it has the shape
-//
-//	other.X <cmp> <literal>      or      <literal> <cmp> other.X
-//
-// it reports the actual range of X across the pool, and the set of
+// suggestBound inspects an unsatisfied clause: if it compares an
+// attribute X of the offer with a literal (its classad.Bound), it
+// reports the actual range of X across the pool, and the set of
 // values when X is a string attribute with few distinct values.
-func suggestBound(clause classad.Expr, req *classad.Ad, offers []*classad.Ad, env *classad.Env) string {
-	residual := classad.PartialEval(clause, req, env)
-	attr, ok := comparedOtherAttr(residual)
-	if !ok {
+func suggestBound(b *classad.Bound, offers []*classad.Ad, env *classad.Env) string {
+	if b == nil {
 		return ""
 	}
+	attr := b.Name
 	var lo, hi float64
 	var haveNum bool
 	strValues := map[string]bool{}
@@ -228,33 +221,6 @@ func suggestBound(clause classad.Expr, req *classad.Ad, offers []*classad.Ad, en
 	default:
 		return ""
 	}
-}
-
-// comparedOtherAttr recognizes a comparison with an other-scoped
-// attribute reference on one side and a literal on the other, and
-// returns that attribute's name. It walks the parsed AST through the
-// classad.Inspect API (the former implementation re-parsed the
-// unparsed source text).
-func comparedOtherAttr(e classad.Expr) (string, bool) {
-	info := classad.Inspect(e)
-	if info.Kind != classad.KindBinary {
-		return "", false
-	}
-	switch info.Op {
-	case classad.OpLt, classad.OpLe, classad.OpGt, classad.OpGe,
-		classad.OpEq, classad.OpNe:
-	default:
-		return "", false
-	}
-	l := classad.Inspect(info.Args[0])
-	r := classad.Inspect(info.Args[1])
-	if l.Kind == classad.KindAttrRef && l.Scope == classad.ScopeOther && r.Kind == classad.KindLiteral {
-		return l.Name, true
-	}
-	if r.Kind == classad.KindAttrRef && r.Scope == classad.ScopeOther && l.Kind == classad.KindLiteral {
-		return r.Name, true
-	}
-	return "", false
 }
 
 // String renders the analysis in the style of a queue-analysis tool:

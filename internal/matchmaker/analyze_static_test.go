@@ -39,6 +39,25 @@ func TestAnalyzeStaticUnsatisfiable(t *testing.T) {
 	}
 }
 
+// TestAnalyzeSelfBoundNotUnsatisfiable: an unqualified name the
+// request defines — here by a non-ground expression — is the request's
+// attribute, not the offer's, so `Memory < 32` does not contradict
+// `other.Memory > 64`; the pair matches, and no analyzer may call the
+// request unsatisfiable.
+func TestAnalyzeSelfBoundNotUnsatisfiable(t *testing.T) {
+	req := classad.MustParse(`[ Name = "selfbound"; Type = "Job"; Memory = other.Disk;
+		Constraint = other.Type == "Machine" && other.Memory > 64 && Memory < 32 ]`)
+	offer := classad.MustParse(`[ Name = "m1"; Type = "Machine"; Memory = 128; Disk = 10;
+		Constraint = true ]`)
+	if !classad.Match(req, offer).Matched {
+		t.Fatal("the pair should match")
+	}
+	a := Analyze(req, []*classad.Ad{offer}, nil)
+	if a.Unsatisfiable || a.Compatible != 1 {
+		t.Fatalf("Unsatisfiable = %v, Compatible = %d, want false, 1\n%s", a.Unsatisfiable, a.Compatible, a)
+	}
+}
+
 // TestAnalyzeStaticExtras: findings not tied to a clause (here a
 // constant Rank) still surface in the report.
 func TestAnalyzeStaticExtras(t *testing.T) {

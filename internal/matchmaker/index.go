@@ -62,72 +62,37 @@ type reqTest struct {
 // against a literal undefined/error — comparisons are strict, so the
 // constraint can never be true and the request matches nothing.
 //
-// What is indexable (see DESIGN.md §10): a top-level conjunct whose
-// partial-evaluation residual has the shape `ref OP literal` (either
-// operand order) where OP is <, <=, >, >=, or ==, the literal is a
-// string (equality only), number, or boolean, and ref is an attribute
-// of the offer — either explicitly other-scoped, or unqualified and
-// not supplied by the request itself (an unqualified name resolves in
-// the request first, so one the request defines says nothing about
-// the offer).
+// What is indexable (see DESIGN.md §10): a conjunct with a
+// classad.Bound — a residual comparing an attribute of the offer with
+// a literal — whose operator is <, <=, >, >=, or ==, and whose literal
+// is a string (equality only), a number, or a boolean (equality only).
 func IndexableTests(req *classad.Ad, env *classad.Env) (tests []reqTest, unsat bool) {
-	ce, ok := classad.ConstraintOf(req)
-	if !ok {
-		return nil, false
-	}
-	for _, conj := range classad.SplitConjuncts(ce) {
-		res := classad.PartialEval(conj, req, env)
-		info := classad.Inspect(res)
-		if info.Kind != classad.KindBinary {
+	tests, bad := indexTests(classad.Conjuncts(req, env))
+	return tests, bad != nil
+}
+
+// indexTests is the index's policy over a constraint's conjuncts. bad
+// is the first conjunct that makes the constraint unsatisfiable (tests
+// is nil then), nil when none does.
+func indexTests(conjuncts []classad.Conjunct) (tests []reqTest, bad *classad.Conjunct) {
+	for i, c := range conjuncts {
+		b := c.Bound
+		if b == nil || b.Op == classad.OpNe {
 			continue
 		}
-		switch info.Op {
-		case classad.OpLt, classad.OpLe, classad.OpGt, classad.OpGe, classad.OpEq:
-		default:
-			continue
-		}
-		l := classad.Inspect(info.Args[0])
-		r := classad.Inspect(info.Args[1])
-		op := info.Op
-		ref, lit := l, r
-		if l.Kind == classad.KindLiteral && r.Kind == classad.KindAttrRef {
-			ref, lit = r, l
-			op = flipCmp(op)
-		} else if !(l.Kind == classad.KindAttrRef && r.Kind == classad.KindLiteral) {
-			continue
-		}
-		switch ref.Scope {
-		case classad.ScopeOther:
-			// Always the offer's attribute.
-		case classad.ScopeNone:
-			// Unqualified names resolve in the request first; only
-			// when the request cannot supply the name does the offer's
-			// attribute decide the test. (A request-defined name that
-			// survived partial evaluation is non-ground — it will
-			// resolve in the request at match time, not the offer.)
-			if _, bound := req.Lookup(ref.Name); bound {
-				continue
-			}
-		default:
-			// A surviving self.X is an unbound local reference; the
-			// static analyzer (CAD101) flags it, the index ignores it.
-			continue
-		}
-		v := lit.Value
-		if v.IsUndefined() || v.IsError() {
+		if b.Lit.IsUndefined() || b.Lit.IsError() {
 			// Strict comparison against undefined/error is never true,
 			// so the whole conjunction is unsatisfiable.
-			return nil, true
+			return nil, &conjuncts[i]
 		}
-		if s, isStr := v.StringVal(); isStr {
-			if op != classad.OpEq {
+		if s, isStr := b.Lit.StringVal(); isStr {
+			if b.Op != classad.OpEq {
 				continue // relational order on strings is rare; not indexed
 			}
-			tests = append(tests, reqTest{
-				attr: classad.Fold(ref.Name), kind: testStrEq, str: classad.Fold(s)})
+			tests = append(tests, reqTest{attr: b.Key, kind: testStrEq, str: classad.Fold(s)})
 			continue
 		}
-		n, isNum := numericBound(v)
+		n, isNum := numericBound(b.Lit)
 		if !isNum || math.IsNaN(n) {
 			// Lists, ads: comparing them is an error — never true —
 			// but leave the conjunct to the full evaluation rather
@@ -136,12 +101,12 @@ func IndexableTests(req *classad.Ad, env *classad.Env) (tests []reqTest, unsat b
 			// not worth reproducing in posting lists.
 			continue
 		}
-		if v.Type() == classad.BooleanType && op != classad.OpEq {
+		if b.Lit.Type() == classad.BooleanType && b.Op != classad.OpEq {
 			continue // relational order on booleans is an error
 		}
-		tests = append(tests, reqTest{attr: classad.Fold(ref.Name), kind: testNum, op: op, num: n})
+		tests = append(tests, reqTest{attr: b.Key, kind: testNum, op: b.Op, num: n})
 	}
-	return tests, false
+	return tests, nil
 }
 
 // numericBound extracts the numeric axis value of a literal: numbers
@@ -159,21 +124,6 @@ func numericBound(v classad.Value) (float64, bool) {
 	default:
 		return 0, false
 	}
-}
-
-// flipCmp mirrors a comparison for swapped operands: 3 < x ≡ x > 3.
-func flipCmp(op classad.Op) classad.Op {
-	switch op {
-	case classad.OpLt:
-		return classad.OpGt
-	case classad.OpLe:
-		return classad.OpGe
-	case classad.OpGt:
-		return classad.OpLt
-	case classad.OpGe:
-		return classad.OpLe
-	}
-	return op
 }
 
 // numEntry is one (value, offer) pair on an attribute's numeric axis.

@@ -21,11 +21,11 @@ func mustAd(t testing.TB, src string) *classad.Ad {
 func TestIndexableTestsExtraction(t *testing.T) {
 	env := classad.FixedEnv(0, 1)
 	cases := []struct {
-		name       string
-		req        string
-		wantCount  int
-		wantUnsat  bool
-		wantAttrs  []string
+		name      string
+		req       string
+		wantCount int
+		wantUnsat bool
+		wantAttrs []string
 	}{
 		{"equality and bound", `[ Constraint = other.Arch == "INTEL" && other.Memory >= 32 ]`,
 			2, false, []string{"arch", "memory"}},
@@ -35,6 +35,8 @@ func TestIndexableTestsExtraction(t *testing.T) {
 			1, false, []string{"arch"}},
 		{"unqualified bound to the request is not", `[ Arch = "SPARC"; Kflops = 10; Constraint = Arch == "SPARC" && other.Mips >= Kflops ]`,
 			1, false, []string{"mips"}},
+		{"bound to self, non-ground", `[ Memory = other.Disk; Constraint = other.Memory > 64 && Memory < 32 ]`,
+			1, false, []string{"memory"}},
 		{"literal on the left flips", `[ Constraint = 64 <= other.Memory ]`,
 			1, false, []string{"memory"}},
 		{"disjunction is not indexable", `[ Constraint = other.Memory >= 64 || other.Mips >= 10 ]`,
@@ -73,7 +75,7 @@ func TestIndexCandidatesSoundAndExact(t *testing.T) {
 	env := classad.FixedEnv(0, 1)
 	offers := []*classad.Ad{
 		mustAd(t, `[ Name = "m0"; Arch = "INTEL"; Memory = 64 ]`),
-		mustAd(t, `[ Name = "m1"; Arch = "intel"; Memory = 16 ]`),   // case-folded equality
+		mustAd(t, `[ Name = "m1"; Arch = "intel"; Memory = 16 ]`), // case-folded equality
 		mustAd(t, `[ Name = "m2"; Arch = "SPARC"; Memory = 128 ]`),
 		mustAd(t, `[ Name = "m3"; Memory = 64 ]`),                   // missing Arch
 		mustAd(t, `[ Name = "m4"; Arch = "INTEL" ]`),                // missing Memory

@@ -8,8 +8,8 @@ package matchmaker
 // forces stage two to scan the entire offer set every cycle — correct,
 // but the exact quadratic cost the index exists to avoid. The pass
 // lives here rather than in classad/analysis because it is defined by
-// this package's IndexableTests extraction: the lint warns about
-// whatever the index actually fails to use, not an approximation.
+// this package's index policy over classad.Conjuncts: the lint warns
+// about whatever the index actually fails to use, not an approximation.
 
 import (
 	"fmt"
@@ -52,51 +52,15 @@ func LintIndex(req *classad.Ad, env *classad.Env) []analysis.Diagnostic {
 		return d
 	}
 
-	tests, unsat := IndexableTests(req, env)
-	if unsat {
-		culprit := ""
-		for _, conj := range classad.SplitConjuncts(ce) {
-			if comparesBadLiteral(classad.PartialEval(conj, req, env)) {
-				culprit = conj.String()
-				break
-			}
-		}
-		msg := "constraint compares against a literal undefined/error value; strict comparison is never true, so the constraint can never be satisfied"
-		if culprit != "" {
-			msg = fmt.Sprintf("conjunct %q compares against a literal undefined/error value; strict comparison is never true, so the constraint can never be satisfied", culprit)
-		}
-		return []analysis.Diagnostic{mkDiag(analysis.CodeIndexUnsat, analysis.Error, msg)}
+	tests, bad := indexTests(classad.Conjuncts(req, env))
+	if bad != nil {
+		return []analysis.Diagnostic{mkDiag(analysis.CodeIndexUnsat, analysis.Error, fmt.Sprintf(
+			"conjunct %q compares against a literal undefined/error value; strict comparison is never true, so the constraint can never be satisfied",
+			bad.Expr.String()))}
 	}
 	if len(tests) == 0 {
 		return []analysis.Diagnostic{mkDiag(analysis.CodeUnindexable, analysis.Warning,
 			"no conjunct of the constraint is indexable (shape `other.Attr OP literal` after partial evaluation): every negotiation cycle will scan the full offer set for this ad")}
 	}
 	return nil
-}
-
-// comparesBadLiteral reports whether a residual conjunct is a
-// comparison with a literal undefined/error operand — the shape that
-// makes IndexableTests return unsat.
-func comparesBadLiteral(res classad.Expr) bool {
-	info := classad.Inspect(res)
-	if info.Kind != classad.KindBinary {
-		return false
-	}
-	switch info.Op {
-	case classad.OpLt, classad.OpLe, classad.OpGt, classad.OpGe, classad.OpEq:
-	default:
-		return false
-	}
-	l := classad.Inspect(info.Args[0])
-	r := classad.Inspect(info.Args[1])
-	ref, lit := l, r
-	if l.Kind == classad.KindLiteral && r.Kind == classad.KindAttrRef {
-		ref, lit = r, l
-	} else if !(l.Kind == classad.KindAttrRef && r.Kind == classad.KindLiteral) {
-		return false
-	}
-	if ref.Scope == classad.ScopeSelf {
-		return false
-	}
-	return lit.Value.IsUndefined() || lit.Value.IsError()
 }

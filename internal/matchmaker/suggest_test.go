@@ -75,6 +75,21 @@ func TestSuggestReversedOperands(t *testing.T) {
 	}
 }
 
+func TestSuggestUnqualifiedName(t *testing.T) {
+	// A name the request does not define is the offer's, exactly as
+	// the index reads it: the unqualified spelling earns the same hint
+	// as other.Memory >= 64.
+	req := classad.MustParse(`[
+		Owner = "u";
+		Constraint = Memory >= 64;
+	]`)
+	pool := []*classad.Ad{machine("a", "INTEL", 32), machine("b", "SPARC", 32)}
+	a := Analyze(req, pool, nil)
+	if a.Clauses[0].Suggestion != "pool's Memory ranges 32..32" {
+		t.Errorf("suggestion = %q", a.Clauses[0].Suggestion)
+	}
+}
+
 func TestNoSuggestionForComplexClauses(t *testing.T) {
 	// A clause that is not a simple bound gets no hint (and no
 	// crash).
