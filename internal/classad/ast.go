@@ -12,7 +12,7 @@ type Expr interface {
 	// that parsing the result yields an equivalent expression.
 	String() string
 	// eval computes the expression's value in ctx.
-	eval(ctx *evalCtx) Value
+	eval(ctx evalCtx) Value
 }
 
 // Op identifies an operator in the expression grammar.
@@ -72,20 +72,27 @@ const (
 	ScopeOther              // other.name (Condor spells it target.)
 )
 
-// attrRef is an attribute reference, possibly scope-qualified.
+// attrRef is an attribute reference, possibly scope-qualified. key is
+// the folded name, computed once at construction: evaluation looks
+// attributes up by it and never folds.
 type attrRef struct {
 	scope Scope
 	name  string
+	key   string
+}
+
+func newAttrRef(scope Scope, name string) attrRef {
+	return attrRef{scope, name, foldKey(name)}
 }
 
 // Attr returns an unqualified attribute reference expression.
-func Attr(name string) Expr { return attrRef{ScopeNone, name} }
+func Attr(name string) Expr { return newAttrRef(ScopeNone, name) }
 
 // SelfAttr returns a self-scoped attribute reference expression.
-func SelfAttr(name string) Expr { return attrRef{ScopeSelf, name} }
+func SelfAttr(name string) Expr { return newAttrRef(ScopeSelf, name) }
 
 // OtherAttr returns an other-scoped attribute reference expression.
-func OtherAttr(name string) Expr { return attrRef{ScopeOther, name} }
+func OtherAttr(name string) Expr { return newAttrRef(ScopeOther, name) }
 
 func (e attrRef) String() string {
 	switch e.scope {
@@ -98,13 +105,26 @@ func (e attrRef) String() string {
 	}
 }
 
-// selectExpr is record attribute selection: base.name.
+// selectExpr is record attribute selection: base.name, with the
+// folded name in key.
 type selectExpr struct {
 	base Expr
 	name string
+	key  string
 }
 
+func newSelect(base Expr, name string) selectExpr {
+	return selectExpr{base, name, foldKey(name)}
+}
+
+// String parenthesises a numeric-literal base: `0.A` would lex as the
+// real `0.` and a stray A, and `-1.A` as a negation of the selection.
 func (e selectExpr) String() string {
+	if lit, ok := e.base.(litExpr); ok {
+		if _, ok := lit.v.NumberVal(); ok {
+			return fmt.Sprintf("(%s).%s", lit, e.name)
+		}
+	}
 	return fmt.Sprintf("%s.%s", parenthesize(e.base), e.name)
 }
 
@@ -151,7 +171,12 @@ func (e condExpr) String() string {
 // callExpr is a builtin function call.
 type callExpr struct {
 	name string // defining case, for printing
+	key  string // folded, for the builtins table
 	args []Expr
+}
+
+func newCall(name string, args []Expr) callExpr {
+	return callExpr{name, foldKey(name), args}
 }
 
 func (e callExpr) String() string {
@@ -168,8 +193,27 @@ func (e callExpr) String() string {
 	return b.String()
 }
 
-// listExpr is a list constructor { e1, e2, ... }.
-type listExpr struct{ elems []Expr }
+// listExpr is a list constructor { e1, e2, ... }. When every element
+// is a literal the list is a constant, and lit holds it from
+// construction (nil otherwise): evaluating { "raman", "miron" } for
+// each member() test then builds nothing. The value is shared, which
+// ListVal's contract (do not modify) already allows.
+type listExpr struct {
+	elems []Expr
+	lit   []Value
+}
+
+func newList(elems []Expr) listExpr {
+	lit := make([]Value, len(elems))
+	for i, el := range elems {
+		l, ok := el.(litExpr)
+		if !ok {
+			return listExpr{elems: elems}
+		}
+		lit[i] = l.v
+	}
+	return listExpr{elems, lit}
+}
 
 func (e listExpr) String() string {
 	var b strings.Builder
@@ -202,7 +246,7 @@ func parenthesize(e Expr) string {
 }
 
 // NewList constructs a list expression from element expressions.
-func NewList(elems ...Expr) Expr { return listExpr{elems} }
+func NewList(elems ...Expr) Expr { return newList(elems) }
 
 // NewAdExpr wraps an ad as a nested-classad expression.
 func NewAdExpr(ad *Ad) Expr { return adExpr{ad} }
@@ -210,7 +254,7 @@ func NewAdExpr(ad *Ad) Expr { return adExpr{ad} }
 // NewCall constructs a call to a builtin function. The name is
 // resolved case-insensitively at evaluation time; an unknown function
 // evaluates to error.
-func NewCall(name string, args ...Expr) Expr { return callExpr{name, args} }
+func NewCall(name string, args ...Expr) Expr { return newCall(name, args) }
 
 // NewBinary constructs a binary operator application.
 func NewBinary(op Op, l, r Expr) Expr { return binaryExpr{op, l, r} }
@@ -237,7 +281,7 @@ func NewUnary(op Op, arg Expr) Expr {
 func NewCond(cond, then, els Expr) Expr { return condExpr{cond, then, els} }
 
 // NewSelect constructs an attribute selection base.name.
-func NewSelect(base Expr, name string) Expr { return selectExpr{base, name} }
+func NewSelect(base Expr, name string) Expr { return newSelect(base, name) }
 
 // NewIndex constructs a subscript expression base[index].
 func NewIndex(base, index Expr) Expr { return indexExpr{base, index} }

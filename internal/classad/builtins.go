@@ -11,7 +11,7 @@ import (
 // unevaluated so that functions such as ifThenElse and isUndefined can
 // control evaluation themselves; most builtins evaluate eagerly via
 // evalArgs.
-type builtinFn func(ctx *evalCtx, args []Expr) Value
+type builtinFn func(ctx evalCtx, args []Expr) Value
 
 // builtins maps folded function names to implementations. The set
 // covers the functions used by deployed Condor policy expressions of
@@ -90,7 +90,7 @@ func sortStrings(s []string) {
 	}
 }
 
-func evalArgs(ctx *evalCtx, args []Expr) []Value {
+func evalArgs(ctx evalCtx, args []Expr) []Value {
 	out := make([]Value, len(args))
 	for i, a := range args {
 		out[i] = a.eval(ctx)
@@ -125,23 +125,22 @@ func propagate(vs ...Value) (Value, bool) {
 // the == operator's case-insensitive string semantics) some element of
 // list. Figure 1 of the paper uses it to test research-group and
 // friend membership. Undefined items or lists propagate undefined.
-func fnMember(ctx *evalCtx, args []Expr) Value {
+func fnMember(ctx evalCtx, args []Expr) Value {
 	if len(args) != 2 {
 		return argErr("member", "2", len(args))
 	}
-	vs := evalArgs(ctx, args)
-	if bad, ok := propagate(vs...); !ok {
+	item, second := args[0].eval(ctx), args[1].eval(ctx)
+	if bad, ok := propagate(item, second); !ok {
 		return bad
 	}
-	item := vs[0]
-	list, ok := vs[1].ListVal()
+	list, ok := second.ListVal()
 	if !ok {
 		// Tolerate reversed argument order, seen in old policy
 		// files: member(list, item).
 		if l2, ok2 := item.ListVal(); ok2 {
-			list, item = l2, vs[1]
+			list, item = l2, second
 		} else {
-			return Erroneous("member() second argument must be a list, got %s", vs[1].Type())
+			return Erroneous("member() second argument must be a list, got %s", second.Type())
 		}
 	}
 	sawUndef := false
@@ -162,7 +161,7 @@ func fnMember(ctx *evalCtx, args []Expr) Value {
 
 // fnIdenticalMember is member() under the case-sensitive `is`
 // identity instead of ==.
-func fnIdenticalMember(ctx *evalCtx, args []Expr) Value {
+func fnIdenticalMember(ctx evalCtx, args []Expr) Value {
 	if len(args) != 2 {
 		return argErr("identicalMember", "2", len(args))
 	}
@@ -188,7 +187,7 @@ func fnIdenticalMember(ctx *evalCtx, args []Expr) Value {
 	return Bool(false)
 }
 
-func twoStrings(name string, ctx *evalCtx, args []Expr) (a, b string, bad Value, ok bool) {
+func twoStrings(name string, ctx evalCtx, args []Expr) (a, b string, bad Value, ok bool) {
 	if len(args) != 2 {
 		return "", "", argErr(name, "2", len(args)), false
 	}
@@ -206,7 +205,7 @@ func twoStrings(name string, ctx *evalCtx, args []Expr) (a, b string, bad Value,
 
 // fnStrcmp implements strcmp(a, b): the C convention, negative / zero
 // / positive, case-sensitive.
-func fnStrcmp(ctx *evalCtx, args []Expr) Value {
+func fnStrcmp(ctx evalCtx, args []Expr) Value {
 	a, b, bad, ok := twoStrings("strcmp", ctx, args)
 	if !ok {
 		return bad
@@ -215,15 +214,15 @@ func fnStrcmp(ctx *evalCtx, args []Expr) Value {
 }
 
 // fnStricmp is strcmp folded to lower case.
-func fnStricmp(ctx *evalCtx, args []Expr) Value {
+func fnStricmp(ctx evalCtx, args []Expr) Value {
 	a, b, bad, ok := twoStrings("stricmp", ctx, args)
 	if !ok {
 		return bad
 	}
-	return Int(int64(strings.Compare(strings.ToLower(a), strings.ToLower(b))))
+	return Int(int64(foldCompare(a, b)))
 }
 
-func oneString(name string, ctx *evalCtx, args []Expr) (string, Value, bool) {
+func oneString(name string, ctx evalCtx, args []Expr) (string, Value, bool) {
 	if len(args) != 1 {
 		return "", argErr(name, "1", len(args)), false
 	}
@@ -238,7 +237,7 @@ func oneString(name string, ctx *evalCtx, args []Expr) (string, Value, bool) {
 	return s, Value{}, true
 }
 
-func fnToUpper(ctx *evalCtx, args []Expr) Value {
+func fnToUpper(ctx evalCtx, args []Expr) Value {
 	s, bad, ok := oneString("toUpper", ctx, args)
 	if !ok {
 		return bad
@@ -246,7 +245,7 @@ func fnToUpper(ctx *evalCtx, args []Expr) Value {
 	return Str(strings.ToUpper(s))
 }
 
-func fnToLower(ctx *evalCtx, args []Expr) Value {
+func fnToLower(ctx evalCtx, args []Expr) Value {
 	s, bad, ok := oneString("toLower", ctx, args)
 	if !ok {
 		return bad
@@ -257,7 +256,7 @@ func fnToLower(ctx *evalCtx, args []Expr) Value {
 // fnSubstr implements substr(s, offset [, length]). Negative offsets
 // count from the end; results are clamped to the string, matching the
 // tolerant semantics of the deployed implementation.
-func fnSubstr(ctx *evalCtx, args []Expr) Value {
+func fnSubstr(ctx evalCtx, args []Expr) Value {
 	if len(args) != 2 && len(args) != 3 {
 		return argErr("substr", "2 or 3", len(args))
 	}
@@ -304,7 +303,7 @@ func fnSubstr(ctx *evalCtx, args []Expr) Value {
 }
 
 // fnStrcat concatenates the string form of all its arguments.
-func fnStrcat(ctx *evalCtx, args []Expr) Value {
+func fnStrcat(ctx evalCtx, args []Expr) Value {
 	vs := evalArgs(ctx, args)
 	if bad, ok := propagate(vs...); !ok {
 		return bad
@@ -322,7 +321,7 @@ func fnStrcat(ctx *evalCtx, args []Expr) Value {
 
 // fnSize returns the length of a string or list, or the number of
 // attributes of a classad.
-func fnSize(ctx *evalCtx, args []Expr) Value {
+func fnSize(ctx evalCtx, args []Expr) Value {
 	if len(args) != 1 {
 		return argErr("size", "1", len(args))
 	}
@@ -346,7 +345,7 @@ func fnSize(ctx *evalCtx, args []Expr) Value {
 
 // fnInt converts to integer: reals truncate, booleans map to 0/1,
 // numeric strings parse; anything else is an error.
-func fnInt(ctx *evalCtx, args []Expr) Value {
+func fnInt(ctx evalCtx, args []Expr) Value {
 	if len(args) != 1 {
 		return argErr("int", "1", len(args))
 	}
@@ -384,7 +383,7 @@ func fnInt(ctx *evalCtx, args []Expr) Value {
 // fnReal converts to real; the string forms "INF", "-INF" and "NaN"
 // are accepted (they are also how the unparser prints non-finite
 // reals).
-func fnReal(ctx *evalCtx, args []Expr) Value {
+func fnReal(ctx evalCtx, args []Expr) Value {
 	if len(args) != 1 {
 		return argErr("real", "1", len(args))
 	}
@@ -426,7 +425,7 @@ func mustString(v Value) string {
 
 // fnString renders any value as its string form; strings pass through
 // unquoted.
-func fnString(ctx *evalCtx, args []Expr) Value {
+func fnString(ctx evalCtx, args []Expr) Value {
 	if len(args) != 1 {
 		return argErr("string", "1", len(args))
 	}
@@ -443,7 +442,7 @@ func fnString(ctx *evalCtx, args []Expr) Value {
 
 // fnBool coerces to boolean with the same rules as the Boolean
 // operators, plus "true"/"false" strings.
-func fnBool(ctx *evalCtx, args []Expr) Value {
+func fnBool(ctx evalCtx, args []Expr) Value {
 	if len(args) != 1 {
 		return argErr("bool", "1", len(args))
 	}
@@ -462,7 +461,7 @@ func fnBool(ctx *evalCtx, args []Expr) Value {
 }
 
 func realFn(name string, f func(float64) float64) builtinFn {
-	return func(ctx *evalCtx, args []Expr) Value {
+	return func(ctx evalCtx, args []Expr) Value {
 		if len(args) != 1 {
 			return argErr(name, "1", len(args))
 		}
@@ -490,7 +489,7 @@ var (
 )
 
 // fnAbs preserves the operand's numeric type.
-func fnAbs(ctx *evalCtx, args []Expr) Value {
+func fnAbs(ctx evalCtx, args []Expr) Value {
 	if len(args) != 1 {
 		return argErr("abs", "1", len(args))
 	}
@@ -514,7 +513,7 @@ func fnAbs(ctx *evalCtx, args []Expr) Value {
 
 // fnPow raises base to exp. Integer base and non-negative integer
 // exponent yield an integer when the result fits.
-func fnPow(ctx *evalCtx, args []Expr) Value {
+func fnPow(ctx evalCtx, args []Expr) Value {
 	if len(args) != 2 {
 		return argErr("pow", "2", len(args))
 	}
@@ -535,7 +534,7 @@ func fnPow(ctx *evalCtx, args []Expr) Value {
 	return Real(r)
 }
 
-func fnSqrt(ctx *evalCtx, args []Expr) Value {
+func fnSqrt(ctx evalCtx, args []Expr) Value {
 	if len(args) != 1 {
 		return argErr("sqrt", "1", len(args))
 	}
@@ -556,7 +555,7 @@ func fnSqrt(ctx *evalCtx, args []Expr) Value {
 
 // fnQuantize rounds value up to the next multiple of quantum, the
 // convention used for memory and disk requests.
-func fnQuantize(ctx *evalCtx, args []Expr) Value {
+func fnQuantize(ctx evalCtx, args []Expr) Value {
 	if len(args) != 2 {
 		return argErr("quantize", "2", len(args))
 	}
@@ -581,7 +580,7 @@ func fnQuantize(ctx *evalCtx, args []Expr) Value {
 
 // foldNumeric implements min/max/sum/avg over either a single list
 // argument or multiple scalar arguments.
-func foldNumeric(name string, ctx *evalCtx, args []Expr, combine func(acc, x float64) float64, finish func(acc float64, n int) Value) Value {
+func foldNumeric(name string, ctx evalCtx, args []Expr, combine func(acc, x float64) float64, finish func(acc float64, n int) Value) Value {
 	vs := evalArgs(ctx, args)
 	if len(vs) == 1 {
 		if l, ok := vs[0].ListVal(); ok {
@@ -622,20 +621,20 @@ func foldNumeric(name string, ctx *evalCtx, args []Expr, combine func(acc, x flo
 	return out
 }
 
-func fnMin(ctx *evalCtx, args []Expr) Value {
+func fnMin(ctx evalCtx, args []Expr) Value {
 	return foldNumeric("min", ctx, args, math.Min, func(a float64, _ int) Value { return Real(a) })
 }
 
-func fnMax(ctx *evalCtx, args []Expr) Value {
+func fnMax(ctx evalCtx, args []Expr) Value {
 	return foldNumeric("max", ctx, args, math.Max, func(a float64, _ int) Value { return Real(a) })
 }
 
-func fnSum(ctx *evalCtx, args []Expr) Value {
+func fnSum(ctx evalCtx, args []Expr) Value {
 	return foldNumeric("sum", ctx, args, func(a, x float64) float64 { return a + x },
 		func(a float64, _ int) Value { return Real(a) })
 }
 
-func fnAvg(ctx *evalCtx, args []Expr) Value {
+func fnAvg(ctx evalCtx, args []Expr) Value {
 	return foldNumeric("avg", ctx, args, func(a, x float64) float64 { return a + x },
 		func(a float64, n int) Value { return Real(a / float64(n)) })
 }
@@ -643,7 +642,7 @@ func fnAvg(ctx *evalCtx, args []Expr) Value {
 // typeTest builds the isX() predicates. They are non-strict: that is
 // their whole point.
 func typeTest(t ValueType) builtinFn {
-	return func(ctx *evalCtx, args []Expr) Value {
+	return func(ctx evalCtx, args []Expr) Value {
 		if len(args) != 1 {
 			return argErr("is"+t.String(), "1", len(args))
 		}
@@ -653,7 +652,7 @@ func typeTest(t ValueType) builtinFn {
 
 // fnIfThenElse is the functional form of ?:, evaluating only the
 // selected branch.
-func fnIfThenElse(ctx *evalCtx, args []Expr) Value {
+func fnIfThenElse(ctx evalCtx, args []Expr) Value {
 	if len(args) != 3 {
 		return argErr("ifThenElse", "3", len(args))
 	}
@@ -676,16 +675,16 @@ var compareOps = map[string]Op{
 
 // fnAnyCompare implements anyCompare(op, list, value): true if the
 // comparison holds between any list element and value.
-func fnAnyCompare(ctx *evalCtx, args []Expr) Value {
+func fnAnyCompare(ctx evalCtx, args []Expr) Value {
 	return compareFold("anyCompare", ctx, args, false)
 }
 
 // fnAllCompare is the universal counterpart of anyCompare.
-func fnAllCompare(ctx *evalCtx, args []Expr) Value {
+func fnAllCompare(ctx evalCtx, args []Expr) Value {
 	return compareFold("allCompare", ctx, args, true)
 }
 
-func compareFold(name string, ctx *evalCtx, args []Expr, all bool) Value {
+func compareFold(name string, ctx evalCtx, args []Expr, all bool) Value {
 	if len(args) != 3 {
 		return argErr(name, "3", len(args))
 	}
@@ -728,7 +727,7 @@ func compareFold(name string, ctx *evalCtx, args []Expr, all bool) Value {
 
 // fnRegexp implements regexp(pattern, target [, options]): a match
 // test using Go's RE2 syntax; option "i" folds case.
-func fnRegexp(ctx *evalCtx, args []Expr) Value {
+func fnRegexp(ctx evalCtx, args []Expr) Value {
 	if len(args) != 2 && len(args) != 3 {
 		return argErr("regexp", "2 or 3", len(args))
 	}
@@ -759,7 +758,7 @@ func fnRegexp(ctx *evalCtx, args []Expr) Value {
 
 // fnRegexps implements regexps(pattern, target, substitute): regexp
 // replacement with $1-style group references.
-func fnRegexps(ctx *evalCtx, args []Expr) Value {
+func fnRegexps(ctx evalCtx, args []Expr) Value {
 	if len(args) != 3 {
 		return argErr("regexps", "3", len(args))
 	}
@@ -782,7 +781,7 @@ func fnRegexps(ctx *evalCtx, args []Expr) Value {
 
 // fnSplitList splits a comma- or space-separated string into a list
 // of trimmed strings.
-func fnSplitList(ctx *evalCtx, args []Expr) Value {
+func fnSplitList(ctx evalCtx, args []Expr) Value {
 	if len(args) != 1 && len(args) != 2 {
 		return argErr("splitList", "1 or 2", len(args))
 	}
@@ -816,7 +815,7 @@ func fnSplitList(ctx *evalCtx, args []Expr) Value {
 
 // fnJoin concatenates a list of values with a separator:
 // join(sep, list).
-func fnJoin(ctx *evalCtx, args []Expr) Value {
+func fnJoin(ctx evalCtx, args []Expr) Value {
 	if len(args) != 2 {
 		return argErr("join", "2", len(args))
 	}
@@ -842,11 +841,11 @@ func fnJoin(ctx *evalCtx, args []Expr) Value {
 
 // fnRandom returns a uniform real in [0, x) — x defaults to 1.0; an
 // integer argument yields an integer result in [0, x).
-func fnRandom(ctx *evalCtx, args []Expr) Value {
+func fnRandom(ctx evalCtx, args []Expr) Value {
 	if len(args) > 1 {
 		return argErr("random", "0 or 1", len(args))
 	}
-	u := ctx.env.Rand()
+	u := ctx.st.env.Rand()
 	if len(args) == 0 {
 		return Real(u)
 	}
@@ -873,11 +872,11 @@ func fnRandom(ctx *evalCtx, args []Expr) Value {
 
 // fnTime returns the environment's current time in seconds since the
 // Unix epoch; the simulator injects virtual time here.
-func fnTime(ctx *evalCtx, args []Expr) Value {
+func fnTime(ctx evalCtx, args []Expr) Value {
 	if len(args) != 0 {
 		return argErr("time", "0", len(args))
 	}
-	return Int(ctx.env.Now())
+	return Int(ctx.st.env.Now())
 }
 
 // fnDayTime returns the number of seconds since local midnight of the
@@ -885,11 +884,11 @@ func fnTime(ctx *evalCtx, args []Expr) Value {
 // ("current time in seconds since midnight", Figure 1), so an RA can
 // publish DayTime = dayTime() and have night-only policies evaluate
 // correctly at claim time.
-func fnDayTime(ctx *evalCtx, args []Expr) Value {
+func fnDayTime(ctx evalCtx, args []Expr) Value {
 	if len(args) != 0 {
 		return argErr("dayTime", "0", len(args))
 	}
-	now := ctx.env.Now()
+	now := ctx.st.env.Now()
 	secs := now % 86400
 	if secs < 0 {
 		secs += 86400
@@ -899,7 +898,7 @@ func fnDayTime(ctx *evalCtx, args []Expr) Value {
 
 // fnInterval renders a duration in seconds as the conventional
 // "days+hh:mm:ss" display form used by queue tools.
-func fnInterval(ctx *evalCtx, args []Expr) Value {
+func fnInterval(ctx evalCtx, args []Expr) Value {
 	if len(args) != 1 {
 		return argErr("interval", "1", len(args))
 	}
@@ -946,7 +945,7 @@ func strconvI(x int64) string { return strconv.FormatInt(x, 10) }
 // value) in canonical source form — the introspection helper status
 // tools use to display policies. The argument is intentionally not
 // evaluated.
-func fnUnparse(ctx *evalCtx, args []Expr) Value {
+func fnUnparse(ctx evalCtx, args []Expr) Value {
 	if len(args) != 1 {
 		return argErr("unparse", "1", len(args))
 	}
@@ -954,10 +953,8 @@ func fnUnparse(ctx *evalCtx, args []Expr) Value {
 	// definition if it exists in scope; otherwise unparse the
 	// argument expression itself.
 	if ref, ok := args[0].(attrRef); ok && ref.scope != ScopeOther {
-		for _, ad := range ctx.chain {
-			if e, found := ad.Lookup(ref.name); found {
-				return Str(e.String())
-			}
+		if e, found := ctx.self.LookupKey(ref.key); found {
+			return Str(e.String())
 		}
 		return Undef()
 	}

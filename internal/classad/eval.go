@@ -60,92 +60,82 @@ func FixedEnv(now int64, seed int64) *Env {
 }
 
 // progKey identifies an (ad, attribute) pair under evaluation, for
-// circular-reference detection.
+// circular-reference detection. name is the folded attribute name.
 type progKey struct {
 	ad   *Ad
 	name string
 }
 
-// evalCtx carries evaluation state: the lexical scope chain
-// (innermost ad first), the candidate ad of a two-way match, the
-// circularity ledger, and the environment.
-type evalCtx struct {
-	chain  []*Ad
-	other  *Ad
-	inprog map[progKey]bool
+// evalState is what every context of one evaluation shares: the
+// environment, how many attribute references deep the evaluation is,
+// and the circularity ledger — a stack of the (ad, attribute) pairs
+// whose definitions are being evaluated right now. References nest a
+// handful deep, so a linear search of the stack beats a map, and a
+// state is recycled through statePool: an evaluation allocates neither.
+type evalState struct {
 	env    *Env
 	depth  int
+	inprog []progKey
 }
 
-func newCtx(self *Ad, other *Ad, env *Env) *evalCtx {
+var statePool = sync.Pool{New: func() any { return new(evalState) }}
+
+// evalCtx is the scope an expression is evaluated in: the ad whose
+// attributes unqualified and self. references resolve in, the
+// candidate ad of a two-way match (nil outside one), and the shared
+// state. It is passed by value, so entering another scope (flip, sub)
+// allocates nothing.
+type evalCtx struct {
+	self, other *Ad
+	st          *evalState
+}
+
+// newCtx starts an evaluation; the caller ends it with done.
+func newCtx(self *Ad, other *Ad, env *Env) evalCtx {
 	if env == nil {
 		env = DefaultEnv()
 	}
-	return &evalCtx{
-		chain:  []*Ad{self},
-		other:  other,
-		inprog: make(map[progKey]bool),
-		env:    env,
-	}
+	st := statePool.Get().(*evalState)
+	st.env, st.depth = env, 0
+	return evalCtx{self: self, other: other, st: st}
 }
 
-// root returns the outermost ad of the scope chain: the advertised ad
-// itself, which is what `self` denotes for top-level expressions.
-func (ctx *evalCtx) root() *Ad { return ctx.chain[len(ctx.chain)-1] }
+// done recycles the evaluation's state. Every evalAttr popped what it
+// pushed, so the ledger is empty and holds no ad.
+func (ctx evalCtx) done() {
+	ctx.st.env = nil
+	statePool.Put(ctx.st)
+}
 
 // flip returns the context for evaluating an attribute that lives in
 // the other ad: scopes swap, the circularity ledger is shared so that
 // mutual recursion across the two ads is still detected.
-func (ctx *evalCtx) flip() *evalCtx {
-	return &evalCtx{
-		chain:  []*Ad{ctx.other},
-		other:  ctx.root(),
-		inprog: ctx.inprog,
-		env:    ctx.env,
-		depth:  ctx.depth,
-	}
+func (ctx evalCtx) flip() evalCtx {
+	return evalCtx{self: ctx.other, other: ctx.self, st: ctx.st}
 }
 
 // sub returns a context scoped to a nested ad reached by selection or
 // subscripting. The nested ad becomes the only lexical scope; the
 // match candidate is preserved.
-func (ctx *evalCtx) sub(ad *Ad) *evalCtx {
-	return &evalCtx{
-		chain:  []*Ad{ad},
-		other:  ctx.other,
-		inprog: ctx.inprog,
-		env:    ctx.env,
-		depth:  ctx.depth,
-	}
+func (ctx evalCtx) sub(ad *Ad) evalCtx {
+	return evalCtx{self: ad, other: ctx.other, st: ctx.st}
 }
 
-// at returns a context whose scope chain starts at position i of the
-// current chain — used when an unqualified name resolves in an
-// enclosing scope, so the found expression sees its own lexical
-// environment.
-func (ctx *evalCtx) at(i int) *evalCtx {
-	if i == 0 {
-		return ctx
+// evalAttr evaluates e, the definition of ad's attribute name (key is
+// the folded name; ad must be the scope of ctx), with
+// circular-reference detection.
+func (ctx evalCtx) evalAttr(ad *Ad, name, key string, e Expr) Value {
+	st := ctx.st
+	for _, p := range st.inprog {
+		if p.ad == ad && p.name == key {
+			return Erroneous("circular reference to attribute %q", name)
+		}
 	}
-	return &evalCtx{
-		chain:  ctx.chain[i:],
-		other:  ctx.other,
-		inprog: ctx.inprog,
-		env:    ctx.env,
-		depth:  ctx.depth,
-	}
-}
-
-// evalAttr evaluates attribute name of ad (which must be a scope in
-// ctx) with circular-reference detection.
-func (ctx *evalCtx) evalAttr(ad *Ad, name string, e Expr) Value {
-	key := progKey{ad, Fold(name)}
-	if ctx.inprog[key] {
-		return Erroneous("circular reference to attribute %q", name)
-	}
-	ctx.inprog[key] = true
+	st.inprog = append(st.inprog, progKey{ad, key})
 	v := e.eval(ctx)
-	delete(ctx.inprog, key)
+	top := len(st.inprog) - 1
+	st.inprog[top] = progKey{} // let the ad go
+	st.inprog = st.inprog[:top]
 	return v
 }
 
@@ -160,7 +150,10 @@ func EvalExprEnv(e Expr, ad *Ad, env *Env) Value {
 	if ad == nil {
 		ad = NewAd()
 	}
-	return e.eval(newCtx(ad, nil, env))
+	ctx := newCtx(ad, nil, env)
+	v := e.eval(ctx)
+	ctx.done()
+	return v
 }
 
 // EvalString parses src as an expression and evaluates it against ad.
@@ -178,72 +171,67 @@ func (a *Ad) Eval(name string) Value { return a.EvalEnv(name, nil) }
 
 // EvalEnv is Eval with an explicit environment.
 func (a *Ad) EvalEnv(name string, env *Env) Value {
-	e, ok := a.Lookup(name)
-	if !ok {
-		return Undef()
-	}
-	ctx := newCtx(a, nil, env)
-	return ctx.evalAttr(a, name, e)
+	return a.EvalAgainst(name, nil, env)
 }
 
 // EvalAgainst evaluates the named attribute of ad a in a two-way match
 // context where other is the candidate ad, as the matchmaker does for
 // Constraint and Rank (paper §3.2).
 func (a *Ad) EvalAgainst(name string, other *Ad, env *Env) Value {
-	e, ok := a.Lookup(name)
+	return a.evalKey(name, Fold(name), other, env)
+}
+
+// evalKey is EvalAgainst for a caller that already holds the folded
+// name.
+func (a *Ad) evalKey(name, key string, other *Ad, env *Env) Value {
+	e, ok := a.LookupKey(key)
 	if !ok {
 		return Undef()
 	}
 	ctx := newCtx(a, other, env)
-	return ctx.evalAttr(a, name, e)
+	v := ctx.evalAttr(a, name, key, e)
+	ctx.done()
+	return v
 }
 
 // ---- Expr implementations ----
 
-func (e litExpr) eval(ctx *evalCtx) Value { return e.v }
+func (e litExpr) eval(ctx evalCtx) Value { return e.v }
 
-func (e attrRef) eval(ctx *evalCtx) Value {
-	if ctx.depth++; ctx.depth > maxEvalDepth {
-		return Erroneous("expression too deeply nested")
+func (e attrRef) eval(ctx evalCtx) Value {
+	// Unqualified: the scope's own ad, then the other ad. The fallback
+	// to the other ad is what lets the paper's Figure 2 job constraint
+	// mention Arch, OpSys and Disk, which only the machine ad defines.
+	if e.scope != ScopeOther {
+		if ex, ok := ctx.self.LookupKey(e.key); ok {
+			return e.evalIn(ctx, ex)
+		}
 	}
-	defer func() { ctx.depth-- }()
-	switch e.scope {
-	case ScopeSelf:
-		ad := ctx.chain[0]
-		if ex, ok := ad.Lookup(e.name); ok {
-			return ctx.evalAttr(ad, e.name, ex)
+	if e.scope != ScopeSelf {
+		if ex, ok := ctx.other.LookupKey(e.key); ok {
+			return e.evalIn(ctx.flip(), ex)
 		}
-		return Undef()
-	case ScopeOther:
-		if ctx.other == nil {
-			return Undef()
-		}
-		if ex, ok := ctx.other.Lookup(e.name); ok {
-			f := ctx.flip()
-			return f.evalAttr(ctx.other, e.name, ex)
-		}
-		return Undef()
-	default:
-		// Unqualified: innermost scope outward, then the other ad.
-		// The fallback to the other ad is what lets the paper's
-		// Figure 2 job constraint mention Arch, OpSys and Disk,
-		// which only the machine ad defines.
-		for i, ad := range ctx.chain {
-			if ex, ok := ad.Lookup(e.name); ok {
-				return ctx.at(i).evalAttr(ad, e.name, ex)
-			}
-		}
-		if ctx.other != nil {
-			if ex, ok := ctx.other.Lookup(e.name); ok {
-				f := ctx.flip()
-				return f.evalAttr(ctx.other, e.name, ex)
-			}
-		}
-		return Undef()
 	}
+	return Undef()
 }
 
-func (e selectExpr) eval(ctx *evalCtx) Value {
+// evalIn evaluates ex, the definition the reference resolved to in
+// ctx's own ad, one reference deeper.
+func (e attrRef) evalIn(ctx evalCtx, ex Expr) Value {
+	if lit, ok := ex.(litExpr); ok {
+		return lit.v // most attributes are literals: nothing to recurse into
+	}
+	st := ctx.st
+	if st.depth >= maxEvalDepth {
+		return Erroneous("expression too deeply nested")
+	}
+	st.depth++
+	v := ctx.evalAttr(ctx.self, e.name, e.key, ex)
+	st.depth--
+	return v
+}
+
+func (e selectExpr) eval(ctx evalCtx) Value {
 	base := e.base.eval(ctx)
 	switch base.Type() {
 	case UndefinedType:
@@ -252,9 +240,8 @@ func (e selectExpr) eval(ctx *evalCtx) Value {
 		return base
 	case AdType:
 		ad, _ := base.AdVal()
-		if ex, ok := ad.Lookup(e.name); ok {
-			s := ctx.sub(ad)
-			return s.evalAttr(ad, e.name, ex)
+		if ex, ok := ad.LookupKey(e.key); ok {
+			return ctx.sub(ad).evalAttr(ad, e.name, e.key, ex)
 		}
 		return Undef()
 	default:
@@ -262,7 +249,7 @@ func (e selectExpr) eval(ctx *evalCtx) Value {
 	}
 }
 
-func (e indexExpr) eval(ctx *evalCtx) Value {
+func (e indexExpr) eval(ctx evalCtx) Value {
 	base := e.base.eval(ctx)
 	idx := e.index.eval(ctx)
 	if base.IsError() {
@@ -291,9 +278,9 @@ func (e indexExpr) eval(ctx *evalCtx) Value {
 		if !ok {
 			return Erroneous("classad subscript must be a string, got %s", idx.Type())
 		}
-		if ex, ok := ad.Lookup(name); ok {
-			s := ctx.sub(ad)
-			return s.evalAttr(ad, name, ex)
+		key := Fold(name)
+		if ex, ok := ad.LookupKey(key); ok {
+			return ctx.sub(ad).evalAttr(ad, name, key, ex)
 		}
 		return Undef()
 	case StringType:
@@ -311,7 +298,7 @@ func (e indexExpr) eval(ctx *evalCtx) Value {
 	}
 }
 
-func (e unaryExpr) eval(ctx *evalCtx) Value {
+func (e unaryExpr) eval(ctx evalCtx) Value {
 	v := e.arg.eval(ctx)
 	switch e.op {
 	case OpNot:
@@ -358,7 +345,7 @@ func (e unaryExpr) eval(ctx *evalCtx) Value {
 	return Erroneous("bad unary operator")
 }
 
-func (e binaryExpr) eval(ctx *evalCtx) Value {
+func (e binaryExpr) eval(ctx evalCtx) Value {
 	switch e.op {
 	case OpAnd:
 		return evalAnd(ctx, e.l, e.r)
@@ -380,7 +367,7 @@ func (e binaryExpr) eval(ctx *evalCtx) Value {
 	return Erroneous("bad binary operator")
 }
 
-func (e condExpr) eval(ctx *evalCtx) Value {
+func (e condExpr) eval(ctx evalCtx) Value {
 	c := toBool(e.cond.eval(ctx))
 	switch c.Type() {
 	case BooleanType:
@@ -393,15 +380,18 @@ func (e condExpr) eval(ctx *evalCtx) Value {
 	}
 }
 
-func (e callExpr) eval(ctx *evalCtx) Value {
-	fn, ok := builtins[Fold(e.name)]
+func (e callExpr) eval(ctx evalCtx) Value {
+	fn, ok := builtins[e.key]
 	if !ok {
 		return Erroneous("call to unknown function %q", e.name)
 	}
 	return fn(ctx, e.args)
 }
 
-func (e listExpr) eval(ctx *evalCtx) Value {
+func (e listExpr) eval(ctx evalCtx) Value {
+	if e.lit != nil {
+		return ListOf(e.lit...)
+	}
 	out := make([]Value, len(e.elems))
 	for i, el := range e.elems {
 		out[i] = el.eval(ctx)
@@ -409,7 +399,7 @@ func (e listExpr) eval(ctx *evalCtx) Value {
 	return ListOf(out...)
 }
 
-func (e adExpr) eval(ctx *evalCtx) Value { return AdValue(e.ad) }
+func (e adExpr) eval(ctx evalCtx) Value { return AdValue(e.ad) }
 
 // ---- operator semantics ----
 
@@ -433,7 +423,7 @@ func toBool(v Value) Value {
 // evalAnd implements the non-strict conjunction of paper §3.1:
 // false dominates (false && undefined == false, false && error ==
 // false), then error, then undefined.
-func evalAnd(ctx *evalCtx, le, re Expr) Value {
+func evalAnd(ctx evalCtx, le, re Expr) Value {
 	l := toBool(le.eval(ctx))
 	if l.Type() == BooleanType && !l.IsTrue() {
 		return Bool(false) // short-circuit: right side never runs
@@ -456,7 +446,7 @@ func evalAnd(ctx *evalCtx, le, re Expr) Value {
 // evalOr implements the non-strict disjunction: true dominates
 // ("Mips >= 10 || Kflops >= 1000 evaluates to true whenever either
 // attribute exists and satisfies the bound", paper §3.1).
-func evalOr(ctx *evalCtx, le, re Expr) Value {
+func evalOr(ctx evalCtx, le, re Expr) Value {
 	l := toBool(le.eval(ctx))
 	if l.IsTrue() {
 		return Bool(true) // short-circuit
@@ -586,8 +576,7 @@ func evalCompare(op Op, l, r Value) Value {
 		if !ok {
 			return Erroneous("comparison of string with %s", r.Type())
 		}
-		c := strings.Compare(strings.ToLower(ls), strings.ToLower(rs))
-		return cmpResult(op, c)
+		return cmpResult(op, foldCompare(ls, rs))
 	}
 	if _, ok := r.StringVal(); ok {
 		return Erroneous("comparison of %s with string", l.Type())
@@ -621,6 +610,40 @@ func evalCompare(op Op, l, r Value) Value {
 	default:
 		return cmpResult(op, 0)
 	}
+}
+
+// foldCompare orders two strings as strings.Compare orders their
+// lower-cased forms, without building either: ASCII is folded byte by
+// byte, and the first non-ASCII byte hands both strings to ToLower.
+func foldCompare(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		ca, cb := a[i], b[i]
+		if ca|cb >= 0x80 {
+			return strings.Compare(strings.ToLower(a), strings.ToLower(b))
+		}
+		if 'A' <= ca && ca <= 'Z' {
+			ca += 'a' - 'A'
+		}
+		if 'A' <= cb && cb <= 'Z' {
+			cb += 'a' - 'A'
+		}
+		if ca != cb {
+			if ca < cb {
+				return -1
+			}
+			return 1
+		}
+	}
+	// One string is a prefix of the other; lower-casing works rune by
+	// rune and never empties a tail, so length decides.
+	switch {
+	case len(a) < len(b):
+		return -1
+	case len(a) > len(b):
+		return 1
+	}
+	return 0
 }
 
 func cmpResult(op Op, c int) Value {

@@ -2,6 +2,9 @@ package classad
 
 import (
 	"fmt"
+	"runtime/debug"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -431,5 +434,120 @@ func TestRankVal(t *testing.T) {
 		if got != want {
 			t.Errorf("RankVal(%s) = %v, want %v", src, got, want)
 		}
+	}
+}
+
+// TestMatchAllocs pins the evaluator's allocation budget: matching the
+// paper's Figure 1 machine against its Figure 2 job — four evaluations
+// through attribute references, other. flips, member() and literal
+// lists — allocates nothing. It was 106 allocations when every
+// reference folded its name, made a context and a one-element scope
+// chain, and updated a map, and every literal list was rebuilt per
+// member() test. Under the race detector the ceiling is not zero,
+// because sync.Pool then drops a share of the recycled evaluation
+// states.
+func TestMatchAllocs(t *testing.T) {
+	machine, job := MustParse(Figure1Source), MustParse(Figure2Source)
+	env := FixedEnv(0, 1)
+	if !MatchEnv(job, machine, env).Matched {
+		t.Fatal("the figures must match")
+	}
+	ceiling := 0
+	if raceEnabled() {
+		ceiling = 4
+	}
+	if got := testing.AllocsPerRun(200, func() { MatchEnv(job, machine, env) }); got > float64(ceiling) {
+		t.Errorf("Match(Figure 2, Figure 1) allocates %.0f times, ceiling %d", got, ceiling)
+	}
+}
+
+// raceEnabled reports that the test binary was built with -race (or
+// that its build settings are unknown).
+func raceEnabled() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return true
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestFoldCompare: the case-insensitive order == and stricmp() use is
+// the order of the lower-cased strings, non-ASCII included.
+func TestFoldCompare(t *testing.T) {
+	words := []string{"", "a", "A", "ab", "AB", "aB", "b", "Z", "z", "intel", "INTEL", "Intel1",
+		"é", "É", "straße", "STRASSE", "aé", "AÉ", "aİ", "ai", "K", "k"}
+	for _, a := range words {
+		for _, b := range words {
+			if got, want := foldCompare(a, b), strings.Compare(strings.ToLower(a), strings.ToLower(b)); got != want {
+				t.Errorf("foldCompare(%q, %q) = %d, want %d", a, b, got, want)
+			}
+		}
+	}
+}
+
+// TestConcurrentEvaluationSharesNothing evaluates one pair of ads from
+// several goroutines at once, as the sharded scan does: evaluation
+// state is recycled, so under -race this fails if two evaluations ever
+// hold the same state.
+func TestConcurrentEvaluationSharesNothing(t *testing.T) {
+	machine, job := MustParse(Figure1Source), MustParse(Figure2Source)
+	loop := MustParse(`[ Constraint = other.Ping; Ping = other.Pong ]`)
+	back := MustParse(`[ Pong = other.Ping ]`)
+	env := FixedEnv(0, 1)
+	want := MatchEnv(job, machine, env)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := MatchEnv(job, machine, env); got != want {
+					t.Errorf("concurrent Match = %+v, want %+v", got, want)
+					return
+				}
+				if v := loop.EvalAgainst("Ping", back, env); !v.IsError() {
+					t.Errorf("concurrent circular reference = %v, want error", v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestLiteralListIsConstant: a list constructor of literals carries its
+// value from construction — parsed, built with NewList, or produced by
+// partial evaluation — and one with a computed element is still
+// evaluated each time, in its own scope.
+func TestLiteralListIsConstant(t *testing.T) {
+	ad := MustParse(`[ Friends = { "tannenba", "wright" }; N = 2; Mixed = { 1, N + 1 }; Empty = {} ]`)
+	want := ListOf(Str("tannenba"), Str("wright"))
+	if got := ad.Eval("Friends"); !got.Identical(want) {
+		t.Errorf("Friends = %v, want %v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { ad.Eval("Friends") }); n > 1 {
+		t.Errorf("evaluating a literal list allocates %.0f times", n)
+	}
+	if got := ad.Eval("Mixed"); !got.Identical(ListOf(Int(1), Int(3))) {
+		t.Errorf("Mixed = %v, want {1, 3}", got)
+	}
+	ad.SetInt("N", 5)
+	if got := ad.Eval("Mixed"); !got.Identical(ListOf(Int(1), Int(6))) {
+		t.Errorf("Mixed after N changed = %v, want {1, 6}", got)
+	}
+	if got := ad.Eval("Empty"); !got.Identical(ListOf()) {
+		t.Errorf("Empty = %v, want {}", got)
+	}
+	if got := EvalExpr(NewList(Lit(Int(1)), Lit(Str("a"))), nil); !got.Identical(ListOf(Int(1), Str("a"))) {
+		t.Errorf("NewList of literals = %v", got)
+	}
+	mixed, _ := ad.Lookup("Mixed")
+	if got := EvalExpr(PartialEval(mixed, ad, nil), nil); !got.Identical(ListOf(Int(1), Int(6))) {
+		t.Errorf("partially evaluated Mixed = %v, want {1, 6}", got)
 	}
 }

@@ -33,18 +33,23 @@ const (
 	AttrTraceSpan = "TraceSpan"
 )
 
+// The folded forms of the names the matching primitives look up on
+// every evaluation.
+const (
+	keyConstraint   = "constraint"
+	keyRequirements = "requirements"
+	keyRank         = "rank"
+)
+
 // constraintExpr returns the ad's compatibility expression under
 // either accepted spelling. An ad with no constraint accepts
 // everything (the expression defaults to true), which is what deployed
 // pools do for ads advertising unconditional service.
 func constraintExpr(a *Ad) (Expr, bool) {
-	if e, ok := a.Lookup(AttrConstraint); ok {
+	if e, ok := a.LookupKey(keyConstraint); ok {
 		return e, true
 	}
-	if e, ok := a.Lookup(AttrRequirements); ok {
-		return e, true
-	}
-	return nil, false
+	return a.LookupKey(keyRequirements)
 }
 
 // EvalConstraint evaluates a's constraint against other. A missing
@@ -57,19 +62,15 @@ func EvalConstraint(a, other *Ad, env *Env) bool {
 		return true
 	}
 	ctx := newCtx(a, other, env)
-	v := ctx.evalAttr(a, AttrConstraint, e)
+	v := ctx.evalAttr(a, AttrConstraint, keyConstraint, e)
+	ctx.done()
 	return v.IsTrue()
 }
 
 // EvalRank evaluates a's Rank against other, applying the paper's
 // rule that non-numeric values count as zero.
 func EvalRank(a, other *Ad, env *Env) float64 {
-	e, ok := a.Lookup(AttrRank)
-	if !ok {
-		return 0
-	}
-	ctx := newCtx(a, other, env)
-	return ctx.evalAttr(a, AttrRank, e).RankVal()
+	return a.evalKey(AttrRank, keyRank, other, env).RankVal()
 }
 
 // MatchResult reports the outcome of testing a pair of ads.
@@ -115,7 +116,9 @@ func EvalExprAgainst(e Expr, self, other *Ad, env *Env) Value {
 		self = NewAd()
 	}
 	ctx := newCtx(self, other, env)
-	return e.eval(ctx)
+	v := e.eval(ctx)
+	ctx.done()
+	return v
 }
 
 // SplitConjuncts flattens a tree of && operators into its top-level

@@ -19,6 +19,30 @@ type parser struct {
 	lx   *lexer
 	tok  token // current token
 	peek *token
+	// pending stacks the attributes of the ads being parsed, innermost
+	// last: an ad is built when its last attribute is known, at its
+	// exact size.
+	pending []parsedAttr
+}
+
+// parsedAttr is one parsed "name = expr" binding awaiting its ad.
+type parsedAttr struct {
+	name string
+	expr Expr
+	pos  Pos
+}
+
+// buildAd builds the ad whose attributes are p.pending[start:] and
+// pops them.
+func (p *parser) buildAd(start int) *Ad {
+	attrs := p.pending[start:]
+	ad := newParsedAd(len(attrs))
+	for _, at := range attrs {
+		ad.setParsed(at.name, at.expr, at.pos)
+	}
+	clear(attrs)
+	p.pending = p.pending[:start]
+	return ad
 }
 
 func newParser(src string) (*parser, error) {
@@ -157,7 +181,7 @@ func (p *parser) parseAd() (*Ad, error) {
 	if err := p.expect(tokLBracket, "'['"); err != nil {
 		return nil, err
 	}
-	ad := NewAd()
+	start := len(p.pending)
 	for p.tok.kind != tokRBracket {
 		if p.tok.kind != tokIdent {
 			return nil, p.errorf("expected attribute name, found %s", p.tok.describe())
@@ -173,8 +197,7 @@ func (p *parser) parseAd() (*Ad, error) {
 		if err != nil {
 			return nil, err
 		}
-		ad.Set(name, e)
-		ad.setPos(name, npos)
+		p.pending = append(p.pending, parsedAttr{name, e, npos})
 		if p.tok.kind == tokSemi {
 			if err := p.advance(); err != nil {
 				return nil, err
@@ -186,14 +209,14 @@ func (p *parser) parseAd() (*Ad, error) {
 	if err := p.expect(tokRBracket, "']' or ';'"); err != nil {
 		return nil, err
 	}
-	return ad, nil
+	return p.buildAd(start), nil
 }
 
 // parseBareAd parses an unbracketed attribute list running to EOF.
 // Attributes may be separated by semicolons or simply by the start of
 // the next "name =" binding.
 func (p *parser) parseBareAd() (*Ad, error) {
-	ad := NewAd()
+	start := len(p.pending)
 	for p.tok.kind != tokEOF {
 		if p.tok.kind == tokSemi {
 			if err := p.advance(); err != nil {
@@ -215,10 +238,9 @@ func (p *parser) parseBareAd() (*Ad, error) {
 		if err != nil {
 			return nil, err
 		}
-		ad.Set(name, e)
-		ad.setPos(name, npos)
+		p.pending = append(p.pending, parsedAttr{name, e, npos})
 	}
-	return ad, nil
+	return p.buildAd(start), nil
 }
 
 // parseExpr parses a full expression (lowest precedence: ?:).
@@ -464,16 +486,16 @@ func (p *parser) parsePostfix() (Expr, error) {
 			// record selection, when the base is the bare
 			// qualifier identifier.
 			if ref, ok := e.(attrRef); ok && ref.scope == ScopeNone {
-				switch Fold(ref.name) {
+				switch ref.key {
 				case "self", "my":
-					e = attrRef{ScopeSelf, name}
+					e = newAttrRef(ScopeSelf, name)
 					continue
 				case "other", "target":
-					e = attrRef{ScopeOther, name}
+					e = newAttrRef(ScopeOther, name)
 					continue
 				}
 			}
-			e = selectExpr{e, name}
+			e = newSelect(e, name)
 		case tokLBracket:
 			if err := p.advance(); err != nil {
 				return nil, err
@@ -566,7 +588,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		return attrRef{ScopeNone, word}, nil
+		return newAttrRef(ScopeNone, word), nil
 	}
 	return nil, p.errorf("expected expression, found %s", p.tok.describe())
 }
@@ -594,7 +616,7 @@ func (p *parser) parseList() (Expr, error) {
 	if err := p.expect(tokRBrace, "'}' or ','"); err != nil {
 		return nil, err
 	}
-	return listExpr{elems}, nil
+	return newList(elems), nil
 }
 
 // parseCall parses name '(' (expr (',' expr)*)? ')'.
@@ -623,5 +645,5 @@ func (p *parser) parseCall(name string) (Expr, error) {
 	if err := p.expect(tokRParen, "')' or ','"); err != nil {
 		return nil, err
 	}
-	return callExpr{name, args}, nil
+	return newCall(name, args), nil
 }

@@ -49,17 +49,16 @@ func (g *groundChecker) ground(e Expr) bool {
 		if n.scope == ScopeOther {
 			return false
 		}
-		key := Fold(n.name)
-		if g.visited[key] {
+		if g.visited[n.key] {
 			return false // cycle: evaluation would be an error anyway
 		}
-		def, ok := g.self.Lookup(n.name)
+		def, ok := g.self.LookupKey(n.key)
 		if !ok {
 			return false // might fall back to the other ad
 		}
-		g.visited[key] = true
+		g.visited[n.key] = true
 		ok = g.ground(def)
-		delete(g.visited, key)
+		delete(g.visited, n.key)
 		return ok
 	case unaryExpr:
 		return g.ground(n.arg)
@@ -68,7 +67,7 @@ func (g *groundChecker) ground(e Expr) bool {
 	case condExpr:
 		return g.ground(n.cond) && g.ground(n.then) && g.ground(n.els)
 	case callExpr:
-		if impureFns[Fold(n.name)] {
+		if impureFns[n.key] {
 			return false
 		}
 		for _, a := range n.args {
@@ -167,15 +166,15 @@ func (p *partialer) rewriteChildren(e Expr) Expr {
 		for i, a := range n.args {
 			args[i] = p.rewrite(a)
 		}
-		return callExpr{n.name, args}
+		return callExpr{n.name, n.key, args}
 	case listExpr:
 		elems := make([]Expr, len(n.elems))
 		for i, el := range n.elems {
 			elems[i] = p.rewrite(el)
 		}
-		return listExpr{elems}
+		return newList(elems)
 	case selectExpr:
-		return selectExpr{p.rewrite(n.base), n.name}
+		return selectExpr{p.rewrite(n.base), n.name, n.key}
 	case indexExpr:
 		return indexExpr{p.rewrite(n.base), p.rewrite(n.index)}
 	default:

@@ -1,8 +1,11 @@
 package classad
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestAttrPos checks that parsed ads remember where each attribute was
@@ -108,5 +111,72 @@ func TestColumnAfterComments(t *testing.T) {
 	ad := MustParse("[ /* multi\nline\ncomment */ Memory = 64 ]")
 	if p, ok := ad.AttrPos("Memory"); !ok || p.Line != 3 || p.Col != 12 {
 		t.Errorf("AttrPos(Memory) = %v %v, want 3:12", p, ok)
+	}
+}
+
+// TestFoldKeySharesOneCopy: kept keys are Fold's result, shared — a
+// name seen before folds without allocating, in either spelling, and
+// two ads hold the same key string.
+func TestFoldKeySharesOneCopy(t *testing.T) {
+	for _, name := range []string{"Memory", "memory", "KeyboardIdle", "x", "", "ÉCOLE"} {
+		if got := foldKey(name); got != Fold(name) {
+			t.Errorf("foldKey(%q) = %q, want %q", name, got, Fold(name))
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { foldKey("KeyboardIdle") }); n != 0 {
+		t.Errorf("folding a known name allocates %.0f times", n)
+	}
+	a, b := MustParse(`[ KeyboardIdle = 1 ]`), MustParse(`[ keyboardidle = 2; R = KEYBOARDIDLE ]`)
+	if unsafe.StringData(a.Keys()[0]) != unsafe.StringData(b.Keys()[0]) {
+		t.Error("two ads keep separate copies of one key")
+	}
+}
+
+// TestFoldKeyTableBounded: names come from the network, so the table
+// foldKey interns them in stops at its bound. Four goroutines fold
+// 20,000 distinct names, each stored in two spellings; the table ends
+// at most the documented race slack past maxInternedKeys, its count is
+// its true size, and every name, interned or not, folds to Fold(name).
+// The table is put back as it was for the tests that follow.
+func TestFoldKeyTableBounded(t *testing.T) {
+	before := map[any]bool{}
+	keyTable.Range(func(k, _ any) bool { before[k] = true; return true })
+	t.Cleanup(func() {
+		keyTable.Range(func(k, _ any) bool {
+			if !before[k] {
+				keyTable.Delete(k)
+			}
+			return true
+		})
+		keyCount.Store(int64(len(before)))
+	})
+
+	const goroutines, perGoroutine = 4, 5000
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range perGoroutine {
+				name := fmt.Sprintf("Bounded%d_%d", g, i)
+				if got := foldKey(name); got != Fold(name) {
+					t.Errorf("foldKey(%q) = %q, want %q", name, got, Fold(name))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	size := 0
+	keyTable.Range(func(_, _ any) bool { size++; return true })
+	if n := keyCount.Load(); n != int64(size) {
+		t.Errorf("keyCount = %d, table holds %d", n, size)
+	}
+	if limit := maxInternedKeys + 2*goroutines - 1; size > limit {
+		t.Errorf("table holds %d entries after 20,000 names, bound %d", size, limit)
+	}
+	if got := foldKey("PastTheBound"); got != "pastthebound" || keyCount.Load() != int64(size) {
+		t.Errorf("past the bound: foldKey = %q, count %d → %d", got, size, keyCount.Load())
 	}
 }

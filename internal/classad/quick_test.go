@@ -6,6 +6,7 @@ package classad
 // evaluator and unparser, not the parser's error paths.
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -308,5 +309,44 @@ func TestQuickSubstrInBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestQuickSameExpr: SameExpr decides exactly what comparing unparsed
+// text decides — over independently generated pairs (mostly different),
+// over an expression and its re-parse (equal text from a fresh tree),
+// and over the pairs whose trees differ though their text does not.
+func TestQuickSameExpr(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, b := genExpr(r, 3), genExpr(r, 1)
+		if SameExpr(a, b) != (a.String() == b.String()) {
+			t.Errorf("SameExpr(%s, %s) = %v", a, b, SameExpr(a, b))
+			return false
+		}
+		back, err := ParseExpr(a.String())
+		if err != nil {
+			return true // not this test's business
+		}
+		if SameExpr(a, back) != (a.String() == back.String()) {
+			t.Errorf("SameExpr(%s, its re-parse %s) = %v", a, back, SameExpr(a, back))
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, pair := range [][2]Expr{
+		{Lit(Int(-1)), unaryExpr{OpNeg, Lit(Int(1))}},                    // same text, different trees
+		{Lit(Real(0)), Lit(Real(math.Copysign(0, -1)))},                  // 0.0 and -0.0 print differently
+		{Lit(Real(math.NaN())), Lit(Real(math.NaN()))},                   // NaN != NaN, same text
+		{Lit(ListOf(Int(1), Int(2))), NewList(Lit(Int(1)), Lit(Int(2)))}, // list value vs list constructor
+		{Attr("Memory"), Attr("memory")},                                 // same attribute, different text
+		{Lit(Int(1)), Lit(Real(1))},
+	} {
+		if got, want := SameExpr(pair[0], pair[1]), pair[0].String() == pair[1].String(); got != want {
+			t.Errorf("SameExpr(%s, %s) = %v, text equality %v", pair[0], pair[1], got, want)
+		}
 	}
 }

@@ -23,6 +23,8 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // ValueType identifies the dynamic type of a Value.
@@ -344,8 +346,57 @@ func NewAd() *Ad {
 	return &Ad{attrs: make(map[string]Expr)}
 }
 
+// newParsedAd returns an empty ad sized for the n attributes the parser
+// is about to set, positions included: a stored ad then carries no
+// slack, and parsing grows no map.
+func newParsedAd(n int) *Ad {
+	return &Ad{
+		names: make([]string, 0, n),
+		keys:  make([]string, 0, n),
+		attrs: make(map[string]Expr, n),
+		pos:   make([]srcPos, 0, n),
+	}
+}
+
 // Fold normalizes an attribute name for case-insensitive comparison.
 func Fold(name string) string { return strings.ToLower(name) }
+
+// foldKey is Fold for what an ad or an expression keeps — attribute
+// and function names. A pool's ads draw their names from one small
+// vocabulary, so every kept key is the one shared copy of it: a stored
+// ad pays for no key string, and a name met before in the same spelling
+// folds without allocating. The table is bounded; past the bound names
+// simply fold. Checking the count and inserting are not one step, so
+// each goroutine that passes the check as the table fills can still add
+// two entries (the key and its spelling): with G folding at once the
+// table never holds more than maxInternedKeys + 2G − 1 entries.
+func foldKey(name string) string {
+	if key, ok := keyTable.Load(name); ok {
+		return key.(string)
+	}
+	key := Fold(name)
+	if keyCount.Load() < maxInternedKeys {
+		if shared, loaded := keyTable.LoadOrStore(key, key); loaded {
+			key = shared.(string)
+		} else {
+			keyCount.Add(1)
+		}
+		if name != key {
+			if _, loaded := keyTable.LoadOrStore(name, key); !loaded {
+				keyCount.Add(1)
+			}
+		}
+	}
+	return key
+}
+
+// maxInternedKeys bounds keyTable: names arrive from the network.
+const maxInternedKeys = 8192
+
+var (
+	keyTable sync.Map // name, in any spelling seen -> its folded key
+	keyCount atomic.Int64
+)
 
 // Len returns the number of attributes in the ad.
 func (a *Ad) Len() int {
@@ -377,10 +428,15 @@ func (a *Ad) Keys() []string {
 
 // Lookup returns the expression bound to name (case-insensitive).
 func (a *Ad) Lookup(name string) (Expr, bool) {
-	return a.LookupKey(Fold(name))
+	if a == nil {
+		return nil, false
+	}
+	e, ok := a.attrs[Fold(name)]
+	return e, ok
 }
 
-// LookupKey is Lookup by the already folded name (Fold, Keys).
+// LookupKey is Lookup by the already folded name (Fold, Keys) — the
+// evaluator's form, which never folds.
 func (a *Ad) LookupKey(key string) (Expr, bool) {
 	if a == nil {
 		return nil, false
@@ -392,7 +448,7 @@ func (a *Ad) LookupKey(key string) (Expr, bool) {
 // Set binds name to expr, replacing any previous binding. The defining
 // case of the first insertion is kept for printing.
 func (a *Ad) Set(name string, expr Expr) {
-	key := Fold(name)
+	key := foldKey(name)
 	if _, exists := a.attrs[key]; !exists {
 		a.names = append(a.names, name)
 		a.keys = append(a.keys, key)
@@ -407,15 +463,18 @@ func (a *Ad) Set(name string, expr Expr) {
 // name key, or -1.
 func (a *Ad) index(key string) int { return slices.Index(a.keys, key) }
 
-// setPos records the source position of an attribute's name token; the
-// parser calls it, after Set, so that diagnostics can point into the
-// original source. A repeated attribute keeps its first slot and takes
-// the later position. Programmatically built ads carry no positions.
-func (a *Ad) setPos(name string, p Pos) {
-	if a.pos == nil {
-		a.pos = make([]srcPos, len(a.names))
+// setParsed is Set for the parser, on an ad from newParsedAd: it also
+// records the source position of the attribute's name token, so that
+// diagnostics can point into the original source. Programmatically
+// built ads carry no positions.
+func (a *Ad) setParsed(name string, expr Expr, p Pos) {
+	n := len(a.names)
+	a.Set(name, expr)
+	i := n // a new attribute was appended
+	if len(a.names) == n {
+		i = a.index(Fold(name)) // a repeated one keeps its first slot
 	}
-	a.pos[a.index(Fold(name))] = srcPos{int32(p.Line), int32(p.Col)}
+	a.pos[i] = srcPos{int32(p.Line), int32(p.Col)}
 }
 
 // AttrPos returns the source position of the attribute's definition
@@ -479,10 +538,12 @@ func (a *Ad) Copy() *Ad {
 		names: slices.Clone(a.names),
 		keys:  slices.Clone(a.keys),
 		attrs: make(map[string]Expr, len(a.attrs)),
-		pos:   slices.Clone(a.pos),
 	}
 	for k, v := range a.attrs {
 		c.attrs[k] = v
+	}
+	if a.pos != nil {
+		c.pos = slices.Clone(a.pos)
 	}
 	return c
 }
@@ -504,8 +565,110 @@ func (a *Ad) identical(b *Ad) bool {
 
 // SameExpr reports whether a and b unparse identically — the equality
 // behind (*Ad).Equal, the collector's "did this refresh change
-// anything" and its wire deltas.
-func SameExpr(a, b Expr) bool { return a.String() == b.String() }
+// anything" and its wire deltas. Trees of the same shape are compared
+// node by node without unparsing either, which decides the common case
+// (a heartbeat re-sends what is stored); only trees that differ in
+// shape are unparsed, since different trees can still print alike
+// (the literal -1 and the negation of 1).
+func SameExpr(a, b Expr) bool {
+	return sameTree(a, b) || a.String() == b.String()
+}
+
+// sameTree reports that a and b are the same tree: true implies they
+// unparse identically, false decides nothing.
+func sameTree(a, b Expr) bool {
+	switch x := a.(type) {
+	case litExpr:
+		y, ok := b.(litExpr)
+		return ok && sameLiteral(x.v, y.v)
+	case attrRef:
+		y, ok := b.(attrRef)
+		return ok && x == y
+	case selectExpr:
+		y, ok := b.(selectExpr)
+		return ok && x.name == y.name && sameTree(x.base, y.base)
+	case indexExpr:
+		y, ok := b.(indexExpr)
+		return ok && sameTree(x.base, y.base) && sameTree(x.index, y.index)
+	case unaryExpr:
+		y, ok := b.(unaryExpr)
+		return ok && x.op == y.op && sameTree(x.arg, y.arg)
+	case binaryExpr:
+		y, ok := b.(binaryExpr)
+		return ok && x.op == y.op && sameTree(x.l, y.l) && sameTree(x.r, y.r)
+	case condExpr:
+		y, ok := b.(condExpr)
+		return ok && sameTree(x.cond, y.cond) && sameTree(x.then, y.then) && sameTree(x.els, y.els)
+	case callExpr:
+		y, ok := b.(callExpr)
+		return ok && x.name == y.name && sameTrees(x.args, y.args)
+	case listExpr:
+		y, ok := b.(listExpr)
+		return ok && sameTrees(x.elems, y.elems)
+	case adExpr:
+		y, ok := b.(adExpr)
+		return ok && sameOrder(x.ad, y.ad) && x.ad.identical(y.ad)
+	}
+	return false
+}
+
+func sameTrees(a, b []Expr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameTree(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameOrder reports that two nested ads list the same names in the
+// same order and case, which their unparsed text shows.
+func sameOrder(a, b *Ad) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i, n := range a.Names() {
+		if b.names[i] != n {
+			return false
+		}
+	}
+	return true
+}
+
+// sameLiteral reports that two literals print identically: the same
+// type and payload. Zero and NaN reals are left to the text (-0.0
+// prints its sign, NaN is not equal to itself).
+func sameLiteral(v, w Value) bool {
+	if v.typ != w.typ {
+		return false
+	}
+	switch v.typ {
+	case UndefinedType, ErrorType:
+		return true
+	case BooleanType, IntegerType:
+		return v.num == w.num
+	case RealType:
+		return v.num == w.num && v.num != 0
+	case StringType:
+		return v.str == w.str
+	case ListType:
+		if len(v.list) != len(w.list) {
+			return false
+		}
+		for i := range v.list {
+			if !sameLiteral(v.list[i], w.list[i]) {
+				return false
+			}
+		}
+		return true
+	case AdType:
+		return sameOrder(v.ad, w.ad) && v.ad.identical(w.ad)
+	}
+	return false
+}
 
 // Equal reports whether a and b define the same attributes with
 // expressions that unparse identically (a structural, not semantic,

@@ -18,8 +18,11 @@
 // With -check <baseline.json> the tool becomes a regression gate: it
 // compares the fresh run against the committed baseline and exits
 // non-zero when any benchmark present in both slowed down by more
-// than -tolerance (default 20% ns/op). The Makefile's `bench-check`
-// target wires this into CI-style verification.
+// than -tolerance (default 20% ns/op), or allocates more than 2% and
+// at least one allocation more per op. Time is noisy on a shared host, so its bound is loose; an
+// allocation count is not, so a lost allocation-free path fails the
+// gate however noisy the host. The Makefile's `bench-check` target
+// wires this into CI-style verification.
 package main
 
 import (
@@ -33,6 +36,9 @@ import (
 	"strings"
 )
 
+// allocTolerance is the fractional allocs/op rise -check allows.
+const allocTolerance = 0.02
+
 // Benchmark is one parsed result line.
 type Benchmark struct {
 	Name       string  `json:"name"`
@@ -43,12 +49,17 @@ type Benchmark struct {
 }
 
 // Report is the whole document: the environment header `go test`
-// prints, then every benchmark in input order.
+// prints, how the benchmarks ran, then every benchmark in input order.
 type Report struct {
-	GOOS       string      `json:"goos,omitempty"`
-	GOARCH     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
-	CPU        string      `json:"cpu,omitempty"`
+	GOOS   string `json:"goos,omitempty"`
+	GOARCH string `json:"goarch,omitempty"`
+	Pkg    string `json:"pkg,omitempty"`
+	CPU    string `json:"cpu,omitempty"`
+	// GOMAXPROCS is what the benchmarks ran under: the -N suffix
+	// `go test` appends to every name, or 1 where it appends none.
+	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
+	// Count is the most samples of one benchmark (`go test -count`).
+	Count      int         `json:"count,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -112,7 +123,30 @@ func parseRun(r io.Reader) (Report, error) {
 			}
 		}
 	}
+	samples := map[string]int{}
+	for _, b := range rep.Benchmarks {
+		samples[b.Name]++
+		rep.Count = max(rep.Count, samples[b.Name])
+	}
+	if len(rep.Benchmarks) > 0 {
+		rep.GOMAXPROCS = procsSuffix(rep.Benchmarks[0].Name)
+	}
 	return rep, sc.Err()
+}
+
+// procsSuffix reads GOMAXPROCS off a benchmark name: `go test` names
+// BenchmarkX-8 what ran under GOMAXPROCS 8, and plain BenchmarkX what
+// ran under 1.
+func procsSuffix(name string) int {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return 1
+	}
+	n, err := strconv.Atoi(name[i+1:])
+	if err != nil || n < 1 {
+		return 1
+	}
+	return n
 }
 
 // runCheck compares a fresh run against a baseline. Benchmarks are
@@ -120,9 +154,13 @@ func parseRun(r io.Reader) (Report, error) {
 // and retired benchmarks pass silently, so adding a benchmark never
 // breaks the gate before its baseline is committed). When either run
 // holds several samples of one name (`go test -count=N`), the minimum
-// ns/op represents it — min-of-N is the standard noise floor, so a
-// regression must reproduce across every sample to be flagged. It
-// returns the regression count and a human-readable report.
+// ns/op and the minimum allocs/op represent it — min-of-N is the
+// standard noise floor, so a regression must reproduce across every
+// sample to be flagged. A benchmark regresses when its ns/op rises by
+// more than tolerance, or when its allocs/op rises by more than
+// allocTolerance and by at least one allocation (so 0 -> 1 fails and
+// 0 -> 0 passes). It returns the regression count and a
+// human-readable report.
 func runCheck(base, fresh Report, tolerance float64) (regressions int, report string) {
 	baseline := minByName(base.Benchmarks)
 	var sb strings.Builder
@@ -134,32 +172,37 @@ func runCheck(base, fresh Report, tolerance float64) (regressions int, report st
 		}
 		compared++
 		ratio := b.NsPerOp / old.NsPerOp
+		moreAllocs := b.AllocsOp > old.AllocsOp &&
+			float64(b.AllocsOp) > float64(old.AllocsOp)*(1+allocTolerance)
 		verdict := "ok"
-		if ratio > 1+tolerance {
+		if ratio > 1+tolerance || moreAllocs {
 			verdict = "REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(&sb, "%-12s %-50s %12.0f -> %12.0f ns/op  (%+.1f%%)\n",
-			verdict, b.Name, old.NsPerOp, b.NsPerOp, (ratio-1)*100)
+		fmt.Fprintf(&sb, "%-12s %-50s %12.0f -> %12.0f ns/op  (%+.1f%%)  %d -> %d allocs/op\n",
+			verdict, b.Name, old.NsPerOp, b.NsPerOp, (ratio-1)*100, old.AllocsOp, b.AllocsOp)
 	}
-	fmt.Fprintf(&sb, "benchjson: %d compared, %d regressed (tolerance %+.0f%%)\n",
-		compared, regressions, tolerance*100)
+	fmt.Fprintf(&sb, "benchjson: %d compared, %d regressed (tolerance %+.0f%% ns/op, %+.0f%% allocs/op)\n",
+		compared, regressions, tolerance*100, allocTolerance*100)
 	return regressions, sb.String()
 }
 
-// minByName indexes benchmarks by name, keeping the fastest sample.
+// minByName indexes benchmarks by name, keeping each measure's best
+// sample: the fastest ns/op and the fewest allocs/op.
 func minByName(bs []Benchmark) map[string]Benchmark {
 	m := make(map[string]Benchmark, len(bs))
 	for _, b := range bs {
-		if old, ok := m[b.Name]; !ok || b.NsPerOp < old.NsPerOp {
-			m[b.Name] = b
+		if old, ok := m[b.Name]; ok {
+			b.NsPerOp = min(b.NsPerOp, old.NsPerOp)
+			b.AllocsOp = min(b.AllocsOp, old.AllocsOp)
 		}
+		m[b.Name] = b
 	}
 	return m
 }
 
-// minSamples collapses repeated samples of one benchmark to the
-// fastest, preserving first-appearance order.
+// minSamples collapses repeated samples of one benchmark to their best
+// (minByName), preserving first-appearance order.
 func minSamples(bs []Benchmark) []Benchmark {
 	m := minByName(bs)
 	out := make([]Benchmark, 0, len(m))

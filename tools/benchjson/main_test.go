@@ -34,6 +34,25 @@ some stray log line
 	if rep.Benchmarks[1].NsPerOp != 500.5 {
 		t.Errorf("benchmark 1 ns/op = %v, want 500.5", rep.Benchmarks[1].NsPerOp)
 	}
+	if rep.GOMAXPROCS != 8 || rep.Count != 1 {
+		t.Errorf("gomaxprocs, count = %d, %d, want 8, 1", rep.GOMAXPROCS, rep.Count)
+	}
+}
+
+// TestParseRunRecordsHowItRan: `go test -cpu 1 -count 2` drops the
+// GOMAXPROCS suffix and prints each benchmark twice.
+func TestParseRunRecordsHowItRan(t *testing.T) {
+	input := `BenchmarkMatch    100    9876 ns/op    0 B/op    0 allocs/op
+BenchmarkWake/offers=1000    10    500 ns/op
+BenchmarkMatch    100    9000 ns/op    0 B/op    0 allocs/op
+`
+	rep, err := parseRun(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.GOMAXPROCS != 1 || rep.Count != 2 {
+		t.Errorf("gomaxprocs, count = %d, %d, want 1, 2", rep.GOMAXPROCS, rep.Count)
+	}
 }
 
 func TestRunCheck(t *testing.T) {
@@ -41,6 +60,8 @@ func TestRunCheck(t *testing.T) {
 		{Name: "BenchmarkA", NsPerOp: 1000},
 		{Name: "BenchmarkB", NsPerOp: 1000},
 		{Name: "BenchmarkRetired", NsPerOp: 1000},
+		{Name: "BenchmarkAllocs", NsPerOp: 1000, AllocsOp: 100},
+		{Name: "BenchmarkZero", NsPerOp: 1000},
 	}}
 	cases := []struct {
 		name   string
