@@ -292,6 +292,22 @@ func (r *Resource) Release(customer string) error {
 	return nil
 }
 
+// Withdraw ends the active claim if it is the one granted to job (the
+// same ad RequestClaim accepted), reporting whether it did. A claim
+// whose acceptance never reached its customer is withdrawn this way:
+// the customer saw its claim fail and will never release it, and a
+// claim that has replaced it since must stand.
+func (r *Resource) Withdraw(job *classad.Ad) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.claim == nil || r.claim.Job != job {
+		return false
+	}
+	r.claim = nil
+	r.state = StateUnclaimed
+	return true
+}
+
 // Evict forcibly ends the active claim because the owner reclaimed the
 // machine (keyboard touched, load rose). Returns the evicted claim.
 func (r *Resource) Evict() (Claim, bool) {

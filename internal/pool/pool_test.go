@@ -1,6 +1,8 @@
 package pool
 
 import (
+	"bufio"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -8,6 +10,7 @@ import (
 	"repro/internal/agent"
 	"repro/internal/classad"
 	"repro/internal/matchmaker"
+	"repro/internal/protocol"
 )
 
 // testPool spins up a manager, one RA daemon and one CA daemon on
@@ -182,6 +185,44 @@ func TestStaleClaimRejected(t *testing.T) {
 	}
 	if p.ra.RA.State() != agent.StateClaimed {
 		t.Errorf("RA state after recovery cycle = %s", p.ra.RA.State())
+	}
+}
+
+// TestClaimWithdrawnWhenReplyLost: an RA that accepts a claim but
+// cannot write the CLAIM_REPLY withdraws the claim — the CA saw its
+// claim fail, holds no record of it and would never release it, so
+// the RA would refuse that customer at equal rank for ever. A claim
+// whose reply goes out stands.
+func TestClaimWithdrawnWhenReplyLost(t *testing.T) {
+	for _, lost := range []bool{false, true} {
+		ra := NewResourceDaemon(agent.NewResource(figure1Machine(), nil), "127.0.0.1:1", 0, t.Logf)
+		ad, err := ra.RA.Advertise()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ticket, _ := ad.Eval(classad.AttrTicket).StringVal()
+		server, client := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			ra.handle(server)
+			close(done)
+		}()
+		if err := protocol.Write(client, &protocol.Envelope{
+			Type: protocol.TypeClaim, Ad: protocol.EncodeAd(classad.Figure2()), Ticket: ticket,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !lost {
+			reply, err := protocol.Read(bufio.NewReader(client))
+			if err != nil || !reply.Accepted {
+				t.Fatalf("claim reply = %+v, %v; want accepted", reply, err)
+			}
+		}
+		client.Close() // before the reply is read, when lost
+		<-done
+		if _, held := ra.RA.CurrentClaim(); held == lost {
+			t.Errorf("reply lost %v: claim held = %v", lost, held)
+		}
 	}
 }
 

@@ -237,13 +237,14 @@ func (d *ResourceDaemon) handle(conn net.Conn) {
 			return
 		}
 		var reply *protocol.Envelope
+		var granted *classad.Ad // the job a CLAIM was just accepted for
 		switch env.Type {
 		case protocol.TypeMatch: //epochguard:ok advisory notification; the claim protocol re-fences via the ticket
 			// Step 3: the provider learns who it was matched to.
 			// Advisory — the claim carries everything needed.
 			reply = &protocol.Envelope{Type: protocol.TypeAck}
 		case protocol.TypeClaim:
-			reply = d.handleClaim(bounded, r, env)
+			reply, granted = d.handleClaim(bounded, r, env)
 		case protocol.TypeRelease:
 			reply = d.handleRelease(env)
 		default:
@@ -251,6 +252,9 @@ func (d *ResourceDaemon) handle(conn net.Conn) {
 		}
 		if err := protocol.Write(bounded, reply); err != nil {
 			d.logf("ra %s: write: %v", d.RA.Name(), err)
+			if granted != nil {
+				d.withdrawClaim(granted, env.Cycle)
+			}
 			return
 		}
 	}
@@ -280,30 +284,31 @@ func (d *ResourceDaemon) handleRelease(env *protocol.Envelope) *protocol.Envelop
 
 // handleClaim runs the RA side of the claiming protocol (Figure 3
 // step 4): optional challenge handshake, then ticket verification and
-// constraint re-validation via the agent.
-func (d *ResourceDaemon) handleClaim(conn net.Conn, r *bufio.Reader, env *protocol.Envelope) *protocol.Envelope {
+// constraint re-validation via the agent. It also returns the job ad
+// when the claim was accepted (nil otherwise).
+func (d *ResourceDaemon) handleClaim(conn net.Conn, r *bufio.Reader, env *protocol.Envelope) (*protocol.Envelope, *classad.Ad) {
 	job, err := protocol.DecodeAd(env.Ad)
 	if err != nil {
-		return protocol.Errorf("bad claim ad: %v", err)
+		return protocol.Errorf("bad claim ad: %v", err), nil
 	}
 	if d.RequireChallenge {
 		nonce, err := protocol.NewNonce()
 		if err != nil {
-			return protocol.Errorf("nonce: %v", err)
+			return protocol.Errorf("nonce: %v", err), nil
 		}
 		if err := protocol.Write(conn, &protocol.Envelope{
 			Type: protocol.TypeChallenge, Nonce: nonce,
 		}); err != nil {
-			return protocol.Errorf("challenge write: %v", err)
+			return protocol.Errorf("challenge write: %v", err), nil
 		}
 		resp, err := protocol.Read(r)
 		if err != nil {
-			return protocol.Errorf("challenge read: %v", err)
+			return protocol.Errorf("challenge read: %v", err), nil
 		}
 		if resp.Type != protocol.TypeChalReply ||
 			!protocol.VerifyResponse(env.Ticket, nonce, resp.MAC) {
 			return &protocol.Envelope{Type: protocol.TypeClaimReply,
-				Accepted: false, Reason: "challenge failed"}
+				Accepted: false, Reason: "challenge failed"}, nil
 		}
 	}
 	d.mClaimsRx.Inc()
@@ -338,11 +343,29 @@ func (d *ResourceDaemon) handleClaim(conn net.Conn, r *bufio.Reader, env *protoc
 			"job": adName(job), "reason": out.Reason,
 		})
 	}
-	return &protocol.Envelope{
+	reply := &protocol.Envelope{
 		Type:     protocol.TypeClaimReply,
 		Accepted: out.Accepted,
 		Reason:   out.Reason,
 	}
+	if !out.Accepted {
+		return reply, nil
+	}
+	return reply, job
+}
+
+// withdrawClaim ends the claim just granted to job because its
+// acceptance could not be written back. The CA sees its claim fail and
+// requeues the job without recording a claim, so it would never send
+// the RELEASE that ends this one: left standing, it would refuse every
+// later claim of the same customer at the same rank for ever. A claim
+// that has replaced it since stands.
+func (d *ResourceDaemon) withdrawClaim(job *classad.Ad, cycle string) {
+	if !d.RA.Withdraw(job) {
+		return
+	}
+	d.stopStarter()
+	d.emit("claim_withdrawn", cycle, map[string]string{"job": adName(job)})
 }
 
 // stopStarter cancels the running starter, if any.
