@@ -11,7 +11,7 @@
 #   make fuzz         short fuzz run of every Fuzz* target in the tree
 #   make crash        durability soak: crash-point matrices + randomized fault soak
 #   make bench        matchmaker/classad hot-path benchmarks -> BENCH_matchmaker.json
-#   make bench-check  rerun the benchmarks and fail on >20% ns/op or >2% allocs/op regression
+#   make bench-check  rerun the benchmarks and fail on >20% ns/op, or >2% allocs/op or reported-counter, regression
 #   make bench-smoke  vet and test the pool benchmark's own module (bench/)
 #   make ci           everything CI runs: verify + repeated timing-sensitive suites + race pass + fuzz
 
@@ -22,8 +22,10 @@ FUZZTIME ?= 15s
 # SteadyState is the event-driven delta wake vs full-rebuild pair;
 # WakeOneDelta is the quiet wake at two pool sizes, whose ratio pins
 # that a wake's cost follows the delta, not the pool), plus E17's
-# per-record remote-syscall tax (RemoteSyscallStep).
-BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState|WakeOneDelta|RemoteSyscallStep
+# per-record remote-syscall tax (RemoteSyscallStep) and one match's
+# wire path through real daemons (NotifyClaim, whose dials/op pins
+# that every conversation reuses a cached connection).
+BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState|WakeOneDelta|RemoteSyscallStep|NotifyClaim
 
 .PHONY: verify test test-short build vet lint lint-codes lint-fix-list mc mc-short fuzz crash bench bench-check bench-smoke ci
 
@@ -127,9 +129,10 @@ bench:
 
 # Regression gate: rerun the same benchmarks and compare them against
 # the committed baseline; exits non-zero past a 20% ns/op slowdown, or
-# past a 2% (and at least one allocation) rise in allocs/op, which has
-# no host noise to hide behind (refresh the baseline via `make bench`
-# when a regression is intentional).
+# past a 2% (and at least one allocation) rise in allocs/op or in a
+# b.ReportMetric counter (evals/wake, dials/op), which have no host
+# noise to hide behind (refresh the baseline via `make bench` when a
+# regression is intentional).
 # -count=2 with benchjson's min-of-N keeps scheduler noise on shared
 # hardware from flagging phantom regressions: a slowdown must
 # reproduce in both samples to fail the gate. -cpu 1 (here and in

@@ -15,7 +15,9 @@ import (
 	"repro/internal/agent"
 	"repro/internal/classad"
 	"repro/internal/matchmaker"
+	"repro/internal/netx"
 	"repro/internal/obs"
+	"repro/internal/pool"
 	"repro/internal/remote"
 	"repro/internal/sim"
 )
@@ -466,6 +468,66 @@ func BenchmarkRemoteSyscallStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkNotifyClaim measures one match's trip through real daemons
+// on loopback: the RA and CA advertise, the manager's cycle sends the
+// CA its MATCH, the CA claims the RA and gets the verdict, the manager
+// sends the RA its MATCH, and the CA's completion sends the RELEASE.
+// dials/op counts the connections opened per match (netx_dials_total):
+// after the first match every one of them reuses a cached connection.
+func BenchmarkNotifyClaim(b *testing.B) {
+	reg := obs.NewRegistry()
+	netx.Instrument(reg)
+	defer netx.Instrument(nil)
+	defer netx.DefaultDialer.CloseIdle()
+
+	mgr := pool.NewManager(pool.ManagerConfig{})
+	addr, err := mgr.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mgr.Close()
+	machine := classad.Figure1()
+	machine.SetInt("DayTime", 22*3600)
+	machine.SetInt("KeyboardIdle", 3600)
+	machine.SetReal("LoadAvg", 0.01)
+	ra := pool.NewResourceDaemon(agent.NewResource(machine, nil), addr, 0, nil)
+	if _, err := ra.Listen("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	defer ra.Close()
+	ca := pool.NewCustomerDaemon(agent.NewCustomer("raman", nil), addr, 0, nil)
+	if _, err := ca.Listen("127.0.0.1:0"); err != nil {
+		b.Fatal(err)
+	}
+	defer ca.Close()
+
+	job := classad.Figure2()
+	match := func() {
+		id := ca.CA.Submit(job, 1).ID
+		if err := ra.Advertise(); err != nil {
+			b.Fatal(err)
+		}
+		if err := ca.AdvertiseIdle(); err != nil {
+			b.Fatal(err)
+		}
+		if res := mgr.RunCycle(); res.Charged != 1 {
+			b.Fatalf("cycle = %+v, want one granted claim", res)
+		}
+		if err := ca.Complete(id); err != nil {
+			b.Fatal(err)
+		}
+	}
+	match() // the first match dials every peer
+	dials := reg.Counter("netx_dials_total")
+	before := dials.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		match()
+	}
+	b.ReportMetric(float64(dials.Value()-before)/float64(b.N), "dials/op")
 }
 
 // ---- facade sanity (keeps the public API exercised from outside) ----

@@ -46,19 +46,55 @@ type Job struct {
 	Evictions int
 }
 
+// maxSettledJobs bounds the settled (Completed or Removed) entries one
+// queue remembers. Past it the queue forgets its longest-settled
+// entries: Job no longer finds them and Snapshot and Counts leave them
+// out (pool_ca_jobs_forgotten_total counts them).
+const maxSettledJobs = 1 << 16
+
 // Customer is a Customer Agent: one owner, one queue.
 type Customer struct {
 	mu     sync.Mutex
 	owner  string
 	nextID int
-	jobs   map[int]*Job
-	order  []int
-	// settled counts the leading entries of order that are Completed or
-	// Removed. Neither state is ever left, so IdleRequests starts after
-	// them: what a queue answers per match costs the jobs still in play,
-	// not every job it ever held.
+	jobs   map[int]*entry
+	// order is submission order. It may still hold forgotten IDs,
+	// until compactLocked drops them.
+	order []int
+	// settled counts the leading entries of order that are Completed,
+	// Removed or forgotten. None of these is ever left, so IdleRequests
+	// starts after them: what a queue answers per match costs the jobs
+	// still in play, not every job it ever held.
 	settled int
-	env     *classad.Env
+	// retired lists the settled entries in the order they settled, the
+	// order they are forgotten in once there are more than settledCap.
+	retired    []int
+	settledCap int
+	forgotten  *obs.Counter
+	env        *classad.Env
+}
+
+// entry is one queue entry as the queue keeps it. A settled job is
+// read far less often than it is kept, so when it settles its ad is
+// unparsed once and the parse tree dropped (Ad is nil from then on);
+// Job and Snapshot parse the text back.
+type entry struct {
+	Job
+	text string
+}
+
+// job returns a copy of the entry with its ad. A settled ad whose text
+// does not parse back reads as an empty ad rather than failing.
+func (e *entry) job() Job {
+	j := e.Job
+	if j.Ad == nil {
+		ad, err := classad.Parse(e.text)
+		if err != nil {
+			ad = classad.NewAd()
+		}
+		j.Ad = ad
+	}
+	return j
 }
 
 // NewCustomer builds a CA for owner.
@@ -66,16 +102,25 @@ func NewCustomer(owner string, env *classad.Env) *Customer {
 	if env == nil {
 		env = classad.DefaultEnv()
 	}
-	return &Customer{owner: owner, jobs: make(map[int]*Job), env: env}
+	return &Customer{owner: owner, jobs: make(map[int]*entry), settledCap: maxSettledJobs, env: env}
+}
+
+// Instrument counts forgotten settled entries in reg
+// (pool_ca_jobs_forgotten_total).
+func (c *Customer) Instrument(reg *obs.Registry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.forgotten = reg.Counter("pool_ca_jobs_forgotten_total")
 }
 
 // Owner returns the customer identity.
 func (c *Customer) Owner() string { return c.owner }
 
 // Submit queues a job ad, stamping Owner, QDate and JobId the way the
-// deployed submission tool does, and returns the queue entry. work is
-// the job's total demand in CPU-seconds (used by the simulator; zero
-// is fine for protocol-only use).
+// deployed submission tool does, and returns a copy of the queue entry
+// (Job explains why a copy). work is the job's total demand in
+// CPU-seconds (used by the simulator; zero is fine for protocol-only
+// use).
 func (c *Customer) Submit(ad *classad.Ad, work float64) *Job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -95,10 +140,10 @@ func (c *Customer) Submit(ad *classad.Ad, work float64) *Job {
 	if classad.TraceOf(stamped) == "" {
 		stamped.SetString(classad.AttrTraceID, obs.NewTraceID())
 	}
-	j := &Job{ID: c.nextID, Ad: stamped, Status: JobIdle, Work: work}
-	c.jobs[j.ID] = j
+	j := Job{ID: c.nextID, Ad: stamped, Status: JobIdle, Work: work}
+	c.jobs[j.ID] = &entry{Job: j}
 	c.order = append(c.order, j.ID)
-	return j
+	return &j
 }
 
 // Remove withdraws a job from the queue.
@@ -109,13 +154,46 @@ func (c *Customer) Remove(id int) error {
 	if !ok {
 		return fmt.Errorf("agent: no job %d in %s's queue", id, c.owner)
 	}
+	if j.Ad != nil {
+		c.settleLocked(j)
+	}
 	j.Status = JobRemoved
 	return nil
 }
 
+// settleLocked keeps a job that just settled as text, and forgets the
+// longest-settled entries past the bound.
+func (c *Customer) settleLocked(e *entry) {
+	e.text = e.Ad.String()
+	e.Ad = nil
+	c.retired = append(c.retired, e.ID)
+	for len(c.retired) > c.settledCap {
+		delete(c.jobs, c.retired[0])
+		c.retired = c.retired[1:]
+		c.forgotten.Inc()
+	}
+	if len(c.order)-len(c.jobs) > len(c.jobs) {
+		c.compactLocked()
+	}
+}
+
+// compactLocked drops forgotten IDs from order.
+func (c *Customer) compactLocked() {
+	live := c.order[:0]
+	for _, id := range c.order {
+		if _, ok := c.jobs[id]; ok {
+			live = append(live, id)
+		}
+	}
+	clear(c.order[len(live):])
+	c.order = live
+	c.settled = 0
+}
+
 // Job fetches a copy of a queue entry by ID. A copy, not a pointer:
 // the queue mutates under its own lock, and handing out aliases would
-// let callers observe torn states.
+// let callers observe torn states. A settled job's ad is parsed back
+// from its text on each call.
 func (c *Customer) Job(id int) (Job, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -123,7 +201,7 @@ func (c *Customer) Job(id int) (Job, bool) {
 	if !ok {
 		return Job{}, false
 	}
-	return *j, true
+	return j.job(), true
 }
 
 // IdleRequests returns the request ads of all idle jobs, in submission
@@ -133,14 +211,14 @@ func (c *Customer) IdleRequests() []*classad.Ad {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for c.settled < len(c.order) {
-		if st := c.jobs[c.order[c.settled]].Status; st != JobCompleted && st != JobRemoved {
+		if j, ok := c.jobs[c.order[c.settled]]; ok && j.Ad != nil {
 			break
 		}
 		c.settled++
 	}
 	var out []*classad.Ad
 	for _, id := range c.order[c.settled:] {
-		if j := c.jobs[id]; j.Status == JobIdle {
+		if j, ok := c.jobs[id]; ok && j.Status == JobIdle {
 			out = append(out, j.Ad)
 		}
 	}
@@ -202,6 +280,7 @@ func (c *Customer) Progress(id int, cpu float64, checkpoint bool) (completed boo
 		j.Status = JobCompleted
 		j.Resource = ""
 		j.Ad.SetInt("CompletionDate", c.env.Now())
+		c.settleLocked(j)
 		return true, nil
 	}
 	return false, nil
@@ -230,9 +309,11 @@ func (c *Customer) Evicted(id int) error {
 func (c *Customer) Snapshot() []Job {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Job, 0, len(c.order))
+	out := make([]Job, 0, len(c.jobs))
 	for _, id := range c.order {
-		out = append(out, *c.jobs[id])
+		if j, ok := c.jobs[id]; ok {
+			out = append(out, j.job())
+		}
 	}
 	return out
 }

@@ -1,9 +1,11 @@
 package agent
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/classad"
+	"repro/internal/obs"
 )
 
 func newCA(t *testing.T) *Customer {
@@ -195,5 +197,140 @@ func TestSnapshotOrder(t *testing.T) {
 func TestJobIDOfForeignAd(t *testing.T) {
 	if _, ok := JobIDOf(classad.MustParse("[x = 1]")); ok {
 		t.Error("JobIDOf invented an ID")
+	}
+}
+
+// settleN submits n Figure 2 jobs and runs each to completion.
+func settleN(t *testing.T, c *Customer, n int) []int {
+	t.Helper()
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = c.Submit(classad.Figure2(), 1).ID
+		if err := c.MarkRunning(ids[i], "w"); err != nil {
+			t.Fatal(err)
+		}
+		if done, err := c.Progress(ids[i], 1, false); err != nil || !done {
+			t.Fatalf("progress: done=%v err=%v", done, err)
+		}
+	}
+	return ids
+}
+
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// A settled job is kept as its ad's text, not its parse tree: about a
+// sixth of the memory (a Figure 2 job's tree and bookkeeping held
+// ~4.5 KB), and Job parses it back whole.
+func TestSettledJobsKeptAsText(t *testing.T) {
+	const n = 2000
+	c := newCA(t)
+	before := heapAlloc()
+	ids := settleN(t, c, n)
+	after := heapAlloc()
+	runtime.KeepAlive(c)
+	per := (int64(after) - int64(before)) / n
+	t.Logf("%d bytes retained per settled job", per)
+	if per > 1024 {
+		t.Errorf("%d bytes retained per settled job, want <= 1024", per)
+	}
+	j, ok := c.Job(ids[0])
+	if !ok || j.Status != JobCompleted {
+		t.Fatalf("job = %+v, %v", j, ok)
+	}
+	want := classad.Figure2()
+	for _, name := range want.Names() {
+		if name == "CompletionDate" {
+			continue // stamped at completion, below
+		}
+		if !j.Ad.Eval(name).Identical(want.Eval(name)) {
+			t.Errorf("%s = %v after settling, want %v", name, j.Ad.Eval(name), want.Eval(name))
+		}
+	}
+	if cd, _ := j.Ad.Eval("CompletionDate").IntVal(); cd != 500 {
+		t.Errorf("CompletionDate = %d", cd)
+	}
+	if snap := c.Snapshot(); len(snap) != n || snap[n-1].Ad == nil {
+		t.Errorf("snapshot of %d entries, last ad %v", len(snap), snap[len(snap)-1].Ad)
+	}
+}
+
+// Past the bound the queue forgets its longest-settled entries, and
+// every view of the queue agrees on what is left.
+func TestSettledJobsBounded(t *testing.T) {
+	c := newCA(t)
+	if c.settledCap != maxSettledJobs || maxSettledJobs != 1<<16 {
+		t.Fatalf("settled bound = %d (constant %d), want 65536", c.settledCap, maxSettledJobs)
+	}
+	c.settledCap = 3
+	reg := obs.NewRegistry()
+	c.Instrument(reg)
+	var ids []int
+	for i := 0; i < 6; i++ {
+		ids = append(ids, c.Submit(classad.MustParse(`[ Cmd = "x" ]`), 1).ID)
+	}
+	// Settle 2, 1, 3, 4 and 5 in that order; 6 stays idle.
+	for _, id := range []int{ids[1], ids[0], ids[2], ids[3]} {
+		if err := c.MarkRunning(id, "w"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Progress(id, 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Remove(ids[4]); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids[:2] {
+		if _, ok := c.Job(id); ok {
+			t.Errorf("job %d, among the first settled, is still remembered", id)
+		}
+	}
+	for _, id := range ids[2:] {
+		if _, ok := c.Job(id); !ok {
+			t.Errorf("job %d forgotten", id)
+		}
+	}
+	var got []int
+	for _, j := range c.Snapshot() {
+		got = append(got, j.ID)
+	}
+	if len(got) != 4 || got[0] != ids[2] || got[3] != ids[5] {
+		t.Errorf("snapshot IDs = %v, want %v", got, ids[2:])
+	}
+	counts := c.Counts()
+	if counts[JobCompleted] != 2 || counts[JobRemoved] != 1 || counts[JobIdle] != 1 {
+		t.Errorf("counts = %v", counts)
+	}
+	if idle := c.IdleRequests(); len(idle) != 1 {
+		t.Errorf("idle requests = %d, want 1", len(idle))
+	}
+	if n := reg.Counter("pool_ca_jobs_forgotten_total").Value(); n != 2 {
+		t.Errorf("pool_ca_jobs_forgotten_total = %d, want 2", n)
+	}
+	// The submission-order list does not keep what the queue forgot.
+	settleN(t, c, 100)
+	if len(c.order) > 2*len(c.jobs) || len(c.jobs) != 4 {
+		t.Errorf("order holds %d IDs for %d jobs", len(c.order), len(c.jobs))
+	}
+}
+
+// A settled job whose text does not parse back reads as an empty ad;
+// nothing panics.
+func TestSettledJobUnparsableText(t *testing.T) {
+	c := newCA(t)
+	id := settleN(t, c, 1)[0]
+	c.jobs[id].text = "[ Cmd = "
+	j, ok := c.Job(id)
+	if !ok || j.Ad == nil || j.Ad.Len() != 0 || j.Status != JobCompleted {
+		t.Fatalf("job = %+v, %v", j, ok)
+	}
+	if snap := c.Snapshot(); len(snap) != 1 || snap[0].Ad == nil {
+		t.Fatalf("snapshot = %+v", snap)
 	}
 }

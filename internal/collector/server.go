@@ -376,8 +376,9 @@ func (s *Server) lintBilateral(reg *obs.Registry, ad *classad.Ad) {
 }
 
 // Client is a thin dialer for talking to a collector server; tools and
-// agents share it. Round-trips are bounded (connect timeout plus
-// per-envelope deadlines) and retried with capped exponential backoff:
+// agents share it. Round-trips run on the dialer's cached connections,
+// are bounded (connect timeout plus per-envelope deadlines) and are
+// retried with capped exponential backoff:
 // every advertising-protocol message is idempotent — re-ADVERTISing
 // refreshes, re-INVALIDATing is a no-op, re-QUERYing re-reads — so a
 // retry against a restarted collector is always safe (the paper's
@@ -392,8 +393,10 @@ type Client struct {
 	Retry netx.RetryPolicy
 }
 
-// roundTrip sends one envelope and reads one reply on a fresh
-// connection, retrying transport failures.
+// roundTrip sends one envelope and reads one reply on a connection
+// from the dialer's cache, retrying transport failures. Every message
+// the client sends is idempotent, so a cached connection found dead is
+// replaced and the envelope replayed at once (netx.Dialer.Do).
 func (c *Client) roundTrip(env *protocol.Envelope) (*protocol.Envelope, error) {
 	d := c.Dialer
 	if d == nil {
@@ -401,20 +404,11 @@ func (c *Client) roundTrip(env *protocol.Envelope) (*protocol.Envelope, error) {
 	}
 	var reply *protocol.Envelope
 	err := netx.Retry(context.Background(), c.Retry, func() error {
-		conn, err := d.Dial(c.Addr)
-		if err != nil {
+		return d.Do(c.Addr, 0, protocol.Idempotent(env.Type), func(conn *netx.Conn) error {
+			var err error
+			reply, err = protocol.Exchange(conn, conn.Reader(), env)
 			return err
-		}
-		defer conn.Close()
-		if err := protocol.Write(conn, env); err != nil {
-			return err
-		}
-		rep, err := protocol.Read(bufio.NewReader(conn))
-		if err != nil {
-			return err
-		}
-		reply = rep
-		return nil
+		})
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,9 @@
 // state — but that only works if no single round-trip can block an
 // agent forever. Every daemon dial and serve loop goes through this
 // package so a hung collector or dead provider degrades into a
-// bounded, retried error instead of a wedged goroutine.
+// bounded, retried error instead of a wedged goroutine. Daemons run
+// their conversations on cached connections (Dialer.Do), one per
+// peer rather than one per envelope.
 //
 // The package also provides deterministic fault injection
 // (FaultPlan/Faults, fault.go) so tests can subject the real daemons
@@ -19,7 +21,6 @@ import (
 	"errors"
 	"math/rand"
 	"net"
-	"os"
 	"sync"
 	"time"
 )
@@ -40,7 +41,8 @@ const (
 // Dialer dials TCP peers with a connect timeout and returns
 // connections whose every Read and Write carries a fresh deadline, so
 // a peer that stops mid-conversation produces a timeout error rather
-// than a stuck goroutine.
+// than a stuck goroutine. Do runs a conversation on a connection from
+// the Dialer's own cache of idle ones (cache.go).
 type Dialer struct {
 	// ConnectTimeout bounds connection establishment; 0 selects
 	// DefaultConnectTimeout.
@@ -49,8 +51,17 @@ type Dialer struct {
 	// DefaultIOTimeout, negative disables deadlines.
 	IOTimeout time.Duration
 	// Wrap, when set, wraps every dialed connection — the seam tests
-	// use to inject client-side faults (see Faults.Conn).
+	// use to inject client-side faults (see Faults.Conn). Cached
+	// connections stay wrapped.
 	Wrap func(net.Conn) net.Conn
+
+	// The idle connections Do keeps, per address (cache.go).
+	mu        sync.Mutex
+	idle      map[string][]*Conn
+	nIdle     int
+	nextSweep time.Time
+	// clock replaces time.Now for the cache's idle accounting in tests.
+	clock func() time.Time
 }
 
 // DefaultDialer is the dialer used when a component's Dialer field is
@@ -98,26 +109,6 @@ func (d *Dialer) Dial(addr string) (net.Conn, error) {
 	return conn, nil
 }
 
-// DialTotal connects to addr and sets one absolute deadline covering
-// the entire conversation — the shape the claiming protocol needs,
-// where the whole multi-envelope exchange must finish within a bound
-// regardless of how many rounds (challenge handshakes) it takes.
-// total <= 0 falls back to per-operation deadlines.
-func (d *Dialer) DialTotal(addr string, total time.Duration) (net.Conn, error) {
-	if total <= 0 {
-		return d.Dial(addr)
-	}
-	conn, err := d.dialRaw(addr)
-	if err != nil {
-		return nil, err
-	}
-	if err := conn.SetDeadline(time.Now().Add(total)); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return conn, nil
-}
-
 // timeoutConn arms a fresh deadline before every Read and Write.
 type timeoutConn struct {
 	net.Conn
@@ -141,9 +132,7 @@ func (c *timeoutConn) Read(p []byte) (int, error) {
 		}
 	}
 	n, err := c.Conn.Read(p)
-	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-		metrics().deadlineExpiries.Inc()
-	}
+	countExpiry(err)
 	return n, err
 }
 
@@ -154,9 +143,7 @@ func (c *timeoutConn) Write(p []byte) (int, error) {
 		}
 	}
 	n, err := c.Conn.Write(p)
-	if err != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-		metrics().deadlineExpiries.Inc()
-	}
+	countExpiry(err)
 	return n, err
 }
 
@@ -236,9 +223,9 @@ func init() {
 // Retry runs fn until it succeeds, the policy's attempts are
 // exhausted, ctx is done, or fn returns a Permanent error. It returns
 // nil on success and the last error otherwise. Only idempotent
-// operations should be retried; in the matchmaking protocols that is
-// ADVERTISE, INVALIDATE, QUERY, MATCH and RELEASE (see DESIGN.md,
-// "Failure semantics").
+// operations should be retried; in the matchmaking protocols those are
+// the ones protocol.Idempotent names (see DESIGN.md, "Failure
+// semantics").
 func Retry(ctx context.Context, p RetryPolicy, fn func() error) error {
 	p = p.norm()
 	m := metrics()

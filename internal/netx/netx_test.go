@@ -161,37 +161,3 @@ func TestTimeoutConnBoundsStalledRead(t *testing.T) {
 		t.Fatalf("stalled read returned after %v", elapsed)
 	}
 }
-
-func TestDialTotalBoundsWholeConversation(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		time.Sleep(2 * time.Second)
-	}()
-	d := &Dialer{}
-	conn, err := d.DialTotal(ln.Addr().String(), 60*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	start := time.Now()
-	for i := 0; i < 3; i++ {
-		if _, err = conn.Read(make([]byte, 1)); err != nil {
-			break
-		}
-	}
-	if !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("read err = %v, want deadline exceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("conversation outlived its absolute deadline: %v", elapsed)
-	}
-}

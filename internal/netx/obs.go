@@ -22,6 +22,8 @@ import (
 //	netx_retry_exhausted_total    Retry calls that ran out of attempts
 //	netx_backoff_ms_total         cumulative injected backoff sleep
 //	netx_deadline_expiries_total  reads/writes that hit an I/O deadline
+//	netx_conn_reuses_total        conversations run on a cached connection
+//	netx_idle_conns               idle cached connections, every Dialer
 var instr atomic.Pointer[netxMetrics]
 
 type netxMetrics struct {
@@ -29,6 +31,7 @@ type netxMetrics struct {
 	retries, retriesExhausted *obs.Counter
 	backoffMillis             *obs.Counter
 	deadlineExpiries          *obs.Counter
+	reuses                    *obs.Counter
 	reg                       *obs.Registry
 }
 
@@ -46,8 +49,10 @@ func Instrument(reg *obs.Registry) {
 		retriesExhausted: reg.Counter("netx_retry_exhausted_total"),
 		backoffMillis:    reg.Counter("netx_backoff_ms_total"),
 		deadlineExpiries: reg.Counter("netx_deadline_expiries_total"),
+		reuses:           reg.Counter("netx_conn_reuses_total"),
 		reg:              reg,
 	})
+	reg.GaugeFunc("netx_idle_conns", func() float64 { return float64(idleConns.Load()) })
 }
 
 // metrics returns the live metric set, or an empty one whose nil

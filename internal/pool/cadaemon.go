@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -57,10 +59,15 @@ type CustomerDaemon struct {
 	contact string
 	closed  bool
 	wg      sync.WaitGroup
+	conns   connSet
 	logf    func(string, ...any)
 
 	// claims maps job ID -> provider contact for release.
 	claims map[int]claimRef
+	// sessions maps an idle job to the Session of the last MATCH that
+	// ran a claim for it, so a redelivered MATCH (its reply was lost)
+	// does not claim a second time. A granted claim drops the entry.
+	sessions map[int]string
 	// journal, when enabled, persists the claim lifecycle so a CA
 	// restart neither leaks held providers nor forgets running jobs
 	// (claimjournal.go).
@@ -117,6 +124,7 @@ func NewCustomerDaemon(ca *agent.Customer, collectorAddr string, lifetime int64,
 		dialer:       netx.DefaultDialer,
 		logf:         logf,
 		claims:       make(map[int]claimRef),
+		sessions:     make(map[int]string),
 	}
 }
 
@@ -131,7 +139,8 @@ func NewCustomerDaemon(ca *agent.Customer, collectorAddr string, lifetime int64,
 // pool_submit_lint_unindexable_total for jobs the offer index cannot
 // prune on), the end-to-end claim latency from
 // MATCH receipt to the provider's verdict ack (pool_claim_seconds),
-// and live notification handlers (pool_ca_handlers gauge). Claim
+// live notification handlers (pool_ca_handlers gauge), and settled jobs
+// the queue forgot past its bound (pool_ca_jobs_forgotten_total). Claim
 // events carry the cycle ID from the MATCH envelope. Call before
 // Listen/Serve.
 func (d *CustomerDaemon) Instrument(o *obs.Obs) {
@@ -153,6 +162,7 @@ func (d *CustomerDaemon) Instrument(o *obs.Obs) {
 	d.mLintUnindexable = reg.Counter("pool_submit_lint_unindexable_total")
 	d.hClaimSeconds = reg.Histogram("pool_claim_seconds", obs.DurationBuckets)
 	d.gHandlers = reg.Gauge("pool_ca_handlers")
+	d.CA.Instrument(reg)
 }
 
 // emit logs one CA event stamped with the given cycle ID.
@@ -317,7 +327,7 @@ func (d *CustomerDaemon) Serve(ln net.Listener) string {
 	d.contact = ln.Addr().String()
 	d.mu.Unlock()
 	d.wg.Add(1)
-	go d.acceptLoop(ln)
+	go d.conns.serve(ln, &d.wg, d.handle)
 	return d.contact
 }
 
@@ -328,7 +338,8 @@ func (d *CustomerDaemon) Contact() string {
 	return d.contact
 }
 
-// Close stops the daemon and its shadow.
+// Close stops the daemon and its shadow, closing the connections its
+// handlers serve.
 func (d *CustomerDaemon) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -343,6 +354,7 @@ func (d *CustomerDaemon) Close() {
 	if ln != nil {
 		ln.Close()
 	}
+	d.conns.close()
 	if shadow != nil {
 		shadow.Close()
 	}
@@ -389,8 +401,7 @@ func (d *CustomerDaemon) AdvertiseIdle() error {
 		stamped := ad.Copy()
 		stamped.SetString(classad.AttrContact, d.Contact())
 		id, _ := agent.JobIDOf(ad)
-		stamped.SetString(classad.AttrName,
-			fmt.Sprintf("%s/job%d", d.CA.Owner(), id))
+		stamped.SetString(classad.AttrName, jobName(d.CA.Owner(), id))
 		for _, c := range clients {
 			if err := c.Advertise(stamped, d.lifetime); err != nil {
 				return err
@@ -398,21 +409,6 @@ func (d *CustomerDaemon) AdvertiseIdle() error {
 		}
 	}
 	return nil
-}
-
-func (d *CustomerDaemon) acceptLoop(ln net.Listener) {
-	defer d.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			d.handle(conn)
-		}()
-	}
 }
 
 func (d *CustomerDaemon) handle(conn net.Conn) {
@@ -495,18 +491,12 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 	if err != nil {
 		return protocol.Errorf("bad peer ad: %v", err)
 	}
-	// Which of our jobs was matched? The manager negotiated with the
-	// ad we advertised, which carries the JobId stamp.
-	// The notification does not include our own ad back, so we
-	// locate the job via the session-free convention: claim the
-	// first idle job whose constraint accepts this machine.
-	job, found := d.pickJobFor(machine)
-	if !found {
-		// Not an error: with flocking, a second pool's match for a
-		// job that already started elsewhere lands here; the match
-		// was simply stale and the provider will be re-advertised.
-		return &protocol.Envelope{Type: protocol.TypeAck,
-			Reason: fmt.Sprintf("no idle job wants machine %s", adName(machine))}
+	job, stale := d.matchedJob(env, machine)
+	if stale != "" {
+		// Not an error: with flocking, a second pool's match for a job
+		// that already started elsewhere lands here; the match was
+		// simply stale and the provider will be re-advertised.
+		return &protocol.Envelope{Type: protocol.TypeAck, Reason: stale}
 	}
 	// The claim carries a contactable copy of the job ad so the RA
 	// can reach this CA later (e.g. to deliver a PREEMPT notice),
@@ -518,10 +508,10 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 		claimAd.SetString("ShadowContact", d.shadowAddr)
 	}
 	d.mu.Unlock()
-	// The attempt is journaled before the dial: if we die past this
-	// point, reconciliation knows a claim may be outstanding and will
-	// release it. A journal that cannot record the attempt vetoes it —
-	// an untracked claim is exactly the leak the journal exists to
+	// The attempt is journaled before the CLAIM is sent: if we die past
+	// this point, reconciliation knows a claim may be outstanding and
+	// will release it. A journal that cannot record the attempt vetoes
+	// it — an untracked claim is exactly the leak the journal exists to
 	// prevent.
 	providerContact, _ := machine.Eval(classad.AttrContact).StringVal()
 	d.mu.Lock()
@@ -620,6 +610,7 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 	}
 	d.mu.Lock()
 	d.claims[job.ID] = claimRef{contact: providerContact, machine: adName(machine), trace: trace}
+	delete(d.sessions, job.ID)
 	d.mu.Unlock()
 	// Accepted tells the notifying negotiator the claim actually
 	// landed: that ack — not the match itself — is what charges the
@@ -628,27 +619,73 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 	return &protocol.Envelope{Type: protocol.TypeAck, Accepted: true}
 }
 
-// pickJobFor selects the idle job this match should serve: the first
-// idle job whose bilateral constraints accept the machine, in
-// submission order.
-func (d *CustomerDaemon) pickJobFor(machine *classad.Ad) (agent.Job, bool) {
-	for _, ad := range d.CA.IdleRequests() {
-		if classad.Match(ad, machine).Matched {
+// matchedJob resolves a MATCH to the job it introduces, or says why
+// the MATCH is stale. The matchmaker names the request it paired with
+// the machine, and that job is claimed if it is still idle; a job that
+// is not — it started elsewhere, or the MATCH is a late duplicate — is
+// not replaced by another job the matchmaker never paired with this
+// machine. Nor is a job claimed twice for one MATCH: a MATCH delivered
+// again with the Session of the last claim attempt (its reply was lost
+// and the negotiator retried) is stale too. A MATCH that names no
+// request, from a notifier that predates the name, goes to the first
+// idle job whose constraint accepts the machine, in submission order.
+func (d *CustomerDaemon) matchedJob(env *protocol.Envelope, machine *classad.Ad) (agent.Job, string) {
+	if env.Name == "" {
+		for _, ad := range d.CA.IdleRequests() {
+			if !classad.Match(ad, machine).Matched {
+				continue
+			}
 			if id, ok := agent.JobIDOf(ad); ok {
 				if j, ok := d.CA.Job(id); ok {
-					return j, true
+					return j, ""
 				}
 			}
 		}
+		return agent.Job{}, fmt.Sprintf("no idle job wants machine %s", adName(machine))
 	}
-	return agent.Job{}, false
+	id, ok := jobIDOfName(d.CA.Owner(), env.Name)
+	var job agent.Job
+	if ok {
+		job, ok = d.CA.Job(id)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !ok || job.Status != agent.JobIdle {
+		delete(d.sessions, id)
+		return agent.Job{}, fmt.Sprintf("stale match: %s is not an idle job", env.Name)
+	}
+	if env.Session != "" {
+		if d.sessions[id] == env.Session {
+			return agent.Job{}, fmt.Sprintf("stale match: %s was already claimed for this match", env.Name)
+		}
+		d.sessions[id] = env.Session
+	}
+	return job, ""
 }
 
-// claim dials the provider and runs the claiming protocol, answering
-// a challenge if one is issued. The whole exchange — however many
-// envelopes the handshake takes — runs under one absolute deadline
-// (ClaimTimeout), so a wedged provider can never stall the CA's
-// notification handler beyond the configured bound. The cycle ID from
+// jobName is the Name a job's request ad is advertised under.
+func jobName(owner string, id int) string {
+	return fmt.Sprintf("%s/job%d", owner, id)
+}
+
+// jobIDOfName is jobName's inverse for owner's jobs.
+func jobIDOfName(owner, name string) (int, bool) {
+	rest, ok := strings.CutPrefix(name, owner+"/job")
+	if !ok {
+		return 0, false
+	}
+	id, err := strconv.Atoi(rest)
+	return id, err == nil
+}
+
+// claim runs the claiming protocol with the provider, answering a
+// challenge if one is issued, on a connection from the dialer's cache.
+// The whole exchange — however many envelopes the handshake takes —
+// runs under one absolute deadline (ClaimTimeout), so a wedged provider
+// can never stall the CA's notification handler beyond the configured
+// bound. CLAIM is never replayed: a claim that fails on a cached
+// connection the provider has dropped is a failed claim, like a failed
+// dial, and the job stays idle for the next cycle. The cycle ID from
 // the MATCH notification rides along in the CLAIM envelope so the
 // provider's events correlate with this negotiation cycle.
 func (d *CustomerDaemon) claim(machine, jobAd *classad.Ad, ticket, cycle, trace, span string) (bool, string, error) {
@@ -656,37 +693,28 @@ func (d *CustomerDaemon) claim(machine, jobAd *classad.Ad, ticket, cycle, trace,
 	if !ok || contact == "" {
 		return false, "", errors.New("provider ad has no Contact")
 	}
-	conn, err := d.dialer.DialTotal(contact, d.ClaimTimeout)
-	if err != nil {
-		return false, "", err
-	}
-	defer conn.Close()
-	if err := protocol.Write(conn, &protocol.Envelope{
-		Type:   protocol.TypeClaim,
-		Ad:     protocol.EncodeAd(jobAd),
-		Ticket: ticket,
-		Cycle:  cycle,
-		Trace:  trace,
-		Span:   span,
-	}); err != nil {
-		return false, "", err
-	}
-	r := bufio.NewReader(conn)
-	reply, err := protocol.Read(r)
-	if err != nil {
-		return false, "", err
-	}
-	if reply.Type == protocol.TypeChallenge {
-		if err := protocol.Write(conn, &protocol.Envelope{
+	var reply *protocol.Envelope
+	err := d.dialer.Do(contact, d.ClaimTimeout, false, func(c *netx.Conn) error {
+		var err error
+		reply, err = protocol.Exchange(c, c.Reader(), &protocol.Envelope{
+			Type:   protocol.TypeClaim,
+			Ad:     protocol.EncodeAd(jobAd),
+			Ticket: ticket,
+			Cycle:  cycle,
+			Trace:  trace,
+			Span:   span,
+		})
+		if err != nil || reply.Type != protocol.TypeChallenge {
+			return err
+		}
+		reply, err = protocol.Exchange(c, c.Reader(), &protocol.Envelope{
 			Type: protocol.TypeChalReply,
 			MAC:  protocol.Respond(ticket, reply.Nonce),
-		}); err != nil {
-			return false, "", err
-		}
-		reply, err = protocol.Read(r)
-		if err != nil {
-			return false, "", err
-		}
+		})
+		return err
+	})
+	if err != nil {
+		return false, "", err
 	}
 	switch reply.Type {
 	case protocol.TypeClaimReply:
@@ -784,7 +812,7 @@ func (d *CustomerDaemon) handleSubmit(env *protocol.Envelope) *protocol.Envelope
 	sp.Set("job", fmt.Sprintf("%d", j.ID))
 	sp.End()
 	return &protocol.Envelope{Type: protocol.TypeAck,
-		Name:  fmt.Sprintf("%s/job%d", d.CA.Owner(), j.ID),
+		Name:  jobName(d.CA.Owner(), j.ID),
 		Trace: trace}
 }
 
@@ -895,25 +923,21 @@ func (d *CustomerDaemon) Complete(jobID int) error {
 	return err
 }
 
-// sendRelease delivers one RELEASE to a provider contact. RELEASE is
-// idempotent (the RA acknowledges a duplicate release of an
+// sendRelease delivers one RELEASE to a provider contact, on a
+// connection from the dialer's cache. RELEASE is idempotent (the RA acknowledges a duplicate release of an
 // already-unclaimed machine), so transport failures retry with
 // backoff. If the provider is truly gone the claim dies with it — its
 // ad expires and the machine returns via re-advertising.
 func (d *CustomerDaemon) sendRelease(contact, trace string) error {
 	return netx.Retry(context.Background(), d.retry, func() error {
-		conn, err := d.dialer.Dial(contact)
-		if err != nil {
+		var reply *protocol.Envelope
+		if err := d.dialer.Do(contact, 0, protocol.Idempotent(protocol.TypeRelease), func(c *netx.Conn) error {
+			var err error
+			reply, err = protocol.Exchange(c, c.Reader(), &protocol.Envelope{
+				Type: protocol.TypeRelease, Name: d.CA.Owner(), Trace: trace,
+			})
 			return err
-		}
-		defer conn.Close()
-		if err := protocol.Write(conn, &protocol.Envelope{
-			Type: protocol.TypeRelease, Name: d.CA.Owner(), Trace: trace,
 		}); err != nil {
-			return err
-		}
-		reply, err := protocol.Read(bufio.NewReader(conn))
-		if err != nil {
 			return err
 		}
 		if reply.Type == protocol.TypeError {

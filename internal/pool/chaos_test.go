@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/classad"
+	"repro/internal/collector"
 	"repro/internal/netx"
 	"repro/internal/obs"
 )
@@ -384,5 +385,139 @@ func TestChaosClaimAgainstWedgedProviderIsBounded(t *testing.T) {
 	}
 	if _, rejected := ca.ClaimStats(); rejected != 1 {
 		t.Fatalf("rejected claims = %d, want 1", rejected)
+	}
+}
+
+// TestChaosReuseOutlivedByPeers runs a pool whose servers drop idle
+// connections long before the client cache does (every daemon's
+// IdleTimeout is 50ms against the cache's idle window), behind fault
+// listeners that reset connections. Every third round waits out the
+// servers' timeout, so the next conversation with each peer meets a
+// connection the peer has closed: collector traffic, MATCH and RELEASE
+// are replayed on a fresh connection, a CLAIM fails and its job goes
+// back to the queue. Reuse must not turn one dropped connection into a
+// lost job: every job completes, no RA ever holds two claims, and no
+// MATCH leads to a second CLAIM.
+func TestChaosReuseOutlivedByPeers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chaos soak with real sockets and timers; skipped in -short mode")
+	}
+	const seed = 20261015
+	const nRAs = 3
+	const nJobs = 8
+	const serverIdle = 50 * time.Millisecond
+	if serverIdle >= netx.IdleConnTimeout {
+		t.Fatalf("server idle timeout %v is not below the cache's window %v", serverIdle, netx.IdleConnTimeout)
+	}
+	faults := netx.NewFaults(netx.FaultPlan{Seed: seed, Reset: 0.03})
+	dialer, retry := chaosNet(seed)
+	t.Cleanup(dialer.CloseIdle)
+	o := obs.New()
+	netx.Instrument(o.Registry())
+	t.Cleanup(func() { netx.Instrument(nil) })
+
+	mgr := NewManager(ManagerConfig{Logf: t.Logf, Dialer: dialer, NotifyRetry: retry})
+	t.Cleanup(mgr.Close)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := collector.NewServer(mgr.Store(), t.Logf)
+	srv.IdleTimeout = serverIdle
+	collectorAddr := srv.Serve(faults.Listener(ln))
+	t.Cleanup(srv.Close)
+
+	ras := make(map[string]*ResourceDaemon)
+	for i := 0; i < nRAs; i++ {
+		machine := figure1Machine()
+		name := fmt.Sprintf("reuse%d.example", i)
+		machine.SetString(classad.AttrName, name)
+		ra := NewResourceDaemon(agent.NewResource(machine, nil), collectorAddr, 0, t.Logf)
+		ra.ConfigureNetwork(dialer, retry)
+		ra.IdleTimeout = serverIdle
+		raLn, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra.Serve(faults.Listener(raLn))
+		t.Cleanup(ra.Close)
+		ras[name] = ra
+	}
+	ca := NewCustomerDaemon(agent.NewCustomer("raman", nil), collectorAddr, 0, t.Logf)
+	ca.Instrument(o)
+	ca.ConfigureNetwork(dialer, retry)
+	ca.IdleTimeout = serverIdle
+	ca.ClaimTimeout = 500 * time.Millisecond
+	caLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ca.Serve(faults.Listener(caLn))
+	t.Cleanup(ca.Close)
+
+	for i := 0; i < nJobs; i++ {
+		ca.CA.Submit(classad.Figure2(), 10)
+	}
+	completed := func() int {
+		return ca.CA.Counts()[agent.JobCompleted]
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for round := 1; completed() < nJobs; round++ {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d jobs completed after %d rounds; faults %+v", completed(), nJobs, round, faults.Stats())
+		}
+		if round%3 == 0 {
+			time.Sleep(2 * serverIdle) // every cached connection is now dead at the far end
+		}
+		for _, ra := range ras {
+			_ = ra.Advertise()
+		}
+		_ = ca.AdvertiseIdle()
+		mgr.RunCycle()
+
+		// No RA holds two claims: each runs at most one of the
+		// customer's jobs, and that is the job its own claim names.
+		running := make(map[string][]int)
+		for _, j := range ca.CA.Snapshot() {
+			if j.Status == agent.JobRunning {
+				running[j.Resource] = append(running[j.Resource], j.ID)
+			}
+		}
+		for machine, ids := range running {
+			if len(ids) > 1 {
+				t.Fatalf("round %d: jobs %v all run on %s", round, ids, machine)
+			}
+			c, held := ras[machine].RA.CurrentClaim()
+			if id, _ := agent.JobIDOf(c.Job); !held || id != ids[0] {
+				t.Fatalf("round %d: job %d runs on %s, whose claim is %+v (held %v)", round, ids[0], machine, c, held)
+			}
+		}
+		for _, j := range ca.CA.Snapshot() {
+			if j.Status == agent.JobRunning || j.Status == agent.JobCompleted {
+				_ = ca.Complete(j.ID)
+			}
+		}
+	}
+
+	// No MATCH led to a second CLAIM: one claim outcome per cycle and
+	// job, however the MATCH was retried or replayed.
+	claims := make(map[string]int)
+	for _, ev := range o.Events().Snapshot() {
+		switch ev.Type {
+		case "claim_ok", "claim_rejected", "claim_failed":
+			key := ev.Cycle + "/" + ev.Fields["job"]
+			if claims[key]++; claims[key] > 1 {
+				t.Errorf("job %s was claimed %d times for one MATCH of cycle %s", ev.Fields["job"], claims[key], ev.Cycle)
+			}
+		}
+	}
+	snap := o.Registry().Snapshot()
+	t.Logf("%d claims for %d jobs; %d connection reuses, %d dials; faults %+v",
+		len(claims), nJobs, snap.Counters["netx_conn_reuses_total"], snap.Counters["netx_dials_total"], faults.Stats())
+	if snap.Counters["netx_conn_reuses_total"] == 0 {
+		t.Error("no conversation reused a connection")
+	}
+	if faults.Stats().Resets == 0 {
+		t.Error("no connection was reset")
 	}
 }

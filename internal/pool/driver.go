@@ -593,14 +593,16 @@ func (n *negotiator) notify(match matchmaker.Match, cycleID string, epoch uint64
 	sp.Set("request", adName(match.Request))
 	sp.Set("offer", adName(match.Offer))
 
-	// Customer first: it drives the claiming protocol. MATCH is
-	// idempotent for the CA (a duplicate lands after the job left the
-	// idle state and is acknowledged as stale), so transport failures
-	// are retried with backoff before the match is abandoned to the
-	// next cycle.
+	// Customer first: it drives the claiming protocol, for the request
+	// the envelope names. MATCH is idempotent for the CA (a duplicate
+	// lands after the job left the idle state, or carries the session
+	// it already claimed for, and is acknowledged as stale), so
+	// transport failures are retried with backoff before the match is
+	// abandoned to the next cycle.
 	if err := netx.Retry(context.Background(), n.notifyRetry, func() error {
 		reply, err := sendToContact(n.dialer, match.Request, &protocol.Envelope{
 			Type:    protocol.TypeMatch,
+			Name:    adName(match.Request),
 			PeerAd:  protocol.EncodeAd(match.Offer),
 			Ticket:  ticket,
 			Session: session,

@@ -57,7 +57,10 @@ func newFlock(t *testing.T) *flockFixture {
 }
 
 // TestFlockingSpreadsWork: with the home pool's machine busy, the
-// second job runs in the remote pool.
+// second job runs in the remote pool. Pool B first pairs its machine
+// with the job pool A already started — its copy of that request is
+// stale — so the MATCH is acknowledged without a claim and B drops the
+// request; its next cycle pairs the machine with the second job.
 func TestFlockingSpreadsWork(t *testing.T) {
 	f := newFlock(t)
 	j1 := f.ca.CA.Submit(classad.Figure2(), 100)
@@ -77,10 +80,14 @@ func TestFlockingSpreadsWork(t *testing.T) {
 	if resA.Notified != 1 {
 		t.Fatalf("pool A cycle: %+v errors=%v", resA, resA.Errors)
 	}
-	// Remote pool cycle serves the other.
+	// Remote pool cycles serve the other.
 	resB := f.mgrB.RunCycle()
-	if resB.Notified == 0 {
-		t.Fatalf("pool B cycle matched nothing: %+v", resB)
+	if resB.Notified != 1 || resB.Charged != 0 {
+		t.Fatalf("pool B's first cycle: %+v, want the stale match for job 1", resB)
+	}
+	resB = f.mgrB.RunCycle()
+	if resB.Notified != 1 || resB.Charged != 1 {
+		t.Fatalf("pool B's second cycle: %+v, want job 2 claimed", resB)
 	}
 	if f.raA.RA.State() != agent.StateClaimed || f.raB.RA.State() != agent.StateClaimed {
 		t.Errorf("states: A=%s B=%s, want both Claimed", f.raA.RA.State(), f.raB.RA.State())

@@ -16,11 +16,11 @@
 package pool
 
 import (
-	"bufio"
 	"errors"
 	"io"
 	"net"
 	"os"
+	"sync"
 
 	"repro/internal/classad"
 	"repro/internal/collector"
@@ -241,9 +241,11 @@ func (m *Manager) cycle() (CycleResult, matchmaker.WakeStats) {
 	return res, stats
 }
 
-// sendToContact dials the ad's Contact address with bounded connect
-// and I/O deadlines, delivers one envelope, and returns the
-// acknowledging reply.
+// sendToContact delivers one envelope to the ad's Contact address on a
+// connection from the dialer's cache, with bounded connect and I/O
+// deadlines, and returns the acknowledging reply. An idempotent
+// envelope (MATCH) that finds its cached connection dead is replayed
+// at once on a new one; PREEMPT and JOB_DONE are not.
 func sendToContact(d *netx.Dialer, ad *classad.Ad, env *protocol.Envelope) (*protocol.Envelope, error) {
 	contact, ok := ad.Eval(classad.AttrContact).StringVal()
 	if !ok || contact == "" {
@@ -253,15 +255,12 @@ func sendToContact(d *netx.Dialer, ad *classad.Ad, env *protocol.Envelope) (*pro
 	if d == nil {
 		d = netx.DefaultDialer
 	}
-	conn, err := d.Dial(contact)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	if err := protocol.Write(conn, env); err != nil {
-		return nil, err
-	}
-	reply, err := protocol.Read(bufio.NewReader(conn))
+	var reply *protocol.Envelope
+	err := d.Do(contact, 0, protocol.Idempotent(env.Type), func(c *netx.Conn) error {
+		var err error
+		reply, err = protocol.Exchange(c, c.Reader(), env)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -277,4 +276,57 @@ func sendToContact(d *netx.Dialer, ad *classad.Ad, env *protocol.Envelope) (*pro
 func quietReadError(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) ||
 		errors.Is(err, os.ErrDeadlineExceeded)
+}
+
+// connSet is a daemon's accepted connections. Clients keep their
+// connections to a daemon in a cache between conversations
+// (netx.Dialer.Do), so a handler spends most of its life blocked
+// reading from an idle peer; close ends those reads at once instead of
+// at the idle timeout.
+type connSet struct {
+	mu     sync.Mutex
+	closed bool
+	conns  map[net.Conn]bool
+}
+
+// serve accepts on ln until it is closed, running handle on a goroutine
+// of its own per connection. Both the loop and the handlers are
+// registered with wg, whose Add for the loop is the caller's.
+func (s *connSet) serve(ln net.Listener, wg *sync.WaitGroup, handle func(net.Conn)) {
+	defer wg.Done()
+	for {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		if s.conns == nil {
+			s.conns = make(map[net.Conn]bool)
+		}
+		s.conns[conn] = true
+		s.mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			handle(conn)
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
+		}()
+	}
+}
+
+// close closes every open connection and every one accepted later.
+func (s *connSet) close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	for c := range s.conns {
+		c.Close()
+	}
 }

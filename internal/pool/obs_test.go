@@ -169,8 +169,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		}
 	}
 
-	// No handler goroutine outlives its connection: the gauges drain
-	// to zero once the protocol exchanges end.
+	// No handler goroutine outlives its connection: once the clients
+	// drop the connections they cached, the gauges drain to zero.
+	netx.DefaultDialer.CloseIdle()
 	for _, g := range []string{"collector_handlers", "pool_ca_handlers", "pool_ra_handlers"} {
 		waitGaugeZero(t, o, g)
 	}

@@ -117,6 +117,111 @@ func TestFigure3EndToEnd(t *testing.T) {
 	}
 }
 
+// TestMatchClaimsTheNamedJob: the CA claims the job the matchmaker
+// paired with the machine, not the first idle job that would accept
+// it. The engine serves requests in key order — raman/job10 before
+// raman/job9 — and Rank sends both to machine b first, so job 10 gets b
+// and job 9 gets a: the opposite of what submission order would pick.
+func TestMatchClaimsTheNamedJob(t *testing.T) {
+	mgr := NewManager(ManagerConfig{Logf: t.Logf})
+	addr, err := mgr.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(mgr.Close)
+	for i, name := range []string{"a.example", "b.example"} {
+		machine := figure1Machine()
+		machine.SetString(classad.AttrName, name)
+		machine.SetInt("Speed", int64(i+1))
+		ra := NewResourceDaemon(agent.NewResource(machine, nil), addr, 0, t.Logf)
+		if _, err := ra.Listen("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(ra.Close)
+		if err := ra.Advertise(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ca := NewCustomerDaemon(agent.NewCustomer("raman", nil), addr, 0, t.Logf)
+	if _, err := ca.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ca.Close)
+
+	job := classad.Figure2()
+	job.Set(classad.AttrRank, classad.MustParseExpr(`other.Speed`))
+	for i := 1; i <= 10; i++ {
+		j := ca.CA.Submit(job, 100)
+		if i <= 8 {
+			if err := ca.CA.Remove(j.ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := ca.AdvertiseIdle(); err != nil {
+		t.Fatal(err)
+	}
+	res := mgr.RunCycle()
+	if len(res.Matches) != 2 || res.Charged != 2 {
+		t.Fatalf("cycle = %+v, want both jobs matched and claimed", res)
+	}
+	for _, m := range res.Matches {
+		name := adName(m.Request)
+		id, ok := jobIDOfName("raman", name)
+		if !ok {
+			t.Fatalf("request name %q", name)
+		}
+		if j, _ := ca.CA.Job(id); j.Status != agent.JobRunning || j.Resource != adName(m.Offer) {
+			t.Errorf("%s was matched to %s but is %s on %q", name, adName(m.Offer), j.Status, j.Resource)
+		}
+	}
+	if j, _ := ca.CA.Job(10); j.Resource != "b.example" {
+		t.Errorf("job 10 runs on %q, want b.example (its Rank's choice, served first)", j.Resource)
+	}
+}
+
+// TestRedeliveredMatchClaimsOnce: a MATCH delivered twice — its reply
+// was lost and the negotiator retried or replayed it — runs one claim,
+// even when that claim failed and the job is idle again. A MATCH with a
+// new session, or for a job no longer idle, is judged afresh.
+func TestRedeliveredMatchClaimsOnce(t *testing.T) {
+	p := newTestPool(t, figure1Machine(), "raman")
+	job := p.ca.CA.Submit(classad.Figure2(), 100)
+	offer, err := p.ra.RA.Advertise()
+	if err != nil {
+		t.Fatal(err)
+	}
+	offer.SetString(classad.AttrContact, p.ra.Contact())
+	target := classad.NewAd()
+	target.SetString(classad.AttrContact, p.ca.Contact())
+	match := func(session, ticket string) *protocol.Envelope {
+		t.Helper()
+		reply, err := sendToContact(nil, target, &protocol.Envelope{
+			Type: protocol.TypeMatch, Name: jobName("raman", job.ID),
+			PeerAd: protocol.EncodeAd(offer), Ticket: ticket, Session: session,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reply
+	}
+	claims := func() int {
+		ok, rejected := p.ca.ClaimStats()
+		return ok + rejected
+	}
+	match("s1", "wrong-ticket") // rejected: the job stays idle
+	if reply := match("s1", "wrong-ticket"); reply.Accepted || claims() != 1 {
+		t.Fatalf("redelivered MATCH: reply %+v, %d claims, want 1", reply, claims())
+	}
+	ticket, _ := offer.Eval(classad.AttrTicket).StringVal()
+	if reply := match("s2", ticket); !reply.Accepted || claims() != 2 {
+		t.Fatalf("MATCH of a new session: reply %+v, %d claims, want 2", reply, claims())
+	}
+	if reply := match("s3", ticket); reply.Accepted || claims() != 2 {
+		t.Fatalf("MATCH for a running job: reply %+v, %d claims, want 2", reply, claims())
+	}
+}
+
 // TestFigure3WithChallenge runs the same flow with the HMAC
 // challenge-response handshake enabled on the RA.
 func TestFigure3WithChallenge(t *testing.T) {

@@ -2,7 +2,6 @@ package pool
 
 import (
 	"bufio"
-	"fmt"
 	"net"
 	"sync"
 	"time"
@@ -44,6 +43,7 @@ type ResourceDaemon struct {
 	contact  string
 	closed   bool
 	wg       sync.WaitGroup
+	conns    connSet
 	logf     func(string, ...any)
 	onEvict  func(claim agent.Claim)
 	preempts int
@@ -148,7 +148,7 @@ func (d *ResourceDaemon) Serve(ln net.Listener) string {
 	d.contact = ln.Addr().String()
 	d.mu.Unlock()
 	d.wg.Add(1)
-	go d.acceptLoop(ln)
+	go d.conns.serve(ln, &d.wg, d.handle)
 	return d.contact
 }
 
@@ -159,7 +159,8 @@ func (d *ResourceDaemon) Contact() string {
 	return d.contact
 }
 
-// Close stops the daemon, cancelling any running starter.
+// Close stops the daemon, cancelling any running starter and closing
+// the connections its handlers serve.
 func (d *ResourceDaemon) Close() {
 	d.mu.Lock()
 	if d.closed {
@@ -173,6 +174,7 @@ func (d *ResourceDaemon) Close() {
 	if ln != nil {
 		ln.Close()
 	}
+	d.conns.close()
 	d.wg.Wait()
 }
 
@@ -202,21 +204,6 @@ func (d *ResourceDaemon) Advertise() error {
 func (d *ResourceDaemon) Invalidate() error {
 	d.deltas.Forget(d.RA.Name())
 	return d.collector.Invalidate(d.RA.Name())
-}
-
-func (d *ResourceDaemon) acceptLoop(ln net.Listener) {
-	defer d.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			d.handle(conn)
-		}()
-	}
 }
 
 func (d *ResourceDaemon) handle(conn net.Conn) {
@@ -416,7 +403,7 @@ func (d *ResourceDaemon) maybeStartJob(job *classad.Ad) {
 	owner, _ := job.Eval(classad.AttrOwner).StringVal()
 	id, _ := agent.JobIDOf(job)
 	spec := remote.JobSpec{
-		Key:    fmt.Sprintf("%s/job%d", owner, id),
+		Key:    jobName(owner, id),
 		Input:  input,
 		Output: output,
 	}

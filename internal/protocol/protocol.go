@@ -50,17 +50,17 @@ const (
 	// An empty delta (no Ad, no Removed) is a pure heartbeat: it
 	// renews the lifetime without resending any attribute.
 	TypeUpdateDelta MsgType = "UPDATE_DELTA"
-	TypeQuery      MsgType = "QUERY"
-	TypeQueryReply MsgType = "QUERY_REPLY"
-	TypeMatch      MsgType = "MATCH"
-	TypeClaim      MsgType = "CLAIM"
-	TypeClaimReply MsgType = "CLAIM_REPLY"
-	TypeRelease    MsgType = "RELEASE"
-	TypePreempt    MsgType = "PREEMPT"
-	TypeChallenge  MsgType = "CHALLENGE"
-	TypeChalReply  MsgType = "CHALLENGE_REPLY"
-	TypeAck        MsgType = "ACK"
-	TypeError      MsgType = "ERROR"
+	TypeQuery       MsgType = "QUERY"
+	TypeQueryReply  MsgType = "QUERY_REPLY"
+	TypeMatch       MsgType = "MATCH"
+	TypeClaim       MsgType = "CLAIM"
+	TypeClaimReply  MsgType = "CLAIM_REPLY"
+	TypeRelease     MsgType = "RELEASE"
+	TypePreempt     MsgType = "PREEMPT"
+	TypeChallenge   MsgType = "CHALLENGE"
+	TypeChalReply   MsgType = "CHALLENGE_REPLY"
+	TypeAck         MsgType = "ACK"
+	TypeError       MsgType = "ERROR"
 	// TypeSubmit delivers a job ad to a customer agent's queue (the
 	// submission tool's message; not part of the paper's matchmaker
 	// protocols, which begin once the job is queued).
@@ -93,6 +93,21 @@ const (
 	TypeLease      MsgType = "LEASE"
 	TypeLeaseReply MsgType = "LEASE_REPLY"
 )
+
+// Idempotent reports whether delivering an envelope of type t twice
+// has the effect of delivering it once (DESIGN.md, "Failure
+// semantics"): only these exchanges are retried or replayed after a
+// transport failure. A CLAIM consumes a ticket and a SUBMIT queues a
+// job per delivery, so neither is.
+func Idempotent(t MsgType) bool {
+	switch t {
+	case TypeAdvertise, TypeUpdateDelta, TypeInvalidate, TypeQuery, //epochguard:ok classifies message types; acts on no MATCH
+		TypeLease, TypeMatch, TypeRelease:
+		return true
+	default:
+		return false
+	}
+}
 
 // Envelope is the on-wire frame: one JSON object per line.
 type Envelope struct {
@@ -190,6 +205,14 @@ func Write(w io.Writer, e *Envelope) error {
 	data = append(data, '\n')
 	_, err = w.Write(data)
 	return err
+}
+
+// Exchange sends env on w and receives the reply from r.
+func Exchange(w io.Writer, r *bufio.Reader, env *Envelope) (*Envelope, error) {
+	if err := Write(w, env); err != nil {
+		return nil, err
+	}
+	return Read(r)
 }
 
 // Read receives one envelope from a buffered reader. Buffering is

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // LockGuard flags blocking operations performed while a sync.Mutex or
-// sync.RWMutex is held: an outbound dial, a protocol round-trip, or a
-// channel send. A lock held across network I/O couples every
+// sync.RWMutex is held: an outbound dial, a protocol round-trip, a
+// conversation on a cached connection (netx.Dialer.Do), or a channel
+// send. A lock held across network I/O couples every
 // contender's latency to a peer's responsiveness — the collector
 // serving a query cannot afford to stall behind a slow advertiser —
 // and a blocking send under a lock is a classic self-deadlock when the
@@ -36,7 +38,7 @@ var LockGuard = &Analyzer{
 
 // lockguardProtoOps are the protocol package calls that block on a
 // peer's socket.
-var lockguardProtoOps = map[string]bool{"Write": true, "Read": true}
+var lockguardProtoOps = map[string]bool{"Write": true, "Read": true, "Exchange": true}
 
 func runLockGuard(p *Pass) {
 	g := &lockGuard{pass: p}
@@ -262,10 +264,11 @@ func syncLockMethod(info *types.Info, c *ast.CallExpr) (recv, method string, ok 
 
 // blockingCall classifies a call as directly network-blocking and
 // names it, or returns "". Classification is by object identity:
-// package-net dials and protocol read/write round-trips resolve
-// through any import spelling; a Dial* method on any receiver
-// (netx.Dialer, a collector client's embedded dialer, ...) opens an
-// outbound connection by repo convention.
+// package-net dials, protocol read/write round-trips and the
+// conversations netx.Dialer.Do runs resolve through any import
+// spelling; a Dial* method on any receiver (netx.Dialer, a collector
+// client's embedded dialer, ...) opens an outbound connection by repo
+// convention.
 func blockingCall(info *types.Info, c *ast.CallExpr) string {
 	sel, ok := c.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -280,11 +283,30 @@ func blockingCall(info *types.Info, c *ast.CallExpr) string {
 			return fmt.Sprintf("%s.%s round-trip", writtenQualifier(sel, "protocol"), obj.Name())
 		}
 	}
+	if isDialerDo(obj) {
+		return exprString(sel.X) + ".Do conversation"
+	}
 	switch sel.Sel.Name {
-	case "Dial", "DialContext", "DialTotal":
+	case "Dial", "DialContext":
 		return exprString(sel.X) + "." + sel.Sel.Name
 	}
 	return ""
+}
+
+// isDialerDo reports whether obj is the Do method of netx.Dialer,
+// which dials or reuses a connection and runs a whole conversation on
+// it.
+func isDialerDo(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	if !ok || fn.Name() != "Do" || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/netx") {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	named := namedOf(recv.Type())
+	return named != nil && named.Obj().Name() == "Dialer"
 }
 
 // blockingHelper reports whether the call statically resolves to a

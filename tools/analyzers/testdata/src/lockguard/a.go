@@ -6,6 +6,7 @@ import (
 	"net"
 	"sync"
 
+	"repro/internal/netx"
 	"repro/internal/protocol"
 )
 
@@ -93,4 +94,18 @@ func (s *server) listenWhileLocked() (net.Listener, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return net.Listen("tcp", "127.0.0.1:0")
+}
+
+// A conversation on a cached connection blocks like a dial.
+func (s *server) conversationWhileLocked(nd *netx.Dialer, addr string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	nd.Do(addr, 0, true, func(*netx.Conn) error { return nil }) // want "nd\\.Do conversation while s\\.mu is held"
+}
+
+// sync.Once.Do is not a conversation.
+func (s *server) onceWhileLocked(once *sync.Once) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	once.Do(func() {})
 }

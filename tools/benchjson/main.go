@@ -15,14 +15,20 @@
 // Everything else (PASS, ok, test log noise) is ignored, so the tool
 // is safe to leave in any pipeline.
 //
+// A unit other than ns/op, B/op, allocs/op and MB/s is a counter the
+// benchmark reported with b.ReportMetric (evals/wake, dials/op): a
+// count of work done, recorded under "metrics".
+//
 // With -check <baseline.json> the tool becomes a regression gate: it
 // compares the fresh run against the committed baseline and exits
 // non-zero when any benchmark present in both slowed down by more
 // than -tolerance (default 20% ns/op), or allocates more than 2% and
-// at least one allocation more per op. Time is noisy on a shared host, so its bound is loose; an
-// allocation count is not, so a lost allocation-free path fails the
-// gate however noisy the host. The Makefile's `bench-check` target
-// wires this into CI-style verification.
+// at least one allocation more per op, or reports more than 2% more of
+// any counter. Time is noisy on a shared host, so its bound is loose;
+// an allocation or work count is not, so a lost allocation-free path
+// or a dial per operation fails the gate however noisy the host. The
+// Makefile's `bench-check` target wires this into CI-style
+// verification.
 package main
 
 import (
@@ -32,11 +38,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// allocTolerance is the fractional allocs/op rise -check allows.
+// allocTolerance is the fractional rise in allocs/op, or in a
+// reported counter, that -check allows.
 const allocTolerance = 0.02
 
 // Benchmark is one parsed result line.
@@ -46,6 +54,8 @@ type Benchmark struct {
 	NsPerOp    float64 `json:"ns_per_op"`
 	BytesPerOp int64   `json:"bytes_per_op,omitempty"`
 	AllocsOp   int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds the b.ReportMetric counters, by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Report is the whole document: the environment header `go test`
@@ -172,29 +182,62 @@ func runCheck(base, fresh Report, tolerance float64) (regressions int, report st
 		}
 		compared++
 		ratio := b.NsPerOp / old.NsPerOp
-		moreAllocs := b.AllocsOp > old.AllocsOp &&
-			float64(b.AllocsOp) > float64(old.AllocsOp)*(1+allocTolerance)
+		worse := ratio > 1+tolerance || rose(float64(old.AllocsOp), float64(b.AllocsOp))
+		var counters strings.Builder
+		for _, unit := range sortedUnits(b.Metrics) {
+			was, ok := old.Metrics[unit]
+			if !ok {
+				continue
+			}
+			fmt.Fprintf(&counters, "  %g -> %g %s", was, b.Metrics[unit], unit)
+			worse = worse || rose(was, b.Metrics[unit])
+		}
 		verdict := "ok"
-		if ratio > 1+tolerance || moreAllocs {
+		if worse {
 			verdict = "REGRESSION"
 			regressions++
 		}
-		fmt.Fprintf(&sb, "%-12s %-50s %12.0f -> %12.0f ns/op  (%+.1f%%)  %d -> %d allocs/op\n",
-			verdict, b.Name, old.NsPerOp, b.NsPerOp, (ratio-1)*100, old.AllocsOp, b.AllocsOp)
+		fmt.Fprintf(&sb, "%-12s %-50s %12.0f -> %12.0f ns/op  (%+.1f%%)  %d -> %d allocs/op%s\n",
+			verdict, b.Name, old.NsPerOp, b.NsPerOp, (ratio-1)*100, old.AllocsOp, b.AllocsOp, counters.String())
 	}
-	fmt.Fprintf(&sb, "benchjson: %d compared, %d regressed (tolerance %+.0f%% ns/op, %+.0f%% allocs/op)\n",
+	fmt.Fprintf(&sb, "benchjson: %d compared, %d regressed (tolerance %+.0f%% ns/op, %+.0f%% allocs/op and counters)\n",
 		compared, regressions, tolerance*100, allocTolerance*100)
 	return regressions, sb.String()
 }
 
+// rose reports a work count regression: more than allocTolerance above
+// the baseline, and above it at all (so 0 -> 1 fails and 0 -> 0
+// passes).
+func rose(was, now float64) bool {
+	return now > was && now > was*(1+allocTolerance)
+}
+
+func sortedUnits(m map[string]float64) []string {
+	units := make([]string, 0, len(m))
+	for unit := range m {
+		units = append(units, unit)
+	}
+	sort.Strings(units)
+	return units
+}
+
 // minByName indexes benchmarks by name, keeping each measure's best
-// sample: the fastest ns/op and the fewest allocs/op.
+// sample: the fastest ns/op, the fewest allocs/op and the lowest of
+// each counter.
 func minByName(bs []Benchmark) map[string]Benchmark {
 	m := make(map[string]Benchmark, len(bs))
 	for _, b := range bs {
 		if old, ok := m[b.Name]; ok {
 			b.NsPerOp = min(b.NsPerOp, old.NsPerOp)
 			b.AllocsOp = min(b.AllocsOp, old.AllocsOp)
+			metrics := make(map[string]float64, len(b.Metrics))
+			for unit, v := range b.Metrics {
+				if was, ok := old.Metrics[unit]; ok {
+					v = min(v, was)
+				}
+				metrics[unit] = v
+			}
+			b.Metrics = metrics
 		}
 		m[b.Name] = b
 	}
@@ -217,7 +260,7 @@ func minSamples(bs []Benchmark) []Benchmark {
 }
 
 // parseBench decodes one result line: name, iteration count, then
-// value/unit pairs (ns/op, B/op, allocs/op).
+// value/unit pairs (ns/op, B/op, allocs/op, and the counters).
 func parseBench(line string) (Benchmark, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
@@ -240,6 +283,13 @@ func parseBench(line string) (Benchmark, bool) {
 			b.BytesPerOp = int64(v)
 		case "allocs/op":
 			b.AllocsOp = int64(v)
+		case "MB/s":
+			// a throughput, not a count of work
+		default:
+			if b.Metrics == nil {
+				b.Metrics = map[string]float64{}
+			}
+			b.Metrics[f[i+1]] = v
 		}
 	}
 	if b.NsPerOp == 0 {

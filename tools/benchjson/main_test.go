@@ -103,3 +103,57 @@ func TestRunCheck(t *testing.T) {
 		})
 	}
 }
+
+// Counters reported with b.ReportMetric are recorded by unit; MB/s is
+// a throughput and is not.
+func TestParseRunRecordsCounters(t *testing.T) {
+	input := `BenchmarkSteadyStateDeltas/incremental    100    123456 ns/op    512.5 evals/wake    2048 B/op    31 allocs/op
+BenchmarkNotifyClaim    500    90000 ns/op    0 dials/op    3.50 MB/s
+`
+	rep, err := parseRun(strings.NewReader(input))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Benchmarks[0].Metrics; len(got) != 1 || got["evals/wake"] != 512.5 {
+		t.Errorf("metrics = %v, want evals/wake 512.5", got)
+	}
+	if got := rep.Benchmarks[1].Metrics; len(got) != 1 || got["dials/op"] != 0 {
+		t.Errorf("metrics = %v, want only dials/op 0", got)
+	}
+}
+
+// A counter rise fails the gate by the allocs/op rule.
+func TestRunCheckCounters(t *testing.T) {
+	base := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkWake", NsPerOp: 1000, Metrics: map[string]float64{"evals/wake": 500}},
+		{Name: "BenchmarkNotifyClaim", NsPerOp: 1000, Metrics: map[string]float64{"dials/op": 0}},
+	}}
+	bench := func(name, unit string, v ...float64) []Benchmark {
+		var out []Benchmark
+		for _, x := range v {
+			out = append(out, Benchmark{Name: name, NsPerOp: 1000, Metrics: map[string]float64{unit: x}})
+		}
+		return out
+	}
+	cases := []struct {
+		name   string
+		fresh  []Benchmark
+		wantRe int
+	}{
+		{"within 2%", bench("BenchmarkWake", "evals/wake", 510), 0},
+		{"past 2%", bench("BenchmarkWake", "evals/wake", 511), 1},
+		{"fewer passes", bench("BenchmarkWake", "evals/wake", 10), 0},
+		{"zero stays zero", bench("BenchmarkNotifyClaim", "dials/op", 0), 0},
+		{"zero to some fails", bench("BenchmarkNotifyClaim", "dials/op", 0.001), 1},
+		{"min of samples", bench("BenchmarkNotifyClaim", "dials/op", 3, 0), 0},
+		{"unit new to the baseline passes", bench("BenchmarkWake", "dials/op", 9), 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got, report := runCheck(base, Report{Benchmarks: tc.fresh}, 0.20)
+			if got != tc.wantRe {
+				t.Errorf("regressions = %d, want %d\n%s", got, tc.wantRe, report)
+			}
+		})
+	}
+}
