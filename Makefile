@@ -21,11 +21,13 @@ FUZZTIME ?= 15s
 # negotiation (Negotiat covers NegotiationCycle and NegotiateTraced;
 # SteadyState is the event-driven delta wake vs full-rebuild pair;
 # WakeOneDelta is the quiet wake at two pool sizes, whose ratio pins
-# that a wake's cost follows the delta, not the pool), plus E17's
+# that a wake's cost follows the delta, not the pool; OrderedScan is
+# one job's scan in the pool.10k shape, whose evals/match and
+# ranks/match pin how far the rank-ordered walk goes), plus E17's
 # per-record remote-syscall tax (RemoteSyscallStep) and one match's
 # wire path through real daemons (NotifyClaim, whose dials/op pins
 # that every conversation reuses a cached connection).
-BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState|WakeOneDelta|RemoteSyscallStep|NotifyClaim
+BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState|WakeOneDelta|OrderedScan|RemoteSyscallStep|NotifyClaim
 
 .PHONY: verify test test-short build vet lint lint-codes lint-fix-list mc mc-short fuzz crash bench bench-check bench-smoke ci
 
@@ -110,7 +112,8 @@ crash:
 # Every fuzz target in the tree, FUZZTIME each (go test -fuzz takes one
 # target in one package per run, hence the loop): today the wire
 # protocol's FuzzReadEnvelope, the WAL's FuzzWALRecord, the classad
-# parser's FuzzParseUnparse and the evaluator's FuzzEvalMatch.
+# parser's FuzzParseUnparse, the evaluator's FuzzEvalMatch and the
+# collector's delta round trip FuzzMergeDiff.
 # Continuous deep fuzzing raises FUZZTIME.
 fuzz:
 	@set -e; for pkg in $$($(GO) list ./...); do \

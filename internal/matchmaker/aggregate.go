@@ -151,7 +151,10 @@ func (a *aggregation) candidates(ev evaluator, req *classad.Ad, offers []*classa
 		return classes, 0
 	}
 	for gi, group := range a.groups {
-		if c, ok := ev.try(req, offers, group[0]); ok {
+		// Only a compatible class bids, so its request rank waits for
+		// the match.
+		if c, ok := ev.try(req, offers, group[0], 0); ok {
+			c.reqRank = classad.EvalRank(req, offers[group[0]], ev.env)
 			classes = append(classes, classCand{group: gi, rep: c})
 		}
 	}

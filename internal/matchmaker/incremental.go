@@ -56,11 +56,15 @@ package matchmaker
 //     is the better() of the previous pick and the best frontier
 //     challenger — a scan over the frontier only.
 //
-// Unmatched and dirty requests take the full scan, which evaluates
-// every offer the index (or, under Config.Aggregate, the class
-// decomposition) cannot rule out. Both paths end in the same kernel
-// (scanRange); the shortcut merely hands it an incumbent and the
-// frontier as its candidate list.
+// Unmatched and dirty requests take the full scan over every offer the
+// index (or, under Config.Aggregate, the class decomposition) cannot
+// rule out. The scan ranks those candidates by the request's Rank and
+// tries their constraints best-ranked first, stopping once the first
+// match's equal-rank run is done (scan.go); only a request that
+// matches nothing tries them all. Both paths end in the same kernel
+// (scanOffers); the shortcut merely hands it an incumbent and the
+// frontier as its candidate list, and the walk stops at the first
+// challenger ranked below the incumbent.
 
 import (
 	"fmt"
@@ -115,6 +119,13 @@ type IncrementalHooks struct {
 	// The differential suite and the modelcheck delivery-order schedule
 	// must both rediscover it.
 	StaleOrderOnInsert bool
+	// StopBeforeTies ends the scan's rank-ordered walk at its first
+	// match instead of finishing that match's equal-rank run, so a
+	// later twin that wins better()'s claimed or offer-rank tie-break is
+	// never tried. The differential suite, the modelcheck
+	// delivery-order schedule and the MC201 claimed-twin schedule must
+	// all rediscover it.
+	StopBeforeTies bool
 }
 
 // reqRec is the engine's record of one live request and its previous
@@ -138,9 +149,12 @@ type WakeStats struct {
 	Dirty int
 	// Clean is how many matched requests took the frontier shortcut.
 	Clean int
-	// Evals counts bilateral MatchEnv evaluations performed — the
+	// Evals counts the pairs whose constraints the scans tried — the
 	// negotiation work the incremental engine exists to avoid.
 	Evals int
+	// Ranks counts the request ranks the scans' rank passes evaluated
+	// to order their candidates.
+	Ranks int
 	// FullRebuild reports that this wake ran with every request dirty
 	// (first wake, MarkAllDirty fallback, or aggregation).
 	FullRebuild bool
@@ -424,7 +438,12 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 	defer e.mu.Unlock()
 
 	stats := WakeStats{Deltas: e.applied}
-	ev := evaluator{env: m.cfg.Env, legacyTie: e.Hooks.LegacyClaimedTieBreak}
+	ev := evaluator{
+		env:            m.cfg.Env,
+		order:          &e.scratch.order,
+		legacyTie:      e.Hooks.LegacyClaimedTieBreak,
+		stopBeforeTies: e.Hooks.StopBeforeTies,
+	}
 	// Aggregation rebuilds its classes per wake, so it cannot take the
 	// frontier shortcut.
 	full := e.forceFull || e.firstWake || m.cfg.Aggregate
@@ -583,9 +602,10 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 					if len(cand) == 0 {
 						continue // to the scan, a nil list is every offer
 					}
-					var n int
-					o.best, n, _ = ev.scanOffers(rec.ad, view, cand, avail, o.best)
-					stats.Evals += n
+					var cost scanCost
+					o.best, cost = ev.scanOffers(rec.ad, view, cand, avail, o.best)
+					stats.Evals += cost.tried
+					stats.Ranks += cost.ranked
 				}
 			}
 		}
@@ -598,6 +618,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 			sp.Set("request", adName(rec.ad))
 			o = e.scan(ev, rec.ad, view, avail, agg)
 			stats.Evals += o.scanned
+			stats.Ranks += o.ranked
 		}
 
 		prevMatched, prevOffer := rec.matched, rec.offer
@@ -650,6 +671,8 @@ type wakeScratch struct {
 	// frontierPos and grown list the frontier's positions: as the wake
 	// began, and added by the replay.
 	frontierPos, grown []int
+	// order is the scans' rank order (evaluator.order).
+	order []ranked
 }
 
 // slotPositions maps index slots to view positions for the wake in
@@ -701,6 +724,7 @@ func growTo[T any](s *[]T, n int) []T {
 type outcome struct {
 	best    candidate
 	scanned int
+	ranked  int
 	// cand/indexed are the offer index's candidate set (indexed=false:
 	// every offer was scanned); classes/aggregated the compatible
 	// equivalence classes under aggregation.
@@ -725,21 +749,21 @@ func (e *Incremental) scan(ev evaluator, req *classad.Ad, view []*classad.Ad, av
 		return o
 	}
 	if o.cand, o.indexed = e.ix.Candidates(req, m.cfg.Env); o.indexed {
-		// Candidates are live slots; the scan wants view positions,
-		// ascending.
+		// Candidates are live slots; the scan wants view positions (in
+		// any order: it orders them itself).
 		posOfSlot := e.slotPositions()
 		for i, s := range o.cand {
 			o.cand[i] = posOfSlot[s]
 		}
-		sort.Ints(o.cand)
 		m.mIdxCand.Add(int64(len(o.cand)))
 		m.mIdxPruned.Add(int64(len(view) - len(o.cand)))
 	} else {
 		m.mIdxMisses.Inc()
 	}
-	var workers int
-	o.best, o.scanned, workers = ev.scanOffers(req, view, o.cand, avail, candidate{index: -1})
-	m.hScanFanout.Observe(float64(workers))
+	var cost scanCost
+	o.best, cost = ev.scanOffers(req, view, o.cand, avail, candidate{index: -1})
+	o.scanned, o.ranked = cost.tried, cost.ranked
+	m.hScanFanout.Observe(float64(cost.workers))
 	m.hScanned.Observe(float64(o.scanned))
 	return o
 }

@@ -5,8 +5,9 @@ package matchmaker
 // into an Incremental engine, and at every quiescent point the
 // engine's assignment, fair-share charges, and forensic verdicts are
 // compared against the naive oracle (oracle_test.go) over the same
-// live ads. The same harness, with Hooks.DropDirtyNotification or
-// Hooks.StaleOrderOnInsert on, must mechanically rediscover the mutant.
+// live ads. The same harness, with Hooks.DropDirtyNotification,
+// Hooks.StaleOrderOnInsert or Hooks.StopBeforeTies on, must
+// mechanically rediscover the mutant.
 
 import (
 	"fmt"
@@ -450,6 +451,23 @@ func TestIncrementalDifferentialRediscoversStaleOrder(t *testing.T) {
 		}
 	}
 	t.Fatalf("StaleOrderOnInsert mutant survived the differential suite on every seed")
+}
+
+// TestIncrementalDifferentialRediscoversStopBeforeTies seeds the
+// StopBeforeTies mutant — the rank-ordered walk stops at its first
+// match without finishing that match's equal-rank run — and demands
+// the differential suite catch it.
+func TestIncrementalDifferentialRediscoversStopBeforeTies(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		w := newDiffWorld(t, seed)
+		w.eng.Hooks.StopBeforeTies = true
+		w.run(diffSteps(t))
+		if len(w.diffs) > 0 {
+			t.Logf("seed %d: mutant rediscovered after %d steps: %s", seed, w.step, w.diffs[0])
+			return
+		}
+	}
+	t.Fatalf("StopBeforeTies mutant survived the differential suite on every seed")
 }
 
 func joinLines(lines []string) string {

@@ -52,7 +52,12 @@ func randomRequests(r *rand.Rand, n int) []*classad.Ad {
 // trickyPool builds an offer list that stresses the offer index:
 // literal attributes (posting lists), expression-valued attributes
 // (always-candidates), missing attributes (strict-comparison pruning),
-// wrong-typed attributes, and offer-side constraints.
+// wrong-typed attributes, and offer-side constraints. It stresses the
+// rank-ordered scan too: Score, which trickyRequests' Ranks read, is
+// a small integer (rank ties), -0.0 or +0.0, a string, 0.0/0.0 or
+// absent (the last three rank 0, per RankVal), and a fifth of the
+// machines advertise State "Claimed", so claimed and unclaimed twins
+// meet at equal rank.
 func trickyPool(r *rand.Rand, n int) []*classad.Ad {
 	archs := []string{"INTEL", "SPARC", "ALPHA"}
 	out := make([]*classad.Ad, n)
@@ -75,6 +80,21 @@ func trickyPool(r *rand.Rand, n int) []*classad.Ad {
 		if r.Intn(2) == 0 {
 			_ = m.SetExprString("Rank", "other.Memory")
 		}
+		switch r.Intn(6) {
+		case 0:
+			m.SetInt("Score", int64(r.Intn(3)))
+		case 1:
+			_ = m.SetExprString("Score", "-0.0")
+		case 2:
+			m.SetReal("Score", 0)
+		case 3:
+			m.SetString("Score", "fast")
+		case 4:
+			_ = m.SetExprString("Score", "0.0/0.0")
+		}
+		if r.Intn(5) == 0 {
+			m.SetString("State", "Claimed")
+		}
 		out[i] = m
 	}
 	return out
@@ -83,7 +103,12 @@ func trickyPool(r *rand.Rand, n int) []*classad.Ad {
 // trickyRequests builds a request mix of matchable, unsatisfiable, and
 // undefined-yielding constraints, exercising every extraction rule of
 // the index (self folds, unqualified names, flipped literals,
-// unindexable disjunctions, both constraint spellings).
+// unindexable disjunctions, both constraint spellings), plus one that
+// survives the index and matches nothing. Ranks are absent (one rank
+// run), other.Memory, other.Score (ties, both zeros, non-numeric and
+// NaN values), 0/0 (every offer ranks 0), or the negated Memory, which
+// ranks the offers a Memory floor admits last, so the ordered walk
+// goes deep before it matches.
 func trickyRequests(r *rand.Rand, n int) []*classad.Ad {
 	archs := []string{"INTEL", "SPARC", "ALPHA"}
 	out := make([]*classad.Ad, n)
@@ -108,9 +133,11 @@ func trickyRequests(r *rand.Rand, n int) []*classad.Ad {
 			j.Set("Requirements", c)
 		case 6: // equality on the numeric axis
 			_ = j.SetExprString("Constraint", fmt.Sprintf(`other.Memory == %d`, 32*(1+r.Intn(8))))
+		case 7: // not indexable, and no offer satisfies it
+			_ = j.SetExprString("Constraint", `other.Memory - other.Memory > 1`)
 		}
-		if r.Intn(2) == 0 {
-			_ = j.SetExprString("Rank", "other.Memory")
+		if rank := []string{"", "other.Memory", "other.Score", "0/0", "0 - other.Memory"}[r.Intn(5)]; rank != "" {
+			_ = j.SetExprString("Rank", rank)
 		}
 		out[i] = j
 	}
@@ -119,12 +146,22 @@ func trickyRequests(r *rand.Rand, n int) []*classad.Ad {
 
 // TestQuickDifferentialIndexParallel is the differential property test
 // locking the engine to the naive oracle: over randomized pools mixing
-// matchable, unsatisfiable, and undefined-yielding constraints,
-// Negotiate — index-pruned, and sharded wherever a candidate list is
+// matchable, unsatisfiable, and undefined-yielding constraints and
+// tied, zero, non-numeric and absent ranks, Negotiate — index-pruned,
+// rank-ordered, and sharded wherever a candidate list or walk block is
 // long enough — returns identical matches, ranks, and ordering to the
-// oracle's linear scan, with and without FairShare.
+// oracle's linear scan, with and without FairShare, on one CPU and on
+// four.
 func TestQuickDifferentialIndexParallel(t *testing.T) {
-	withProcs(t, 4)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			withProcs(t, procs)
+			quickDifferentialIndex(t)
+		})
+	}
+}
+
+func quickDifferentialIndex(t *testing.T) {
 	maxCount := 120
 	if testing.Short() {
 		maxCount = 25

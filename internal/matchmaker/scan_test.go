@@ -92,35 +92,83 @@ func withProcs(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// TestParallelScanMatchesSequential: the sharded scan returns exactly
-// the sequential kernel's pick and evaluation count, with and without
-// an incumbent, for candidate counts on both sides of minParallelScan
-// and ones the worker count does not divide.
+// scanRange is the oracle the rank-ordered scan is held to: the
+// unordered scan over all candidates. It tries every available
+// candidate other than the incumbent, in list order, keeps better()'s
+// maximum, and reports how many pairs it tried.
+func scanRange(ev evaluator, req *classad.Ad, offers []*classad.Ad, available []bool, best candidate) (candidate, int) {
+	tried, incumbent := 0, best.index
+	for oi, off := range offers {
+		if !available[oi] || oi == incumbent {
+			continue
+		}
+		tried++
+		if c, ok := ev.try(req, offers, oi, classad.EvalRank(req, off, ev.env)); ok && (best.index < 0 || better(c, best)) {
+			best = c
+		}
+	}
+	return best, tried
+}
+
+// TestParallelScanMatchesSequential: the rank-ordered scan — on one
+// goroutine at GOMAXPROCS 1, with its rank pass and long walk blocks
+// sharded at 4 — picks exactly what the unordered oracle picks, with
+// and without an incumbent (unclaimed, claimed, at rank 0 and above),
+// for candidate counts on both sides of minParallelScan and of the
+// walk's blocks. It ranks every candidate the oracle tries and tries
+// no more of them. The generated requests must stop early, walk into a
+// sharded block, and match nothing, or the test exercised too little.
 func TestParallelScanMatchesSequential(t *testing.T) {
-	withProcs(t, 4)
 	r := rand.New(rand.NewSource(11))
-	pool := randomPool(r, 301)
-	requests := randomRequests(r, 30)
-	ev := evaluator{env: classad.FixedEnv(0, 11)}
+	pool := trickyPool(r, 301)
+	requests := trickyRequests(r, 60)
+	env := classad.FixedEnv(0, 11)
 	available := make([]bool, len(pool))
 	for i := range available {
 		available[i] = i%7 != 0
 	}
-	none := candidate{index: -1}
-	for _, n := range []int{minParallelScan - 1, minParallelScan, 130, 301} {
-		offers := pool[:n]
-		for _, req := range requests {
-			for _, incumbent := range []candidate{none, {index: 1, reqRank: 64, offRank: 32}} {
-				want, wantScanned := ev.scanRange(req, offers, nil, available, incumbent, 0, n)
-				got, scanned, used := ev.scanOffers(req, offers, nil, available, incumbent)
-				if sharded := n >= minParallelScan; sharded != (used == 4) {
-					t.Fatalf("n=%d: scan used %d workers", n, used)
-				}
-				if got != want || scanned != wantScanned {
-					t.Errorf("n=%d: pick %+v after %d evals != sequential %+v after %d",
-						n, got, scanned, want, wantScanned)
+	incumbents := []candidate{
+		{index: -1},
+		{index: 1, reqRank: 64, offRank: 32},
+		{index: 2, claimed: true},
+		{index: 3, reqRank: 1, offRank: 1},
+	}
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
+		var early, deep, unmatched int
+		for _, n := range []int{minParallelScan - 1, minParallelScan, 130, 301} {
+			offers := pool[:n]
+			for _, req := range requests {
+				for _, incumbent := range incumbents {
+					ev := evaluator{env: env, order: new([]ranked)}
+					want, wantTried := scanRange(ev, req, offers, available, incumbent)
+					got, cost := ev.scanOffers(req, offers, nil, available, incumbent)
+					if got != want {
+						t.Fatalf("procs=%d n=%d incumbent %+v: ordered scan picks %+v, oracle %+v\nrequest %s",
+							procs, n, incumbent, got, want, req)
+					}
+					if cost.ranked != wantTried || cost.tried > wantTried {
+						t.Fatalf("procs=%d n=%d incumbent %+v: ranked %d and tried %d of the oracle's %d candidates",
+							procs, n, incumbent, cost.ranked, cost.tried, wantTried)
+					}
+					if w := scanWorkers(cost.ranked); cost.workers != w || (procs == 4 && n >= 130) != (w == 4) {
+						t.Fatalf("procs=%d n=%d: rank pass used %d workers", procs, n, cost.workers)
+					}
+					switch {
+					case got.index < 0:
+						unmatched++
+					case cost.tried < wantTried:
+						early++
+					}
+					if cost.tried > 3*firstWalkBlock {
+						deep++
+					}
 				}
 			}
+		}
+		if early == 0 || deep == 0 || unmatched == 0 {
+			t.Fatalf("procs=%d: %d scans stopped early, %d reached a sharded block, %d matched nothing; each must occur",
+				procs, early, deep, unmatched)
 		}
 	}
 }
@@ -160,7 +208,7 @@ func TestTryMatchesMatchEnv(t *testing.T) {
 		for _, req := range trickyRequests(r, 12) {
 			for oi, off := range offers {
 				want := classad.MatchEnv(req, off, env)
-				c, ok := ev.try(req, offers, oi)
+				c, ok := ev.try(req, offers, oi, classad.EvalRank(req, off, env))
 				if ok {
 					matched++
 				} else {

@@ -1,15 +1,17 @@
 package modelcheck
 
 // Delivery-order schedule exploration for the event-driven engine
-// (the modelcheck half of the DropDirtyNotification and
-// StaleOrderOnInsert rediscoveries): a small pool's delta streams are
-// delivered in every interleaving and every wake batching, and the
-// engine's final assignment must equal a from-scratch negotiation on
-// every schedule. The dropped-wake mutant survives some schedules —
-// the ones where the change lands in the same wake as the ad it
-// patches — and the stale-order mutant survives the ones that deliver
-// offers in key order, which is exactly why a fixed-order test cannot
-// pin these bugs and an exhaustive schedule walk can.
+// (the modelcheck half of the DropDirtyNotification,
+// StaleOrderOnInsert and StopBeforeTies rediscoveries): a small pool's
+// delta streams are delivered in every interleaving and every wake
+// batching, and the engine's final assignment must equal a
+// from-scratch negotiation on every schedule. The dropped-wake mutant
+// survives some schedules — the ones where the change lands in the
+// same wake as the ad it patches — the stale-order mutant survives the
+// ones that deliver offers in key order, and the stop-before-ties
+// mutant survives the ones where the job settles on c before its
+// equal-rank twin b arrives, which is exactly why a fixed-order test
+// cannot pin these bugs and an exhaustive schedule walk can.
 
 import (
 	"fmt"
@@ -36,6 +38,10 @@ func eventStreams() [][]matchmaker.AdDelta {
 		{ // machine b is steady
 			{Kind: matchmaker.AdOffer, Key: "b",
 				Ad: eventAd(`[Name = "b"; Type = "Machine"; Memory = 32; Constraint = true; Rank = 0]`)},
+		},
+		{ // machine c ties b on the job's rank and wins on its own
+			{Kind: matchmaker.AdOffer, Key: "c",
+				Ad: eventAd(`[Name = "c"; Type = "Machine"; Memory = 32; Constraint = true; Rank = 1]`)},
 		},
 		{ // one job that prefers the biggest machine it fits on
 			{Kind: matchmaker.AdRequest, Key: "j1",
@@ -162,12 +168,14 @@ func TestDeliveryScheduleConvergence(t *testing.T) {
 	t.Logf("%d schedules explored (%d interleavings), all converged to %v", total, len(orders), want)
 }
 
-// TestDeliveryScheduleRediscoversMutants: with either engine mutant
+// TestDeliveryScheduleRediscoversMutants: with any engine mutant
 // seeded — DropDirtyNotification (a content change to a known offer is
-// discarded) or StaleOrderOnInsert (a new offer is filed at the tail of
-// the ordered list, not at its key) — there EXISTS a schedule whose
-// final state diverges, and also schedules that mask the bug, which is
-// why the exhaustive walk (not one lucky order) is the test.
+// discarded), StaleOrderOnInsert (a new offer is filed at the tail of
+// the ordered list, not at its key) or StopBeforeTies (the scan's walk
+// ends at its first match, before the rest of that rank run) — there
+// EXISTS a schedule whose final state diverges, and also schedules that
+// mask the bug, which is why the exhaustive walk (not one lucky order)
+// is the test.
 func TestDeliveryScheduleRediscoversMutants(t *testing.T) {
 	streams := eventStreams()
 	want := referenceAssignment(streams)
@@ -175,6 +183,7 @@ func TestDeliveryScheduleRediscoversMutants(t *testing.T) {
 	for name, mutant := range map[string]matchmaker.IncrementalHooks{
 		"DropDirtyNotification": {DropDirtyNotification: true},
 		"StaleOrderOnInsert":    {StaleOrderOnInsert: true},
+		"StopBeforeTies":        {StopBeforeTies: true},
 	} {
 		diverged, agreed := 0, 0
 		var witness string

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/matchmaker"
 )
 
 // canonicalConfig is the pool `make mc` checks on every run: two
@@ -73,8 +75,8 @@ func TestLivenessCanonicalPool(t *testing.T) {
 
 // livelockConfig reconstructs ROADMAP item 1: machine A is claimed by
 // an infinite job, its idle twin B ties every rank, and a late-arriving
-// job must choose between them every cycle.
-func livelockConfig(legacy bool) Config {
+// job must choose between them every cycle. mutant seeds the engines.
+func livelockConfig(mutant matchmaker.IncrementalHooks) Config {
 	return Config{
 		Machines: []MachineSpec{
 			{Name: "A", Ad: `[ Type = "Machine"; Name = "A"; Memory = 32 ]`},
@@ -90,36 +92,43 @@ func livelockConfig(legacy bool) Config {
 			{Name: "bob/starved", Owner: "bob", Work: 1, Delay: 1,
 				Ad: `[ Type = "Job"; Name = "bob/starved"; Owner = "bob" ]`},
 		},
-		Negotiators:           []string{"neg1"},
-		LegacyClaimedTieBreak: legacy,
+		Negotiators: []string{"neg1"},
+		EngineHooks: mutant,
 	}
 }
 
 // TestLivelockRegression mechanically rediscovers the claimed-offer
-// livelock (ROADMAP item 1) as an MC201 counterexample under the
-// legacy tie-break, and proves the unclaimed-over-claimed fix resolves
-// it. This is the model checker's version of
-// TestForensicsClaimedOfferLivelock, with the loop detected rather
-// than asserted.
+// livelock (ROADMAP item 1) as an MC201 counterexample under either
+// engine mutant that lets the claimed A beat its idle twin B — the
+// legacy tie-break, which ignores claimed state, and StopBeforeTies,
+// whose walk takes A (first of the equal-rank run) and never tries B —
+// and proves the healthy engine resolves it. This is the model
+// checker's version of TestForensicsClaimedOfferLivelock, with the loop
+// detected rather than asserted.
 func TestLivelockRegression(t *testing.T) {
-	res, err := CheckLiveness(livelockConfig(true), 0)
-	if err != nil {
-		t.Fatal(err)
+	for name, mutant := range map[string]matchmaker.IncrementalHooks{
+		"LegacyClaimedTieBreak": {LegacyClaimedTieBreak: true},
+		"StopBeforeTies":        {StopBeforeTies: true},
+	} {
+		res, err := CheckLiveness(livelockConfig(mutant), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Violation == nil || res.Violation.Code != CodeStarvation {
+			t.Fatalf("%s: want %s, got %v", name, CodeStarvation, res.Violation)
+		}
+		if len(res.Starved) != 1 || res.Starved[0] != "bob/starved" {
+			t.Errorf("%s: starved = %v, want bob/starved", name, res.Starved)
+		}
+		trace := strings.Join(res.Violation.Trace, "\n")
+		if !strings.Contains(trace, "MATCH bob/starved -> A") ||
+			!strings.Contains(trace, "claim rejected") {
+			t.Errorf("%s: counterexample trace does not show the bounce loop:\n%s", name, trace)
+		}
+		t.Logf("%s: livelock rediscovered: %v", name, res.Violation)
 	}
-	if res.Violation == nil || res.Violation.Code != CodeStarvation {
-		t.Fatalf("legacy tie-break: want %s, got %v", CodeStarvation, res.Violation)
-	}
-	if len(res.Starved) != 1 || res.Starved[0] != "bob/starved" {
-		t.Errorf("starved = %v, want bob/starved", res.Starved)
-	}
-	trace := strings.Join(res.Violation.Trace, "\n")
-	if !strings.Contains(trace, "MATCH bob/starved -> A") ||
-		!strings.Contains(trace, "claim rejected") {
-		t.Errorf("counterexample trace does not show the bounce loop:\n%s", trace)
-	}
-	t.Logf("livelock rediscovered: %v", res.Violation)
 
-	fixed, err := CheckLiveness(livelockConfig(false), 0)
+	fixed, err := CheckLiveness(livelockConfig(matchmaker.IncrementalHooks{}), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -79,12 +79,13 @@ type Config struct {
 	// StopOnViolation ends exploration at the first counterexample
 	// instead of collecting one per invariant code.
 	StopOnViolation bool
-	// LegacyClaimedTieBreak runs the engines with the pre-fix selection
-	// order that ignored claimed state on rank ties (the engine's
-	// seeded IncrementalHooks mutant); the MC201 regression test uses
-	// it to rediscover the claimed-offer livelock mechanically.
-	LegacyClaimedTieBreak bool
-	Hooks                 Hooks
+	// EngineHooks seeds the engines' IncrementalHooks mutants; the
+	// MC201 regression test sets LegacyClaimedTieBreak (the pre-fix
+	// selection order that ignored claimed state on rank ties) and
+	// StopBeforeTies (a scan that never tries a claimed offer's idle
+	// twin) to rediscover the claimed-offer livelock mechanically.
+	EngineHooks matchmaker.IncrementalHooks
+	Hooks       Hooks
 }
 
 // Action is one deterministic step of a schedule. Actions are stable
@@ -278,7 +279,7 @@ func (s *system) newWorld(o *obs.Obs) *World {
 			mm.Instrument(o)
 		}
 		eng := matchmaker.NewIncremental(mm)
-		eng.Hooks.LegacyClaimedTieBreak = s.cfg.LegacyClaimedTieBreak
+		eng.Hooks = s.cfg.EngineHooks
 		w.negs[neg] = &negotiatorState{mm: mm, eng: eng, sub: w.store.Subscribe()}
 	}
 	for i := range s.cfg.Machines {
