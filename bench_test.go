@@ -593,7 +593,7 @@ func BenchmarkSteadyStateDeltas(b *testing.B) {
 			name, _ := ad.Eval("Name").StringVal()
 			eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdRequest, Key: name, Ad: ad})
 		}
-		if ms, _ := eng.Recompute("seed"); len(ms) == 0 {
+		if ms, _ := eng.Recompute(); len(ms) == 0 {
 			b.Fatal("no matches at seed")
 		}
 		wake := func(n int) matchmaker.WakeStats {
@@ -602,7 +602,7 @@ func BenchmarkSteadyStateDeltas(b *testing.B) {
 				eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdOffer,
 					Key: fmt.Sprintf("m%d", i), Ad: churned(i, n)})
 			}
-			_, stats := eng.Recompute("wake")
+			_, stats := eng.Recompute()
 			return stats
 		}
 		const counted = 16
@@ -689,7 +689,7 @@ func BenchmarkOrderedScan(b *testing.B) {
 	for i := 0; i < nOffers; i++ {
 		eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdOffer, Key: fmt.Sprintf("m%05d", i), Ad: machine(i, i%(nOffers/nLive) == 0)})
 	}
-	eng.Recompute("seed")
+	eng.Recompute()
 
 	for _, tc := range []struct {
 		name, last string
@@ -708,7 +708,7 @@ func BenchmarkOrderedScan(b *testing.B) {
 			eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdRemove, Key: prev},
 				matchmaker.AdDelta{Kind: matchmaker.AdRequest, Key: key, Ad: jobs[k%nJobs]})
 			prev = key
-			ms, stats := eng.Recompute("wake")
+			ms, stats := eng.Recompute()
 			if (len(ms) == 1) != tc.matches {
 				b.Fatalf("job %d: %d matches", k, len(ms))
 			}
@@ -753,7 +753,7 @@ func BenchmarkWakeOneDelta(b *testing.B) {
 		for i, ad := range offers {
 			eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdOffer, Key: fmt.Sprintf("m%05d", i), Ad: ad})
 		}
-		eng.Recompute("seed")
+		eng.Recompute()
 		b.ReportAllocs()
 		return eng, offers
 	}
@@ -767,7 +767,7 @@ func BenchmarkWakeOneDelta(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eng.Apply(matchmaker.AdDelta{Kind: matchmaker.AdOffer, Key: key, Ad: versions[i%2]})
-				eng.Recompute("wake")
+				eng.Recompute()
 			}
 		})
 	}
@@ -783,7 +783,7 @@ func BenchmarkWakeOneDelta(b *testing.B) {
 					matchmaker.AdDelta{Kind: matchmaker.AdRemove, Key: keys[i%2]},
 					matchmaker.AdDelta{Kind: matchmaker.AdOffer, Key: keys[(i+1)%2], Ad: ads[(i+1)%2]},
 				)
-				eng.Recompute("wake")
+				eng.Recompute()
 			}
 		})
 	}

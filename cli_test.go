@@ -11,6 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -253,5 +254,76 @@ func TestCLIFullPool(t *testing.T) {
 		// only fail if it persists after invalidating again with the
 		// agent gone. This is advisory.
 		t.Logf("machine re-advertised immediately (expected with a live RA)")
+	}
+}
+
+// TestCLITraceAndWhy is an operator following one job's story: the
+// trace ID csubmit prints names the pool's spans and log entries for
+// the job in `cstatus -trace`, and `cstatus -why` leads back to it.
+func TestCLITraceAndWhy(t *testing.T) {
+	poolAddr := freePort(t)
+	debugAddr := freePort(t)
+	caAddr := freePort(t)
+
+	startDaemon(t, "cpool", "-listen", poolAddr, "-period", "1", "-debug-addr", debugAddr)
+	for _, addr := range []string{poolAddr, debugAddr} {
+		waitFor(t, "pool up at "+addr, 5*time.Second, func() bool {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				return false
+			}
+			conn.Close()
+			return true
+		})
+	}
+	startDaemon(t, "cagent", "-resource", "testdata/leonardo.ad",
+		"-pool", poolAddr, "-period", "1")
+	startDaemon(t, "cagent", "-customer", "raman", "-listen", caAddr,
+		"-pool", poolAddr, "-period", "1")
+	waitFor(t, "customer agent up", 5*time.Second, func() bool {
+		conn, err := net.Dial("tcp", caAddr)
+		if err != nil {
+			return false
+		}
+		conn.Close()
+		return true
+	})
+
+	out, err := runTool(t, "csubmit", "-agent", caAddr, "testdata/job.ad")
+	if err != nil {
+		t.Fatalf("csubmit: %v: %s", err, out)
+	}
+	trace := regexp.MustCompile(`t-[0-9a-f]{16}`).FindString(out)
+	if !strings.Contains(out, "raman/job1") || trace == "" {
+		t.Fatalf("csubmit printed no job name and trace ID: %s", out)
+	}
+
+	// The pool's records of the job: storage, negotiation and
+	// notification spans, and the matchmaker's match entry as a leaf.
+	want := []*regexp.Regexp{
+		regexp.MustCompile(`collector\s+ad_stored\s`),
+		regexp.MustCompile(`matchmaker\s+negotiate\s`),
+		regexp.MustCompile(`manager\s+notify\s`),
+		regexp.MustCompile(`matchmaker\s+match\s`),
+	}
+	waitFor(t, "the job's trace in cstatus -trace", 15*time.Second, func() bool {
+		out, err = runTool(t, "cstatus", "-debug-addr", debugAddr, "-trace", trace)
+		if err != nil {
+			return false
+		}
+		for _, re := range want {
+			if !re.MatchString(out) {
+				return false
+			}
+		}
+		return true
+	})
+
+	out, err = runTool(t, "cstatus", "-debug-addr", debugAddr, "-why", "raman/job1")
+	if err != nil {
+		t.Fatalf("cstatus -why: %v: %s", err, out)
+	}
+	if !strings.Contains(out, trace) {
+		t.Errorf("cstatus -why does not name the job's trace %s:\n%s", trace, out)
 	}
 }

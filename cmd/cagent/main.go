@@ -36,7 +36,7 @@ func main() {
 	period := flag.Int64("period", 300, "advertising period in seconds")
 	challenge := flag.Bool("challenge", false, "RA only: require HMAC challenge-response at claim time")
 	flock := flag.String("flock", "", "CA only: comma-separated additional pool collectors to flock to")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /events and pprof on this address")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address")
 	flag.Parse()
 
 	switch {

@@ -42,7 +42,7 @@ func main() {
 	usageDir := flag.String("usage-dir", "", "persist fair-share accounting as a durable ledger in this directory")
 	stateAddr := flag.String("state", "", "serve the warm-handoff state endpoint on this address")
 	peer := flag.String("peer", "", "peer negotiator's state URL (http://host:port) to warm-sync from while standby")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /events and pprof on this address")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address")
 	verbose := flag.Bool("v", false, "log every tick")
 	flag.Parse()
 	if *name == "" {

@@ -49,7 +49,7 @@ func main() {
 	usageDir := flag.String("usage-dir", "", "persist fair-share accounting as a durable ledger in this directory (supersedes -usage)")
 	haName := flag.String("ha-name", "", "enroll in negotiator leader election under this name")
 	leaseTTL := flag.Int64("lease-ttl", 0, "leadership lease duration in seconds (0 for the default)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /events and pprof on this address")
+	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address")
 	verbose := flag.Bool("v", false, "log every cycle")
 	flag.Parse()
 

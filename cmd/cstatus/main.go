@@ -6,20 +6,19 @@
 //
 //	cstatus -pool HOST:PORT [-constraint 'EXPR'] [-long] [-type Machine]
 //	cstatus -debug-addr HOST:PORT -metrics
-//	cstatus -debug-addr HOST:PORT -trace TRACE-OR-CYCLE-ID
+//	cstatus -debug-addr HOST:PORT -trace TRACE-ID
 //	cstatus -debug-addr HOST:PORT -why OWNER/jobN
 //
 // The constraint is evaluated with `other` bound to each stored ad;
 // ads for which it is true are printed. The -metrics, -trace and -why
 // modes talk to a daemon's observability endpoint (its -debug-addr)
 // instead of the collector: -metrics dumps the metric registry with
-// latency quantiles, -trace renders the span tree of one causal trace
-// (the ID csubmit printed) with per-hop latencies — submission,
-// collector storage, negotiation, claim, verdict — falling back to the
-// event replay when the ID names a negotiation cycle, and -why prints
-// the matchmaker's rejection ledger for an unmatched request: per
-// offer, which constraint conjunct failed, who outranked it, or which
-// posting list pruned it.
+// latency quantiles, -trace renders one job's story from the ID csubmit
+// printed — the span tree with per-hop latencies (submission, collector
+// storage, negotiation, claim, verdict) and the daemons' log entries as
+// timed leaves — and -why prints the matchmaker's rejection ledger for
+// a request, with its trace ID: per offer, which constraint conjunct
+// failed, who outranked it, or which posting list pruned it.
 package main
 
 import (
@@ -47,7 +46,7 @@ func main() {
 	attrs := flag.String("attrs", "", "comma-separated projection: fetch only these attributes")
 	debugAddr := flag.String("debug-addr", "", "daemon observability endpoint for -metrics / -trace")
 	metrics := flag.Bool("metrics", false, "print the daemon's metric registry")
-	trace := flag.String("trace", "", "render the span tree of this trace ID (or replay a cycle ID's events)")
+	trace := flag.String("trace", "", "render the span tree and log entries of this trace ID")
 	why := flag.String("why", "", "explain why this request went unmatched (rejection ledger)")
 	ha := flag.Bool("ha", false, "show negotiator leadership: leader, epoch, lease deadline (add -debug-addr for daemon health and durability metrics)")
 	flag.Parse()
@@ -273,44 +272,45 @@ func showMetrics(addr string) {
 	}
 }
 
-// showTrace renders one causal trace as a span tree — the submission
-// at the root, each later hop (collector storage, negotiation, claim,
-// verdict) indented under its parent with its duration and its latency
-// relative to the trace root. IDs that name a negotiation cycle
-// instead of a trace fall back to the event replay.
+// showTrace renders one causal trace as a tree: the submission at the
+// root, each later hop (collector storage, negotiation, claim, verdict)
+// indented under its parent with its duration and its latency relative
+// to the trace's first record. Log entries (zero-length spans with no
+// ID) are timed leaves: each hangs under the latest span its component
+// opened in the trace before it. A span whose parent never reached this
+// daemon's rings (dropped, or recorded elsewhere) roots its own subtree
+// rather than vanishing.
 func showTrace(addr, id string) {
-	var spans []obs.Span
-	if err := tryJSON(addr, "/trace?id="+url.QueryEscape(id), &spans); err == nil && len(spans) > 0 {
-		showSpanTree(id, spans)
+	var recs []obs.Span // merged by start time
+	fetchJSON(addr, "/trace?id="+url.QueryEscape(id), &recs)
+	if len(recs) == 0 {
+		fmt.Printf("no spans for %s\n", id)
 		return
 	}
-	showCycleEvents(addr, id)
-}
-
-// showSpanTree prints the spans of one trace as an indented tree,
-// children ordered by start time. A span whose parent never reached
-// this daemon's ring (dropped, or recorded elsewhere) roots its own
-// subtree rather than vanishing.
-func showSpanTree(id string, spans []obs.Span) {
-	fmt.Printf("trace %s: %d span(s)\n", id, len(spans))
-	byID := make(map[string]obs.Span, len(spans))
-	children := make(map[string][]obs.Span)
-	for _, sp := range spans {
-		byID[sp.ID] = sp
+	fmt.Printf("trace %s: %d record(s)\n", id, len(recs))
+	known := make(map[string]bool, len(recs))
+	for _, sp := range recs {
+		if sp.ID != "" {
+			known[sp.ID] = true
+		}
 	}
 	var roots []obs.Span
-	for _, sp := range spans {
-		if sp.Parent == "" || byID[sp.Parent].ID == "" {
+	children := make(map[string][]obs.Span)
+	lastOpened := make(map[string]string) // Src -> ID of its latest span
+	for _, sp := range recs {
+		parent := sp.Parent
+		if sp.ID == "" {
+			parent = lastOpened[sp.Src]
+		} else {
+			lastOpened[sp.Src] = sp.ID
+		}
+		if !known[parent] {
 			roots = append(roots, sp)
 			continue
 		}
-		children[sp.Parent] = append(children[sp.Parent], sp)
+		children[parent] = append(children[parent], sp)
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].Start.Before(roots[j].Start) })
-	var origin time.Time
-	if len(roots) > 0 {
-		origin = roots[0].Start
-	}
+	origin := recs[0].Start
 	var render func(sp obs.Span, depth int)
 	render = func(sp obs.Span, depth int) {
 		status := ""
@@ -330,40 +330,12 @@ func showSpanTree(id string, spans []obs.Span) {
 			strings.Repeat("  ", depth), sp.Src, sp.Name,
 			sp.Start.Sub(origin).Round(time.Microsecond),
 			sp.End.Sub(sp.Start).Round(time.Microsecond), b.String(), status)
-		kids := children[sp.ID]
-		sort.Slice(kids, func(i, j int) bool { return kids[i].Start.Before(kids[j].Start) })
-		for _, kid := range kids {
+		for _, kid := range children[sp.ID] {
 			render(kid, depth+1)
 		}
 	}
 	for _, root := range roots {
 		render(root, 0)
-	}
-}
-
-// showCycleEvents replays one negotiation cycle's events in order: the
-// manager opening the cycle, the matchmaker's matches and rejections,
-// the CA's claim attempt and the RA's verdict.
-func showCycleEvents(addr, cycle string) {
-	var events []obs.Event
-	fetchJSON(addr, "/events?cycle="+url.QueryEscape(cycle), &events)
-	if len(events) == 0 {
-		fmt.Printf("no spans or events for %s\n", cycle)
-		return
-	}
-	fmt.Printf("cycle %s: %d event(s)\n", cycle, len(events))
-	for _, ev := range events {
-		fields := make([]string, 0, len(ev.Fields))
-		for k := range ev.Fields {
-			fields = append(fields, k)
-		}
-		sort.Strings(fields)
-		var b strings.Builder
-		for _, k := range fields {
-			fmt.Fprintf(&b, " %s=%s", k, ev.Fields[k])
-		}
-		fmt.Printf("%s  %-10s %-16s%s\n",
-			ev.Time.Format("15:04:05.000"), ev.Src, ev.Type, b.String())
 	}
 }
 
@@ -385,16 +357,18 @@ func showWhy(addr, request string) {
 		fatalf("%v", err)
 	}
 	when := report.Time.Format("15:04:05.000")
+	who := report.Request
+	if report.Trace != "" {
+		who += " (trace " + report.Trace + ")"
+	}
 	if report.Matched {
 		claimed := ""
 		if report.Claimed {
 			claimed = " (offer was already claimed; claim-time revalidation decides)"
 		}
-		fmt.Printf("request %s: matched to %s in cycle %s at %s%s\n",
-			report.Request, report.Offer, report.Cycle, when, claimed)
+		fmt.Printf("request %s: matched to %s at %s%s\n", who, report.Offer, when, claimed)
 	} else {
-		fmt.Printf("request %s: unmatched in cycle %s at %s: %s\n",
-			report.Request, report.Cycle, when, report.Reason)
+		fmt.Printf("request %s: unmatched at %s: %s\n", who, when, report.Reason)
 	}
 	if len(report.Ledger) > 0 {
 		fmt.Println("per-offer verdicts:")

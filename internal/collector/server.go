@@ -33,7 +33,7 @@ type Server struct {
 	logf func(format string, args ...any)
 
 	// Observability hooks; nil (no-op) until Instrument is called.
-	events                *obs.Events
+	events                *obs.Spans
 	spans                 *obs.Spans
 	mQueries, mProjected  *obs.Counter
 	mAdvertise, mBadFrame *obs.Counter
@@ -44,7 +44,7 @@ type Server struct {
 
 // NewServer wraps store in a protocol server. logf may be nil: the
 // server then discards diagnostics (or, once Instrument is called,
-// routes them into the event buffer alone). Every internal log goes
+// routes them into the log ring alone). Every internal log goes
 // through the nil-safe log method, so even a Server constructed as a
 // bare struct literal cannot panic on a nil logger.
 func NewServer(store *Store, logf func(string, ...any)) *Server {
@@ -59,8 +59,8 @@ func NewServer(store *Store, logf func(string, ...any)) *Server {
 // collector_lint_warnings_total, and a per-code
 // collector_lint_<code>_total breakdown), live handler goroutines
 // (collector_handlers gauge), plus the store's own counters. Server
-// diagnostics additionally land in the event buffer as src
-// "collector", type "log". Call before Listen/Serve.
+// diagnostics additionally land in the log ring as src "collector",
+// name "log". Call before Listen/Serve.
 func (s *Server) Instrument(o *obs.Obs) {
 	reg := o.Registry()
 	s.mu.Lock()
@@ -80,15 +80,15 @@ func (s *Server) Instrument(o *obs.Obs) {
 	}
 }
 
-// log emits one diagnostic to the configured logger (when set) and to
-// the event buffer (when instrumented). Safe on every Server,
+// log emits one diagnostic to the configured logger (when set) and, as
+// an uncorrelated entry, to the log ring (when instrumented). Safe on every Server,
 // including a zero-value one.
 func (s *Server) log(format string, args ...any) {
 	if s.logf != nil {
 		s.logf(format, args...)
 	}
 	if s.events != nil {
-		s.events.Emit("collector", "log", "", map[string]string{
+		s.events.Emit("", "collector", "log", map[string]string{
 			"msg": fmt.Sprintf(format, args...),
 		})
 	}

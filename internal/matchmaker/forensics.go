@@ -48,10 +48,12 @@ type OfferVerdict struct {
 // Report is the forensic record of one request's most recent
 // negotiation.
 type Report struct {
-	Request string    `json:"request"`
-	Owner   string    `json:"owner,omitempty"`
-	Cycle   string    `json:"cycle"`
-	Time    time.Time `json:"time"`
+	Request string `json:"request"`
+	Owner   string `json:"owner,omitempty"`
+	// Trace is the request's trace ID ("" for an untraced request),
+	// the key of its story at /trace and in `cstatus -trace`.
+	Trace string    `json:"trace,omitempty"`
+	Time  time.Time `json:"time"`
 	// Matched reports the cycle's outcome; Offer names the match.
 	Matched bool   `json:"matched"`
 	Offer   string `json:"offer,omitempty"`

@@ -30,11 +30,11 @@ func TestForensicsStoreBounds(t *testing.T) {
 		t.Fatal("lookup is not case-folded")
 	}
 	// Re-recording overwrites in place, no extra slot.
-	f.record(Report{Request: "req42", Cycle: "c2"})
+	f.record(Report{Request: "req42", Trace: "t-2"})
 	if got := len(f.Requests()); got != maxForensicsReports {
 		t.Fatalf("overwrite grew the store to %d", got)
 	}
-	if r, _ := f.Lookup("req42"); r.Cycle != "c2" {
+	if r, _ := f.Lookup("req42"); r.Trace != "t-2" {
 		t.Fatalf("overwrite lost: %+v", r)
 	}
 
@@ -56,7 +56,7 @@ func TestForensicsConstraintFailedNamesConjunct(t *testing.T) {
 	if err := req.SetExprString("Constraint", `other.Arch == "INTEL" && other.Memory / 2 >= 32`); err != nil {
 		t.Fatal(err)
 	}
-	if got := negotiateAs(m, "c-1", []*classad.Ad{req}, offers); len(got) != 0 {
+	if got := negotiateOnce(m, []*classad.Ad{req}, offers); len(got) != 0 {
 		t.Fatalf("unexpected match: %+v", got)
 	}
 	r, ok := m.Forensics().Lookup("alice/job1")
@@ -82,7 +82,7 @@ func TestForensicsOutrankedNamesWinner(t *testing.T) {
 		named(job("alice", "INTEL", 32), "alice/job1"),
 		named(job("bob", "INTEL", 32), "bob/job1"),
 	}
-	if got := negotiateAs(m, "c-1", requests, offers); len(got) != 1 {
+	if got := negotiateOnce(m, requests, offers); len(got) != 1 {
 		t.Fatalf("got %d matches, want 1", len(got))
 	}
 	winner := adName(requests[0])
@@ -111,7 +111,7 @@ func TestForensicsIndexPruned(t *testing.T) {
 	m.Instrument(obs.New())
 	offers := []*classad.Ad{named(machine("m1", "SPARC", 64), "m1")}
 	req := named(job("alice", "INTEL", 32), "alice/job1")
-	if got := negotiateAs(m, "c-1", []*classad.Ad{req}, offers); len(got) != 0 {
+	if got := negotiateOnce(m, []*classad.Ad{req}, offers); len(got) != 0 {
 		t.Fatalf("unexpected match: %+v", got)
 	}
 	r, ok := m.Forensics().Lookup("alice/job1")
@@ -135,7 +135,7 @@ func TestForensicsLedgerTruncates(t *testing.T) {
 		offers = append(offers, named(machine(name, "SPARC", 64), name))
 	}
 	req := named(job("alice", "INTEL", 32), "alice/job1")
-	negotiateAs(m, "c-1", []*classad.Ad{req}, offers)
+	negotiateOnce(m, []*classad.Ad{req}, offers)
 	r, _ := m.Forensics().Lookup("alice/job1")
 	if len(r.Ledger) != maxLedgerEntries || !r.Truncated {
 		t.Fatalf("ledger len = %d truncated = %v, want %d/true",
@@ -162,10 +162,10 @@ func TestForensicsClaimedOfferLivelock(t *testing.T) {
 	idle.SetString("State", "Unclaimed")
 	offers := []*classad.Ad{claimed, idle}
 	req := named(job("alice", "INTEL", 32), "alice/job1")
+	req.SetString(classad.AttrTraceID, "t-alice1")
 
 	for cycle := 1; cycle <= 3; cycle++ {
-		id := fmt.Sprintf("c-%d", cycle)
-		got := negotiateAs(m, id, []*classad.Ad{req}, offers)
+		got := negotiateOnce(m, []*classad.Ad{req}, offers)
 		if len(got) != 1 || adName(got[0].Offer) != "idle" {
 			t.Fatalf("cycle %d: matches = %+v, want the idle machine (tie-break resolved)", cycle, got)
 		}
@@ -173,7 +173,7 @@ func TestForensicsClaimedOfferLivelock(t *testing.T) {
 		if !ok {
 			t.Fatalf("cycle %d: no report", cycle)
 		}
-		if !r.Matched || r.Claimed || r.Cycle != id {
+		if !r.Matched || r.Claimed || r.Trace != "t-alice1" {
 			t.Fatalf("cycle %d: report = %+v, want matched against an unclaimed offer", cycle, r)
 		}
 		if len(r.Ledger) != 0 {
@@ -187,7 +187,7 @@ func TestForensicsClaimedOfferLivelock(t *testing.T) {
 	if err := prefer.SetExprString("Rank", `ifThenElse(other.Name == "claimed", 1, 0)`); err != nil {
 		t.Fatal(err)
 	}
-	got := negotiateAs(m, "c-4", []*classad.Ad{prefer}, offers)
+	got := negotiateOnce(m, []*classad.Ad{prefer}, offers)
 	if len(got) != 1 || adName(got[0].Offer) != "claimed" {
 		t.Fatalf("preferring request: matches = %+v, want the claimed machine", got)
 	}
@@ -196,9 +196,9 @@ func TestForensicsClaimedOfferLivelock(t *testing.T) {
 	}
 }
 
-// negotiateAs is Negotiate stamped with a cycle ID (and charging
-// nothing): one pass of a fresh engine, fed the way Negotiate feeds it.
-func negotiateAs(m *Matchmaker, cycle string, requests, offers []*classad.Ad) []Match {
+// negotiateOnce is Negotiate charging nothing: one pass of a fresh
+// engine, fed the way Negotiate feeds it.
+func negotiateOnce(m *Matchmaker, requests, offers []*classad.Ad) []Match {
 	e := NewIncremental(m)
 	for i, ad := range offers {
 		e.Apply(AdDelta{Kind: AdOffer, Key: sliceKey('o', i), Ad: ad})
@@ -206,6 +206,6 @@ func negotiateAs(m *Matchmaker, cycle string, requests, offers []*classad.Ad) []
 	for i, ad := range requests {
 		e.Apply(AdDelta{Kind: AdRequest, Key: sliceKey('r', i), Ad: ad})
 	}
-	matches, _ := e.Recompute(cycle)
+	matches, _ := e.Recompute()
 	return matches
 }

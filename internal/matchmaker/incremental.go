@@ -429,9 +429,8 @@ func sortedKeys[V any](m map[string]V) []string {
 // notification is idempotent and the caller retries unacknowledged
 // matches by notifying again). The returned assignment is what a
 // from-scratch negotiation over the engine's current ads would
-// produce. cycle stamps the events and forensic reports the wake
-// emits.
-func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
+// produce.
+func (e *Incremental) Recompute() ([]Match, WakeStats) {
 	m := e.m
 	start := m.now()
 	e.mu.Lock()
@@ -650,7 +649,7 @@ func (e *Incremental) Recompute(cycle string) ([]Match, WakeStats) {
 				extendFrontier(o.best.index)
 			}
 		}
-		m.record(cycle, rec.ad, sp, view, avail, takenBy, o)
+		m.record(rec.ad, sp, view, avail, takenBy, o)
 		rec.dirty = false
 	}
 
@@ -769,25 +768,25 @@ func (e *Incremental) scan(ev evaluator, req *classad.Ad, view []*classad.Ad, av
 }
 
 // record books one served request's outcome — the one place counters,
-// events, forensic reports and the negotiate span's verdict are
-// written. Rejection diagnosis does extra matching work, so an
-// uninstrumented matchmaker skips it.
-func (m *Matchmaker) record(cycle string, req *classad.Ad, sp *obs.SpanRec, offers []*classad.Ad, avail []bool, takenBy []string, o outcome) {
+// log entries, forensic reports and the negotiate span's verdict are
+// written, all under the request's trace. Rejection diagnosis does
+// extra matching work, so an uninstrumented matchmaker skips it.
+func (m *Matchmaker) record(req *classad.Ad, sp *obs.SpanRec, offers []*classad.Ad, avail []bool, takenBy []string, o outcome) {
 	defer sp.End()
 	if best := o.best; best.index >= 0 {
 		m.mMatches.Inc()
 		if !m.instrumented() {
 			return
 		}
-		offer := adName(offers[best.index])
-		m.events.Emit("matchmaker", "match", cycle, map[string]string{
+		offer, trace := adName(offers[best.index]), classad.TraceOf(req)
+		m.events.Emit(trace, "matchmaker", "match", map[string]string{
 			"request":      adName(req),
 			"offer":        offer,
 			"request_rank": fmt.Sprintf("%g", best.reqRank),
 			"offer_rank":   fmt.Sprintf("%g", best.offRank),
 		})
 		r := Report{
-			Request: adName(req), Owner: owner(req), Cycle: cycle,
+			Request: adName(req), Owner: owner(req), Trace: trace,
 			Time: m.now(), Matched: true, Offer: offer,
 		}
 		if offerClaimed(offers[best.index]) {
@@ -816,13 +815,14 @@ func (m *Matchmaker) record(cycle string, req *classad.Ad, sp *obs.SpanRec, offe
 	case ReasonOutranked:
 		m.mRejTaken.Inc()
 	}
-	m.events.Emit("matchmaker", "no_match", cycle, map[string]string{
+	trace := classad.TraceOf(req)
+	m.events.Emit(trace, "matchmaker", "no_match", map[string]string{
 		"request": adName(req),
 		"reason":  reason,
 	})
 	ledger, truncated := m.buildLedger(req, offers, avail, takenBy, o.cand, o.indexed)
 	m.forensics.record(Report{
-		Request: adName(req), Owner: owner(req), Cycle: cycle,
+		Request: adName(req), Owner: owner(req), Trace: trace,
 		Time: m.now(), Reason: reason,
 		Ledger: ledger, Truncated: truncated,
 	})

@@ -298,7 +298,7 @@ func (w *diffWorld) quiesce() {
 	}
 	if w.eng.NeedsWake() {
 		ix := w.eng.ix
-		w.eng.Recompute(fmt.Sprintf("w%04d", w.step))
+		w.eng.Recompute()
 		w.wakes++
 		if w.eng.ix != ix {
 			w.ixBuilds++
@@ -502,7 +502,7 @@ func TestIncrementalNeedsWake(t *testing.T) {
 		t.Fatalf("a new offer sent no Ready token")
 	}
 
-	matches, stats := eng.Recompute("c1")
+	matches, stats := eng.Recompute()
 	if len(matches) != 0 || stats.Offers != 1 || stats.Requests != 0 || stats.Deltas != 1 {
 		t.Fatalf("unexpected first wake: %d matches, stats %+v", len(matches), stats)
 	}
@@ -528,7 +528,7 @@ func TestIncrementalSync(t *testing.T) {
 		{Kind: AdRequest, Key: "j1", Ad: j1},
 	}
 	eng.Sync(snapshot)
-	if ms, _ := eng.Recompute("c1"); len(ms) != 1 {
+	if ms, _ := eng.Recompute(); len(ms) != 1 {
 		t.Fatalf("expected 1 match, got %d", len(ms))
 	}
 	eng.Sync(snapshot)
@@ -540,7 +540,7 @@ func TestIncrementalSync(t *testing.T) {
 		{Kind: AdOffer, Key: "m1", Ad: m1},
 		{Kind: AdRequest, Key: "j2", Ad: j2},
 	})
-	ms, _ := eng.Recompute("c2")
+	ms, _ := eng.Recompute()
 	if len(ms) != 1 || ms[0].Request != j2 || ms[0].Offer != m1 {
 		t.Fatalf("after j1 left the snapshot: matches %v, want j2 -> m1", ms)
 	}
@@ -555,7 +555,7 @@ func TestIncrementalMarkAllDirty(t *testing.T) {
 		AdDelta{Kind: AdOffer, Key: "m1", Ad: machine("m1", "INTEL", 64)},
 		AdDelta{Kind: AdRequest, Key: "j1", Ad: namedJob("j1", "u1", "INTEL", 32)},
 	)
-	if ms, _ := eng.Recompute("c1"); len(ms) != 1 {
+	if ms, _ := eng.Recompute(); len(ms) != 1 {
 		t.Fatalf("expected 1 match, got %d", len(ms))
 	}
 
@@ -577,7 +577,7 @@ func TestIncrementalMarkAllDirty(t *testing.T) {
 	// ads — and once the store's next full refresh arrives, the repair
 	// completes. Here we deliver the repair as the fallback's re-sync.
 	eng.Apply(AdDelta{Kind: AdOffer, Key: "m1", Ad: machine("m1", "INTEL", 16)})
-	ms, stats := eng.Recompute("c2")
+	ms, stats := eng.Recompute()
 	if !stats.FullRebuild {
 		t.Fatalf("fallback wake was not a full rebuild: %+v", stats)
 	}
@@ -607,7 +607,7 @@ func TestWakeCostIndependentOfPoolSize(t *testing.T) {
 			key := fmt.Sprintf("m%05d", i)
 			eng.Apply(AdDelta{Kind: AdOffer, Key: key, Ad: machine(key, "INTEL", 64)})
 		}
-		eng.Recompute("seed")
+		eng.Recompute()
 		// The deltas are prepared outside the measured function: only
 		// Apply and Recompute are on the wake's bill.
 		const runs = 50
@@ -627,7 +627,7 @@ func TestWakeCostIndependentOfPoolSize(t *testing.T) {
 		r := 0
 		return testing.AllocsPerRun(runs, func() {
 			eng.Apply(deltas[r]...)
-			eng.Recompute("wake")
+			eng.Recompute()
 			r++
 		})
 	}

@@ -63,7 +63,7 @@ type Matchmaker struct {
 	usage *PriorityTable
 
 	// Observability hooks; nil (no-op) until Instrument is called.
-	events      *obs.Events
+	events      *obs.Spans
 	spans       *obs.Spans
 	forensics   *Forensics
 	mMatches    *obs.Counter
@@ -100,9 +100,9 @@ func New(cfg Config) *Matchmaker {
 // offer index's work (matchmaker_index_candidates_total /
 // matchmaker_index_pruned_total / matchmaker_index_unindexed_total),
 // and the scan's rank-pass fan-out (matchmaker_scan_workers). Each
-// match and rejection also lands in the event buffer, stamped with the cycle ID
-// passed to Incremental.Recompute; requests whose ad carries a TraceId get a
-// negotiate span in the span ring. Instrumentation also switches on
+// match and rejection also lands in the log ring under the request's
+// trace; requests whose ad carries a TraceId get a negotiate span in
+// the span ring. Instrumentation also switches on
 // negotiation forensics — a per-request rejection ledger retained in a
 // bounded store and served at /why?request= on o's debug endpoint.
 // Call before the first cycle.
@@ -218,7 +218,7 @@ func (m *Matchmaker) Negotiate(requests, offers []*classad.Ad) []Match {
 	}
 	e := NewIncremental(m)
 	e.Apply(deltas...)
-	matches, _ := e.Recompute("")
+	matches, _ := e.Recompute()
 	// The service order was fixed before the loop ran, so charging
 	// after it bills exactly what charging inside it would.
 	for _, match := range matches {

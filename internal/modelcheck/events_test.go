@@ -86,15 +86,13 @@ func runSchedule(seq []matchmaker.AdDelta, wakeMask int, mutant matchmaker.Incre
 	m := matchmaker.New(matchmaker.Config{})
 	eng := matchmaker.NewIncremental(m)
 	eng.Hooks = mutant
-	cycle := 0
 	for i, d := range seq {
 		eng.Apply(d)
 		if wakeMask&(1<<i) != 0 {
-			cycle++
-			eng.Recompute(fmt.Sprintf("s%d", cycle))
+			eng.Recompute()
 		}
 	}
-	eng.Recompute("final")
+	eng.Recompute()
 	got := map[string]string{}
 	for _, match := range eng.Matches() {
 		r, _ := match.Request.Eval("Name").StringVal()

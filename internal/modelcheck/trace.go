@@ -41,14 +41,11 @@ func RenderTrace(cfg Config, schedule []Action) (string, error) {
 	for _, line := range w.trace {
 		fmt.Fprintf(&b, "  %s\n", line)
 	}
-	events := o.Events().Snapshot()
+	events := o.Events().Select("", 0)
 	if len(events) > 0 {
 		b.WriteString("\nevents:\n")
 		for _, ev := range events {
-			fmt.Fprintf(&b, "  [%s] %s", ev.Src, ev.Type)
-			if ev.Cycle != "" {
-				fmt.Fprintf(&b, " cycle=%s", ev.Cycle)
-			}
+			fmt.Fprintf(&b, "  [%s] %s", ev.Src, ev.Name)
 			for _, k := range sortedKeys(ev.Fields) {
 				fmt.Fprintf(&b, " %s=%s", k, ev.Fields[k])
 			}

@@ -327,9 +327,9 @@ func (w *World) tracef(format string, args ...any) {
 	w.trace = append(w.trace, fmt.Sprintf(format, args...))
 }
 
-func (w *World) emit(typ, cycle string, fields map[string]string) {
+func (w *World) emit(name string, fields map[string]string) {
 	if w.o != nil {
-		w.o.Events().Emit("modelcheck", typ, cycle, fields)
+		w.o.Events().Emit("", "modelcheck", name, fields)
 	}
 }
 
@@ -341,7 +341,7 @@ func (w *World) violate(code, format string, args ...any) {
 	v := &Violation{Code: code, Detail: fmt.Sprintf(format, args...)}
 	w.violations = append(w.violations, v)
 	w.tracef("VIOLATION %s: %s", code, v.Detail)
-	w.emit("violation", "", map[string]string{"code": code, "detail": v.Detail})
+	w.emit("violation", map[string]string{"code": code, "detail": v.Detail})
 }
 
 // apply executes one action and re-checks the safety invariants.
@@ -381,7 +381,7 @@ func (w *World) advertiseMachine(i int) {
 	m.advertised = true
 	state, _ := ad.Eval("State").StringVal()
 	w.tracef("advertise machine %s: State=%s, fresh ticket", name, state)
-	w.emit("advertise", "", map[string]string{"machine": name, "state": state})
+	w.emit("advertise", map[string]string{"machine": name, "state": state})
 }
 
 func (w *World) submitJob(i int) {
@@ -391,7 +391,7 @@ func (w *World) submitJob(i int) {
 	}
 	w.jobs[i].st = jobAdvertised
 	w.tracef("submit job %s: request ad enters the pool", name)
-	w.emit("submit", "", map[string]string{"job": name})
+	w.emit("submit", map[string]string{"job": name})
 }
 
 func (w *World) negotiate(ni int) {
@@ -417,10 +417,9 @@ func (w *World) negotiate(ni int) {
 	w.store.Prune()
 	pool.FeedFromStore(n.eng, w.store, n.sub)
 	w.cycleSeq++
-	cycle := fmt.Sprintf("mc%03d", w.cycleSeq)
-	matches, stats := n.eng.Recompute(cycle)
-	w.tracef("negotiate %s (epoch %d, cycle %s): %d requests x %d offers -> %d matches",
-		neg, lease.Epoch, cycle, stats.Requests, stats.Offers, len(matches))
+	matches, stats := n.eng.Recompute()
+	w.tracef("negotiate %s (epoch %d, cycle %d): %d requests x %d offers -> %d matches",
+		neg, lease.Epoch, w.cycleSeq, stats.Requests, stats.Offers, len(matches))
 	for _, match := range matches {
 		ji := w.sys.jobIndex[classad.Fold(nameOf(match.Request))]
 		mi := w.sys.machineIndex[classad.Fold(nameOf(match.Offer))]
@@ -439,7 +438,7 @@ func (w *World) negotiate(ni int) {
 		w.jobs[ji].st = jobMatched
 		w.store.Invalidate(jobName)
 		w.tracef("  MATCH %s -> %s (epoch %d) queued for delivery", jobName, machName, lease.Epoch)
-		w.emit("match_sent", cycle, map[string]string{
+		w.emit("match_sent", map[string]string{
 			"job": jobName, "machine": machName,
 			"epoch": fmt.Sprintf("%d", lease.Epoch), "negotiator": neg,
 		})
@@ -461,7 +460,7 @@ func (w *World) deliver(k int) {
 	if stale && !w.sys.cfg.Hooks.DisableEpochFence {
 		w.tracef("deliver MATCH %s -> %s: fenced, epoch %d < high-water %d; job requeued",
 			jobName, machName, msg.epoch, w.caHigh)
-		w.emit("match_fenced", "", map[string]string{
+		w.emit("match_fenced", map[string]string{
 			"job": jobName, "epoch": fmt.Sprintf("%d", msg.epoch),
 			"high": fmt.Sprintf("%d", w.caHigh),
 		})
@@ -480,7 +479,7 @@ func (w *World) deliver(k int) {
 			w.tracef("deliver MATCH %s -> %s: claim rejected (%s); job requeued",
 				jobName, machName, out.Reason)
 		}
-		w.emit("claim_rejected", "", map[string]string{
+		w.emit("claim_rejected", map[string]string{
 			"job": jobName, "machine": machName, "reason": out.Reason,
 		})
 		return
@@ -516,7 +515,7 @@ func (w *World) deliver(k int) {
 	w.jobs[msg.job].machine = msg.machine
 	w.tracef("deliver MATCH %s -> %s: claim GRANTED (epoch %d), owner %s charged %d",
 		jobName, machName, msg.epoch, w.sys.cfg.Jobs[msg.job].Owner, charge)
-	w.emit("claim_granted", "", map[string]string{
+	w.emit("claim_granted", map[string]string{
 		"job": jobName, "machine": machName, "epoch": fmt.Sprintf("%d", msg.epoch),
 	})
 }
@@ -537,7 +536,7 @@ func (w *World) complete(i int) {
 	j.st = jobDone
 	j.machine = -1
 	w.tracef("complete %s: done, claim released", name)
-	w.emit("complete", "", map[string]string{"job": name})
+	w.emit("complete", map[string]string{"job": name})
 }
 
 // requeue returns a matched-or-evicted job to the idle state; a

@@ -1,167 +1,20 @@
 package obs
 
-import (
-	"crypto/rand"
-	"encoding/hex"
-	"fmt"
-	"sync"
-	"time"
-)
-
-// Event is one structured log record. Events carrying the same Cycle
-// value belong to the same negotiation cycle: the manager mints a
-// cycle ID, stamps it into its own events and into the MATCH envelopes
-// it sends, and every downstream daemon (matchmaker, CA, RA) copies it
-// into the events it emits — so /events?cycle=ID replays one cycle's
-// full story across process boundaries.
-type Event struct {
-	// Seq is a strictly increasing sequence number (per Events buffer);
-	// it orders events emitted within the same clock tick.
-	Seq int64 `json:"seq"`
-	// Time is the emission wall-clock time.
-	Time time.Time `json:"time"`
-	// Src names the emitting component: "manager", "matchmaker",
-	// "collector", "ca", "ra", "netx".
-	Src string `json:"src"`
-	// Type names the event: "cycle_begin", "match", "claim", ...
-	Type string `json:"type"`
-	// Cycle is the negotiation-cycle ID, when the event belongs to one.
-	Cycle string `json:"cycle,omitempty"`
-	// Fields carries event-specific key/value detail.
-	Fields map[string]string `json:"fields,omitempty"`
-}
-
-// DefaultEventCapacity is the ring size used by New.
-const DefaultEventCapacity = 4096
-
-// Events is a bounded ring of events: emission is O(1), old events are
-// overwritten once the ring is full. All methods are nil-safe.
-type Events struct {
-	mu   sync.Mutex
-	buf  []Event
-	next int64 // seq of the next event; also total emitted
-}
-
-// NewEvents returns a ring holding the most recent capacity events
-// (<= 0 selects DefaultEventCapacity).
-func NewEvents(capacity int) *Events {
-	if capacity <= 0 {
-		capacity = DefaultEventCapacity
-	}
-	return &Events{buf: make([]Event, capacity)}
-}
-
-// Emit appends one event. fields may be nil.
-func (e *Events) Emit(src, typ, cycle string, fields map[string]string) {
-	if e == nil {
-		return
-	}
-	now := time.Now()
-	e.mu.Lock()
-	seq := e.next
-	e.next++
-	e.buf[seq%int64(len(e.buf))] = Event{
-		Seq: seq, Time: now, Src: src, Type: typ, Cycle: cycle, Fields: fields,
-	}
-	e.mu.Unlock()
-}
-
-// Len reports how many events the ring currently holds.
-func (e *Events) Len() int {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.next < int64(len(e.buf)) {
-		return int(e.next)
-	}
-	return len(e.buf)
-}
-
-// Total reports how many events were ever emitted (including ones the
-// ring has since overwritten).
-func (e *Events) Total() int64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.next
-}
-
-// Dropped reports how many events the ring has overwritten.
-func (e *Events) Dropped() int64 {
-	if e == nil {
-		return 0
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if d := e.next - int64(len(e.buf)); d > 0 {
-		return d
-	}
-	return 0
-}
-
-// Snapshot returns the retained events in emission order.
-func (e *Events) Snapshot() []Event {
-	return e.Select("", "", "", 0)
-}
-
-// Select returns retained events in emission order, filtered by src,
-// cycle and type when non-empty, keeping only the most recent limit
-// events when limit > 0. Always returns a non-nil slice (it is served
-// as JSON).
-func (e *Events) Select(src, cycle, typ string, limit int) []Event {
-	out := []Event{}
-	if e == nil {
-		return out
-	}
-	e.mu.Lock()
-	n := int64(len(e.buf))
-	lo := e.next - n
-	if lo < 0 {
-		lo = 0
-	}
-	for seq := lo; seq < e.next; seq++ {
-		ev := e.buf[seq%n]
-		if src != "" && ev.Src != src {
-			continue
-		}
-		if cycle != "" && ev.Cycle != cycle {
-			continue
-		}
-		if typ != "" && ev.Type != typ {
-			continue
-		}
-		out = append(out, ev)
-	}
-	e.mu.Unlock()
-	if limit > 0 && len(out) > limit {
-		out = out[len(out)-limit:]
-	}
-	return out
-}
-
-// NewCycleID mints the identifier for negotiation cycle n: readable
-// (the cycle ordinal is visible) and unique across manager restarts
-// (four random bytes), e.g. "c42-9f1b03d7".
-func NewCycleID(n int) string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Entropy exhaustion should not break negotiation; fall back
-		// to the ordinal alone.
-		return fmt.Sprintf("c%d", n)
-	}
-	return fmt.Sprintf("c%d-%s", n, hex.EncodeToString(b[:]))
-}
+import "sync"
 
 // Obs bundles the sinks a component needs. A nil *Obs (and the nil
-// Registry/Events/Spans inside a zero Obs) disables instrumentation
+// Registry and rings inside a zero Obs) disables instrumentation
 // without any call-site branching.
+//
+// Both rings hold Spans, keyed by the job's trace. Sp is the span ring:
+// the timed hops of a request (submit, ad_stored, negotiate, notify,
+// claim, verdict). Ev is the log ring: zero-length entries (Emit) and
+// the wakes of the negotiation loop. They are kept apart because the
+// pool benchmark reads the span ring's hops and its Dropped count; a
+// log entry entering that ring would evict hops and inflate the count.
 type Obs struct {
 	Reg *Registry
-	Ev  *Events
+	Ev  *Spans
 	Sp  *Spans
 
 	// handlers holds dynamic debug-endpoint extensions registered via
@@ -172,10 +25,10 @@ type Obs struct {
 	handlers map[string]func(map[string][]string) (any, error)
 }
 
-// New returns an Obs with a fresh registry, a default-capacity event
-// ring and a default-capacity span ring.
+// New returns an Obs with a fresh registry and a default-capacity log
+// ring and span ring.
 func New() *Obs {
-	return &Obs{Reg: NewRegistry(), Ev: NewEvents(0), Sp: NewSpans(0)}
+	return &Obs{Reg: NewRegistry(), Ev: NewSpans(0), Sp: NewSpans(0)}
 }
 
 // Registry returns the metrics registry; nil-safe.
@@ -186,8 +39,8 @@ func (o *Obs) Registry() *Registry {
 	return o.Reg
 }
 
-// Events returns the event ring; nil-safe.
-func (o *Obs) Events() *Events {
+// Events returns the log ring; nil-safe.
+func (o *Obs) Events() *Spans {
 	if o == nil {
 		return nil
 	}

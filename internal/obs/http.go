@@ -5,13 +5,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"sort"
 	"strconv"
 )
 
 // Handler returns the debug endpoint: /metrics (registry snapshot as
-// JSON), /events (event ring as JSON, filterable with ?src=, ?cycle=,
-// ?type= and ?n=), /trace (span ring as JSON, filterable with ?id=
-// and ?n=), any extensions registered via Handle, and the standard
+// JSON), /trace (both rings as JSON, filterable with ?id= and ?n=; see
+// records), any extensions registered via Handle, and the standard
 // pprof tree under /debug/pprof/. The handler is read-only and safe
 // to expose on a loopback or operations-network address; it is never
 // started unless a daemon is given -debug-addr.
@@ -20,15 +20,10 @@ func (o *Obs) Handler() http.Handler {
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, o.Registry().Snapshot())
 	})
-	mux.HandleFunc("/events", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		limit, _ := strconv.Atoi(q.Get("n"))
-		writeJSON(w, o.Events().Select(q.Get("src"), q.Get("cycle"), q.Get("type"), limit))
-	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		limit, _ := strconv.Atoi(q.Get("n"))
-		writeJSON(w, o.Spans().Select(q.Get("id"), limit))
+		writeJSON(w, o.records(q.Get("id"), limit))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -55,11 +50,23 @@ func (o *Obs) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write([]byte("matchmaking debug endpoint\n" +
 			"  /metrics          metrics registry snapshot (JSON)\n" +
-			"  /events           event ring (JSON; ?src= ?cycle= ?type= ?n=)\n" +
-			"  /trace            span ring (JSON; ?id= ?n=)\n" +
+			"  /trace            span and log rings (JSON; ?id= ?n=)\n" +
 			"  /debug/pprof/     Go runtime profiles\n"))
 	})
 	return mux
+}
+
+// records returns the records of trace id from the span ring and the
+// log ring, merged stably by start time (a span before a log entry that
+// starts at the same instant), keeping the newest limit when limit > 0.
+// An empty id selects every record. Always returns a non-nil slice.
+func (o *Obs) records(id string, limit int) []Span {
+	out := append(o.Spans().Select(id, limit), o.Events().Select(id, limit)...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	if limit > 0 && len(out) > limit {
+		out = out[len(out)-limit:]
+	}
+	return out
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -4,18 +4,27 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
+	"time"
 )
 
 // TestDebugEndpoints starts the debug server and exercises /metrics,
-// /events (with a cycle filter) and the pprof index over real HTTP.
+// /trace (one trace's spans and log entries, merged in start order)
+// and the pprof index over real HTTP.
 func TestDebugEndpoints(t *testing.T) {
 	o := New()
 	o.Reg.Counter("collector_queries_total").Add(5)
 	o.Reg.Histogram("pool_claim_seconds", nil).Observe(0.002)
-	o.Ev.Emit("manager", "cycle_begin", "c1-deadbeef", map[string]string{"requests": "3"})
-	o.Ev.Emit("ca", "claim", "c1-deadbeef", nil)
-	o.Ev.Emit("manager", "cycle_begin", "c2-deadbeef", nil)
+	t0 := time.Now()
+	// The span ring records a hop when it ends, so recording order is
+	// not start order: the claim span ends (and is recorded) after the
+	// log entry emitted inside it.
+	o.Sp.Record(Span{Trace: "t-1", ID: "s-1", Src: "ca", Name: "submit", Start: t0, End: t0.Add(time.Millisecond)})
+	o.Ev.Record(Span{Trace: "t-1", Src: "matchmaker", Name: "match", Start: t0.Add(2 * time.Millisecond), End: t0.Add(2 * time.Millisecond)})
+	o.Sp.Record(Span{Trace: "t-1", ID: "s-2", Src: "ca", Name: "claim", Start: t0.Add(time.Millisecond), End: t0.Add(4 * time.Millisecond)})
+	o.Ev.Emit("t-2", "matchmaker", "match", nil)
+	o.Sp.Record(Span{Trace: "t-2", ID: "s-3", Src: "ca", Name: "submit", Start: t0, End: t0})
 
 	srv, err := o.ServeDebug("127.0.0.1:0")
 	if err != nil {
@@ -33,13 +42,18 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Errorf("/metrics histograms = %+v", snap.Histograms)
 	}
 
-	var evs []Event
-	getJSON(t, base+"/events?cycle=c1-deadbeef", &evs)
-	if len(evs) != 2 {
-		t.Fatalf("/events?cycle= returned %d events, want 2", len(evs))
+	var recs []Span
+	getJSON(t, base+"/trace?id=t-1", &recs)
+	var names []string
+	for _, r := range recs {
+		names = append(names, r.Name)
 	}
-	if evs[0].Src != "manager" || evs[1].Src != "ca" {
-		t.Errorf("event sources = %s, %s", evs[0].Src, evs[1].Src)
+	if got := strings.Join(names, ","); got != "submit,claim,match" {
+		t.Errorf("/trace?id=t-1 = %s, want submit,claim,match", got)
+	}
+	getJSON(t, base+"/trace?n=2", &recs)
+	if len(recs) != 2 {
+		t.Errorf("/trace?n=2 returned %d records, want 2", len(recs))
 	}
 
 	resp, err := http.Get(base + "/debug/pprof/")

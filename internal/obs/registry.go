@@ -1,9 +1,9 @@
 // Package obs is the pool-wide observability layer: a dependency-free
 // metrics registry (atomic counters, gauges, fixed-bucket histograms),
-// a structured event log (a bounded ring of typed, timestamped events
-// carrying the negotiation-cycle ID that stitches a match's story
-// together across daemons), and an optional debug HTTP endpoint
-// exposing both as JSON alongside net/http/pprof.
+// two bounded rings of spans keyed by the job's trace ID (timed hops,
+// and zero-length log entries), which stitch a job's story together
+// across daemons, and an optional debug HTTP endpoint exposing them as
+// JSON alongside net/http/pprof.
 //
 // The paper's matchmaker is a periodic, opaque service — operators can
 // only infer behavior from queue state (§4). This package makes the
@@ -11,7 +11,7 @@
 // nil-safe, so an uninstrumented component pays one nil check per
 // metric update and nothing else. Components receive an *Obs (or just
 // a *Registry) at construction; a nil Obs, nil Registry, nil Counter
-// and nil Events all no-op.
+// and nil Spans all no-op.
 package obs
 
 import (

@@ -52,7 +52,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var o *Obs
 	o.Registry().Counter("x").Inc()
-	o.Events().Emit("src", "type", "", nil)
+	o.Events().Emit("", "src", "name", nil)
 	if o.Events().Len() != 0 {
 		t.Error("nil events not empty")
 	}

@@ -40,12 +40,12 @@ type Span struct {
 	Fields map[string]string `json:"fields,omitempty"`
 }
 
-// DefaultSpanCapacity is the span-ring size used by New.
+// DefaultSpanCapacity is the size New gives each of its two rings.
 const DefaultSpanCapacity = 4096
 
-// Spans is a bounded ring of completed spans, the tracing counterpart
-// of Events: recording is O(1), old spans are overwritten once the
-// ring is full. All methods are nil-safe.
+// Spans is a bounded ring of completed spans: recording is O(1), old
+// spans are overwritten once the ring is full. All methods are
+// nil-safe.
 type Spans struct {
 	mu   sync.Mutex
 	buf  []Span
@@ -70,6 +70,17 @@ func (s *Spans) Record(span Span) {
 	s.buf[s.next%int64(len(s.buf))] = span
 	s.next++
 	s.mu.Unlock()
+}
+
+// Emit records one log entry under trace: a zero-length span with no
+// ID, so it parents nothing. An empty trace is recorded too, as an
+// uncorrelated entry (a collector log line). fields may be nil.
+func (s *Spans) Emit(trace, src, name string, fields map[string]string) {
+	if s == nil {
+		return
+	}
+	now := time.Now()
+	s.Record(Span{Trace: trace, Src: src, Name: name, Start: now, End: now, Fields: fields})
 }
 
 // Len reports how many spans the ring currently holds.

@@ -78,7 +78,7 @@ type CustomerDaemon struct {
 
 	// Observability hooks; nil (no-op) until Instrument is called.
 	obs              *obs.Obs
-	events           *obs.Events
+	events           *obs.Spans
 	spans            *obs.Spans
 	mClaimAttempts   *obs.Counter
 	mClaimOK         *obs.Counter
@@ -135,8 +135,8 @@ func NewCustomerDaemon(ca *agent.Customer, collectorAddr string, lifetime int64,
 // MATCH receipt to the provider's verdict ack (pool_claim_seconds),
 // live notification handlers (pool_ca_handlers gauge), and settled jobs
 // the queue forgot past its bound (pool_ca_jobs_forgotten_total). Claim
-// events carry the cycle ID from the MATCH envelope. Call before
-// Listen/Serve.
+// log entries carry the job's trace from the MATCH envelope. Call
+// before Listen/Serve.
 func (d *CustomerDaemon) Instrument(o *obs.Obs) {
 	reg := o.Registry()
 	d.mu.Lock()
@@ -159,12 +159,12 @@ func (d *CustomerDaemon) Instrument(o *obs.Obs) {
 	d.CA.Instrument(reg)
 }
 
-// emit logs one CA event stamped with the given cycle ID.
-func (d *CustomerDaemon) emit(typ, cycle string, fields map[string]string) {
+// emit logs one CA entry under the given trace.
+func (d *CustomerDaemon) emit(trace, name string, fields map[string]string) {
 	d.mu.Lock()
 	ev := d.events
 	d.mu.Unlock()
-	ev.Emit("ca", typ, cycle, fields)
+	ev.Emit(trace, "ca", name, fields)
 }
 
 // spansRef reads the span ring under the lock (nil until Instrument).
@@ -269,7 +269,7 @@ func (d *CustomerDaemon) EnableJournal(dir string, fs store.FS) error {
 				continue
 			}
 			j.Release(c.Job)
-			d.emit("claim_reconciled", "", map[string]string{
+			d.emit("", "claim_reconciled", map[string]string{
 				"job":     fmt.Sprintf("%d", c.Job),
 				"machine": c.Machine,
 				"phase":   c.Phase,
@@ -441,7 +441,7 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 		d.mu.Unlock()
 		if env.Epoch < high {
 			d.mFenced.Inc()
-			d.emit("match_fenced", env.Cycle, map[string]string{
+			d.emit(env.Trace, "match_fenced", map[string]string{
 				"epoch":   fmt.Sprintf("%d", env.Epoch),
 				"current": fmt.Sprintf("%d", high),
 			})
@@ -506,7 +506,7 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 	sp.Set("job", fmt.Sprintf("%d", job.ID))
 	d.mClaimAttempts.Inc()
 	start := time.Now()
-	accepted, reason, err := d.claim(machine, claimAd, env.Ticket, env.Cycle, trace, sp.ID())
+	accepted, reason, err := d.claim(machine, claimAd, env.Ticket, trace, sp.ID())
 	dur := time.Since(start)
 	d.hClaimSeconds.Observe(dur.Seconds())
 	d.mu.Lock()
@@ -529,9 +529,10 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 		d.mClaimFailed.Inc()
 		sp.Fail(err.Error())
 		sp.End()
-		d.emit("claim_failed", env.Cycle, map[string]string{
+		d.emit(trace, "claim_failed", map[string]string{
 			"machine": adName(machine),
 			"job":     fmt.Sprintf("%d", job.ID),
+			"session": env.Session,
 			"error":   err.Error(),
 		})
 		d.logf("ca %s: claim of %s failed, job %d requeued: %v",
@@ -558,9 +559,10 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 		sp.Set("outcome", "rejected")
 		sp.Set("reason", reason)
 		sp.End()
-		d.emit("claim_rejected", env.Cycle, map[string]string{
+		d.emit(trace, "claim_rejected", map[string]string{
 			"machine": adName(machine),
 			"job":     fmt.Sprintf("%d", job.ID),
+			"session": env.Session,
 			"reason":  reason,
 		})
 		d.logf("ca %s: claim of %s rejected: %s", d.CA.Owner(), adName(machine), reason)
@@ -569,9 +571,10 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 	d.mClaimOK.Inc()
 	sp.Set("outcome", "granted")
 	sp.End()
-	d.emit("claim_ok", env.Cycle, map[string]string{
+	d.emit(trace, "claim_ok", map[string]string{
 		"machine":    adName(machine),
 		"job":        fmt.Sprintf("%d", job.ID),
+		"session":    env.Session,
 		"latency_ms": fmt.Sprintf("%d", dur.Milliseconds()),
 	})
 	if journal != nil {
@@ -657,10 +660,8 @@ func jobIDOfName(owner, name string) (int, bool) {
 // can never stall the CA's notification handler beyond the configured
 // bound. CLAIM is never replayed: a claim that fails on a cached
 // connection the provider has dropped is a failed claim, like a failed
-// dial, and the job stays idle for the next cycle. The cycle ID from
-// the MATCH notification rides along in the CLAIM envelope so the
-// provider's events correlate with this negotiation cycle.
-func (d *CustomerDaemon) claim(machine, jobAd *classad.Ad, ticket, cycle, trace, span string) (bool, string, error) {
+// dial, and the job stays idle for the next cycle.
+func (d *CustomerDaemon) claim(machine, jobAd *classad.Ad, ticket, trace, span string) (bool, string, error) {
 	contact, ok := machine.Eval(classad.AttrContact).StringVal()
 	if !ok || contact == "" {
 		return false, "", errors.New("provider ad has no Contact")
@@ -672,7 +673,6 @@ func (d *CustomerDaemon) claim(machine, jobAd *classad.Ad, ticket, cycle, trace,
 			Type:   protocol.TypeClaim,
 			Ad:     protocol.EncodeAd(jobAd),
 			Ticket: ticket,
-			Cycle:  cycle,
 			Trace:  trace,
 			Span:   span,
 		})
@@ -720,7 +720,7 @@ func (d *CustomerDaemon) handlePreempt(env *protocol.Envelope) *protocol.Envelop
 		j.Release(id) // the RA evicted us; nothing left to hold
 	}
 	d.mPreemptsRx.Inc()
-	d.emit("preempted", env.Cycle, map[string]string{
+	d.emit(env.Trace, "preempted", map[string]string{
 		"job": fmt.Sprintf("%d", id),
 	})
 	return &protocol.Envelope{Type: protocol.TypeAck}
@@ -886,7 +886,7 @@ func (d *CustomerDaemon) Complete(jobID int) error {
 		}
 		d.mu.Unlock()
 		d.mReleaseRequeued.Inc()
-		d.emit("release_requeued", "", map[string]string{
+		d.emit(ref.trace, "release_requeued", map[string]string{
 			"job":     fmt.Sprintf("%d", jobID),
 			"machine": ref.machine,
 			"error":   err.Error(),

@@ -499,15 +499,21 @@ func TestChaosReuseOutlivedByPeers(t *testing.T) {
 		}
 	}
 
-	// No MATCH led to a second CLAIM: one claim outcome per cycle and
-	// job, however the MATCH was retried or replayed.
+	// No MATCH led to a second CLAIM: one claim outcome per MATCH
+	// session and job, however the MATCH was retried or replayed. The
+	// session, not the trace, names the MATCH: a job re-matched in a
+	// later cycle keeps its trace but gets a new session.
 	claims := make(map[string]int)
-	for _, ev := range o.Events().Snapshot() {
-		switch ev.Type {
+	for _, ev := range o.Events().Select("", 0) {
+		switch ev.Name {
 		case "claim_ok", "claim_rejected", "claim_failed":
-			key := ev.Cycle + "/" + ev.Fields["job"]
+			session := ev.Fields["session"]
+			if session == "" {
+				t.Errorf("%s entry for job %s names no MATCH session", ev.Name, ev.Fields["job"])
+			}
+			key := session + "/" + ev.Fields["job"]
 			if claims[key]++; claims[key] > 1 {
-				t.Errorf("job %s was claimed %d times for one MATCH of cycle %s", ev.Fields["job"], claims[key], ev.Cycle)
+				t.Errorf("job %s was claimed %d times for MATCH session %s", ev.Fields["job"], claims[key], session)
 			}
 		}
 	}

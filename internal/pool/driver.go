@@ -303,9 +303,6 @@ type CycleResult struct {
 	Charged int
 	// Errors collects notification failures (unreachable contacts).
 	Errors []error
-	// Cycle is the cycle's trace identifier: every event this cycle
-	// emitted — across manager, matchmaker, CA and RA — carries it.
-	Cycle string
 	// Standby is true when an HA-enrolled negotiator ran the cycle
 	// without holding the leadership lease: nothing was matched.
 	Standby bool
@@ -342,9 +339,8 @@ func (n *negotiator) cycle(holder string, ttl int64, force bool) (CycleResult, m
 	start := time.Now()
 	n.mu.Lock()
 	n.cycles++
-	cycleID := obs.NewCycleID(n.cycles)
 	n.mu.Unlock()
-	res := CycleResult{Cycle: cycleID}
+	var res CycleResult
 	var stats matchmaker.WakeStats
 
 	if holder != "" {
@@ -356,11 +352,14 @@ func (n *negotiator) cycle(holder string, ttl int64, force bool) (CycleResult, m
 		}
 		n.observeLease(holder, lease, granted && err == nil)
 		if err != nil || !granted {
-			n.obs.Events().Emit(n.src, "cycle_standby", cycleID, map[string]string{
-				"leader": lease.Holder,
-				"epoch":  fmt.Sprint(lease.Epoch),
-			})
 			res.Standby, res.Epoch, res.Duration = true, lease.Epoch, time.Since(start)
+			n.obs.Events().Record(obs.Span{
+				Src: n.src, Name: "wake", Start: start, End: start.Add(res.Duration), Err: "standby",
+				Fields: map[string]string{
+					"leader": lease.Holder,
+					"epoch":  fmt.Sprint(lease.Epoch),
+				},
+			})
 			return res, stats
 		}
 		res.Epoch = lease.Epoch
@@ -376,21 +375,14 @@ func (n *negotiator) cycle(holder string, ttl int64, force bool) (CycleResult, m
 		res.Duration = time.Since(start)
 		return res, stats
 	}
-	res.Matches, stats = n.eng.Recompute(cycleID)
+	res.Matches, stats = n.eng.Recompute()
 	res.Requests, res.Offers = stats.Requests, stats.Offers
-	n.obs.Events().Emit(n.src, "cycle_begin", cycleID, map[string]string{
-		"requests": fmt.Sprint(res.Requests),
-		"offers":   fmt.Sprint(res.Offers),
-		"deltas":   fmt.Sprint(stats.Deltas),
-		"dirty":    fmt.Sprint(stats.Dirty),
-		"full":     fmt.Sprint(stats.FullRebuild),
-	})
 	for _, match := range res.Matches {
-		accepted, err := n.notify(match, cycleID, res.Epoch) //lockguard:ok cycleMu exists to make a whole cycle, I/O included, exclusive; its only contenders are other cycles
+		accepted, err := n.notify(match, res.Epoch) //lockguard:ok cycleMu exists to make a whole cycle, I/O included, exclusive; its only contenders are other cycles
 		if err != nil {
 			res.Errors = append(res.Errors, err)
 			n.mNotifyErrors.Inc()
-			n.obs.Events().Emit(n.src, "notify_failed", cycleID, map[string]string{
+			n.obs.Events().Emit(match.Trace, n.src, "notify_failed", map[string]string{
 				"request": adName(match.Request),
 				"offer":   adName(match.Offer),
 				"error":   err.Error(),
@@ -433,11 +425,18 @@ func (n *negotiator) cycle(holder string, ttl int64, force bool) (CycleResult, m
 	n.hCycleSeconds.Observe(res.Duration.Seconds())
 	n.hCycleReqs.Observe(float64(res.Requests))
 	n.hCycleMatches.Observe(float64(len(res.Matches)))
-	n.obs.Events().Emit(n.src, "cycle_end", cycleID, map[string]string{
-		"matches":  fmt.Sprint(len(res.Matches)),
-		"notified": fmt.Sprint(res.Notified),
-		"errors":   fmt.Sprint(len(res.Errors)),
-		"duration": res.Duration.String(),
+	n.obs.Events().Record(obs.Span{
+		Src: n.src, Name: "wake", Start: start, End: start.Add(res.Duration),
+		Fields: map[string]string{
+			"requests": fmt.Sprint(res.Requests),
+			"offers":   fmt.Sprint(res.Offers),
+			"deltas":   fmt.Sprint(stats.Deltas),
+			"dirty":    fmt.Sprint(stats.Dirty),
+			"full":     fmt.Sprint(stats.FullRebuild),
+			"matches":  fmt.Sprint(len(res.Matches)),
+			"notified": fmt.Sprint(res.Notified),
+			"errors":   fmt.Sprint(len(res.Errors)),
+		},
 	})
 	n.publishSelf(holder, res)
 	if holder != "" && len(res.Errors) == 0 {
@@ -564,7 +563,7 @@ func (n *negotiator) logMatch(match matchmaker.Match) {
 
 // notify runs the matchmaking protocol for one match: a MATCH envelope
 // to each party's Contact address carrying the peer's ad and the
-// cycle's trace ID; the customer's copy also carries the provider's
+// request's trace ID; the customer's copy also carries the provider's
 // ticket. epoch, when non-zero, is the sender's leadership epoch — the
 // CA fences out envelopes whose epoch has been superseded. Traced
 // matches (the request ad carries a TraceId) propagate the trace into
@@ -575,7 +574,7 @@ func (n *negotiator) logMatch(match matchmaker.Match) {
 // A CA predating the flag acks without it; such a pool simply stops
 // charging, which is the conservative failure mode (customers are
 // under- rather than over-billed).
-func (n *negotiator) notify(match matchmaker.Match, cycleID string, epoch uint64) (accepted bool, err error) {
+func (n *negotiator) notify(match matchmaker.Match, epoch uint64) (accepted bool, err error) {
 	session, err := protocol.NewSession()
 	if err != nil {
 		return false, err
@@ -606,7 +605,6 @@ func (n *negotiator) notify(match matchmaker.Match, cycleID string, epoch uint64
 			PeerAd:  protocol.EncodeAd(match.Offer),
 			Ticket:  ticket,
 			Session: session,
-			Cycle:   cycleID,
 			Trace:   trace,
 			Span:    sp.ID(),
 			Epoch:   epoch,
@@ -628,7 +626,6 @@ func (n *negotiator) notify(match matchmaker.Match, cycleID string, epoch uint64
 		Type:    protocol.TypeMatch,
 		PeerAd:  protocol.EncodeAd(match.Request),
 		Session: session,
-		Cycle:   cycleID,
 		Trace:   trace,
 		Span:    sp.ID(),
 		Epoch:   epoch,

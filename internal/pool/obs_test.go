@@ -2,7 +2,6 @@ package pool
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -59,8 +58,8 @@ func waitGaugeZero(t *testing.T, o *obs.Obs, name string) {
 // TestObservabilityEndToEnd is the observability acceptance run: one
 // fully instrumented pool executes a real match over sockets, the
 // /metrics scrape shows nonzero collector, matchmaker, claim and netx
-// activity, and a single cycle ID correlates the manager, matchmaker,
-// CA and RA events of the match.
+// activity, and the trace ID the SUBMIT ack returned correlates the
+// manager, matchmaker, CA and RA records of the match.
 func TestObservabilityEndToEnd(t *testing.T) {
 	o := obs.New()
 	netx.Instrument(o.Registry())
@@ -82,7 +81,8 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	ca := NewCustomerDaemon(agent.NewCustomer("raman", nil), addr, 0, t.Logf)
 	ca.Instrument(o)
-	if _, err := ca.Listen("127.0.0.1:0"); err != nil {
+	caAddr, err := ca.Listen("127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(ca.Close)
@@ -93,7 +93,23 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	t.Cleanup(func() { ds.Close() })
 
-	job := ca.CA.Submit(classad.Figure2(), 100)
+	// Submit as csubmit does: a SUBMIT envelope whose ack names the
+	// job and returns the trace the CA minted for it.
+	var ack *protocol.Envelope
+	if err := netx.DefaultDialer.Do(caAddr, 0, false, func(c *netx.Conn) error {
+		var err error
+		ack, err = protocol.Exchange(c, c.Reader(), &protocol.Envelope{
+			Type: protocol.TypeSubmit, Ad: protocol.EncodeAd(classad.Figure2()), Lifetime: 100,
+		})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	trace := ack.Trace
+	jobID, ok := jobIDOfName("raman", ack.Name)
+	if ack.Type != protocol.TypeAck || trace == "" || !ok {
+		t.Fatalf("submit ack = %+v, want a job name and a trace", ack)
+	}
 	if err := ra.Advertise(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +120,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if res.Notified != 1 {
 		t.Fatalf("cycle = %+v", res)
 	}
-	if res.Cycle == "" {
-		t.Fatal("cycle result carries no cycle ID")
-	}
-	if err := ca.Complete(job.ID); err != nil {
+	if err := ca.Complete(jobID); err != nil {
 		t.Fatal(err)
 	}
 
@@ -145,28 +158,36 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		t.Errorf("collector_ads gauge = %g, want 6", got)
 	}
 
-	// The trace: one cycle ID stitches the match's story across all
-	// four parties.
-	var events []obs.Event
-	scrape(t, ds.Addr(), "/events?cycle="+url.QueryEscape(res.Cycle), &events)
-	srcs := make(map[string]bool)
-	types := make(map[string]bool)
-	for _, ev := range events {
-		if ev.Cycle != res.Cycle {
-			t.Errorf("event %s/%s has cycle %q, want %q", ev.Src, ev.Type, ev.Cycle, res.Cycle)
+	// The trace: the job's one ID stitches the match's story across
+	// all four parties, spans and log entries alike.
+	var recs []obs.Span
+	scrape(t, ds.Addr(), "/trace?id="+url.QueryEscape(trace), &recs)
+	got := make(map[string]bool)
+	for _, r := range recs {
+		if r.Trace != trace {
+			t.Errorf("record %s/%s has trace %q, want %q", r.Src, r.Name, r.Trace, trace)
 		}
-		srcs[ev.Src] = true
-		types[ev.Type] = true
+		got[r.Src+"/"+r.Name] = true
 	}
-	for _, src := range []string{"manager", "matchmaker", "ca", "ra"} {
-		if !srcs[src] {
-			t.Errorf("no event from %q for cycle %s (events: %v)", src, res.Cycle, events)
+	for _, want := range []string{
+		"manager/notify", "matchmaker/match", "ca/claim_ok", "ra/claim_accepted",
+	} {
+		if !got[want] {
+			t.Errorf("no %s record under trace %s (records: %v)", want, trace, got)
 		}
 	}
-	for _, typ := range []string{"cycle_begin", "match", "claim_ok", "claim_accepted", "cycle_end"} {
-		if !types[typ] {
-			t.Errorf("no %q event for cycle %s", typ, res.Cycle)
+	// The cycle itself is one wake record in the log ring, covering it.
+	var wakes []obs.Span
+	for _, r := range o.Events().Select("", 0) {
+		if r.Name == "wake" {
+			wakes = append(wakes, r)
 		}
+	}
+	if len(wakes) != 1 {
+		t.Fatalf("log ring holds %d wake records, want 1", len(wakes))
+	}
+	if w := wakes[0]; w.Src != "manager" || w.End.Before(w.Start) || w.Fields["matches"] != "1" || w.Fields["notified"] != "1" {
+		t.Errorf("wake record = %+v, want the manager's one-match cycle", w)
 	}
 
 	// No handler goroutine outlives its connection: once the clients
@@ -307,29 +328,6 @@ func TestDurabilityMetricsScraped(t *testing.T) {
 	}
 }
 
-// TestObservabilityCycleIDsDistinct: every cycle mints a fresh ID, so
-// traces never blur two negotiations together.
-func TestObservabilityCycleIDsDistinct(t *testing.T) {
-	o := obs.New()
-	mgr := NewManager(ManagerConfig{Logf: t.Logf, Obs: o})
-	seen := make(map[string]bool)
-	for i := 0; i < 5; i++ {
-		res := mgr.RunCycle()
-		if res.Cycle == "" {
-			t.Fatalf("cycle %d has no ID", i)
-		}
-		if seen[res.Cycle] {
-			t.Fatalf("cycle ID %s repeated", res.Cycle)
-		}
-		seen[res.Cycle] = true
-	}
-	// And the IDs carry the cycle ordinal for human eyes.
-	res := mgr.RunCycle()
-	if want := fmt.Sprintf("c%d-", mgr.Cycles()); len(res.Cycle) < len(want) || res.Cycle[:len(want)] != want {
-		t.Errorf("cycle ID %q does not start with %q", res.Cycle, want)
-	}
-}
-
 // TestTraceAndWhyAcceptance pins the PR's two headline debug surfaces
 // over real HTTP, as `cstatus -trace` and `cstatus -why` consume them:
 // /trace?id= returns the span tree of one submission covering at least
@@ -371,7 +369,7 @@ func TestTraceAndWhyAcceptance(t *testing.T) {
 	if err := hog.SetExprString(classad.AttrConstraint, `other.Memory >= 1048576`); err != nil {
 		t.Fatal(err)
 	}
-	ca.CA.Submit(hog, 100)
+	hogTrace := classad.TraceOf(ca.CA.Submit(hog, 100).Ad)
 
 	if err := ra.Advertise(); err != nil {
 		t.Fatal(err)
@@ -421,8 +419,8 @@ func TestTraceAndWhyAcceptance(t *testing.T) {
 	// The forensic explanation of the unmatched request, scraped live.
 	var report matchmaker.Report
 	scrape(t, ds.Addr(), "/why?request="+url.QueryEscape("raman/job2"), &report)
-	if report.Matched || report.Cycle != res.Cycle {
-		t.Fatalf("report = %+v, want unmatched in cycle %s", report, res.Cycle)
+	if report.Matched || report.Trace == "" || report.Trace != hogTrace {
+		t.Fatalf("report = %+v, want unmatched under trace %s", report, hogTrace)
 	}
 	if report.Reason == "" || len(report.Ledger) == 0 {
 		t.Fatalf("report = %+v, want a reason and a per-offer ledger", report)

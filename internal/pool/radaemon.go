@@ -49,7 +49,7 @@ type ResourceDaemon struct {
 
 	// Observability hooks; nil (no-op) until Instrument is called.
 	obs           *obs.Obs
-	events        *obs.Events
+	events        *obs.Spans
 	spans         *obs.Spans
 	mClaimsRx     *obs.Counter
 	mClaimsAccept *obs.Counter
@@ -82,8 +82,8 @@ func NewResourceDaemon(ra *agent.Resource, collectorAddr string, lifetime int64,
 // preemptions and evictions of the active claim
 // (pool_ra_preemptions_total), releases served
 // (pool_ra_releases_total), and live claim handlers (pool_ra_handlers
-// gauge). Claim events carry the cycle ID the CA echoed from its
-// MATCH notification. Call before Listen/Serve.
+// gauge). Claim log entries carry the job's trace from the CLAIM
+// envelope. Call before Listen/Serve.
 func (d *ResourceDaemon) Instrument(o *obs.Obs) {
 	reg := o.Registry()
 	d.mu.Lock()
@@ -99,12 +99,12 @@ func (d *ResourceDaemon) Instrument(o *obs.Obs) {
 	d.gHandlersRA = reg.Gauge("pool_ra_handlers")
 }
 
-// emit logs one RA event stamped with the given cycle ID.
-func (d *ResourceDaemon) emit(typ, cycle string, fields map[string]string) {
+// emit logs one RA entry under the given trace.
+func (d *ResourceDaemon) emit(trace, name string, fields map[string]string) {
 	d.mu.Lock()
 	ev := d.events
 	d.mu.Unlock()
-	ev.Emit("ra", typ, cycle, fields)
+	ev.Emit(trace, "ra", name, fields)
 }
 
 // ConfigureNetwork sets the dialer and retry policy used for all of
@@ -200,14 +200,13 @@ func (d *ResourceDaemon) Invalidate() error {
 // that does so is built once per connection, not once per claim.
 func (d *ResourceDaemon) newHandler(c *netx.Conn) netx.Handler {
 	var granted *classad.Ad
-	var cycle string
-	withdraw := func() { d.withdrawClaim(granted, cycle) }
+	withdraw := func() { d.withdrawClaim(granted) }
 	return func(env *protocol.Envelope) (*protocol.Envelope, func()) {
 		reply, job := d.dispatch(c, env)
 		if job == nil {
 			return reply, nil
 		}
-		granted, cycle = job, env.Cycle
+		granted = job
 		return reply, withdraw
 	}
 }
@@ -238,7 +237,7 @@ func (d *ResourceDaemon) handleRelease(env *protocol.Envelope) *protocol.Envelop
 		if _, held := d.RA.CurrentClaim(); !held {
 			d.stopStarter()
 			d.mReleases.Inc()
-			d.emit("release", env.Cycle, map[string]string{
+			d.emit(env.Trace, "release", map[string]string{
 				"customer": env.Name, "duplicate": "true",
 			})
 			return &protocol.Envelope{Type: protocol.TypeAck, Reason: "already released"}
@@ -247,7 +246,7 @@ func (d *ResourceDaemon) handleRelease(env *protocol.Envelope) *protocol.Envelop
 	}
 	d.stopStarter()
 	d.mReleases.Inc()
-	d.emit("release", env.Cycle, map[string]string{"customer": env.Name})
+	d.emit(env.Trace, "release", map[string]string{"customer": env.Name})
 	return &protocol.Envelope{Type: protocol.TypeAck}
 }
 
@@ -298,7 +297,7 @@ func (d *ResourceDaemon) handleClaim(c *netx.Conn, env *protocol.Envelope) (*pro
 	sp.End()
 	if out.Accepted {
 		d.mClaimsAccept.Inc()
-		d.emit("claim_accepted", env.Cycle, map[string]string{
+		d.emit(env.Trace, "claim_accepted", map[string]string{
 			"job": adName(job),
 		})
 		if out.Preempted != nil {
@@ -308,7 +307,7 @@ func (d *ResourceDaemon) handleClaim(c *netx.Conn, env *protocol.Envelope) (*pro
 		d.maybeStartJob(job)
 	} else {
 		d.mClaimsRefuse.Inc()
-		d.emit("claim_rejected", env.Cycle, map[string]string{
+		d.emit(env.Trace, "claim_rejected", map[string]string{
 			"job": adName(job), "reason": out.Reason,
 		})
 	}
@@ -329,12 +328,12 @@ func (d *ResourceDaemon) handleClaim(c *netx.Conn, env *protocol.Envelope) (*pro
 // the RELEASE that ends this one: left standing, it would refuse every
 // later claim of the same customer at the same rank for ever. A claim
 // that has replaced it since stands.
-func (d *ResourceDaemon) withdrawClaim(job *classad.Ad, cycle string) {
+func (d *ResourceDaemon) withdrawClaim(job *classad.Ad) {
 	if !d.RA.Withdraw(job) {
 		return
 	}
 	d.stopStarter()
-	d.emit("claim_withdrawn", cycle, map[string]string{"job": adName(job)})
+	d.emit(classad.TraceOf(job), "claim_withdrawn", map[string]string{"job": adName(job)})
 }
 
 // stopStarter cancels the running starter, if any.
@@ -432,7 +431,7 @@ func (d *ResourceDaemon) notifyPreempted(claim agent.Claim) {
 	d.preempts++
 	d.mu.Unlock()
 	d.mPreemptions.Inc()
-	d.emit("preempt_sent", "", map[string]string{
+	d.emit(classad.TraceOf(claim.Job), "preempt_sent", map[string]string{
 		"customer": claim.Customer, "job": adName(claim.Job),
 	})
 	if d.onEvict != nil {

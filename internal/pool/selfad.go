@@ -26,7 +26,7 @@ const daemonAdLifetime = 120
 // the role ("collector", "negotiator", "ca", "ra"), name the instance.
 // The ad carries the health signals a monitor needs to detect a
 // wedged (not just dead) daemon: a digest of the metrics registry
-// (unchanging digest = no activity), event/span ring totals and drop
+// (unchanging digest = no activity), log/span ring totals and drop
 // counts. Callers add role-specific attributes (LeaderEpoch,
 // WALGeneration) before advertising.
 func DaemonAd(kind, name string, o *obs.Obs) *classad.Ad {

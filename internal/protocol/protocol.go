@@ -126,18 +126,12 @@ type Envelope struct {
 	// Session is the matchmaker-minted session identifier handed to
 	// both parties of a match.
 	Session string `json:"session,omitempty"`
-	// Cycle is the negotiation-cycle identifier stamped into MATCH
-	// notifications by the pool manager and echoed by the CA into the
-	// CLAIM it sends the provider, so observability events from every
-	// party of one match share an ID (obs package). Older peers ignore
-	// the field; its absence simply leaves events uncorrelated.
-	Cycle string `json:"cycle,omitempty"`
 	// Trace is the causal trace identifier minted when a request is
 	// submitted and propagated through every envelope sent on its
 	// behalf (MATCH, CLAIM, RELEASE, PREEMPT, JOB_DONE), so the spans
 	// each daemon records reassemble into one cross-process trace
-	// (obs package). Like Cycle, older peers ignore it; its absence
-	// leaves the request untraced, never unserved.
+	// (obs package). Older peers ignore it; its absence leaves the
+	// request untraced, never unserved.
 	Trace string `json:"trace,omitempty"`
 	// Span is the sender's span ID — the parent under which the
 	// receiver records its own span, giving the trace its tree shape.

@@ -13,7 +13,7 @@ import (
 // receiver before the guard), or when it uses the receiver solely as
 // the receiver of further method calls — delegation, where the guard
 // lives in the callee (Counter.Inc calling Add, Obs.Handler composing
-// Registry and Events).
+// Registry and Spans).
 var ObsGuard = &Analyzer{
 	Name:      "obsguard",
 	Doc:       "exported methods on obs hook types must nil-guard their receiver or delegate to a guarded method",
@@ -28,7 +28,8 @@ var guardedTypes = map[string]bool{
 	"Gauge":     true,
 	"Histogram": true,
 	"Registry":  true,
-	"Events":    true,
+	"Spans":     true,
+	"SpanRec":   true,
 	"Obs":       true,
 }
 

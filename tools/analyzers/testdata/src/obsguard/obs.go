@@ -55,3 +55,23 @@ func (r *Registry) Counter(name string) *Counter {
 type snapshot struct{ n int64 }
 
 func (s snapshot) N() int64 { return s.n }
+
+type Span struct{ Name string }
+
+type Spans struct{ buf []Span }
+
+// Record guards first: accepted.
+func (s *Spans) Record(sp Span) {
+	if s == nil {
+		return
+	}
+	s.buf = append(s.buf, sp)
+}
+
+// Emit delegates to the guarded Record: accepted.
+func (s *Spans) Emit(name string) { s.Record(Span{Name: name}) }
+
+// Len reads an unguarded receiver.
+func (s *Spans) Len() int { // want "\\(\\*Spans\\)\\.Len is not nil-receiver-safe"
+	return len(s.buf)
+}
