@@ -960,16 +960,3 @@ func fnUnparse(ctx evalCtx, args []Expr) Value {
 	}
 	return Str(args[0].String())
 }
-
-// RegisterBuiltinsDoc returns a short description of every builtin,
-// keyed by name, for the cadeval tool's help output.
-func RegisterBuiltinsDoc() map[string]string {
-	return map[string]string{
-		"member":     "member(x, list) — true if x == some element",
-		"strcmp":     "strcmp(a, b) — C-style comparison",
-		"substr":     "substr(s, off[, len]) — substring",
-		"ifthenelse": "ifThenElse(c, t, f) — lazy conditional",
-		"regexp":     "regexp(pat, s[, opts]) — RE2 match",
-		"time":       "time() — seconds since epoch",
-	}
-}

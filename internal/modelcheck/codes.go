@@ -1,9 +1,10 @@
 // Package modelcheck is a deterministic, exhaustive small-scope
-// explorer for the pool protocol. It wires the real collector store,
-// matchmakers and resource agents to an in-memory transport where the
-// checker owns every source of nondeterminism — message delivery
-// order, advertisement refresh timing, lease expiry, negotiator
-// takeover — and walks the schedule space with a depth-bounded DFS,
+// explorer for the pool protocol. It runs the real collector store,
+// negotiation engines, customer daemons and resource daemons, the
+// daemons talking over netx's in-process transport, and owns every
+// source of nondeterminism — message delivery order, lost claim
+// replies, advertisement refresh timing, lease expiry, negotiator
+// takeover — walking the schedule space with a depth-bounded DFS,
 // pruning on canonical state fingerprints. Safety invariants (MC1xx)
 // are checked after every action of every schedule; the liveness
 // obligation (MC201) runs under a deterministic fair scheduler with
@@ -36,13 +37,15 @@ const (
 	// leadership lease at any given epoch.
 	CodeSingleLeader = "MC101"
 	// CodeStaleEpochClaim: no claim is granted on behalf of a MATCH
-	// stamped with an epoch below the customer's high-water mark.
+	// stamped with an epoch below its customer daemon's high-water
+	// mark, read before the delivery.
 	CodeStaleEpochClaim = "MC102"
-	// CodeClaimExclusive: a machine never runs two claims at once, and
-	// a new grant displaces the incumbent only through preemption.
+	// CodeClaimExclusive: every claim a resource daemon holds is for a
+	// job its customer daemon has Running on that machine, and no job
+	// holds two machines.
 	CodeClaimExclusive = "MC103"
-	// CodeLedgerConservation: accumulated fair-share charges equal
-	// successful claim acknowledgments, one for one.
+	// CodeLedgerConservation: accumulated fair-share charges equal the
+	// claims the customer daemons saw granted, one for one.
 	CodeLedgerConservation = "MC104"
 	// CodeUnsatisfiableMatch: the matchmaker never emits a match the
 	// bilateral analyzer proves can never satisfy both parties.
@@ -57,9 +60,9 @@ const (
 func AllCodes() []CodeInfo {
 	return []CodeInfo{
 		{CodeSingleLeader, "safety", "two negotiators held the leadership lease at the same epoch"},
-		{CodeStaleEpochClaim, "safety", "a claim was granted from a MATCH bearing a stale negotiator epoch"},
-		{CodeClaimExclusive, "safety", "a machine held two claims at once, or a grant displaced an incumbent without preemption"},
-		{CodeLedgerConservation, "safety", "fair-share charges diverged from successful claim acknowledgments"},
+		{CodeStaleEpochClaim, "safety", "a claim was granted from a MATCH bearing an epoch below its customer's high-water mark"},
+		{CodeClaimExclusive, "safety", "a machine held a claim for a job its customer does not have running there, or a job held two machines"},
+		{CodeLedgerConservation, "safety", "fair-share charges diverged from the claims the customers saw granted"},
 		{CodeUnsatisfiableMatch, "safety", "the matchmaker emitted a match the bilateral analyzer proves unsatisfiable"},
 		{CodeStarvation, "liveness", "a satisfiable finite job never completed under fair scheduling"},
 	}

@@ -22,14 +22,16 @@ type Result struct {
 // Explore walks the scenario's schedule space with a depth-bounded
 // DFS. Every source of nondeterminism is an explicit Action, so the
 // walk is exhaustive up to MaxDepth over the canonical state space:
-// message delivery orders, advertisement refresh points, lease expiry
-// and negotiator takeover interleavings are all schedules.
+// message delivery orders, lost claim replies, advertisement refresh
+// points, lease expiry and negotiator takeover interleavings are all
+// schedules.
 //
 // The explorer is replay-based: the real components (collector store,
-// matchmakers, resource agents) cannot snapshot or undo, so each DFS
-// node rebuilds a fresh world and replays its action prefix. Prefix
-// replay makes every counterexample trivially reproducible — the
-// Violation's Schedule is the reproduction, byte for byte.
+// matchmakers, customer and resource daemons) cannot snapshot or undo,
+// so each DFS node rebuilds a fresh world and replays its action
+// prefix. Prefix replay makes every counterexample trivially
+// reproducible — the Violation's Schedule is the reproduction, byte
+// for byte.
 //
 // Pruning: a state fingerprint already visited with at least as much
 // remaining depth cannot lead anywhere new and is cut. Violating
@@ -46,6 +48,7 @@ func Explore(cfg Config) (*Result, error) {
 	}
 	res := &Result{}
 	seen := map[string]int{}
+	found := map[string]bool{} // the codes res.Violations holds
 	stop := false
 
 	var dfs func(prefix []Action, remaining int)
@@ -68,9 +71,10 @@ func Explore(cfg Config) (*Result, error) {
 		}
 		if len(w.violations) > 0 {
 			for _, v := range w.violations {
-				if hasCode(res.Violations, v.Code) {
+				if found[v.Code] {
 					continue
 				}
+				found[v.Code] = true
 				v.Schedule = append([]Action(nil), prefix...)
 				v.Trace = append([]string(nil), w.trace...)
 				res.Violations = append(res.Violations, v)
@@ -98,13 +102,4 @@ func Explore(cfg Config) (*Result, error) {
 		return res.Violations[i].Code < res.Violations[j].Code
 	})
 	return res, nil
-}
-
-func hasCode(vs []*Violation, code string) bool {
-	for _, v := range vs {
-		if v.Code == code {
-			return true
-		}
-	}
-	return false
 }

@@ -3,6 +3,8 @@ package modelcheck
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/agent"
 )
 
 // LivenessResult reports one fair-schedule run.
@@ -48,8 +50,8 @@ func CheckLiveness(cfg Config, maxRounds int) (*LivenessResult, error) {
 		for i := range w.machines {
 			w.apply(Action{Op: "advertise", Arg: i})
 		}
-		for i, j := range w.jobs {
-			if j.st == jobIdle && round > cfg.Jobs[i].Delay {
+		for i, spec := range cfg.Jobs {
+			if round > spec.Delay && w.arrival(i) != nil {
 				w.apply(Action{Op: "submit", Arg: i})
 			}
 		}
@@ -57,8 +59,8 @@ func CheckLiveness(cfg Config, maxRounds int) (*LivenessResult, error) {
 		for len(w.pending) > 0 {
 			w.apply(Action{Op: "deliver", Arg: 0})
 		}
-		for i, j := range w.jobs {
-			if j.st == jobRunning && cfg.Jobs[i].Work >= 0 {
+		for i, spec := range cfg.Jobs {
+			if spec.Work >= 0 && w.job(i).Status == agent.JobRunning {
 				w.apply(Action{Op: "complete", Arg: i})
 			}
 		}
@@ -99,9 +101,9 @@ func CheckLiveness(cfg Config, maxRounds int) (*LivenessResult, error) {
 // starved lists the finite jobs that have not completed.
 func starved(w *World) []string {
 	var out []string
-	for i, j := range w.jobs {
-		if w.sys.cfg.Jobs[i].Work >= 0 && j.st != jobDone {
-			out = append(out, w.sys.cfg.Jobs[i].Name)
+	for i, spec := range w.sys.cfg.Jobs {
+		if spec.Work >= 0 && w.job(i).Status != agent.JobCompleted {
+			out = append(out, w.sys.jobNames[i])
 		}
 	}
 	return out

@@ -1,6 +1,7 @@
 package modelcheck
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -22,10 +23,8 @@ func canonicalConfig() Config {
 			{Name: "m2", Ad: `[ Type = "Machine"; Name = "m2"; Memory = 64 ]`},
 		},
 		Jobs: []JobSpec{
-			{Name: "alice/j1", Owner: "alice", Work: 1,
-				Ad: `[ Type = "Job"; Name = "alice/j1"; Owner = "alice" ]`},
-			{Name: "bob/j1", Owner: "bob", Work: 1,
-				Ad: `[ Type = "Job"; Name = "bob/j1"; Owner = "bob" ]`},
+			{Owner: "alice", Work: 1, Ad: `[ Type = "Job" ]`},
+			{Owner: "bob", Work: 1, Ad: `[ Type = "Job" ]`},
 		},
 		Negotiators: []string{"neg1", "neg2"},
 		MaxTicks:    1,
@@ -59,6 +58,33 @@ func TestExhaustiveSmallPoolInvariants(t *testing.T) {
 	}
 }
 
+// TestReplayIsDeterministic: the daemons run on the in-process
+// transport with no goroutine and no wall clock in replayed state, so
+// exploring the same space twice walks the same schedules to the same
+// states.
+func TestReplayIsDeterministic(t *testing.T) {
+	cfg := canonicalConfig()
+	cfg.MaxDepth = 9
+	first, err := Explore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Explore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Schedules != second.Schedules || first.States != second.States ||
+		first.Deepest != second.Deepest || len(first.Violations) != len(second.Violations) {
+		t.Fatalf("two explorations differ: %+v against %+v", first, second)
+	}
+	for i, v := range first.Violations {
+		if w := second.Violations[i]; v.String() != w.String() || fmt.Sprint(v.Schedule) != fmt.Sprint(w.Schedule) {
+			t.Fatalf("violation %d differs: %v at %v against %v at %v", i, v, v.Schedule, w, w.Schedule)
+		}
+	}
+	t.Logf("both explorations: %d schedules, %d states", first.Schedules, first.States)
+}
+
 // TestLivenessCanonicalPool: under fair scheduling, both finite jobs
 // of the canonical pool complete (MC201 holds on main).
 func TestLivenessCanonicalPool(t *testing.T) {
@@ -84,13 +110,11 @@ func livelockConfig(mutant matchmaker.IncrementalHooks) Config {
 		},
 		Jobs: []JobSpec{
 			// The incumbent: grabs A in round 1 and never finishes.
-			{Name: "alice/forever", Owner: "alice", Work: -1,
-				Ad: `[ Type = "Job"; Name = "alice/forever"; Owner = "alice" ]`},
+			{Owner: "alice", Work: -1, Ad: `[ Type = "Job" ]`},
 			// The victim: arrives once A is claimed, ties A and B on
 			// rank. Pre-fix, the earliest-index tie-break picked the
 			// claimed A every cycle and the claim bounced every cycle.
-			{Name: "bob/starved", Owner: "bob", Work: 1, Delay: 1,
-				Ad: `[ Type = "Job"; Name = "bob/starved"; Owner = "bob" ]`},
+			{Owner: "bob", Work: 1, Delay: 1, Ad: `[ Type = "Job" ]`},
 		},
 		Negotiators: []string{"neg1"},
 		EngineHooks: mutant,
@@ -117,12 +141,12 @@ func TestLivelockRegression(t *testing.T) {
 		if res.Violation == nil || res.Violation.Code != CodeStarvation {
 			t.Fatalf("%s: want %s, got %v", name, CodeStarvation, res.Violation)
 		}
-		if len(res.Starved) != 1 || res.Starved[0] != "bob/starved" {
-			t.Errorf("%s: starved = %v, want bob/starved", name, res.Starved)
+		if len(res.Starved) != 1 || res.Starved[0] != "bob/job1" {
+			t.Errorf("%s: starved = %v, want bob/job1", name, res.Starved)
 		}
 		trace := strings.Join(res.Violation.Trace, "\n")
-		if !strings.Contains(trace, "MATCH bob/starved -> A") ||
-			!strings.Contains(trace, "claim rejected") {
+		if !strings.Contains(trace, "MATCH bob/job1 -> A") ||
+			!strings.Contains(trace, "not granted (claimed by alice") {
 			t.Errorf("%s: counterexample trace does not show the bounce loop:\n%s", name, trace)
 		}
 		t.Logf("%s: livelock rediscovered: %v", name, res.Violation)
@@ -135,6 +159,43 @@ func TestLivelockRegression(t *testing.T) {
 	if fixed.Violation != nil {
 		t.Fatalf("unclaimed-over-claimed tie-break still livelocks: %v\n%s",
 			fixed.Violation, strings.Join(fixed.Violation.Trace, "\n"))
+	}
+}
+
+// TestPreemptionReachesIncumbent: a machine that ranks bob's jobs
+// above alice's preempts alice's claim for bob's, and the resource
+// daemon's PREEMPT returns alice's job to her customer daemon's queue
+// over the transport. The space around it holds every invariant.
+func TestPreemptionReachesIncumbent(t *testing.T) {
+	cfg := Config{
+		Machines: []MachineSpec{
+			{Name: "m1", Ad: `[ Type = "Machine"; Name = "m1"; Rank = other.Owner == "bob" ? 1 : 0 ]`},
+		},
+		Jobs: []JobSpec{
+			{Owner: "alice", Work: 1, Ad: `[ Type = "Job" ]`},
+			{Owner: "bob", Work: 1, Ad: `[ Type = "Job" ]`},
+		},
+		Negotiators: []string{"neg1"},
+		MaxDepth:    10,
+	}
+	rendered, err := RenderTrace(cfg, []Action{
+		{Op: "advertise"}, {Op: "submit"}, {Op: "negotiate"}, {Op: "deliver"},
+		{Op: "advertise"}, {Op: "submit", Arg: 1}, {Op: "negotiate"}, {Op: "deliver"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rendered, "[ra] preempt_sent customer=alice") ||
+		!strings.Contains(rendered, "[ca] preempted job=1") ||
+		!strings.Contains(rendered, "bob/job1 is Running") {
+		t.Errorf("rendered trace does not show bob preempting alice:\n%s", rendered)
+	}
+	res, err := Explore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Violations) != 0 {
+		t.Fatalf("preemption space violates: %v", res.Violations)
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 )
 
 // RenderTrace replays a counterexample schedule against a fresh,
-// instrumented world and renders what happened, step by step, through
-// the same event machinery the live daemons use: the world emits
-// modelcheck events per action and the matchmakers emit their usual
-// match/rejection events, so the rendering reads like `cstatus
-// -events` output for the violating execution. The schedule replays
+// instrumented world and renders what happened, step by step: the
+// world's trace lines narrate its own actions, and the matchmakers,
+// customer daemons and resource daemons log theirs in the log the live
+// daemons keep (match, claim_ok, claim_failed, match_fenced,
+// claim_withdrawn, preempted, ...), so the events read like `cstatus
+// -trace` output for the violating execution. The schedule replays
 // deterministically, so the rendered trace is the reproduction.
 func RenderTrace(cfg Config, schedule []Action) (string, error) {
 	sys, err := newSystem(&cfg)

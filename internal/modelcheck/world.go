@@ -10,8 +10,10 @@ import (
 	"repro/internal/classad/analysis"
 	"repro/internal/collector"
 	"repro/internal/matchmaker"
+	"repro/internal/netx"
 	"repro/internal/obs"
 	"repro/internal/pool"
+	"repro/internal/protocol"
 )
 
 // MachineSpec describes one resource in the model pool.
@@ -19,17 +21,18 @@ type MachineSpec struct {
 	// Name must match the Name attribute of Ad.
 	Name string
 	// Ad is the machine's base classad in source syntax: capabilities
-	// plus Constraint/Rank policy. The world builds a real
-	// agent.Resource around it, so claim-time revalidation, ticket
-	// minting and preemption all run the shipped code.
+	// plus Constraint/Rank policy. The world serves a real
+	// pool.ResourceDaemon around it, so claim-time revalidation, ticket
+	// minting, preemption and withdrawal all run the shipped code.
 	Ad string
 }
 
-// JobSpec describes one request in the model pool.
+// JobSpec describes one request in the model pool. Its owner's
+// customer agent names it: the n-th job of an owner, in Config order,
+// is pool.JobName(owner, n).
 type JobSpec struct {
-	// Name must match the Name attribute of Ad (owner/job convention).
-	Name string
-	// Owner is the fair-share principal charged for the job's claims.
+	// Owner is the fair-share principal charged for the job's claims;
+	// each distinct owner gets one pool.CustomerDaemon.
 	Owner string
 	// Ad is the job's classad in source syntax.
 	Ad string
@@ -42,22 +45,6 @@ type JobSpec struct {
 	// explorer ignores it (arrival order is part of the explored
 	// nondeterminism there).
 	Delay int
-}
-
-// Hooks are the seeded mutations the self-test flips on to prove the
-// checker catches the bug class each invariant guards. All off in a
-// faithful model.
-type Hooks struct {
-	// DisableEpochFence makes the model customer accept MATCH
-	// notifications bearing stale epochs — the bug MC102 exists to
-	// catch.
-	DisableEpochFence bool
-	// DropClaimRequeue loses a job whose claim bounced instead of
-	// requeueing it — the starvation bug MC201 exists to catch.
-	DropClaimRequeue bool
-	// DoubleCharge bills two units per acknowledged claim — the
-	// ledger bug MC104 exists to catch.
-	DoubleCharge bool
 }
 
 // Config is one model-checking scenario: the pool's cast and the
@@ -85,19 +72,28 @@ type Config struct {
 	// StopBeforeTies (a scan that never tries a claimed offer's idle
 	// twin) to rediscover the claimed-offer livelock mechanically.
 	EngineHooks matchmaker.IncrementalHooks
-	Hooks       Hooks
+	// DaemonHooks seed every customer and resource daemon's mutants.
+	DaemonHooks pool.Hooks
+	// DoubleCharge bills two units per granted claim — the ledger bug
+	// MC104 exists to catch. It is the world's mutant because the
+	// world is the notifier, and the notifier charges.
+	DoubleCharge bool
 }
+
+// maxLostReplies bounds the deliver_lost actions of one schedule.
+const maxLostReplies = 1
 
 // Action is one deterministic step of a schedule. Actions are stable
 // across replays of the same Config, so a counterexample schedule
 // reproduces exactly.
 type Action struct {
 	// Op is one of tick, advertise, submit, negotiate, deliver,
+	// deliver_lost (a delivery whose CLAIM_REPLY the transport loses),
 	// complete.
 	Op string
 	// Arg indexes the machine (advertise), job (submit, complete),
-	// negotiator (negotiate) or pending message (deliver); unused for
-	// tick.
+	// negotiator (negotiate) or pending message (deliver,
+	// deliver_lost); unused for tick.
 	Arg int
 }
 
@@ -121,29 +117,11 @@ func (v *Violation) String() string {
 	return fmt.Sprintf("%s: %s", v.Code, v.Detail)
 }
 
-// job lifecycle in the model. A job has at most one outstanding MATCH
-// message: matching removes its request ad from the pool, and only a
-// requeue puts it back.
-type jobStatus int
-
-const (
-	jobIdle jobStatus = iota
-	jobAdvertised
-	jobMatched
-	jobRunning
-	jobLimbo // DropClaimRequeue mutant: lost, never requeued
-	jobDone
-)
-
-var jobStatusNames = [...]string{"idle", "advertised", "matched", "running", "limbo", "done"}
-
-// message is one MATCH notification in flight from a negotiator to
-// the model customer.
+// message is one MATCH notification in flight from a negotiator to a
+// customer daemon, as the negotiator's notifier sends it.
 type message struct {
 	job, machine int
-	epoch        uint64
-	ticket       string
-	neg          string
+	env          *protocol.Envelope
 }
 
 // system is the immutable, validated form of a Config: base ads
@@ -152,13 +130,20 @@ type system struct {
 	cfg          *Config
 	machineProto []*classad.Ad
 	jobProto     []*classad.Ad
+	// owners are the distinct job owners in Config order, one customer
+	// daemon each; jobCA and jobID place each job in its owner's queue,
+	// and jobNames are the names its daemon advertises them under.
+	owners       []string
+	ownerIndex   map[string]int
+	jobCA, jobID []int
+	jobNames     []string
 	// machineIndex and jobIndex map a (folded) ad name back to its
 	// position in cfg, for the matches the engine hands out.
 	machineIndex, jobIndex map[string]int
 }
 
 func newSystem(cfg *Config) (*system, error) {
-	s := &system{cfg: cfg, machineIndex: map[string]int{}, jobIndex: map[string]int{}}
+	s := &system{cfg: cfg, machineIndex: map[string]int{}, jobIndex: map[string]int{}, ownerIndex: map[string]int{}}
 	if len(cfg.Machines) == 0 || len(cfg.Jobs) == 0 || len(cfg.Negotiators) == 0 {
 		return nil, fmt.Errorf("modelcheck: config needs at least one machine, job and negotiator")
 	}
@@ -173,52 +158,47 @@ func newSystem(cfg *Config) (*system, error) {
 		s.machineIndex[classad.Fold(m.Name)] = len(s.machineProto)
 		s.machineProto = append(s.machineProto, ad)
 	}
-	for _, j := range cfg.Jobs {
+	queued := map[string]int{}
+	for i, j := range cfg.Jobs {
 		ad, err := classad.Parse(j.Ad)
 		if err != nil {
-			return nil, fmt.Errorf("job %s: %v", j.Name, err)
+			return nil, fmt.Errorf("job %d of %s: %v", i, j.Owner, err)
 		}
-		if name, _ := ad.Eval(classad.AttrName).StringVal(); name != j.Name {
-			return nil, fmt.Errorf("job %s: ad Name = %q", j.Name, name)
+		ca, ok := s.ownerIndex[j.Owner]
+		if !ok {
+			ca = len(s.owners)
+			s.ownerIndex[j.Owner] = ca
+			s.owners = append(s.owners, j.Owner)
 		}
-		s.jobIndex[classad.Fold(j.Name)] = len(s.jobProto)
+		queued[j.Owner]++
+		name := pool.JobName(j.Owner, queued[j.Owner])
+		s.jobIndex[classad.Fold(name)] = i
 		s.jobProto = append(s.jobProto, ad)
+		s.jobCA = append(s.jobCA, ca)
+		s.jobID = append(s.jobID, queued[j.Owner])
+		s.jobNames = append(s.jobNames, name)
 	}
 	return s, nil
 }
 
-// machineState is the model's view of one resource, alongside the
-// real agent.Resource that owns the authoritative claim state.
-type machineState struct {
-	res *agent.Resource
-	// advertised is whether the machine's ad is in the store.
-	advertised bool
-	// ticket is the live authorization ticket ("" once consumed by a
-	// granted claim), mirroring the agent's private copy.
-	ticket string
-	// runningJob is the model's claim bookkeeping (-1 = unclaimed),
-	// cross-checked against the agent every step (MC103).
-	runningJob int
-}
-
-type jobState struct {
-	st        jobStatus
-	machine   int // when running
-	remaining int // work units left
+// live reports whether ticket is the one ra would honour now: tickets
+// are random per replay, so the fingerprint records only this. The
+// RA's challenge check answers it without a claim.
+func live(ra *pool.ResourceDaemon, ticket string) bool {
+	return ticket != "" && ra.RA.VerifyChallenge("live", protocol.Respond(ticket, "live"))
 }
 
 // negotiatorState is one negotiator as production runs it: a
-// matchmaker, its negotiation engine, and the engine's subscription to
-// the store's change feed.
+// negotiation engine and its subscription to the store's change feed.
 type negotiatorState struct {
-	mm  *matchmaker.Matchmaker
 	eng *matchmaker.Incremental
 	sub *collector.Subscription
 }
 
 // World is one concrete execution of a scenario: real collector,
-// negotiation engines and resource agents, plus the model's
-// bookkeeping of everything an invariant needs to observe.
+// negotiation engines, customer daemons and resource daemons, the
+// daemons talking over an in-process transport, with the world playing
+// the negotiators' notifier.
 type World struct {
 	sys   *system
 	clock int64
@@ -229,34 +209,31 @@ type World struct {
 	usage *matchmaker.PriorityTable
 	negs  map[string]*negotiatorState
 
-	machines []*machineState
-	jobs     []*jobState
+	net      *netx.Transport
+	notifier *netx.Dialer
+	cas      []*pool.CustomerDaemon
+	machines []*pool.ResourceDaemon
 	pending  []message
+	lost     int
 
-	// caHigh is the model customer's epoch high-water mark — the
-	// fencing state cadaemon keeps as highestEpoch.
-	caHigh uint64
 	// epochHolders records which negotiator won each lease epoch
 	// (MC101: at most one per epoch).
 	epochHolders map[uint64]string
 
-	// charges and acks are the raw MC104 ledger: units billed vs
-	// claims acknowledged. The PriorityTable decays, so conservation
-	// is checked on these counters, not on it.
+	// charges is the raw MC104 ledger, units billed. The PriorityTable
+	// decays, so conservation is checked on it, not on the table.
 	charges int
-	acks    int
 
 	cycleSeq   int
 	violations []*Violation
 	codeSeen   map[string]bool
 	trace      []string
-
-	// o instruments replays used for trace rendering; nil during
-	// exploration (events and spans cost time the DFS cannot spare).
-	o *obs.Obs
 }
 
-// newWorld builds a fresh world at the scenario's initial state.
+// newWorld builds a fresh world at the scenario's initial state, every
+// job queued at its customer daemon. o, when set, instruments the
+// matchmakers and daemons for RenderTrace; exploration passes nil (the
+// log costs time the DFS cannot spare).
 func (s *system) newWorld(o *obs.Obs) *World {
 	w := &World{
 		sys:          s,
@@ -264,8 +241,9 @@ func (s *system) newWorld(o *obs.Obs) *World {
 		epochHolders: map[uint64]string{},
 		codeSeen:     map[string]bool{},
 		negs:         map[string]*negotiatorState{},
-		o:            o,
+		net:          netx.NewTransport(),
 	}
+	w.notifier = w.net.Dialer()
 	w.env = &classad.Env{
 		Now:  func() int64 { return w.clock },
 		Rand: func() float64 { return 0.5 },
@@ -280,18 +258,63 @@ func (s *system) newWorld(o *obs.Obs) *World {
 		}
 		eng := matchmaker.NewIncremental(mm)
 		eng.Hooks = s.cfg.EngineHooks
-		w.negs[neg] = &negotiatorState{mm: mm, eng: eng, sub: w.store.Subscribe()}
+		w.negs[neg] = &negotiatorState{eng: eng, sub: w.store.Subscribe()}
 	}
-	for i := range s.cfg.Machines {
-		w.machines = append(w.machines, &machineState{
-			res:        agent.NewResource(s.machineProto[i].Copy(), w.env),
-			runningJob: -1,
-		})
+	// One attempt per conversation: nothing on the transport fails but
+	// what a schedule loses on purpose.
+	once := netx.RetryPolicy{Attempts: 1}
+	for _, owner := range s.owners {
+		ca := pool.NewCustomerDaemon(agent.NewCustomer(owner, w.env), "", 0, nil)
+		ca.Hooks = s.cfg.DaemonHooks
+		ca.ConfigureNetwork(w.net.Dialer(), once)
+		if o != nil {
+			ca.Instrument(o)
+		}
+		ca.Serve(w.net.Listen("ca/" + owner))
+		w.cas = append(w.cas, ca)
 	}
-	for i := range s.cfg.Jobs {
-		w.jobs = append(w.jobs, &jobState{machine: -1, remaining: s.cfg.Jobs[i].Work})
+	for i, spec := range s.cfg.Jobs {
+		ad := s.jobProto[i].Copy()
+		ad.SetString(classad.AttrTraceID, fmt.Sprintf("t%d", i))
+		w.cas[s.jobCA[i]].CA.Submit(ad, float64(spec.Work))
+	}
+	for i, spec := range s.cfg.Machines {
+		ra := pool.NewResourceDaemon(agent.NewResource(s.machineProto[i].Copy(), w.env), "", 0, nil)
+		ra.Hooks = s.cfg.DaemonHooks
+		ra.ConfigureNetwork(w.net.Dialer(), once)
+		if o != nil {
+			ra.Instrument(o)
+		}
+		ra.Serve(w.net.Listen("ra/" + spec.Name))
+		w.machines = append(w.machines, ra)
 	}
 	return w
+}
+
+// job returns job i as its customer daemon's queue holds it.
+func (w *World) job(i int) agent.Job {
+	j, _ := w.cas[w.sys.jobCA[i]].CA.Job(w.sys.jobID[i])
+	return j
+}
+
+// arrival is the request ad job i's customer daemon advertises for it,
+// or nil while the job cannot arrive: its ad is in the pool, a MATCH
+// for it is in flight, or its daemon advertises none for it.
+func (w *World) arrival(i int) *classad.Ad {
+	if _, pooled := w.store.Lookup(w.sys.jobNames[i]); pooled {
+		return nil
+	}
+	for _, msg := range w.pending {
+		if msg.job == i {
+			return nil
+		}
+	}
+	for _, ad := range w.cas[w.sys.jobCA[i]].RequestAds() {
+		if name, _ := collector.NameOf(ad); name == w.sys.jobNames[i] {
+			return ad
+		}
+	}
+	return nil
 }
 
 // enabled enumerates the actions available from the current state, in
@@ -304,8 +327,8 @@ func (w *World) enabled() []Action {
 	for i := range w.machines {
 		out = append(out, Action{Op: "advertise", Arg: i})
 	}
-	for i, j := range w.jobs {
-		if j.st == jobIdle {
+	for i := range w.sys.cfg.Jobs {
+		if w.arrival(i) != nil {
 			out = append(out, Action{Op: "submit", Arg: i})
 		}
 	}
@@ -314,9 +337,12 @@ func (w *World) enabled() []Action {
 	}
 	for k := range w.pending {
 		out = append(out, Action{Op: "deliver", Arg: k})
+		if w.lost < maxLostReplies {
+			out = append(out, Action{Op: "deliver_lost", Arg: k})
+		}
 	}
-	for i, j := range w.jobs {
-		if j.st == jobRunning && w.sys.cfg.Jobs[i].Work >= 0 {
+	for i, spec := range w.sys.cfg.Jobs {
+		if spec.Work >= 0 && w.job(i).Status == agent.JobRunning {
 			out = append(out, Action{Op: "complete", Arg: i})
 		}
 	}
@@ -327,12 +353,6 @@ func (w *World) tracef(format string, args ...any) {
 	w.trace = append(w.trace, fmt.Sprintf(format, args...))
 }
 
-func (w *World) emit(name string, fields map[string]string) {
-	if w.o != nil {
-		w.o.Events().Emit("", "modelcheck", name, fields)
-	}
-}
-
 func (w *World) violate(code, format string, args ...any) {
 	if w.codeSeen[code] {
 		return
@@ -341,7 +361,6 @@ func (w *World) violate(code, format string, args ...any) {
 	v := &Violation{Code: code, Detail: fmt.Sprintf(format, args...)}
 	w.violations = append(w.violations, v)
 	w.tracef("VIOLATION %s: %s", code, v.Detail)
-	w.emit("violation", map[string]string{"code": code, "detail": v.Detail})
 }
 
 // apply executes one action and re-checks the safety invariants.
@@ -358,7 +377,9 @@ func (w *World) apply(a Action) {
 	case "negotiate":
 		w.negotiate(a.Arg)
 	case "deliver":
-		w.deliver(a.Arg)
+		w.deliver(a.Arg, false)
+	case "deliver_lost":
+		w.deliver(a.Arg, true)
 	case "complete":
 		w.complete(a.Arg)
 	default:
@@ -367,31 +388,30 @@ func (w *World) apply(a Action) {
 	w.checkInvariants()
 }
 
+// advertiseMachine stores the ad the resource daemon advertises: its
+// RA's ad, with a fresh ticket, and the daemon's Contact.
 func (w *World) advertiseMachine(i int) {
-	m := w.machines[i]
+	ra := w.machines[i]
 	name := w.sys.cfg.Machines[i].Name
-	ad, err := m.res.Advertise()
+	ad, err := ra.RA.Advertise()
 	if err != nil {
 		panic(fmt.Sprintf("modelcheck: advertise %s: %v", name, err))
 	}
+	ad.SetString(classad.AttrContact, ra.Contact())
 	if err := w.store.Update(ad, 0); err != nil {
 		panic(fmt.Sprintf("modelcheck: store %s: %v", name, err))
 	}
-	m.ticket, _ = ad.Eval(classad.AttrTicket).StringVal()
-	m.advertised = true
-	state, _ := ad.Eval("State").StringVal()
-	w.tracef("advertise machine %s: State=%s, fresh ticket", name, state)
-	w.emit("advertise", map[string]string{"machine": name, "state": state})
+	w.tracef("advertise machine %s: State=%s, fresh ticket", name, ra.RA.State())
 }
 
+// submitJob stores the request ad the customer daemon advertises for
+// job i.
 func (w *World) submitJob(i int) {
-	name := w.sys.cfg.Jobs[i].Name
-	if err := w.store.Update(w.sys.jobProto[i].Copy(), 0); err != nil {
+	name := w.sys.jobNames[i]
+	if err := w.store.Update(w.arrival(i), 0); err != nil {
 		panic(fmt.Sprintf("modelcheck: store %s: %v", name, err))
 	}
-	w.jobs[i].st = jobAdvertised
 	w.tracef("submit job %s: request ad enters the pool", name)
-	w.emit("submit", map[string]string{"job": name})
 }
 
 func (w *World) negotiate(ni int) {
@@ -420,219 +440,195 @@ func (w *World) negotiate(ni int) {
 	matches, stats := n.eng.Recompute()
 	w.tracef("negotiate %s (epoch %d, cycle %d): %d requests x %d offers -> %d matches",
 		neg, lease.Epoch, w.cycleSeq, stats.Requests, stats.Offers, len(matches))
-	for _, match := range matches {
-		ji := w.sys.jobIndex[classad.Fold(nameOf(match.Request))]
-		mi := w.sys.machineIndex[classad.Fold(nameOf(match.Offer))]
-		jobName := w.sys.cfg.Jobs[ji].Name
-		machName := w.sys.cfg.Machines[mi].Name
+	for i, match := range matches {
+		jobName, _ := collector.NameOf(match.Request)
+		machName, _ := collector.NameOf(match.Offer)
+		ji := w.sys.jobIndex[classad.Fold(jobName)]
+		mi := w.sys.machineIndex[classad.Fold(machName)]
 		// MC105 oracle: the bilateral analyzer must not be able to
 		// prove the emitted pair unsatisfiable.
 		if rep := analysis.AnalyzeMatch(match.Request, match.Offer, &analysis.Options{Env: w.env}); rep.NeverMatch {
 			w.violate(CodeUnsatisfiableMatch,
 				"match %s -> %s is provably unsatisfiable: %v", jobName, machName, rep.Diags())
 		}
+		// The MATCH the negotiator's notifier sends the customer, with
+		// a session unique to it.
 		ticket, _ := match.Offer.Eval(classad.AttrTicket).StringVal()
-		w.pending = append(w.pending, message{
-			job: ji, machine: mi, epoch: lease.Epoch, ticket: ticket, neg: neg,
-		})
-		w.jobs[ji].st = jobMatched
+		w.pending = append(w.pending, message{job: ji, machine: mi, env: &protocol.Envelope{
+			Type:    protocol.TypeMatch,
+			Name:    jobName,
+			PeerAd:  protocol.EncodeAd(match.Offer),
+			Ticket:  ticket,
+			Session: fmt.Sprintf("c%d.%d", w.cycleSeq, i),
+			Trace:   classad.TraceOf(match.Request),
+			Epoch:   lease.Epoch,
+		}})
 		w.store.Invalidate(jobName)
 		w.tracef("  MATCH %s -> %s (epoch %d) queued for delivery", jobName, machName, lease.Epoch)
-		w.emit("match_sent", map[string]string{
-			"job": jobName, "machine": machName,
-			"epoch": fmt.Sprintf("%d", lease.Epoch), "negotiator": neg,
-		})
 	}
 }
 
-func (w *World) deliver(k int) {
+// deliver sends pending MATCH k to its customer daemon over the
+// transport. The daemon fences it, claims from the resource daemon and
+// acks; the world charges the owner when the ack says the claim was
+// granted, as the negotiator does. lose makes the transport drop the
+// resource daemon's CLAIM_REPLY.
+func (w *World) deliver(k int, lose bool) {
 	msg := w.pending[k]
 	w.pending = append(w.pending[:k:k], w.pending[k+1:]...)
-	jobName := w.sys.cfg.Jobs[msg.job].Name
+	ca := w.cas[w.sys.jobCA[msg.job]]
+	ra := w.machines[msg.machine]
+	jobName := w.sys.jobNames[msg.job]
 	machName := w.sys.cfg.Machines[msg.machine].Name
+	owner := w.sys.cfg.Jobs[msg.job].Owner
 
-	// The model customer's epoch fence, mirroring cadaemon: a MATCH
-	// below the high-water mark comes from a deposed leader.
-	stale := msg.epoch < w.caHigh
-	if msg.epoch > w.caHigh {
-		w.caHigh = msg.epoch
+	high := ca.HighestEpoch()
+	how := ""
+	if lose {
+		w.lost++
+		w.net.LoseReplies(ra.Contact(), true)
+		defer w.net.LoseReplies(ra.Contact(), false)
+		how = ", CLAIM_REPLY lost"
 	}
-	if stale && !w.sys.cfg.Hooks.DisableEpochFence {
-		w.tracef("deliver MATCH %s -> %s: fenced, epoch %d < high-water %d; job requeued",
-			jobName, machName, msg.epoch, w.caHigh)
-		w.emit("match_fenced", map[string]string{
-			"job": jobName, "epoch": fmt.Sprintf("%d", msg.epoch),
-			"high": fmt.Sprintf("%d", w.caHigh),
-		})
-		w.requeue(msg.job)
-		return
+	var reply *protocol.Envelope
+	if err := w.notifier.Do(ca.Contact(), 0, protocol.Idempotent(protocol.TypeMatch), func(c *netx.Conn) error {
+		var err error
+		reply, err = protocol.Exchange(c, c.Reader(), msg.env)
+		return err
+	}); err != nil {
+		panic(fmt.Sprintf("modelcheck: MATCH %s: %v", jobName, err))
 	}
-
-	out := w.machines[msg.machine].res.RequestClaim(w.sys.jobProto[msg.job].Copy(), msg.ticket)
-	if !out.Accepted {
-		if w.sys.cfg.Hooks.DropClaimRequeue {
-			w.jobs[msg.job].st = jobLimbo
-			w.tracef("deliver MATCH %s -> %s: claim rejected (%s); job DROPPED (mutant)",
-				jobName, machName, out.Reason)
-		} else {
-			w.requeue(msg.job)
-			w.tracef("deliver MATCH %s -> %s: claim rejected (%s); job requeued",
-				jobName, machName, out.Reason)
+	verdict := fmt.Sprintf("not granted (%s)", reply.Reason)
+	if reply.Accepted {
+		charge := 1
+		if w.sys.cfg.DoubleCharge {
+			charge = 2
 		}
-		w.emit("claim_rejected", map[string]string{
-			"job": jobName, "machine": machName, "reason": out.Reason,
-		})
-		return
+		w.charges += charge
+		w.usage.Record(owner, float64(charge))
+		verdict = fmt.Sprintf("claim GRANTED, owner %s charged %d", owner, charge)
 	}
-
-	if stale {
+	w.tracef("deliver MATCH %s -> %s (epoch %d%s): %s; %s is %s",
+		jobName, machName, msg.env.Epoch, how, verdict, jobName, w.job(msg.job).Status)
+	if reply.Accepted && msg.env.Epoch < high {
 		w.violate(CodeStaleEpochClaim,
-			"claim %s -> %s granted from MATCH with stale epoch %d (high-water %d)",
-			jobName, machName, msg.epoch, w.caHigh)
+			"claim %s -> %s granted from MATCH with stale epoch %d (%s's high-water %d)",
+			jobName, machName, msg.env.Epoch, owner, high)
 	}
-	w.acks++
-	charge := 1
-	if w.sys.cfg.Hooks.DoubleCharge {
-		charge = 2
-	}
-	w.charges += charge
-	w.usage.Record(w.sys.cfg.Jobs[msg.job].Owner, float64(charge))
-
-	m := w.machines[msg.machine]
-	if prev := m.runningJob; prev >= 0 {
-		if out.Preempted == nil {
-			w.violate(CodeClaimExclusive,
-				"machine %s granted %s while %s still holds the claim, with no preemption",
-				machName, jobName, w.sys.cfg.Jobs[prev].Name)
-		} else {
-			w.requeue(prev)
-			w.tracef("  claim of %s preempted by %s", w.sys.cfg.Jobs[prev].Name, jobName)
-		}
-	}
-	m.runningJob = msg.job
-	m.ticket = "" // consumed by the grant, as in the agent
-	w.jobs[msg.job].st = jobRunning
-	w.jobs[msg.job].machine = msg.machine
-	w.tracef("deliver MATCH %s -> %s: claim GRANTED (epoch %d), owner %s charged %d",
-		jobName, machName, msg.epoch, w.sys.cfg.Jobs[msg.job].Owner, charge)
-	w.emit("claim_granted", map[string]string{
-		"job": jobName, "machine": machName, "epoch": fmt.Sprintf("%d", msg.epoch),
-	})
 }
 
+// complete runs one work unit of job i; the last is
+// CustomerDaemon.Complete, whose RELEASE frees the machine.
 func (w *World) complete(i int) {
-	j := w.jobs[i]
-	name := w.sys.cfg.Jobs[i].Name
-	j.remaining--
-	if j.remaining > 0 {
-		w.tracef("complete %s: %d work units left", name, j.remaining)
+	ca := w.cas[w.sys.jobCA[i]]
+	name := w.sys.jobNames[i]
+	j := w.job(i)
+	if left := j.Work - j.Done; left > 1 {
+		_, _ = ca.CA.Progress(j.ID, 1, false) // cannot fail: complete is enabled only while the job runs
+		w.tracef("complete %s: %g work units left", name, left-1)
 		return
 	}
-	m := w.machines[j.machine]
-	if err := m.res.Release(w.sys.cfg.Jobs[i].Owner); err != nil {
-		panic(fmt.Sprintf("modelcheck: release %s: %v", name, err))
+	if err := ca.Complete(j.ID); err != nil {
+		w.tracef("complete %s: done, RELEASE failed: %v", name, err)
+		return
 	}
-	m.runningJob = -1
-	j.st = jobDone
-	j.machine = -1
 	w.tracef("complete %s: done, claim released", name)
-	w.emit("complete", map[string]string{"job": name})
-}
-
-// requeue returns a matched-or-evicted job to the idle state; a
-// subsequent submit action puts its request ad back in the pool.
-func (w *World) requeue(ji int) {
-	j := w.jobs[ji]
-	j.st = jobIdle
-	j.machine = -1
 }
 
 // checkInvariants runs the safety checks that hold in every state.
 func (w *World) checkInvariants() {
-	// MC103: the model's claim bookkeeping and the agents' claim state
-	// must agree, and no machine runs two jobs.
-	for i, m := range w.machines {
-		claim, held := m.res.CurrentClaim()
-		switch {
-		case m.runningJob >= 0 && !held:
-			w.violate(CodeClaimExclusive, "model says %s runs %s but the agent holds no claim",
-				w.sys.cfg.Machines[i].Name, w.sys.cfg.Jobs[m.runningJob].Name)
-		case m.runningJob >= 0 && claim.Customer != w.sys.cfg.Jobs[m.runningJob].Owner:
-			w.violate(CodeClaimExclusive, "machine %s claims customer %s but the model runs %s",
-				w.sys.cfg.Machines[i].Name, claim.Customer, w.sys.cfg.Jobs[m.runningJob].Name)
+	// MC103: every claim a resource daemon holds is for a job its
+	// customer has Running on that machine, and no job holds two.
+	holder := map[string]string{}
+	for i, ra := range w.machines {
+		claim, held := ra.RA.CurrentClaim()
+		if !held {
+			continue
 		}
+		machName := w.sys.cfg.Machines[i].Name
+		id, _ := agent.JobIDOf(claim.Job)
+		name := pool.JobName(claim.Customer, id)
+		if prev, dup := holder[name]; dup {
+			w.violate(CodeClaimExclusive, "job %s runs on both %s and %s", name, prev, machName)
+			continue
+		}
+		holder[name] = machName
+		status := "no job"
+		if ca, ok := w.sys.ownerIndex[claim.Customer]; ok {
+			if j, ok := w.cas[ca].CA.Job(id); ok {
+				if j.Status == agent.JobRunning && j.Resource == machName {
+					continue
+				}
+				status = string(j.Status)
+			}
+		}
+		w.violate(CodeClaimExclusive, "machine %s holds a claim for %s, which its customer has as %s",
+			machName, name, status)
 	}
-	// MC104: charges and acknowledgments stay one for one.
-	if w.charges != w.acks {
+	// MC104: charges equal the claims the customers saw granted.
+	granted := 0
+	for _, ca := range w.cas {
+		ok, _ := ca.ClaimStats()
+		granted += ok
+	}
+	if w.charges != granted {
 		w.violate(CodeLedgerConservation,
-			"%d units charged against %d acknowledged claims", w.charges, w.acks)
+			"%d units charged against %d granted claims", w.charges, granted)
 	}
 }
 
 // fingerprint canonicalizes the world state for DFS pruning. Tickets
-// are random per replay, so they appear only as live/stale relative to
-// each machine's current ticket; the lease deadline appears only as an
-// expired bit (one tick always expires any live lease, so the bit
-// captures everything future behavior depends on). Observability
-// artifacts are excluded.
+// are random per replay, so they appear only as live/stale against
+// each machine's RA; the lease deadline appears only as an expired bit
+// (one tick always expires any live lease, so the bit captures
+// everything future behavior depends on). Observability artifacts and
+// session IDs (unique per MATCH, so only their distinctness matters)
+// are excluded.
 func (w *World) fingerprint() string {
 	var b strings.Builder
 	lease := w.store.LeaseInfo()
-	fmt.Fprintf(&b, "t%d|L%s/%d/%v|H%d|c%d|a%d|",
-		w.ticks, lease.Holder, lease.Epoch, lease.Deadline > w.clock, w.caHigh, w.charges, w.acks)
-	for i, m := range w.machines {
-		fmt.Fprintf(&b, "m%d:%d:", i, m.runningJob)
-		if !m.advertised {
-			b.WriteString("-|")
-			continue
-		}
-		ad, ok := w.store.Lookup(w.sys.cfg.Machines[i].Name)
-		if !ok {
-			b.WriteString("x|")
-			continue
-		}
-		b.WriteString(canonAd(ad, m.ticket))
-		b.WriteByte('|')
+	fmt.Fprintf(&b, "t%d|L%s/%d/%v|c%d|l%d|",
+		w.ticks, lease.Holder, lease.Epoch, lease.Deadline > w.clock, w.charges, w.lost)
+	for i, ca := range w.cas {
+		ok, _ := ca.ClaimStats()
+		fmt.Fprintf(&b, "ca%d:H%d:%d|", i, ca.HighestEpoch(), ok)
 	}
-	for i, j := range w.jobs {
-		fmt.Fprintf(&b, "j%d:%s:%d:%d|", i, jobStatusNames[j.st], j.machine, j.remaining)
+	for i := range w.sys.cfg.Jobs {
+		j := w.job(i)
+		_, pooled := w.store.Lookup(w.sys.jobNames[i])
+		fmt.Fprintf(&b, "j%d:%s:%s:%g:%v|", i, j.Status, j.Resource, j.Done, pooled)
+	}
+	for i, ra := range w.machines {
+		fmt.Fprintf(&b, "m%d:%s:", i, ra.RA.State())
+		if claim, held := ra.RA.CurrentClaim(); held {
+			id, _ := agent.JobIDOf(claim.Job)
+			fmt.Fprintf(&b, "%s/%d:", claim.Customer, id)
+		}
+		if ad, ok := w.store.Lookup(w.sys.cfg.Machines[i].Name); ok {
+			b.WriteString(canonAd(ad, ra))
+		}
+		b.WriteByte('|')
 	}
 	msgs := make([]string, 0, len(w.pending))
 	for _, msg := range w.pending {
-		live := msg.ticket != "" && msg.ticket == w.machines[msg.machine].ticket
-		msgs = append(msgs, fmt.Sprintf("%d>%d@%d/%v", msg.job, msg.machine, msg.epoch, live))
+		msgs = append(msgs, fmt.Sprintf("%d>%d@%d/%v", msg.job, msg.machine, msg.env.Epoch,
+			live(w.machines[msg.machine], msg.env.Ticket)))
 	}
 	sort.Strings(msgs)
 	b.WriteString(strings.Join(msgs, ","))
 	return b.String()
 }
 
-// canonAd renders an ad with the authorization ticket normalized to
-// live/stale against the machine's current ticket.
-func canonAd(ad *classad.Ad, liveTicket string) string {
+// canonAd renders an ad in attribute order with its authorization
+// ticket reduced to whether it is live at the machine's RA.
+func canonAd(ad *classad.Ad, ra *pool.ResourceDaemon) string {
+	ticket, _ := ad.Eval(classad.AttrTicket).StringVal()
+	ad = ad.Copy()
+	ad.SetBool(classad.AttrTicket, live(ra, ticket))
 	var b strings.Builder
 	for _, n := range ad.SortedNames() {
 		e, _ := ad.Lookup(n)
-		b.WriteString(classad.Fold(n))
-		b.WriteByte('=')
-		if classad.Fold(n) == classad.Fold(classad.AttrTicket) {
-			t, _ := ad.Eval(classad.AttrTicket).StringVal()
-			if t != "" && t == liveTicket {
-				b.WriteString("<live>")
-			} else {
-				b.WriteString("<stale>")
-			}
-		} else {
-			b.WriteString(e.String())
-		}
-		b.WriteByte(';')
+		fmt.Fprintf(&b, "%s=%s;", classad.Fold(n), e)
 	}
 	return b.String()
-}
-
-// nameOf reads the Name every ad in the model pool carries (newSystem
-// checked it).
-func nameOf(ad *classad.Ad) string {
-	name, _ := ad.Eval(classad.AttrName).StringVal()
-	return name
 }

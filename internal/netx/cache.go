@@ -115,7 +115,7 @@ func countExpiry(err error) {
 func (d *Dialer) Do(addr string, total time.Duration, replayable bool, fn func(*Conn) error) error {
 	var deadline time.Time
 	if total > 0 {
-		deadline = time.Now().Add(total)
+		deadline = time.Now().Add(total) //determguard:ok only the connection's own deadline reads it, and an in-process connection ignores deadlines
 	}
 	if c := d.take(addr); c != nil {
 		err := d.converse(addr, c, deadline, fn)
@@ -156,7 +156,7 @@ func (d *Dialer) now() time.Time {
 	if d.clock != nil {
 		return d.clock()
 	}
-	return time.Now()
+	return time.Now() //determguard:ok the wall-clock default; a Transport's dialer injects a clock that never moves
 }
 
 // take lends out addr's most recently used idle connection, or nil.

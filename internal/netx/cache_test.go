@@ -307,13 +307,19 @@ func TestDoBoundsIdleConnections(t *testing.T) {
 	}
 }
 
-// Wrap and the fault injector see cached connections and the redial
-// alike.
+// A DialFunc's wrapping, here the fault injector, covers cached
+// connections and the redial alike.
 func TestDoCachedConnectionsStayWrapped(t *testing.T) {
 	s := newLineServer(t, nil)
 	faults := NewFaults(FaultPlan{Seed: 1, Reset: 1})
 	faults.SetEnabled(false)
-	d := &Dialer{Wrap: faults.Conn}
+	d := &Dialer{DialFunc: func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return faults.Conn(conn), nil
+	}}
 	t.Cleanup(d.CloseIdle)
 	if err := d.Do(s.addr(), 0, true, ping); err != nil {
 		t.Fatal(err)

@@ -135,7 +135,8 @@ func (l *faultListener) Accept() (net.Conn, error) {
 func (f *Faults) statsRef() *FaultStats { return &f.stats }
 
 // Conn wraps c in the injector. It is also usable on the dial side
-// (e.g. as a Dialer.Wrap), where Drop fires at wrap time.
+// (wrapping what a Dialer.DialFunc returns), where Drop fires at wrap
+// time.
 func (f *Faults) Conn(c net.Conn) net.Conn {
 	return &FaultConn{Conn: c, f: f}
 }

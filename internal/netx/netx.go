@@ -50,10 +50,11 @@ type Dialer struct {
 	// IOTimeout is the per-operation read/write deadline; 0 selects
 	// DefaultIOTimeout, negative disables deadlines.
 	IOTimeout time.Duration
-	// Wrap, when set, wraps every dialed connection — the seam tests
-	// use to inject client-side faults (see Faults.Conn). Cached
-	// connections stay wrapped.
-	Wrap func(net.Conn) net.Conn
+	// DialFunc, when set, replaces the TCP dial: the seam tests use to
+	// inject client-side faults (see Faults.Conn) and the model checker
+	// uses to reach in-process servers (Transport.Dial). Cached
+	// connections are the ones it returned.
+	DialFunc func(addr string) (net.Conn, error)
 
 	// The idle connections Do keeps, per address (cache.go).
 	mu        sync.Mutex
@@ -85,13 +86,16 @@ func (d *Dialer) ioTimeout() time.Duration {
 func (d *Dialer) dialRaw(addr string) (net.Conn, error) {
 	m := metrics()
 	m.dials.Inc()
-	conn, err := net.DialTimeout("tcp", addr, d.connectTimeout())
+	var conn net.Conn
+	var err error
+	if d.DialFunc != nil {
+		conn, err = d.DialFunc(addr)
+	} else {
+		conn, err = net.DialTimeout("tcp", addr, d.connectTimeout())
+	}
 	if err != nil {
 		m.dialErrors.Inc()
 		return nil, err
-	}
-	if d.Wrap != nil {
-		conn = d.Wrap(conn)
 	}
 	return conn, nil
 }
@@ -246,7 +250,7 @@ func Retry(ctx context.Context, p RetryPolicy, fn func() error) error {
 		sleep := jitteredDelay(delay, p.Jitter, rng)
 		m.backoffMillis.Add(sleep.Milliseconds())
 		select {
-		case <-time.After(sleep):
+		case <-time.After(sleep): //determguard:ok the backoff only delays the next attempt; elapsed time never enters replayed state
 		case <-ctx.Done():
 			return errors.Join(ctx.Err(), err)
 		}

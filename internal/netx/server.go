@@ -76,12 +76,18 @@ type Server struct {
 // connection's goroutine, and returns the function that answers its
 // envelopes. Per-connection state (the shadow's descriptor table) lives
 // in that closure, and the connection is there for a handler that
-// converses mid-dispatch (the RA's claim challenge).
+// converses mid-dispatch (the RA's claim challenge). On a Transport's
+// listener nothing is accepted: the Transport serves each connection
+// dialed to it on the dialer's calls.
 func Serve(ln net.Listener, cfg ServerConfig, newHandler func(*Conn) Handler) *Server {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
 	}
 	s := &Server{ln: ln, cfg: cfg, newHandler: newHandler, live: make(map[*Conn]struct{})}
+	if ml, ok := ln.(*memListener); ok {
+		ml.t.servers[ml.addr.String()] = s // its connections are served on the dialer's calls
+		return s
+	}
 	s.room.L = &s.mu
 	s.wg.Add(1)
 	go s.accept()
@@ -184,33 +190,44 @@ func (s *Server) serve(c *Conn) {
 	}()
 	handle := s.newHandler(c)
 	for {
-		c.parked.Store(time.Now().UnixNano())
+		c.parked.Store(time.Now().UnixNano()) //determguard:ok orders shedding among accepted sockets; a Transport's servers never run this loop
 		if s.waiting.Load() {
 			s.mu.Lock()
 			s.room.Signal()
 			s.mu.Unlock()
 		}
-		env, err := protocol.Read(c.r)
-		if c.parked.Swap(0) == shedMark {
-			return // an envelope that arrived anyway goes unanswered, as on a dead connection
-		}
-		if err != nil {
-			// A clean close, Close or shedding, or the idle deadline is
-			// lifecycle; anything else is a bad frame.
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) &&
-				!errors.Is(err, os.ErrDeadlineExceeded) {
-				s.cfg.BadFrames.Inc()
-				s.cfg.Logf("%s: read: %v", s.cfg.Name, err)
-			}
-			return
-		}
-		reply, onWriteFailure := handle(env)
-		if err := protocol.Write(c, reply); err != nil {
-			s.cfg.Logf("%s: write: %v", s.cfg.Name, err)
-			if onWriteFailure != nil {
-				onWriteFailure()
-			}
+		if !s.step(c, handle) {
 			return
 		}
 	}
+}
+
+// step answers one envelope on c: read it, hand it to handle, write the
+// reply and, if that write fails, call the reply's write-failure hook.
+// It reports whether the connection lives on. The accept loop's
+// connections and the in-process ones (Transport) both run it.
+func (s *Server) step(c *Conn, handle Handler) bool {
+	env, err := protocol.Read(c.r)
+	if c.parked.Swap(0) == shedMark {
+		return false // an envelope that arrived anyway goes unanswered, as on a dead connection
+	}
+	if err != nil {
+		// A clean close, Close or shedding, or the idle deadline is
+		// lifecycle; anything else is a bad frame.
+		if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) &&
+			!errors.Is(err, os.ErrDeadlineExceeded) {
+			s.cfg.BadFrames.Inc()
+			s.cfg.Logf("%s: read: %v", s.cfg.Name, err)
+		}
+		return false
+	}
+	reply, onWriteFailure := handle(env)
+	if err := protocol.Write(c, reply); err != nil {
+		s.cfg.Logf("%s: write: %v", s.cfg.Name, err)
+		if onWriteFailure != nil {
+			onWriteFailure()
+		}
+		return false
+	}
+	return true
 }

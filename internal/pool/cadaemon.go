@@ -30,6 +30,10 @@ import (
 type CustomerDaemon struct {
 	CA *agent.Customer
 
+	// Hooks seed faults for the model checker's self-tests; zero in
+	// production. Set before Listen/Serve.
+	Hooks Hooks
+
 	// IdleTimeout bounds a handler's wait for the next envelope; 0
 	// selects netx.DefaultIdleTimeout. Set before Listen/Serve.
 	IdleTimeout time.Duration
@@ -97,6 +101,21 @@ type CustomerDaemon struct {
 	// executing jobs, when execution is enabled.
 	shadow     *remote.Shadow
 	shadowAddr string
+}
+
+// Hooks are the daemons' seeded faults: each plants one protocol bug
+// the model checker must rediscover.
+type Hooks struct {
+	// DisableEpochFence makes a CA honour a MATCH whose negotiator epoch
+	// is below its high-water mark: the deposed-leader bug of MC102.
+	DisableEpochFence bool
+	// DropClaimRequeue makes a CA stop advertising a job whose last
+	// claim failed or was rejected, instead of re-advertising it for the
+	// next cycle: the starvation of MC201.
+	DropClaimRequeue bool
+	// SkipWithdraw makes an RA keep a claim whose acceptance never
+	// reached its customer: the orphaned claim of MC103.
+	SkipWithdraw bool
 }
 
 type claimRef struct {
@@ -390,11 +409,7 @@ func (d *CustomerDaemon) AdvertiseIdle() error {
 			d.logf("ca %s: advertising daemon ad: %v", d.CA.Owner(), err)
 		}
 	}
-	for _, ad := range d.CA.IdleRequests() {
-		stamped := ad.Copy()
-		stamped.SetString(classad.AttrContact, d.Contact())
-		id, _ := agent.JobIDOf(ad)
-		stamped.SetString(classad.AttrName, jobName(d.CA.Owner(), id))
+	for _, stamped := range d.RequestAds() {
 		for _, c := range clients {
 			if err := c.Advertise(stamped, d.lifetime); err != nil {
 				return err
@@ -402,6 +417,30 @@ func (d *CustomerDaemon) AdvertiseIdle() error {
 		}
 	}
 	return nil
+}
+
+// RequestAds are the request ads AdvertiseIdle sends: one per idle job,
+// in submission order, each a copy stamped with the daemon's Contact
+// and the job's Name.
+func (d *CustomerDaemon) RequestAds() []*classad.Ad {
+	idle := d.CA.IdleRequests()
+	out := make([]*classad.Ad, 0, len(idle))
+	for _, ad := range idle {
+		id, _ := agent.JobIDOf(ad)
+		if d.Hooks.DropClaimRequeue {
+			d.mu.Lock()
+			_, bounced := d.sessions[id]
+			d.mu.Unlock()
+			if bounced {
+				continue
+			}
+		}
+		stamped := ad.Copy()
+		stamped.SetString(classad.AttrContact, d.Contact())
+		stamped.SetString(classad.AttrName, JobName(d.CA.Owner(), id))
+		out = append(out, stamped)
+	}
+	return out
 }
 
 // dispatch answers one envelope on the notification endpoint.
@@ -439,7 +478,7 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 		}
 		j := d.journal
 		d.mu.Unlock()
-		if env.Epoch < high {
+		if env.Epoch < high && !d.Hooks.DisableEpochFence {
 			d.mFenced.Inc()
 			d.emit(env.Trace, "match_fenced", map[string]string{
 				"epoch":   fmt.Sprintf("%d", env.Epoch),
@@ -505,9 +544,9 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 	sp.Set("machine", adName(machine))
 	sp.Set("job", fmt.Sprintf("%d", job.ID))
 	d.mClaimAttempts.Inc()
-	start := time.Now()
+	start := time.Now() //determguard:ok claim-latency telemetry; the duration never enters replayed state
 	accepted, reason, err := d.claim(machine, claimAd, env.Ticket, trace, sp.ID())
-	dur := time.Since(start)
+	dur := time.Since(start) //determguard:ok claim-latency telemetry only
 	d.hClaimSeconds.Observe(dur.Seconds())
 	d.mu.Lock()
 	if dur > d.maxClaimDur {
@@ -638,12 +677,13 @@ func (d *CustomerDaemon) matchedJob(env *protocol.Envelope, machine *classad.Ad)
 	return job, ""
 }
 
-// jobName is the Name a job's request ad is advertised under.
-func jobName(owner string, id int) string {
+// JobName is the Name the request ad of owner's job id is advertised
+// under, and the one a MATCH for it carries.
+func JobName(owner string, id int) string {
 	return fmt.Sprintf("%s/job%d", owner, id)
 }
 
-// jobIDOfName is jobName's inverse for owner's jobs.
+// jobIDOfName is JobName's inverse for owner's jobs.
 func jobIDOfName(owner, name string) (int, bool) {
 	rest, ok := strings.CutPrefix(name, owner+"/job")
 	if !ok {
@@ -784,7 +824,7 @@ func (d *CustomerDaemon) handleSubmit(env *protocol.Envelope) *protocol.Envelope
 	sp.Set("job", fmt.Sprintf("%d", j.ID))
 	sp.End()
 	return &protocol.Envelope{Type: protocol.TypeAck,
-		Name:  jobName(d.CA.Owner(), j.ID),
+		Name:  JobName(d.CA.Owner(), j.ID),
 		Trace: trace}
 }
 

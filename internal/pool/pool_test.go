@@ -198,7 +198,7 @@ func TestRedeliveredMatchClaimsOnce(t *testing.T) {
 	match := func(session, ticket string) *protocol.Envelope {
 		t.Helper()
 		reply, err := sendToContact(nil, target, &protocol.Envelope{
-			Type: protocol.TypeMatch, Name: jobName("raman", job.ID),
+			Type: protocol.TypeMatch, Name: JobName("raman", job.ID),
 			PeerAd: protocol.EncodeAd(offer), Ticket: ticket, Session: session,
 		})
 		if err != nil {

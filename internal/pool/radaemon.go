@@ -21,6 +21,10 @@ import (
 type ResourceDaemon struct {
 	RA *agent.Resource
 
+	// Hooks seed faults for the model checker's self-tests; zero in
+	// production. Set before Listen/Serve.
+	Hooks Hooks
+
 	// RequireChallenge makes the daemon demand an HMAC handshake
 	// before considering a claim (paper §3.2 "Authentication").
 	RequireChallenge bool
@@ -36,13 +40,11 @@ type ResourceDaemon struct {
 	lifetime int64
 	dialer   *netx.Dialer
 
-	mu       sync.Mutex
-	srv      *netx.Server
-	contact  string
-	wg       sync.WaitGroup // running starters
-	logf     func(string, ...any)
-	onEvict  func(claim agent.Claim)
-	preempts int
+	mu      sync.Mutex
+	srv     *netx.Server
+	contact string
+	wg      sync.WaitGroup // running starters
+	logf    func(string, ...any)
 	// starterCancel stops the starter of the active claim, when the
 	// claimed job executes via remote syscalls.
 	starterCancel chan struct{}
@@ -118,10 +120,6 @@ func (d *ResourceDaemon) ConfigureNetwork(dialer *netx.Dialer, retry netx.RetryP
 	d.collector.Dialer = dialer
 	d.collector.Retry = retry
 }
-
-// OnEvict registers a callback invoked when a claim is preempted by a
-// better one; the daemon also notifies the displaced job's CA.
-func (d *ResourceDaemon) OnEvict(fn func(agent.Claim)) { d.onEvict = fn }
 
 // Listen binds the claiming endpoint and returns the contact address
 // that will appear in advertisements.
@@ -329,7 +327,7 @@ func (d *ResourceDaemon) handleClaim(c *netx.Conn, env *protocol.Envelope) (*pro
 // later claim of the same customer at the same rank for ever. A claim
 // that has replaced it since stands.
 func (d *ResourceDaemon) withdrawClaim(job *classad.Ad) {
-	if !d.RA.Withdraw(job) {
+	if d.Hooks.SkipWithdraw || !d.RA.Withdraw(job) {
 		return
 	}
 	d.stopStarter()
@@ -384,7 +382,7 @@ func (d *ResourceDaemon) maybeStartJob(job *classad.Ad) {
 	owner, _ := job.Eval(classad.AttrOwner).StringVal()
 	id, _ := agent.JobIDOf(job)
 	spec := remote.JobSpec{
-		Key:    jobName(owner, id),
+		Key:    JobName(owner, id),
 		Input:  input,
 		Output: output,
 	}
@@ -427,16 +425,10 @@ func (d *ResourceDaemon) maybeStartJob(job *classad.Ad) {
 // notifyPreempted tells the displaced job's CA that its claim is gone,
 // via the Contact in the job's own ad.
 func (d *ResourceDaemon) notifyPreempted(claim agent.Claim) {
-	d.mu.Lock()
-	d.preempts++
-	d.mu.Unlock()
 	d.mPreemptions.Inc()
 	d.emit(classad.TraceOf(claim.Job), "preempt_sent", map[string]string{
 		"customer": claim.Customer, "job": adName(claim.Job),
 	})
-	if d.onEvict != nil {
-		d.onEvict(claim)
-	}
 	_, err := sendToContact(d.dialer, claim.Job, &protocol.Envelope{
 		Type:  protocol.TypePreempt,
 		Ad:    protocol.EncodeAd(claim.Job),

@@ -6,7 +6,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
@@ -134,14 +133,6 @@ func (prog *Program) msgConstCanon(protoPkg *types.Package) map[string]string {
 	}
 	prog.msgConsts = canon
 	return canon
-}
-
-// constValOf returns the constant value of e, or nil.
-func (p *Pass) constValOf(e ast.Expr) constant.Value {
-	if p.Pkg.Info == nil {
-		return nil
-	}
-	return p.Pkg.Info.Types[e].Value
 }
 
 // writtenQualifier renders the package qualifier as the file wrote it:
