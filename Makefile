@@ -4,7 +4,7 @@
 #   make test         tier-1 check as ROADMAP.md defines it
 #   make test-short   the fast loop: -short skips chaos/simulation soak tests
 #   make lint         go vet + repo-invariant analyzers + cadlint over shipped ads + lint-codes
-#   make lint-codes   DESIGN.md CAD/MC-code/analyzer/Bounds tables must match the source
+#   make lint-codes   DESIGN.md CAD/MC-code/analyzer/Bounds/ledger tables must match the source
 #   make lint-fix-list machine-readable analyzer findings: file:line: code
 #   make mc-short     exhaustive model check of the canonical small pool (the verify-depth run)
 #   make mc           deeper model check (MC_FULL=1), plus liveness and mutant self-tests
@@ -64,13 +64,14 @@ lint-fix-list:
 # The DESIGN.md tables are written by hand but enforced by machine:
 # these tests re-derive the diagnostic-code vocabulary (§9), the
 # analyzer roster (§9), the metrics-name registry (§12), the
-# model-checker invariant codes (§13) and the Bounds table's numbers
-# (§3) from package source and fail on any drift against the doc tables.
+# model-checker invariant codes (§13), the Bounds table's numbers (§3)
+# and the ledger's items and citations (§6) from package source and fail
+# on any drift against the doc tables.
 lint-codes:
 	$(GO) test -run 'TestAllCodesMatchesSource|TestDesignDocCodeTableInSync' ./internal/classad/analysis
 	$(GO) test -run 'TestDesignDocMetricsTableInSync' ./internal/obs
 	$(GO) test -run 'TestAllMCCodesMatchesSource|TestDesignDocModelCheckTableInSync' ./internal/modelcheck
-	$(GO) test -run 'TestDesignDocAnalyzerTableInSync|TestDesignDocBoundsTableInSync' ./tools/analyzers
+	$(GO) test -run 'TestDesignDocAnalyzerTableInSync|TestDesignDocBoundsTableInSync|TestDesignDocLedgerInSync' ./tools/analyzers
 
 # Exhaustive small-scope model check of the canonical pool (2 machines,
 # 2 jobs, 2 negotiators): the checker owns every source of

@@ -266,3 +266,81 @@ func TestPoolMode(t *testing.T) {
 		t.Errorf("unsatisfiable pool ad not flagged:\n%s", out)
 	}
 }
+
+// servePool stands up an in-process collector holding ads and returns
+// its address. The collector stores every ad it is sent, however
+// unsatisfiable: linting is cadlint's job, not the daemon's.
+func servePool(t *testing.T, ads ...*classad.Ad) string {
+	t.Helper()
+	store := collector.New(nil)
+	srv := collector.NewServer(store, nil)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	client := &collector.Client{Addr: addr}
+	for _, ad := range ads {
+		if err := client.Advertise(ad, 60); err != nil {
+			t.Fatalf("advertise %v: %v", ad, err)
+		}
+	}
+	if got := store.Len(); got != len(ads) {
+		t.Fatalf("collector stored %d of %d ads: it must never gatekeep", got, len(ads))
+	}
+	return addr
+}
+
+// reported says whether out has a line for the ad named name; with a
+// code, a line carrying that code.
+func reported(out, name, code string) bool {
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, name+":") && strings.Contains(line, code) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestPoolCorpusMode audits a live pool as one corpus: the job that
+// demands more memory than any machine has, and more than the machine
+// accepts, is a dead ad (CAD305); the job the machine can serve is not.
+func TestPoolCorpusMode(t *testing.T) {
+	addr := servePool(t,
+		classad.MustParse(`[ Name = "m1"; Type = "Machine"; Memory = 64; Constraint = other.Memory <= 64 ]`),
+		classad.MustParse(`[ Name = "ok"; Type = "Job"; Memory = 31; Constraint = other.Memory >= 31 ]`),
+		classad.MustParse(`[ Name = "dead"; Type = "Job"; Memory = 4096; Constraint = other.Memory >= 4096 ]`))
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-corpus", "-pool", addr}, &stdout, &stderr); code != exitClean {
+		t.Fatalf("exit = %d, want 0 (CAD305 is a warning)\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	out := stdout.String()
+	if !reported(out, "dead", "CAD305") {
+		t.Errorf("dead job not reported CAD305:\n%s", out)
+	}
+	if reported(out, "ok", "") {
+		t.Errorf("matchable job reported:\n%s", out)
+	}
+}
+
+// TestPoolIndexMode runs the index-friendliness pass over a live pool:
+// a constraint with no indexable conjunct is CAD401, one the offer
+// index can prune on is not.
+func TestPoolIndexMode(t *testing.T) {
+	addr := servePool(t,
+		classad.MustParse(`[ Name = "scan"; Type = "Job"; Constraint = member("intel", other.Archs) ]`),
+		classad.MustParse(`[ Name = "pruned"; Type = "Job"; Memory = 31; Constraint = other.Memory >= self.Memory ]`))
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-index", "-pool", addr}, &stdout, &stderr); code != exitClean {
+		t.Fatalf("exit = %d, want 0 (CAD401 is a warning)\nstdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
+	}
+	out := stdout.String()
+	if !reported(out, "scan", "CAD401") {
+		t.Errorf("unindexable constraint not reported CAD401:\n%s", out)
+	}
+	if reported(out, "pruned", "CAD401") {
+		t.Errorf("indexable constraint reported CAD401:\n%s", out)
+	}
+}

@@ -2,10 +2,12 @@
 // periodic negotiation cycle (paper §4). It is the only always-on
 // service the framework needs, and it is stateless with respect to
 // matches: restarting it loses nothing but the in-flight cycle. With
-// -store-dir and -usage-dir even the soft state (advertisements,
-// fair-share accounting, the leadership lease) survives a restart,
-// and with -ha-name the manager's negotiator half takes part in
-// leader election against standby cnegotiator processes.
+// -store-dir the soft state (advertisements, the leadership lease)
+// survives a restart; -usage-dir is the one way to keep fair-share
+// accounting across restarts, as a journaled ledger that standbys
+// pull and chistory -ledger reads. With -ha-name the manager's
+// negotiator half takes part in leader election against standby
+// cnegotiator processes.
 //
 // With -period 0 the manager goes event-driven: negotiation sleeps on
 // the ad store's change feed and wakes only when an advertisement
@@ -43,10 +45,9 @@ func main() {
 	collectorOnly := flag.Bool("collector-only", false, "store ads and arbitrate the lease only; leave matching to cnegotiator")
 	fairShare := flag.Bool("fairshare", true, "order customers by past usage")
 	aggregate := flag.Bool("aggregate", false, "enable group matching over regular ads")
-	usageFile := flag.String("usage", "", "persist fair-share history to this file")
 	historyFile := flag.String("history", "", "append match records (classads) to this file")
 	storeDir := flag.String("store-dir", "", "persist the ad store (WAL + snapshots) in this directory")
-	usageDir := flag.String("usage-dir", "", "persist fair-share accounting as a durable ledger in this directory (supersedes -usage)")
+	usageDir := flag.String("usage-dir", "", "persist fair-share accounting as a durable ledger in this directory (without it, usage history dies with the process)")
 	haName := flag.String("ha-name", "", "enroll in negotiator leader election under this name")
 	leaseTTL := flag.Int64("lease-ttl", 0, "leadership lease duration in seconds (0 for the default)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address")
@@ -70,7 +71,6 @@ func main() {
 	cfg := pool.ManagerConfig{
 		Matchmaker: matchmaker.Config{FairShare: *fairShare, Aggregate: *aggregate},
 		Logf:       logf,
-		UsageFile:  *usageFile,
 		HAName:     *haName,
 		LeaseTTL:   *leaseTTL,
 	}

@@ -332,12 +332,12 @@ var serviceAdTypes = map[string]bool{
 	"daemon":     true,
 }
 
-// IsCounterpart reports whether two corpus ads are candidates for
+// isCounterpart reports whether two corpus ads are candidates for
 // matching against each other: neither is a service self-ad, and they
 // advertise different Types (or at least one of them does not say).
 // The matchmaking protocol pairs requests with offers, never two ads
 // of the same kind.
-func IsCounterpart(a, b *classad.Ad) bool {
+func isCounterpart(a, b *classad.Ad) bool {
 	ta, aok := a.Eval(classad.AttrType).StringVal()
 	tb, bok := b.Eval(classad.AttrType).StringVal()
 	if aok && serviceAdTypes[classad.Fold(ta)] {
@@ -395,7 +395,7 @@ func AuditCorpus(corpus []CorpusAd, opts *Options) []AuditFinding {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			if !IsCounterpart(corpus[i].Ad, corpus[j].Ad) {
+			if !isCounterpart(corpus[i].Ad, corpus[j].Ad) {
 				continue
 			}
 			rep := AnalyzeMatch(corpus[i].Ad, corpus[j].Ad, opts)
@@ -406,7 +406,7 @@ func AuditCorpus(corpus []CorpusAd, opts *Options) []AuditFinding {
 	for i := 0; i < n; i++ {
 		counterparts, dead := 0, 0
 		for j := 0; j < n; j++ {
-			if j == i || !IsCounterpart(corpus[i].Ad, corpus[j].Ad) {
+			if j == i || !isCounterpart(corpus[i].Ad, corpus[j].Ad) {
 				continue
 			}
 			counterparts++

@@ -215,17 +215,17 @@ func TestIsCounterpart(t *testing.T) {
 	job2 := mustAd(t, `[ Type = "Job" ]`)
 	machine := mustAd(t, `[ Type = "machine" ]`)
 	untyped := mustAd(t, `[ X = 1 ]`)
-	if IsCounterpart(job, job2) {
+	if isCounterpart(job, job2) {
 		t.Error("two jobs (case-folded) are not counterparts")
 	}
-	if !IsCounterpart(job, machine) {
+	if !isCounterpart(job, machine) {
 		t.Error("job and machine are counterparts")
 	}
-	if !IsCounterpart(job, untyped) {
+	if !isCounterpart(job, untyped) {
 		t.Error("an untyped ad is a potential counterpart")
 	}
 	negotiator := mustAd(t, `[ Type = "Negotiator"; Name = "negotiator@pool" ]`)
-	if IsCounterpart(machine, negotiator) || IsCounterpart(negotiator, untyped) {
+	if isCounterpart(machine, negotiator) || isCounterpart(negotiator, untyped) {
 		t.Error("service self-ads never pair for matchmaking")
 	}
 }

@@ -279,9 +279,3 @@ func NewUnary(op Op, arg Expr) Expr {
 
 // NewCond constructs a conditional expression cond ? then : els.
 func NewCond(cond, then, els Expr) Expr { return condExpr{cond, then, els} }
-
-// NewSelect constructs an attribute selection base.name.
-func NewSelect(base Expr, name string) Expr { return newSelect(base, name) }
-
-// NewIndex constructs a subscript expression base[index].
-func NewIndex(base, index Expr) Expr { return indexExpr{base, index} }

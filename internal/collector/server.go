@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/classad"
-	"repro/internal/classad/analysis"
 	"repro/internal/netx"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -37,8 +35,6 @@ type Server struct {
 	spans                 *obs.Spans
 	mQueries, mProjected  *obs.Counter
 	mAdvertise, mBadFrame *obs.Counter
-	mLintErrs, mLintWarns *obs.Counter
-	lintReg               *obs.Registry
 	gHandlers             *obs.Gauge
 }
 
@@ -54,10 +50,7 @@ func NewServer(store *Store, logf func(string, ...any)) *Server {
 // Instrument routes server activity into o: queries served
 // (collector_queries_total, collector_queries_projected_total),
 // advertisements received (collector_advertise_total), protocol errors
-// (collector_bad_frames_total), static-analysis findings on incoming
-// advertisements (collector_lint_errors_total,
-// collector_lint_warnings_total, and a per-code
-// collector_lint_<code>_total breakdown), live handler goroutines
+// (collector_bad_frames_total), live handler goroutines
 // (collector_handlers gauge), plus the store's own counters. Server
 // diagnostics additionally land in the log ring as src "collector",
 // name "log". Call before Listen/Serve.
@@ -70,9 +63,6 @@ func (s *Server) Instrument(o *obs.Obs) {
 	s.mProjected = reg.Counter("collector_queries_projected_total")
 	s.mAdvertise = reg.Counter("collector_advertise_total")
 	s.mBadFrame = reg.Counter("collector_bad_frames_total")
-	s.mLintErrs = reg.Counter("collector_lint_errors_total")
-	s.mLintWarns = reg.Counter("collector_lint_warnings_total")
-	s.lintReg = reg
 	s.gHandlers = reg.Gauge("collector_handlers")
 	s.mu.Unlock()
 	if s.store != nil {
@@ -143,7 +133,6 @@ func (s *Server) dispatch(env *protocol.Envelope) *protocol.Envelope {
 		if err != nil {
 			return protocol.Errorf("bad advertisement: %v", err)
 		}
-		s.lintAd(ad)
 		// Traced ads (job ads carrying a TraceId) get an ad_stored span:
 		// the collector hop of the request's causal story.
 		sp := s.spans.Start(classad.TraceOf(ad), classad.TraceSpanOf(ad), "collector", "ad_stored")
@@ -220,79 +209,6 @@ func (s *Server) dispatch(env *protocol.Envelope) *protocol.Envelope {
 		}
 	default:
 		return protocol.Errorf("collector does not handle %s", env.Type)
-	}
-}
-
-// lintAd runs the static analyzer over a freshly advertised ad and
-// feeds the verdicts into the validation counters, with a per-code
-// breakdown (collector_lint_cad201_total and friends). The pass is
-// gated on instrumentation — an uninstrumented collector skips the
-// analysis cost entirely — and findings never reject an
-// advertisement: the collector stays forgiving about ad contents, it
-// just keeps score.
-func (s *Server) lintAd(ad *classad.Ad) {
-	s.mu.Lock()
-	reg := s.lintReg
-	s.mu.Unlock()
-	if reg == nil {
-		return
-	}
-	for _, d := range analysis.AnalyzeAd(ad, nil) {
-		if d.Severity >= analysis.Error {
-			s.mLintErrs.Inc()
-		} else {
-			s.mLintWarns.Inc()
-		}
-		reg.Counter("collector_lint_" + strings.ToLower(d.Code) + "_total").Inc()
-		if name, ok := ad.Eval(classad.AttrName).StringVal(); ok {
-			s.log("collector: lint %s: %s", name, d)
-		} else {
-			s.log("collector: lint: %s", d)
-		}
-	}
-	s.lintBilateral(reg, ad)
-}
-
-// bilateralSample caps how many stored counterpart ads one incoming
-// advertisement is checked against, bounding the per-ADVERTISE cost in
-// a large pool to a constant.
-const bilateralSample = 64
-
-// lintBilateral runs the cross-ad analyzer between a freshly
-// advertised ad and a sample of its stored counterparts (ads of a
-// different Type), keeping score:
-//
-//	collector_lint_bilateral_checked_total    pairs analyzed
-//	collector_lint_bilateral_conflicts_total  pairs proven unmatchable
-//	collector_lint_bilateral_dead_total       ads no sampled counterpart can match
-//
-// A climbing conflicts/checked ratio means the pool is filling with
-// ads that can never pair — the SAMGrid failure mode — and the dead
-// counter names how many arrivals are provably wasted. Like the
-// single-ad lint, this never rejects an advertisement.
-func (s *Server) lintBilateral(reg *obs.Registry, ad *classad.Ad) {
-	counterparts, dead := 0, 0
-	for _, stored := range s.store.Query(classad.NewAd()) {
-		if counterparts >= bilateralSample {
-			break
-		}
-		if !analysis.IsCounterpart(ad, stored) {
-			continue
-		}
-		counterparts++
-		reg.Counter("collector_lint_bilateral_checked_total").Inc()
-		if analysis.AnalyzeMatch(ad, stored, nil).NeverMatch {
-			reg.Counter("collector_lint_bilateral_conflicts_total").Inc()
-			dead++
-		}
-	}
-	if counterparts > 0 && dead == counterparts {
-		reg.Counter("collector_lint_bilateral_dead_total").Inc()
-		if name, ok := ad.Eval(classad.AttrName).StringVal(); ok {
-			s.log("collector: lint %s: no sampled counterpart (%d checked) can ever match this ad", name, counterparts)
-		} else {
-			s.log("collector: lint: no sampled counterpart (%d checked) can ever match this ad", counterparts)
-		}
 	}
 }
 

@@ -17,10 +17,8 @@ import (
 // journals every PriorityTable mutation through a store.Log as it
 // happens, so the history a restarted (or failed-over) negotiator
 // charges against is exactly the history its predecessor accumulated
-// — and `chistory -ledger` reads the same source of truth.
-//
-// The Snapshot-file Save/Load pair remains for pools that accept
-// losing the last cycle's charges; a pool that cares opens a ledger.
+// — and `chistory -ledger` reads the same source of truth. It is the
+// only durable home of usage history.
 
 // ledgerSnapshotEvery bounds WAL growth: MaybeCompact folds the table
 // into a fresh snapshot once this many records have accumulated.
@@ -61,35 +59,44 @@ func OpenUsageLedger(dir string, fs store.FS) (*UsageLedger, error) {
 	if err != nil {
 		return nil, err
 	}
+	table, err := replayUsage(rec)
+	if err != nil {
+		l.Close()
+		return nil, err
+	}
+	led := &UsageLedger{table: table, log: l}
+	table.setJournal(led.append)
+	return led, nil
+}
+
+// replayUsage rebuilds a PriorityTable from a recovered (or shipped)
+// snapshot and the journal records after it. The table it returns has
+// no journal attached.
+func replayUsage(rec *store.Recovered) (*PriorityTable, error) {
 	table := NewPriorityTable()
 	if len(rec.Snapshot) > 0 {
 		if err := table.UnmarshalJSON(rec.Snapshot); err != nil {
-			l.Close()
 			return nil, fmt.Errorf("matchmaker: ledger snapshot: %w", err)
 		}
 	}
 	for _, raw := range rec.Records {
 		var r usageRecord
 		if err := json.Unmarshal(raw, &r); err != nil {
-			l.Close()
 			return nil, fmt.Errorf("matchmaker: corrupt ledger record: %w", err)
 		}
 		switch r.Op {
 		case usageOpRecord:
 			table.Advance(r.Now)
-			table.Record(r.Customer, r.Amount) // journal not yet attached
+			table.Record(r.Customer, r.Amount)
 		case usageOpReset:
 			table.Reset()
 		case usageOpHalfLife:
 			table.SetHalfLife(r.Amount)
 		default:
-			l.Close()
 			return nil, fmt.Errorf("matchmaker: unknown ledger op %q", r.Op)
 		}
 	}
-	led := &UsageLedger{table: table, log: l}
-	table.setJournal(led.append)
-	return led, nil
+	return table, nil
 }
 
 // Table returns the ledger-backed priority table; hand it to
@@ -197,43 +204,32 @@ func (u *UsageLedger) Ship() ([]byte, error) {
 
 // Install replaces the ledger's contents with a shipped bundle,
 // rebuilding the table from it. The local history it replaces is
-// retired with the old log generation.
+// retired with the old log generation. A bundle the log refuses
+// before committing it leaves the ledger journaling its old history;
+// once the log holds the bundle, a failure to finish installing or to
+// replay it fail-stops the ledger (Err), since the table and the log
+// no longer agree.
 func (u *UsageLedger) Install(bundle []byte) error {
 	u.table.setJournal(nil)
+	defer u.table.setJournal(u.append)
 	u.mu.Lock()
 	rec, err := u.log.Install(bundle)
+	if err != nil {
+		if u.log.Broken() {
+			u.err = err
+		}
+		u.mu.Unlock()
+		return err
+	}
+	fresh, err := replayUsage(rec)
+	u.err = err
 	u.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	fresh := NewPriorityTable()
-	if len(rec.Snapshot) > 0 {
-		if err := fresh.UnmarshalJSON(rec.Snapshot); err != nil {
-			return fmt.Errorf("matchmaker: shipped ledger snapshot: %w", err)
-		}
-	}
-	for _, raw := range rec.Records {
-		var r usageRecord
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return fmt.Errorf("matchmaker: shipped ledger record: %w", err)
-		}
-		switch r.Op {
-		case usageOpRecord:
-			fresh.Advance(r.Now)
-			fresh.Record(r.Customer, r.Amount)
-		case usageOpReset:
-			fresh.Reset()
-		case usageOpHalfLife:
-			fresh.SetHalfLife(r.Amount)
-		}
-	}
-	// Swap the rebuilt state into the existing table (callers hold
-	// pointers to it), then reattach the journal.
+	// Swap the rebuilt state into the existing table: callers hold
+	// pointers to it.
 	u.table.adopt(fresh)
-	u.table.setJournal(u.append)
-	u.mu.Lock()
-	u.err = nil
-	u.mu.Unlock()
 	return nil
 }
 

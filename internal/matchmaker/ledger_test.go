@@ -240,3 +240,66 @@ func TestUsageLedgerCrashPoints(t *testing.T) {
 		led2.Close()
 	}
 }
+
+// TestUsageLedgerRefusedInstallKeepsJournaling: a bundle the log
+// refuses before committing it (here, three bytes of one) leaves the
+// ledger as it was, journal attached, so later charges survive a
+// reopen and Err stays nil.
+func TestUsageLedgerRefusedInstallKeepsJournaling(t *testing.T) {
+	dir := t.TempDir()
+	led, err := OpenUsageLedger(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	led.Table().SetHalfLife(0)
+	if err := led.Install([]byte{1, 2, 3}); err == nil {
+		t.Fatal("truncated bundle installed")
+	}
+	led.Table().Record("alice", 2)
+	if err := led.Err(); err != nil {
+		t.Fatalf("Err = %v after a refused install", err)
+	}
+	led2, err := reopenLedger(t, led, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led2.Close()
+	if got := led2.Table().Effective("alice"); got != 2 {
+		t.Errorf("alice usage after reopen = %v, want 2 (charge after a refused install was lost)", got)
+	}
+}
+
+// TestUsageLedgerUnreplayableInstallFailStops: a bundle the log
+// commits but whose records do not replay leaves the log and the
+// table disagreeing, so the ledger stops journaling and says so. An
+// unknown op fails an install exactly as it fails an open.
+func TestUsageLedgerUnreplayableInstallFailStops(t *testing.T) {
+	src := t.TempDir()
+	l, _, err := store.Open(src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append([]byte(`{"op":"bogus"}`)); err != nil {
+		t.Fatal(err)
+	}
+	bundle, err := l.Ship()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	if _, err := OpenUsageLedger(src, nil); err == nil {
+		t.Fatal("open replayed an unknown op")
+	}
+
+	led, err := OpenUsageLedger(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer led.Close()
+	if err := led.Install(bundle); err == nil {
+		t.Fatal("install replayed an unknown op")
+	}
+	if led.Err() == nil {
+		t.Error("Err = nil after the log took a bundle the table could not replay")
+	}
+}

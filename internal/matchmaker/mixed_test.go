@@ -2,28 +2,38 @@ package matchmaker
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
+
+	"repro/internal/store"
 )
 
+// TestPriorityTablePersistence: a table folded into a ledger snapshot
+// comes back with its usage and its decay semantics, and a corrupt
+// snapshot refuses to open rather than start an empty history.
 func TestPriorityTablePersistence(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "usage.json")
-
-	pt := NewPriorityTable()
+	led, err := OpenUsageLedger(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt := led.Table()
 	pt.SetHalfLife(100)
 	pt.Advance(50)
 	pt.Record("alice", 8)
 	pt.Record("bob", 2)
-	if err := pt.Save(path); err != nil {
+	if err := led.Compact(); err != nil {
 		t.Fatal(err)
+	}
+	if n := led.Stats().SinceSnapshot; n != 0 {
+		t.Fatalf("%d records after the snapshot, want 0: the reopen must read the snapshot alone", n)
 	}
 
-	restored := NewPriorityTable()
-	if err := restored.Load(path); err != nil {
+	led2, err := reopenLedger(t, led, dir)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer led2.Close()
+	restored := led2.Table()
 	if u := restored.Effective("alice"); math.Abs(u-8) > 1e-9 {
 		t.Errorf("alice restored usage = %v", u)
 	}
@@ -36,24 +46,19 @@ func TestPriorityTablePersistence(t *testing.T) {
 	if u := restored.Effective("alice"); math.Abs(u-4) > 1e-9 {
 		t.Errorf("alice after restored half-life = %v, want 4", u)
 	}
-	// Missing file: clean no-op.
-	fresh := NewPriorityTable()
-	if err := fresh.Load(filepath.Join(dir, "nonexistent.json")); err != nil {
-		t.Errorf("missing file should not error: %v", err)
-	}
-	if len(fresh.Customers()) != 0 {
-		t.Error("fresh table has customers")
-	}
-	// Corrupt file: a real error.
-	bad := filepath.Join(dir, "bad.json")
-	if err := writeFile(bad, "{nope"); err != nil {
+
+	// Corrupt snapshot: a real error.
+	bad := t.TempDir()
+	l, _, err := store.Open(bad, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fresh.Load(bad); err == nil {
-		t.Error("corrupt file should error")
+	if err := l.Snapshot([]byte("{nope")); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func writeFile(path, content string) error {
-	return os.WriteFile(path, []byte(content), 0o644)
+	l.Close()
+	if led, err := OpenUsageLedger(bad, nil); err == nil {
+		led.Close()
+		t.Error("corrupt snapshot should error")
+	}
 }

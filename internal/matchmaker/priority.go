@@ -4,11 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"sync"
-
-	"repro/internal/store"
 )
 
 // PriorityTable implements the usage accounting behind the paper's
@@ -161,10 +158,11 @@ func (t *PriorityTable) adopt(src *PriorityTable) {
 	t.halfLife = src.halfLife
 }
 
-// tableState is the persisted form of a PriorityTable. Matches are
-// introductions and deliberately not durable (the stateless-matchmaker
-// property); usage history, by contrast, is advisory accounting worth
-// carrying across pool-manager restarts so that fairness has memory.
+// tableState is a PriorityTable's form in a usage-ledger snapshot.
+// Matches are introductions and deliberately not durable (the
+// stateless-matchmaker property); usage history, by contrast, is
+// advisory accounting worth carrying across pool-manager restarts so
+// that fairness has memory.
 type tableState struct {
 	Usage    map[string]float64 `json:"usage"`
 	Now      float64            `json:"now"`
@@ -208,29 +206,4 @@ func (t *PriorityTable) UnmarshalJSON(data []byte) error {
 		t.halfLife = state.HalfLife
 	}
 	return nil
-}
-
-// Save writes the table to path atomically (write-fsync-rename, via
-// the store package's helper, so the table survives a power cut as
-// well as a process crash).
-func (t *PriorityTable) Save(path string) error {
-	data, err := t.MarshalJSON()
-	if err != nil {
-		return err
-	}
-	return store.AtomicWriteFile(nil, path, data)
-}
-
-// Load replaces the table's contents from path. A missing file leaves
-// the table empty and is not an error: a brand-new pool simply has no
-// history yet.
-func (t *PriorityTable) Load(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	return t.UnmarshalJSON(data)
 }

@@ -12,9 +12,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/classad"
-	"repro/internal/classad/analysis"
 	"repro/internal/collector"
-	"repro/internal/matchmaker"
 	"repro/internal/netx"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -91,9 +89,6 @@ type CustomerDaemon struct {
 	mReleaseRequeued *obs.Counter
 	mPreemptsRx      *obs.Counter
 	mFenced          *obs.Counter
-	mLintErrors      *obs.Counter
-	mLintWarnings    *obs.Counter
-	mLintUnindexable *obs.Counter
 	hClaimSeconds    *obs.Histogram
 	gHandlers        *obs.Gauge
 
@@ -146,11 +141,7 @@ func NewCustomerDaemon(ca *agent.Customer, collectorAddr string, lifetime int64,
 // pool_claims_ok_total, pool_claims_rejected_total,
 // pool_claims_failed_total), releases kept for retry
 // (pool_release_requeued_total), eviction notices received
-// (pool_preempts_received_total), static-analysis findings on
-// submitted job ads (pool_submit_lint_errors_total,
-// pool_submit_lint_warnings_total, plus
-// pool_submit_lint_unindexable_total for jobs the offer index cannot
-// prune on), the end-to-end claim latency from
+// (pool_preempts_received_total), the end-to-end claim latency from
 // MATCH receipt to the provider's verdict ack (pool_claim_seconds),
 // live notification handlers (pool_ca_handlers gauge), and settled jobs
 // the queue forgot past its bound (pool_ca_jobs_forgotten_total). Claim
@@ -170,9 +161,6 @@ func (d *CustomerDaemon) Instrument(o *obs.Obs) {
 	d.mReleaseRequeued = reg.Counter("pool_release_requeued_total")
 	d.mPreemptsRx = reg.Counter("pool_preempts_received_total")
 	d.mFenced = reg.Counter("pool_fenced_matches_total")
-	d.mLintErrors = reg.Counter("pool_submit_lint_errors_total")
-	d.mLintWarnings = reg.Counter("pool_submit_lint_warnings_total")
-	d.mLintUnindexable = reg.Counter("pool_submit_lint_unindexable_total")
 	d.hClaimSeconds = reg.Histogram("pool_claim_seconds", obs.DurationBuckets)
 	d.gHandlers = reg.Gauge("pool_ca_handlers")
 	d.CA.Instrument(reg)
@@ -768,10 +756,9 @@ func (d *CustomerDaemon) handlePreempt(env *protocol.Envelope) *protocol.Envelop
 
 // handleSubmit queues a job ad delivered by the submission tool. The
 // envelope's Lifetime field carries the job's CPU demand in seconds
-// (zero is fine for protocol-only use). The ad is statically analyzed
-// on the way in: findings never reject the job (the submitter may know
-// better), but they are logged and counted so a pool operator can see
-// queues filling with requests that can never match.
+// (zero is fine for protocol-only use). The ad is queued as given:
+// static analysis belongs to the tools on either side of the daemon
+// (csubmit before submission, cadlint -pool over the collector).
 //
 // Submission is where a causal trace begins: the handler honours a
 // trace the submitter minted (env.Trace) or mints one itself, records
@@ -800,25 +787,6 @@ func (d *CustomerDaemon) handleSubmit(env *protocol.Envelope) *protocol.Envelope
 	ad.SetString(classad.AttrTraceID, trace)
 	if id := sp.ID(); id != "" {
 		ad.SetString(classad.AttrTraceSpan, id)
-	}
-	for _, diag := range analysis.AnalyzeAd(ad, nil) {
-		if diag.Severity >= analysis.Error {
-			d.mLintErrors.Inc()
-		} else {
-			d.mLintWarnings.Inc()
-		}
-		d.logf("ca %s: submit lint: %s", d.CA.Owner(), diag)
-	}
-	// Index-friendliness: a job the offer index cannot prune on costs
-	// a full pool scan every negotiation cycle. Counted separately so
-	// an operator can spot scan pressure building in the queue.
-	for _, diag := range matchmaker.LintIndex(ad, nil) {
-		if diag.Code == analysis.CodeUnindexable {
-			d.mLintUnindexable.Inc()
-		} else if diag.Severity >= analysis.Error {
-			d.mLintErrors.Inc()
-		}
-		d.logf("ca %s: submit lint: %s", d.CA.Owner(), diag)
 	}
 	j := d.CA.Submit(ad, float64(env.Lifetime))
 	sp.Set("job", fmt.Sprintf("%d", j.ID))

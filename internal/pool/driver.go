@@ -217,7 +217,6 @@ type negotiator struct {
 	notifyRetry netx.RetryPolicy
 	history     io.Writer
 	ledger      *matchmaker.UsageLedger
-	usageFile   string
 
 	// Observability hooks; nil (no-op) until instrument is called.
 	obs           *obs.Obs
@@ -415,10 +414,6 @@ func (n *negotiator) cycle(holder string, ttl int64, force bool) (CycleResult, m
 		}
 		if err := n.ledger.Err(); err != nil {
 			n.logf("%s: usage ledger: %v", n.src, err)
-		}
-	} else if n.usageFile != "" {
-		if err := n.mm.Usage().Save(n.usageFile); err != nil {
-			n.logf("%s: saving usage history: %v", n.src, err)
 		}
 	}
 	res.Duration = time.Since(start)

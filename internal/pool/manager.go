@@ -58,11 +58,6 @@ type ManagerConfig struct {
 	Matchmaker matchmaker.Config
 	// Logf receives diagnostics; nil discards them.
 	Logf func(string, ...any)
-	// UsageFile, when set, persists the fair-share accounting table
-	// there: loaded at construction, saved after every cycle. Match
-	// state itself is never persisted — the matchmaker stays
-	// stateless — but fairness is advisory history worth keeping.
-	UsageFile string
 	// History, when set, receives one classad per successful match
 	// notification — an append-only accounting log. Everything in
 	// the system is a classad, including its own records (paper §4),
@@ -91,8 +86,10 @@ type ManagerConfig struct {
 	Store *collector.Store
 	// Ledger, when set, backs the fair-share table with a durable
 	// usage ledger (matchmaker.OpenUsageLedger): every charge is
-	// journaled as it lands, superseding the per-cycle UsageFile save.
-	// The manager adopts and closes it.
+	// journaled as it lands. Match state itself is never persisted —
+	// the matchmaker stays stateless — but fairness is advisory
+	// history worth keeping; without a ledger it lives in memory
+	// only. The manager adopts and closes it.
 	Ledger *matchmaker.UsageLedger
 	// HAName, when set, enrolls the manager's negotiator half in
 	// leader election under this identity: each cycle first acquires
@@ -122,7 +119,6 @@ func NewManager(cfg ManagerConfig) *Manager {
 	neg := newNegotiator("manager", "negotiator@pool", local, cfg.Matchmaker, cfg.Ledger)
 	neg.env = cfg.Env
 	neg.logf = cfg.Logf
-	neg.usageFile = cfg.UsageFile
 	neg.history = cfg.History
 	neg.notifyRetry = cfg.NotifyRetry
 	if cfg.Dialer != nil {
@@ -149,11 +145,6 @@ func NewManager(cfg ManagerConfig) *Manager {
 		cfg.Obs.Handle("/daemons", func(map[string][]string) (any, error) {
 			return m.store.DaemonHealth(), nil
 		})
-	}
-	if neg.usageFile != "" && neg.ledger == nil {
-		if err := neg.mm.Usage().Load(neg.usageFile); err != nil {
-			m.logf("pool: usage history %s unreadable, starting fresh: %v", neg.usageFile, err)
-		}
 	}
 	return m
 }

@@ -3,7 +3,6 @@ package pool
 import (
 	"bufio"
 	"net"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/agent"
@@ -88,13 +87,18 @@ func TestCustomerQueueQuery(t *testing.T) {
 	}
 }
 
+// TestManagerUsagePersistence: a manager backed by a usage ledger
+// journals each charge as it lands, so a manager restarted on the
+// reopened ledger inherits the history.
 func TestManagerUsagePersistence(t *testing.T) {
 	dir := t.TempDir()
-	usageFile := filepath.Join(dir, "usage.json")
-
+	ledger, err := matchmaker.OpenUsageLedger(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mgr := NewManager(ManagerConfig{
 		Matchmaker: matchmaker.Config{FairShare: true},
-		UsageFile:  usageFile,
+		Ledger:     ledger,
 		Logf:       t.Logf,
 	})
 	// Seed the store directly (in-process advertising): one machine,
@@ -119,17 +123,22 @@ func TestManagerUsagePersistence(t *testing.T) {
 	if u := mgr.Usage().Effective("raman"); u != 0 {
 		t.Errorf("usage = %v, want 0 for an unacknowledged match", u)
 	}
-	// Charge as an acknowledged claim would have, then run a cycle so
-	// the per-cycle save persists the table.
+	// Charge as an acknowledged claim would have; the ledger journals
+	// it at once, no cycle needed.
 	mgr.Usage().Record("raman", 1)
-	mgr.RunCycle()
+	mgr.Close() // closes the adopted ledger
 
-	// A restarted manager inherits the history.
+	// A restarted manager on the reopened ledger inherits the history.
+	ledger2, err := matchmaker.OpenUsageLedger(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mgr2 := NewManager(ManagerConfig{
 		Matchmaker: matchmaker.Config{FairShare: true},
-		UsageFile:  usageFile,
+		Ledger:     ledger2,
 		Logf:       t.Logf,
 	})
+	defer mgr2.Close()
 	if u := mgr2.Usage().Effective("raman"); u != 1 {
 		t.Errorf("restored usage = %v, want 1", u)
 	}

@@ -330,6 +330,15 @@ func (l *Log) installLocked(state, walBytes []byte) error {
 	return nil
 }
 
+// Broken reports whether the log has turned itself off after a failed
+// write (ErrLogBroken): only a reopen, or a successful Install, makes
+// it append again.
+func (l *Log) Broken() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.broken
+}
+
 // SinceSnapshot reports how many records the current WAL holds; owners
 // use it to decide when to fold state into a snapshot.
 func (l *Log) SinceSnapshot() int64 {
@@ -427,39 +436,4 @@ func (l *Log) Install(bundle []byte) (*Recovered, error) {
 	}
 	records, _ := DecodeAll(walBytes)
 	return &Recovered{Snapshot: snapshot, Records: records}, nil
-}
-
-// AtomicWriteFile writes data to path with the full durability ritual:
-// tmp file, write, fsync, close, rename, directory sync. It is the
-// store-blessed way to persist small whole-file state (the
-// fsyncguard analyzer flags raw os.WriteFile/os.Rename persistence
-// elsewhere in internal/).
-func AtomicWriteFile(fs FS, path string, data []byte) error {
-	if fs == nil {
-		fs = DefaultFS
-	}
-	tmp := path + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fs.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	if err := fs.Rename(tmp, path); err != nil {
-		fs.Remove(tmp)
-		return err
-	}
-	return fs.SyncDir(filepath.Dir(path))
 }

@@ -229,21 +229,3 @@ func TestLogInstrument(t *testing.T) {
 			snap.Histograms["store_fsync_seconds"].Count)
 	}
 }
-
-func TestAtomicWriteFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.json")
-	if err := AtomicWriteFile(nil, path, []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := AtomicWriteFile(nil, path, []byte("v2")); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil || string(data) != "v2" {
-		t.Fatalf("read back %q, %v", data, err)
-	}
-	if _, err := os.Stat(path + ".tmp"); !errors.Is(err, os.ErrNotExist) {
-		t.Error("tmp file left behind")
-	}
-}

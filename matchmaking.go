@@ -261,23 +261,10 @@ type FileStore = remote.FileStore
 // Shadow serves a running job's remote syscalls and checkpoints.
 type Shadow = remote.Shadow
 
-// RemoteJobSpec describes a synthetic remote-syscall job.
-type RemoteJobSpec = remote.JobSpec
-
-// RunResult reports one starter session.
-type RunResult = remote.RunResult
-
 // NewFileStore returns an empty shadow-side file store.
 func NewFileStore() *FileStore { return remote.NewFileStore() }
 
 // NewShadow builds a shadow over a file store.
 func NewShadow(fs *FileStore, logf func(string, ...any)) *Shadow {
 	return remote.NewShadow(fs, logf)
-}
-
-// RunStarter executes a job against the shadow at shadowAddr until it
-// completes or cancel closes (eviction); later calls resume from the
-// last checkpoint.
-func RunStarter(shadowAddr string, spec RemoteJobSpec, cancel <-chan struct{}) (RunResult, error) {
-	return remote.Run(shadowAddr, spec, cancel)
 }

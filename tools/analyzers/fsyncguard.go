@@ -8,8 +8,7 @@ import (
 
 // FsyncGuard enforces the durability invariant introduced with
 // internal/store: state that must survive a crash is persisted through
-// the store layer (a store.Log, or store.AtomicWriteFile for small
-// whole-file state), never with raw os.WriteFile / os.Rename. Neither
+// the store layer's store.Log, never with raw os.WriteFile / os.Rename. Neither
 // of those syncs the file or its directory, so a power cut can leave a
 // truncated file behind a completed rename — the torn state the WAL's
 // crash tests exist to rule out. Two rules:
@@ -63,7 +62,7 @@ func checkRawOsPersistence(p *Pass) {
 			return
 		}
 		p.Reportf(n.Pos(),
-			"%s.%s persists without fsync: use store.AtomicWriteFile (or a store.Log) so the data survives a crash",
+			"%s.%s persists without fsync: use a store.Log so the data survives a crash",
 			qual, name)
 	}
 	ast.Inspect(p.File.Ast, func(n ast.Node) bool {
