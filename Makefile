@@ -44,9 +44,9 @@ bench-smoke:
 
 # All static analysis in one target: go vet, the custom invariant
 # analyzers (tools/analyzers, typed framework v2: nodial, obsguard,
-# msgswitch, lockguard, fsyncguard, tracectx, epochguard, replyguard,
-# condguard, determguard, goroguard, sendguard) over every package, the
-# ClassAd linter over every ad we ship, and the docs/code sync gate.
+# lockguard, fsyncguard, tracectx, epochguard, determguard, sendguard)
+# over every package, the ClassAd linter over every ad we ship, and the
+# docs/code sync gate.
 # The analyzer driver prints a per-analyzer timing summary and fails
 # past its 30s budget. The intentionally broken fixtures live under
 # testdata/lint/ and tools/analyzers/testdata/, which none of these

@@ -11,8 +11,7 @@
 // Usage:
 //
 //	cnegotiator -name nego-1 -pool HOST:9618 [-period SECONDS] [-usage-dir DIR]
-//	            [-state ADDR] [-peer http://HOST:PORT] [-lease-ttl SECONDS]
-//	            [-fallback-heartbeats N]
+//	            [-state ADDR] [-peer http://HOST:PORT] [-fallback-heartbeats N]
 package main
 
 import (
@@ -36,7 +35,6 @@ func main() {
 	poolAddr := flag.String("pool", "127.0.0.1:9618", "collector address")
 	period := flag.Int64("period", 60, "heartbeat/negotiation period in seconds")
 	fallbackEvery := flag.Int64("fallback-heartbeats", 10, "force a negotiation every N heartbeats even if the collector's pool-change counter has not moved (0: never)")
-	leaseTTL := flag.Int64("lease-ttl", 0, "requested lease duration in seconds (0 for the collector's default)")
 	fairShare := flag.Bool("fairshare", true, "order customers by past usage")
 	aggregate := flag.Bool("aggregate", false, "enable group matching over regular ads")
 	usageDir := flag.String("usage-dir", "", "persist fair-share accounting as a durable ledger in this directory")
@@ -62,7 +60,6 @@ func main() {
 	d := pool.NewNegotiatorDaemon(*name, &collector.Client{Addr: *poolAddr}, ledger,
 		matchmaker.Config{FairShare: *fairShare, Aggregate: *aggregate})
 	defer d.Close()
-	d.LeaseTTL = *leaseTTL
 	d.PeerState = *peer
 	if *verbose {
 		d.Logf = log.Printf

@@ -49,7 +49,6 @@ func main() {
 	storeDir := flag.String("store-dir", "", "persist the ad store (WAL + snapshots) in this directory")
 	usageDir := flag.String("usage-dir", "", "persist fair-share accounting as a durable ledger in this directory (without it, usage history dies with the process)")
 	haName := flag.String("ha-name", "", "enroll in negotiator leader election under this name")
-	leaseTTL := flag.Int64("lease-ttl", 0, "leadership lease duration in seconds (0 for the default)")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address")
 	verbose := flag.Bool("v", false, "log every cycle")
 	flag.Parse()
@@ -72,7 +71,6 @@ func main() {
 		Matchmaker: matchmaker.Config{FairShare: *fairShare, Aggregate: *aggregate},
 		Logf:       logf,
 		HAName:     *haName,
-		LeaseTTL:   *leaseTTL,
 	}
 	if *storeDir != "" {
 		store, err := collector.OpenDurable(*storeDir, nil, nil)

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"repro/internal/matchmaker"
+	"repro/internal/netx"
+	"repro/internal/obs"
 )
 
 // canonicalConfig is the pool `make mc` checks on every run: two
@@ -34,8 +36,13 @@ func canonicalConfig() Config {
 // TestExhaustiveSmallPoolInvariants is the `make mc-short` gate: the
 // canonical pool, explored exhaustively to the depth bound, holds
 // every safety invariant. -short trims the depth for the inner dev
-// loop; MC_FULL=1 (what `make mc` sets) deepens it.
+// loop; MC_FULL=1 (what `make mc` sets) deepens it. The daemons answer
+// through netx.Server.step, so no schedule may make a handler answer
+// nil or with a request (netx_bad_replies_total).
 func TestExhaustiveSmallPoolInvariants(t *testing.T) {
+	reg := obs.NewRegistry()
+	netx.Instrument(reg)
+	defer netx.Instrument(nil)
 	cfg := canonicalConfig()
 	cfg.MaxDepth = 9
 	cfg.MaxSchedules = 400000
@@ -55,6 +62,9 @@ func TestExhaustiveSmallPoolInvariants(t *testing.T) {
 	}
 	if res.Schedules < 10000 {
 		t.Errorf("explored only %d schedules; the bound is supposed to cover >= 10000", res.Schedules)
+	}
+	if n := reg.Counter("netx_bad_replies_total").Value(); n != 0 {
+		t.Errorf("netx_bad_replies_total = %d over the explored schedules, want 0", n)
 	}
 }
 

@@ -25,6 +25,7 @@ import (
 //	netx_conn_reuses_total        conversations run on a cached connection
 //	netx_idle_conns               idle cached connections, every Dialer
 //	netx_conns_shed_total         parked server connections closed at the cap
+//	netx_bad_replies_total        nil or request-class handler replies sent as ERROR
 var instr atomic.Pointer[netxMetrics]
 
 type netxMetrics struct {
@@ -32,7 +33,7 @@ type netxMetrics struct {
 	retries, retriesExhausted *obs.Counter
 	backoffMillis             *obs.Counter
 	deadlineExpiries          *obs.Counter
-	reuses, shed              *obs.Counter
+	reuses, shed, badReplies  *obs.Counter
 	reg                       *obs.Registry
 }
 
@@ -52,6 +53,7 @@ func Instrument(reg *obs.Registry) {
 		deadlineExpiries: reg.Counter("netx_deadline_expiries_total"),
 		reuses:           reg.Counter("netx_conn_reuses_total"),
 		shed:             reg.Counter("netx_conns_shed_total"),
+		badReplies:       reg.Counter("netx_bad_replies_total"),
 		reg:              reg,
 	})
 	reg.GaugeFunc("netx_idle_conns", func() float64 { return float64(idleConns.Load()) })

@@ -56,19 +56,26 @@ type ServerConfig struct {
 // for the next envelope, and Close ends those waits at once. At
 // maxServerConns live connections, accepting one more first closes the
 // connection parked longest (netx_conns_shed_total); while none is
-// parked, accept waits for one to park or end.
+// parked, accept waits for one to park or end. A handler answers every
+// envelope with a reply-class one: a nil or request-class answer goes
+// out as an ERROR and counts in netx_bad_replies_total.
 type Server struct {
 	ln         net.Listener
 	cfg        ServerConfig
 	newHandler func(*Conn) Handler
 
 	mu     sync.Mutex
-	room   sync.Cond // signalled when a connection ends, or parks while accept waits
 	closed bool
 	live   map[*Conn]struct{}
 	wg     sync.WaitGroup
+	// room holds a token once a connection has ended, or has parked
+	// while accept waits at the cap; done is closed by Close. Accept
+	// waits on both outside the lock, and handlers put the token
+	// without blocking.
+	room chan struct{}
+	done chan struct{}
 	// waiting is set while accept waits at the cap; only then does a
-	// parking handler take the lock, to signal room.
+	// parking handler put the token.
 	waiting atomic.Bool
 }
 
@@ -83,12 +90,12 @@ func Serve(ln net.Listener, cfg ServerConfig, newHandler func(*Conn) Handler) *S
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = DefaultIdleTimeout
 	}
-	s := &Server{ln: ln, cfg: cfg, newHandler: newHandler, live: make(map[*Conn]struct{})}
+	s := &Server{ln: ln, cfg: cfg, newHandler: newHandler, live: make(map[*Conn]struct{}),
+		room: make(chan struct{}, 1), done: make(chan struct{})}
 	if ml, ok := ln.(*memListener); ok {
 		ml.t.servers[ml.addr.String()] = s // its connections are served on the dialer's calls
 		return s
 	}
-	s.room.L = &s.mu
 	s.wg.Add(1)
 	go s.accept()
 	return s
@@ -112,7 +119,7 @@ func (s *Server) Close() {
 	for c := range s.live {
 		c.nc.Close()
 	}
-	s.room.Broadcast()
+	close(s.done)
 	s.mu.Unlock()
 	s.ln.Close()
 	s.wg.Wait()
@@ -139,26 +146,41 @@ func (s *Server) accept() {
 // admit adds c to the live set, making room first at the cap. It
 // reports false once the server is closed.
 func (s *Server) admit(c *Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.closed && len(s.live) >= maxServerConns {
-		s.waiting.Store(true) // before the scan: a handler parking after it signals
-		if s.shedLocked() {
-			break
+	defer s.waiting.Store(false)
+	for {
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return false
 		}
-		s.room.Wait()
+		full := len(s.live) >= maxServerConns
+		if full {
+			s.waiting.Store(true) // before the scan: a handler parking after it puts the token
+		}
+		if !full || s.shedLocked() {
+			s.live[c] = struct{}{}
+			s.mu.Unlock()
+			return true
+		}
+		s.mu.Unlock()
+		select {
+		case <-s.room:
+		case <-s.done:
+		}
 	}
-	s.waiting.Store(false)
-	if s.closed {
-		return false
+}
+
+// signalRoom puts the token accept waits for, unless one is there.
+func (s *Server) signalRoom() {
+	select {
+	case s.room <- struct{}{}:
+	default:
 	}
-	s.live[c] = struct{}{}
-	return true
 }
 
 // shedLocked closes the connection parked longest, if one is parked.
 // It fails too when that handler has just received an envelope; the
-// handler signals room when it parks again.
+// handler puts the token when it parks again.
 func (s *Server) shedLocked() bool {
 	var oldest *Conn
 	var since int64
@@ -184,17 +206,15 @@ func (s *Server) serve(c *Conn) {
 		c.nc.Close()
 		s.mu.Lock()
 		delete(s.live, c)
-		s.room.Signal()
 		s.mu.Unlock()
+		s.signalRoom()
 		s.cfg.Handlers.Dec()
 	}()
 	handle := s.newHandler(c)
 	for {
 		c.parked.Store(time.Now().UnixNano()) //determguard:ok orders shedding among accepted sockets; a Transport's servers never run this loop
 		if s.waiting.Load() {
-			s.mu.Lock()
-			s.room.Signal()
-			s.mu.Unlock()
+			s.signalRoom()
 		}
 		if !s.step(c, handle) {
 			return
@@ -204,8 +224,11 @@ func (s *Server) serve(c *Conn) {
 
 // step answers one envelope on c: read it, hand it to handle, write the
 // reply and, if that write fails, call the reply's write-failure hook.
-// It reports whether the connection lives on. The accept loop's
-// connections and the in-process ones (Transport) both run it.
+// A nil or request-class reply is not written: the peer gets an ERROR
+// instead, and the hook runs, since what the handler meant to answer
+// never reaches it. It reports whether the connection lives on. The
+// accept loop's connections and the in-process ones (Transport) both
+// run it, so the model checker explores this rule too.
 func (s *Server) step(c *Conn, handle Handler) bool {
 	env, err := protocol.Read(c.r)
 	if c.parked.Swap(0) == shedMark {
@@ -222,6 +245,19 @@ func (s *Server) step(c *Conn, handle Handler) bool {
 		return false
 	}
 	reply, onWriteFailure := handle(env)
+	if reply == nil || !reply.Type.IsReply() {
+		got := "nil"
+		if reply != nil {
+			got = string(reply.Type)
+		}
+		metrics().badReplies.Inc()
+		s.cfg.Logf("%s: bad reply %s to %s", s.cfg.Name, got, env.Type)
+		reply = protocol.Errorf("%s: no valid reply to %s", s.cfg.Name, env.Type)
+		if onWriteFailure != nil {
+			onWriteFailure()
+			onWriteFailure = nil
+		}
+	}
 	if err := protocol.Write(c, reply); err != nil {
 		s.cfg.Logf("%s: write: %v", s.cfg.Name, err)
 		if onWriteFailure != nil {

@@ -68,8 +68,8 @@ func waitParked(t *testing.T, s *Server, n int) {
 
 // TestServerShedsLongestIdleAtCap: past the connection cap the server
 // closes the connection parked longest to admit a new one; when every
-// connection is mid-dispatch, accept waits until one parks. Close
-// leaves no handler behind.
+// connection is mid-dispatch, accept waits until one parks. Close ends
+// that wait at once, and leaves no handler behind.
 func TestServerShedsLongestIdleAtCap(t *testing.T) {
 	defer func(n int) { maxServerConns = n }(maxServerConns)
 	maxServerConns = 2
@@ -78,15 +78,18 @@ func TestServerShedsLongestIdleAtCap(t *testing.T) {
 	defer Instrument(nil)
 	handlers := reg.Gauge("test_handlers")
 
-	release := make(chan struct{})
+	release, hold := make(chan struct{}), make(chan struct{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Serve(ln, ServerConfig{Name: "test", Logf: t.Logf, Handlers: handlers},
 		Dispatch(func(env *protocol.Envelope) *protocol.Envelope {
-			if env.Name == "block" {
+			switch env.Name {
+			case "block":
 				<-release
+			case "hold":
+				<-hold
 			}
 			return &protocol.Envelope{Type: protocol.TypeAck, Name: env.Name}
 		}))
@@ -134,8 +137,86 @@ func TestServerShedsLongestIdleAtCap(t *testing.T) {
 		t.Fatalf("shed = %d, want 2", got)
 	}
 
-	s.Close()
+	// Close: with both live connections mid-dispatch and accept waiting
+	// at the cap for f, Close closes f at once, before any handler
+	// parks or ends, then waits for the handlers.
+	roundTrip(d, "d") // d parks after the survivor of b and c, so e sheds that one
+	e := dialTest(t, s.Addr())
+	roundTrip(e, "e")
+	d.send(t, "hold")
+	e.send(t, "hold")
+	waitParked(t, s, 0)
+	f := dialTest(t, s.Addr())
+	for deadline := time.Now().Add(2 * time.Second); !s.waiting.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("accept never waited at the cap for f")
+		}
+	}
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	if _, err := f.reply(2 * time.Second); !errors.Is(err, io.EOF) {
+		t.Fatalf("connection waiting at the cap read %v after Close, want EOF", err)
+	}
+	close(hold)
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return after its handlers were released")
+	}
 	if got := handlers.Value(); got != 0 {
 		t.Fatalf("handlers after Close = %d, want 0", got)
+	}
+	if got := reg.Counter("netx_conns_shed_total").Value(); got != 3 {
+		t.Fatalf("shed = %d, want 3", got)
+	}
+}
+
+// TestServerRepliesErrorForBadReply: a handler that answers nil or
+// with a request-class envelope does not reach the wire as such; the
+// peer gets an ERROR, the write-failure hook runs, and
+// netx_bad_replies_total counts it.
+func TestServerRepliesErrorForBadReply(t *testing.T) {
+	reg := obs.NewRegistry()
+	Instrument(reg)
+	defer Instrument(nil)
+	hooks := 0
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Serve(ln, ServerConfig{Name: "test", Logf: t.Logf}, func(*Conn) Handler {
+		return func(env *protocol.Envelope) (*protocol.Envelope, func()) {
+			hook := func() { hooks++ }
+			switch env.Name {
+			case "nil":
+				return nil, hook
+			case "request":
+				return &protocol.Envelope{Type: protocol.TypeMatch}, hook
+			}
+			return &protocol.Envelope{Type: protocol.TypeAck}, hook
+		}
+	})
+	defer s.Close()
+	c := dialTest(t, s.Addr())
+	for _, name := range []string{"nil", "request", "ok"} {
+		c.send(t, name)
+		reply, err := c.reply(2 * time.Second)
+		if err != nil {
+			t.Fatalf("reply to %s: %v", name, err)
+		}
+		want := protocol.TypeError
+		if name == "ok" {
+			want = protocol.TypeAck
+		}
+		if reply.Type != want {
+			t.Errorf("reply to %s = %+v, want %s", name, reply, want)
+		}
+	}
+	s.Close()
+	if got := reg.Counter("netx_bad_replies_total").Value(); got != 2 {
+		t.Errorf("netx_bad_replies_total = %d, want 2", got)
+	}
+	if hooks != 2 {
+		t.Errorf("write-failure hooks run = %d, want 2", hooks)
 	}
 }

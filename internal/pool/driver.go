@@ -24,14 +24,14 @@ import (
 
 // adPool is the ad pool as a negotiator sees it.
 type adPool interface {
-	// acquireLease acquires or renews the leadership lease. version is
-	// the pool-change counter (collector.Store.Version) as of the
-	// reply: unchanged between two reads, no stored ad changed in
-	// between.
-	acquireLease(holder string, ttl int64) (lease collector.Lease, granted bool, version uint64, err error)
+	// acquireLease acquires or renews the leadership lease for
+	// collector.DefaultLeaseTTL. version is the pool-change counter
+	// (collector.Store.Version) as of the reply: unchanged between two
+	// reads, no stored ad changed in between.
+	acquireLease(holder string) (lease collector.Lease, granted bool, version uint64, err error)
 	// version reads that counter again, after a cycle's own writes (a
 	// remote pool rides a lease renewal for it).
-	version(holder string, ttl int64) (uint64, error)
+	version(holder string) (uint64, error)
 	// feed brings eng up to date with the pool's ads.
 	feed(eng *matchmaker.Incremental) error
 	// invalidate withdraws the ad stored under name.
@@ -109,12 +109,12 @@ type localPool struct {
 	sub *collector.Subscription // opened by the first feed
 }
 
-func (p *localPool) acquireLease(holder string, ttl int64) (collector.Lease, bool, uint64, error) {
-	lease, granted, err := p.store.AcquireLease(holder, ttl)
+func (p *localPool) acquireLease(holder string) (collector.Lease, bool, uint64, error) {
+	lease, granted, err := p.store.AcquireLease(holder, 0)
 	return lease, granted, p.store.Version(), err
 }
 
-func (p *localPool) version(string, int64) (uint64, error) { return p.store.Version(), nil }
+func (p *localPool) version(string) (uint64, error) { return p.store.Version(), nil }
 
 // feed is a cycle's read of the pool: expiries are deltas too, so what
 // is due is expired first. (The pump only drains: a full expiry scan
@@ -177,12 +177,12 @@ type remotePool struct {
 	deltas *collector.DeltaAdvertiser
 }
 
-func (p *remotePool) acquireLease(holder string, ttl int64) (collector.Lease, bool, uint64, error) {
-	return p.client.AcquireLeaseSeq(holder, ttl)
+func (p *remotePool) acquireLease(holder string) (collector.Lease, bool, uint64, error) {
+	return p.client.AcquireLeaseSeq(holder, 0)
 }
 
-func (p *remotePool) version(holder string, ttl int64) (uint64, error) {
-	_, _, version, err := p.client.AcquireLeaseSeq(holder, ttl)
+func (p *remotePool) version(holder string) (uint64, error) {
+	_, _, version, err := p.client.AcquireLeaseSeq(holder, 0)
 	return version, err
 }
 
@@ -332,7 +332,7 @@ type CycleResult struct {
 // notified in earlier cycles have left the pool (their requests were
 // withdrawn), so re-notification only reaches matches whose
 // notification failed — the retry.
-func (n *negotiator) cycle(holder string, ttl int64, force bool) (CycleResult, matchmaker.WakeStats) {
+func (n *negotiator) cycle(holder string, force bool) (CycleResult, matchmaker.WakeStats) {
 	n.cycleMu.Lock()
 	defer n.cycleMu.Unlock()
 	start := time.Now()
@@ -343,7 +343,7 @@ func (n *negotiator) cycle(holder string, ttl int64, force bool) (CycleResult, m
 	var stats matchmaker.WakeStats
 
 	if holder != "" {
-		lease, granted, version, err := n.pool.acquireLease(holder, ttl)
+		lease, granted, version, err := n.pool.acquireLease(holder)
 		if err != nil {
 			// Pool unreachable: we cannot prove we still hold the lease,
 			// so behave as a standby and match nothing.
@@ -440,7 +440,7 @@ func (n *negotiator) cycle(holder string, ttl int64, force bool) (CycleResult, m
 		// post-cycle pool. A third-party write racing this read is
 		// absorbed into the baseline; the caller's periodic force is
 		// the safety net, like the in-process fallback rebuild.
-		after, err := n.pool.version(holder, ttl)
+		after, err := n.pool.version(holder)
 		n.settled, n.settledKnown = after, err == nil
 	}
 	return res, stats

@@ -46,8 +46,7 @@ type Manager struct {
 	// before each cycle and stamps the lease epoch into MATCH
 	// notifications, so it coexists safely with standby
 	// NegotiatorDaemons pointed at the same collector.
-	haName   string
-	leaseTTL int64
+	haName string
 }
 
 // ManagerConfig tunes a Manager.
@@ -97,10 +96,6 @@ type ManagerConfig struct {
 	// notifications; a cycle without the lease is a standby no-op.
 	// Leave empty for the classic single-negotiator pool.
 	HAName string
-	// LeaseTTL is the leadership lease duration in pool-clock seconds
-	// (0 selects collector.DefaultLeaseTTL). Only meaningful with
-	// HAName.
-	LeaseTTL int64
 }
 
 // NewManager builds a pool manager.
@@ -125,12 +120,11 @@ func NewManager(cfg ManagerConfig) *Manager {
 		neg.dialer = cfg.Dialer
 	}
 	m := &Manager{
-		store:    store,
-		local:    local,
-		neg:      neg,
-		logf:     cfg.Logf,
-		haName:   cfg.HAName,
-		leaseTTL: cfg.LeaseTTL,
+		store:  store,
+		local:  local,
+		neg:    neg,
+		logf:   cfg.Logf,
+		haName: cfg.HAName,
 	}
 	if cfg.Obs != nil {
 		neg.instrument(cfg.Obs)
@@ -213,7 +207,7 @@ func (m *Manager) RunCycle() CycleResult {
 // process that hosts the collector, adds the collector's health ad to
 // the self-ads the cycle published.
 func (m *Manager) cycle() (CycleResult, matchmaker.WakeStats) {
-	res, stats := m.neg.cycle(m.haName, m.leaseTTL, true)
+	res, stats := m.neg.cycle(m.haName, true)
 	if !res.Standby && m.neg.obs != nil {
 		name := m.haName
 		if name == "" {

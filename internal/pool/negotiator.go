@@ -34,9 +34,6 @@ import (
 type NegotiatorDaemon struct {
 	// Name identifies this negotiator in leader election.
 	Name string
-	// LeaseTTL is the requested lease duration in pool-clock seconds
-	// (0 for the collector's default).
-	LeaseTTL int64
 	// PeerState, when set, is the base URL of the peer negotiator's
 	// state endpoint (http://host:port); a standby pulls /state from
 	// it each tick for warm handoff.
@@ -114,7 +111,7 @@ func (d *NegotiatorDaemon) Usage() *matchmaker.PriorityTable { return d.neg.mm.U
 // period — and should do so at least a few times per lease TTL so
 // renewal outpaces expiry.
 func (d *NegotiatorDaemon) Tick(force bool) CycleResult {
-	res, _ := d.neg.cycle(d.Name, d.LeaseTTL, force)
+	res, _ := d.neg.cycle(d.Name, force)
 	if res.Standby {
 		d.syncFromPeer()
 	}

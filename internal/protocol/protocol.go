@@ -94,6 +94,31 @@ const (
 	TypeLeaseReply MsgType = "LEASE_REPLY"
 )
 
+// Types lists every message type in declaration order.
+// TestMsgTypeListInSync re-reads this file's constants, so a type
+// declared above and missing here fails it.
+var Types = []MsgType{
+	TypeAdvertise, TypeInvalidate, TypeUpdateDelta, TypeQuery, TypeQueryReply,
+	TypeMatch, TypeClaim, TypeClaimReply, TypeRelease, TypePreempt,
+	TypeChallenge, TypeChalReply, TypeAck, TypeError, TypeSubmit,
+	TypeSysOpen, TypeSysFd, TypeSysRead, TypeSysData, TypeSysWrite,
+	TypeSysTrunc, TypeSysClose, TypeCkptSave, TypeCkptLoad, TypeCkptData,
+	TypeJobDone, TypeLease, TypeLeaseReply,
+}
+
+// IsReply reports whether t answers an exchange rather than opening
+// one. A server writes only replies: netx.Server turns any other
+// answer into an ERROR.
+func (t MsgType) IsReply() bool {
+	switch t {
+	case TypeQueryReply, TypeClaimReply, TypeChalReply, TypeAck, TypeError,
+		TypeSysFd, TypeSysData, TypeCkptData, TypeLeaseReply:
+		return true
+	default:
+		return false
+	}
+}
+
 // Idempotent reports whether delivering an envelope of type t twice
 // has the effect of delivering it once (DESIGN.md, "Failure
 // semantics"): only these exchanges are retried or replayed after a

@@ -38,7 +38,6 @@ import (
 	"repro/internal/collector"
 	"repro/internal/matchmaker"
 	"repro/internal/pool"
-	"repro/internal/remote"
 	"repro/internal/sim"
 )
 
@@ -252,19 +251,3 @@ func NewQueueScheduler(env *Env) SimScheduler { return baseline.New(env) }
 
 // NewIntrusiveQueueScheduler builds the policy-blind baseline variant.
 func NewIntrusiveQueueScheduler(env *Env) SimScheduler { return baseline.NewIntrusive(env) }
-
-// ---- remote execution substrate (WantRemoteSyscalls/WantCheckpoint) ----
-
-// FileStore is the shadow-side file system: the customer's files.
-type FileStore = remote.FileStore
-
-// Shadow serves a running job's remote syscalls and checkpoints.
-type Shadow = remote.Shadow
-
-// NewFileStore returns an empty shadow-side file store.
-func NewFileStore() *FileStore { return remote.NewFileStore() }
-
-// NewShadow builds a shadow over a file store.
-func NewShadow(fs *FileStore, logf func(string, ...any)) *Shadow {
-	return remote.NewShadow(fs, logf)
-}

@@ -1,7 +1,7 @@
 package analyzers
 
 // A lightweight static call graph over the loaded module packages.
-// Edges are resolved through types.Info.Uses/Selections, so calls
+// Edges are resolved through types.Info.Uses, so calls
 // follow across files and packages regardless of import aliasing.
 // Interface method calls get CHA-lite edges: every concrete method of
 // a module type that implements the interface is a possible callee.

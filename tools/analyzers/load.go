@@ -194,12 +194,9 @@ func (l *loader) check(path string, files []File) (*types.Package, *types.Info, 
 		Error:    func(err error) { errs = append(errs, err) },
 	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	asts := make([]*ast.File, len(files))
 	for i, f := range files {
@@ -214,8 +211,8 @@ func (l *loader) check(path string, files []File) (*types.Package, *types.Info, 
 
 // load type-checks the module package at the given import path
 // (memoized). The primary package includes its in-package test files:
-// they type-check together exactly as `go test` compiles them, and the
-// analyzers legitimately inspect them (msgswitch runs on tests).
+// they type-check together exactly as `go test` compiles them, and
+// determguard follows the model checker's test drivers through them.
 func (l *loader) load(path string) (*Package, error) {
 	if pkg, ok := l.pkgs[path]; ok {
 		return pkg, nil

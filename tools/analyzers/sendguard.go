@@ -72,6 +72,12 @@ func sendguardReachable(prog *Program) map[*types.Func]bool {
 	return r
 }
 
+// isHandlerName matches the repo's handler naming convention.
+func isHandlerName(name string) bool {
+	lower := strings.ToLower(name)
+	return strings.HasPrefix(lower, "handle") || strings.HasPrefix(lower, "dispatch")
+}
+
 // sigTouchesEnvelope reports whether the signature carries a
 // protocol.Envelope (or pointer to one) in a parameter or result.
 func sigTouchesEnvelope(fn *types.Func) bool {

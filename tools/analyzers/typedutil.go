@@ -18,12 +18,6 @@ func (p *Pass) use(id *ast.Ident) types.Object {
 	return p.Pkg.Info.Uses[id]
 }
 
-// isPkgObj reports whether obj is the named top-level object of the
-// package with exactly the given import path (stdlib packages).
-func isPkgObj(obj types.Object, pkgPath, name string) bool {
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
 // fromPkg reports whether obj belongs to the package with the given
 // import path.
 func fromPkg(obj types.Object, pkgPath string) bool {
@@ -72,24 +66,6 @@ func (p *Pass) typeOf(e ast.Expr) types.Type {
 		return nil
 	}
 	return p.Pkg.Info.Types[e].Type
-}
-
-// lastObj resolves the trailing object of a receiver chain: the
-// variable for `mu`, the field for `s.d.mu`, unwrapping parens,
-// unary operators and index expressions. Returns nil for anything it
-// cannot pin to one object.
-func lastObj(info *types.Info, e ast.Expr) types.Object {
-	switch n := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return info.Uses[n]
-	case *ast.SelectorExpr:
-		return info.Uses[n.Sel]
-	case *ast.UnaryExpr:
-		return lastObj(info, n.X)
-	case *ast.IndexExpr:
-		return lastObj(info, n.X)
-	}
-	return nil
 }
 
 // msgConstName resolves an expression to the canonical protocol
