@@ -3,7 +3,7 @@
 #   make verify       lint + vet + build + race-enabled shuffled tests + bench-smoke (the PR gate)
 #   make test         tier-1 check as ROADMAP.md defines it
 #   make test-short   the fast loop: -short skips chaos/simulation soak tests
-#   make lint         go vet + repo-invariant analyzers + cadlint over shipped ads + lint-codes
+#   make lint         gofmt + go vet + repo-invariant analyzers + cadlint over shipped ads + lint-codes
 #   make lint-codes   DESIGN.md CAD/MC-code/analyzer/Bounds/ledger tables must match the source
 #   make lint-fix-list machine-readable analyzer findings: file:line: code
 #   make mc-short     exhaustive model check of the canonical small pool (the verify-depth run)
@@ -42,16 +42,19 @@ verify: lint mc-short bench-smoke
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# All static analysis in one target: go vet, the custom invariant
+# All static analysis in one target: gofmt (any file `gofmt -l` lists
+# fails the target), go vet, the custom invariant
 # analyzers (tools/analyzers, typed framework v2: nodial, obsguard,
 # lockguard, fsyncguard, tracectx, epochguard, determguard, sendguard)
 # over every package, the ClassAd linter over every ad we ship, and the
 # docs/code sync gate.
 # The analyzer driver prints a per-analyzer timing summary and fails
 # past its 30s budget. The intentionally broken fixtures live under
-# testdata/lint/ and tools/analyzers/testdata/, which none of these
-# reach.
+# testdata/lint/ and tools/analyzers/testdata/, which only gofmt reaches
+# (they break analyzer rules, not formatting).
 lint: lint-codes
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that are not gofmt-clean:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./tools/analyzers/cmd ./...
 	$(GO) run ./cmd/cadlint testdata/*.ad examples/ads/*.ad

@@ -190,14 +190,14 @@ func TestProvablyNeverTrue(t *testing.T) {
 		expr string
 		want bool
 	}{
-		{`other.Memory >= self.Memory`, true},  // 512 >= 2048: false
-		{`other.Memory >= 100`, false},         // true
-		{`other.Gpus >= 1`, true},              // undefined
-		{`random(10) < 100`, false},            // impure
-		{`5`, false},                           // non-zero number coerces true in &&
-		{`0`, true},                            // zero never coerces true
-		{`"str"`, true},                        // non-coercible type
-		{`time() > 0 && false`, true},          // domination: folds to false, pure
+		{`other.Memory >= self.Memory`, true}, // 512 >= 2048: false
+		{`other.Memory >= 100`, false},        // true
+		{`other.Gpus >= 1`, true},             // undefined
+		{`random(10) < 100`, false},           // impure
+		{`5`, false},                          // non-zero number coerces true in &&
+		{`0`, true},                           // zero never coerces true
+		{`"str"`, true},                       // non-coercible type
+		{`time() > 0 && false`, true},         // domination: folds to false, pure
 	}
 	for _, tc := range tests {
 		e, err := classad.ParseExpr(tc.expr)

@@ -6,8 +6,9 @@ package matchmaker
 // engine's assignment, fair-share charges, and forensic verdicts are
 // compared against the naive oracle (oracle_test.go) over the same
 // live ads. The same harness, with Hooks.DropDirtyNotification,
-// Hooks.StaleOrderOnInsert or Hooks.StopBeforeTies on, must
-// mechanically rediscover the mutant.
+// Hooks.StaleOrderOnInsert, Hooks.StopBeforeTies or
+// Hooks.SkipRankListUpdate on, must mechanically rediscover the
+// mutant.
 
 import (
 	"fmt"
@@ -416,6 +417,12 @@ func TestIncrementalDifferential(t *testing.T) {
 			if w.ixBuilds < 2 {
 				t.Fatalf("offer index built %d time(s); the run never crossed the rebuild threshold", w.ixBuilds)
 			}
+			// Jobs with Rank other.Mips walk its rank list; jobs without
+			// a Rank take the rank pass.
+			if m := w.eng.Matchmaker(); m.mRankWalks.Value() == 0 || m.mRankPasses.Value() == 0 {
+				t.Fatalf("%d scans walked a rank list and %d took the rank pass; both must occur",
+					m.mRankWalks.Value(), m.mRankPasses.Value())
+			}
 		})
 	}
 }
@@ -468,6 +475,22 @@ func TestIncrementalDifferentialRediscoversStopBeforeTies(t *testing.T) {
 		}
 	}
 	t.Fatalf("StopBeforeTies mutant survived the differential suite on every seed")
+}
+
+// TestIncrementalDifferentialRediscoversStaleRank seeds the
+// SkipRankListUpdate mutant — a changed offer keeps its old rank on
+// the rank lists — and demands the differential suite catch it.
+func TestIncrementalDifferentialRediscoversStaleRank(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		w := newDiffWorld(t, seed)
+		w.eng.Hooks.SkipRankListUpdate = true
+		w.run(diffSteps(t))
+		if len(w.diffs) > 0 {
+			t.Logf("seed %d: mutant rediscovered after %d steps: %s", seed, w.step, w.diffs[0])
+			return
+		}
+	}
+	t.Fatalf("SkipRankListUpdate mutant survived the differential suite on every seed")
 }
 
 func joinLines(lines []string) string {

@@ -6,21 +6,29 @@ package matchmaker
 // the scan finds the winner without trying every candidate's
 // constraints. It runs in three steps:
 //
-//  1. Rank pass: the request's Rank of every available candidate,
-//     sharded across the CPUs like any long list.
-//  2. Sort: the candidates by request rank descending, then view
-//     position ascending, in memory kept between scans.
+//  1. Order: the candidates by request rank descending. A request
+//     whose Rank residual depends on the offer alone reads the order
+//     from the offer index's rank list for that residual
+//     (ranklist.go); any other request, and a candidate set too small
+//     to repay a walk down a list as long as the pool, takes the rank
+//     pass: the request's Rank of every available candidate, sharded
+//     across the CPUs like any long list, then a sort by rank and view
+//     position in memory kept between scans.
+//  2. Filter: a walk down a rank list passes over the slots the
+//     request's candidate set does not hold, dead slots and offers
+//     already taken; the rank pass ranks only candidates to begin with.
 //  3. Walk: the candidates' constraints in that order, each try handed
-//     the rank the order was built from. Once a candidate matches at
-//     request rank r*, the walk finishes the rest of the r* run (where
-//     better()'s claimed, offer-rank and position tie-breaks act) and
-//     stops: every later candidate ranks below the match and loses to
-//     it whatever its constraints say. With an incumbent the walk stops
-//     at the first candidate ranked below the incumbent.
+//     the rank the order holds. Once a candidate matches at request
+//     rank r*, the walk finishes the rest of the r* run (where
+//     better()'s claimed, offer-rank and position tie-breaks act, so
+//     the order inside a run is free) and stops: every later candidate
+//     ranks below the match and loses to it whatever its constraints
+//     say. With an incumbent the walk stops at the first candidate
+//     ranked below the incumbent.
 //
 // The result is better()'s maximum over every candidate, for any Rank
 // expression (pinned against the unordered scan in scan_test.go and
-// against the naive oracle by quick_test.go). A request that matches
+// ranklist_test.go, and against the naive oracle by quick_test.go). A request that matches
 // nothing still tries every candidate: the walk takes the order in
 // blocks that start at firstWalkBlock and double, and a block of
 // minParallelScan or more is sharded across the CPUs, each shard
@@ -32,7 +40,8 @@ package matchmaker
 //
 // Shared state during one scan is read-only: the request and offer ads
 // (never mutated after construction), the availability vector (only
-// mutated between requests), and the Env (both constructors guard
+// mutated between requests), the rank list (settled before its walk
+// begins), and the Env (both constructors guard
 // their random stream with a mutex, giving each worker a race-free
 // view). Each shard writes only its own stretch of the rank order.
 // -race runs of the differential and stress suites enforce this.
@@ -209,15 +218,30 @@ func (ev evaluator) scanOffers(req *classad.Ad, offers []*classad.Ad, cand []int
 		wg.Wait()
 	}
 	slices.SortFunc(order, byRank)
-
-	for lo, size := 0, firstWalkBlock; lo < len(order) && !ev.done(best, order[lo].rank); size *= 2 {
-		hi := min(lo+size, len(order))
-		var tried int
-		best, tried = ev.walkBlock(req, offers, order[lo:hi], best)
-		cost.tried += tried
-		lo = hi
-	}
+	best, cost.tried = ev.walkOrder(req, offers, best, func(n int) []ranked {
+		block := order[:min(n, len(order))]
+		order = order[len(block):]
+		return block
+	})
 	return best, cost
+}
+
+// walkOrder walks a rank order from the incumbent best, in blocks that
+// start at firstWalkBlock entries and double: next returns the order's
+// next entries, at most n of them, and none at its end. It stops at
+// the first block whose head cannot beat what the walk holds, and
+// returns the winner (or best) and how many pairs it tried.
+func (ev evaluator) walkOrder(req *classad.Ad, offers []*classad.Ad, best candidate, next func(n int) []ranked) (candidate, int) {
+	tried := 0
+	for size := firstWalkBlock; ; size *= 2 {
+		block := next(size)
+		if len(block) == 0 || ev.done(best, block[0].rank) {
+			return best, tried
+		}
+		var t int
+		best, t = ev.walkBlock(req, offers, block, best)
+		tried += t
+	}
 }
 
 // rank fills in the request's Rank of each entry's offer.

@@ -2,16 +2,19 @@ package modelcheck
 
 // Delivery-order schedule exploration for the event-driven engine
 // (the modelcheck half of the DropDirtyNotification,
-// StaleOrderOnInsert and StopBeforeTies rediscoveries): a small pool's
-// delta streams are delivered in every interleaving and every wake
-// batching, and the engine's final assignment must equal a
+// StaleOrderOnInsert, StopBeforeTies and SkipRankListUpdate
+// rediscoveries): a small pool's delta streams are delivered in every
+// interleaving and every wake batching, and the engine's final
+// assignment must equal a
 // from-scratch negotiation on every schedule. The dropped-wake mutant
 // survives some schedules — the ones where the change lands in the
 // same wake as the ad it patches — the stale-order mutant survives the
 // ones that deliver offers in key order, and the stop-before-ties
 // mutant survives the ones where the job settles on c before its
-// equal-rank twin b arrives, which is exactly why a fixed-order test
-// cannot pin these bugs and an exhaustive schedule walk can.
+// equal-rank twin b arrives, and the stale-rank mutant survives the
+// ones where a shrinks before the job's first wake builds its rank
+// list, which is exactly why a fixed-order test cannot pin these bugs
+// and an exhaustive schedule walk can.
 
 import (
 	"fmt"
@@ -29,11 +32,11 @@ func eventAd(src string) *classad.Ad { return classad.MustParse(src) }
 // is the interleaving across streams and where wakes fall.
 func eventStreams() [][]matchmaker.AdDelta {
 	return [][]matchmaker.AdDelta{
-		{ // machine a appears big, then shrinks
+		{ // machine a appears big, then shrinks to tie b and c
 			{Kind: matchmaker.AdOffer, Key: "a",
 				Ad: eventAd(`[Name = "a"; Type = "Machine"; Memory = 64; Constraint = true; Rank = 0]`)},
 			{Kind: matchmaker.AdOffer, Key: "a",
-				Ad: eventAd(`[Name = "a"; Type = "Machine"; Memory = 16; Constraint = true; Rank = 0]`)},
+				Ad: eventAd(`[Name = "a"; Type = "Machine"; Memory = 32; Constraint = true; Rank = 0]`)},
 		},
 		{ // machine b is steady
 			{Kind: matchmaker.AdOffer, Key: "b",
@@ -169,8 +172,9 @@ func TestDeliveryScheduleConvergence(t *testing.T) {
 // TestDeliveryScheduleRediscoversMutants: with any engine mutant
 // seeded — DropDirtyNotification (a content change to a known offer is
 // discarded), StaleOrderOnInsert (a new offer is filed at the tail of
-// the ordered list, not at its key) or StopBeforeTies (the scan's walk
-// ends at its first match, before the rest of that rank run) — there
+// the ordered list, not at its key), StopBeforeTies (the scan's walk
+// ends at its first match, before the rest of that rank run) or
+// SkipRankListUpdate (a changed offer keeps its old rank) — there
 // EXISTS a schedule whose final state diverges, and also schedules that
 // mask the bug, which is why the exhaustive walk (not one lucky order)
 // is the test.
@@ -182,6 +186,7 @@ func TestDeliveryScheduleRediscoversMutants(t *testing.T) {
 		"DropDirtyNotification": {DropDirtyNotification: true},
 		"StaleOrderOnInsert":    {StaleOrderOnInsert: true},
 		"StopBeforeTies":        {StopBeforeTies: true},
+		"SkipRankListUpdate":    {SkipRankListUpdate: true},
 	} {
 		diverged, agreed := 0, 0
 		var witness string
