@@ -84,8 +84,10 @@ func (g *groundChecker) ground(e Expr) bool {
 		}
 		return true
 	case adExpr:
-		// A nested ad literal is a value as-is.
-		return true
+		// A nested ad literal's attributes are evaluated in the match,
+		// with the other ad in scope, and may call impure builtins: a
+		// fold against self alone would freeze what they read there.
+		return false
 	case selectExpr:
 		return g.ground(n.base)
 	case indexExpr:

@@ -93,6 +93,17 @@ func TestPartialEvalImpureStaysSymbolic(t *testing.T) {
 	}
 }
 
+// A nested ad literal reads the other ad and the clock when the match
+// evaluates it, so partial evaluation leaves it symbolic.
+func TestPartialEvalNestedAdStaysSymbolic(t *testing.T) {
+	ad := MustParse(`[ Memory = 64 ]`)
+	for _, src := range []string{"[ a = other.Disk ].a", "other.Memory >= [ a = other.Disk ].a", "[ t = time() ].t > 100"} {
+		if got := partial(t, src, ad); got != src {
+			t.Errorf("%s rewritten to %q", src, got)
+		}
+	}
+}
+
 func TestPartialEvalCycleStaysSymbolic(t *testing.T) {
 	ad := MustParse(`[ a = b; b = a ]`)
 	got := partial(t, "a + 1", ad)
