@@ -110,8 +110,8 @@ vet:
 # detector — the recovery path is the one place a data race and a
 # torn write can conspire.
 crash:
-	$(GO) test -race -count=1 -run 'TestCrash|TestDurableStoreCrashPoints|TestUsageLedgerCrashPoints' \
-		./internal/store ./internal/collector ./internal/matchmaker
+	$(GO) test -race -count=1 -run 'TestCrash|TestDurableStoreCrashPoints' \
+		./internal/store ./internal/collector
 
 # Every fuzz target in the tree, FUZZTIME each (go test -fuzz takes one
 # target in one package per run, hence the loop): today the wire

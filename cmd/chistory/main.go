@@ -1,15 +1,15 @@
 // Command chistory browses a pool manager's match-history log. Match
 // records are classads (one per line, written by cpool -history), so
 // the same one-way query language that browses machines browses the
-// accounting log. With -ledger it instead reads a negotiator's durable
-// fair-share ledger (cpool/cnegotiator -usage-dir): the replayed
-// accounting table plus the journal's own statistics.
+// accounting log. The fair-share table itself is in the collector, in
+// the negotiators' own ads:
+//
+//	cstatus -constraint 'other.Type == "Negotiator"' -long
 //
 // Usage:
 //
 //	chistory [-constraint 'EXPR'] [-long] history.log
 //	chistory -constraint 'other.Customer == "raman"' history.log
-//	chistory -ledger /var/pool/usage
 package main
 
 import (
@@ -18,18 +18,12 @@ import (
 	"os"
 
 	"repro/internal/classad"
-	"repro/internal/matchmaker"
 )
 
 func main() {
 	constraint := flag.String("constraint", "true", "query constraint over other.*")
 	long := flag.Bool("long", false, "print whole records")
-	ledgerDir := flag.String("ledger", "", "read a durable usage ledger from this directory instead of a history file")
 	flag.Parse()
-	if *ledgerDir != "" {
-		showLedger(*ledgerDir)
-		return
-	}
 	if flag.NArg() != 1 {
 		fatalf("exactly one history file expected")
 	}
@@ -68,26 +62,6 @@ func main() {
 			rec.Eval("RequestRank").RankVal(), rec.Eval("OfferRank").RankVal())
 	}
 	fmt.Printf("%d of %d record(s)\n", matched, len(records))
-}
-
-// showLedger replays a durable usage ledger and prints the fair-share
-// table it reconstructs, with the journal's shape (generation, records
-// since the last snapshot) so an operator can see compaction working.
-func showLedger(dir string) {
-	ledger, err := matchmaker.OpenUsageLedger(dir, nil)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	defer ledger.Close()
-	table := ledger.Table()
-	customers := table.Customers()
-	fmt.Printf("%-20s %12s\n", "CUSTOMER", "USAGE")
-	for _, c := range customers {
-		fmt.Printf("%-20s %12.4f\n", c, table.Effective(c))
-	}
-	stats := ledger.Stats()
-	fmt.Printf("%d customer(s); journal gen %d, %d record(s) replayed, %d since last snapshot\n",
-		len(customers), stats.Gen, stats.RecoveredRecords, stats.SinceSnapshot)
 }
 
 func str(ad *classad.Ad, attr string) string {

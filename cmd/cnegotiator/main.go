@@ -3,22 +3,22 @@
 // -ha-name) for a highly available matchmaker: each heartbeat they
 // compete for the leadership lease the collector arbitrates, the
 // winner negotiates and stamps its lease epoch into every MATCH, and
-// the loser stands by, warm-syncing the leader's fair-share ledger so
-// a takeover starts with up-to-date accounting. The paper's soft-state
-// design (§4.3) does the rest: everything else a dead negotiator knew
-// is rebuilt from the agents' periodic advertisements.
+// the loser stands by. The leader publishes the fair-share table in
+// its Negotiator ad at the end of every cycle, and a negotiator that
+// takes over loads it from the collector, so a takeover starts with
+// every charge of the dead leader's last published cycle. The paper's
+// soft-state design (§4.3) does the rest: everything else a dead
+// negotiator knew is rebuilt from the agents' periodic advertisements.
 //
 // Usage:
 //
-//	cnegotiator -name nego-1 -pool HOST:9618 [-period SECONDS] [-usage-dir DIR]
-//	            [-state ADDR] [-peer http://HOST:PORT] [-fallback-heartbeats N]
+//	cnegotiator -name nego-1 -pool HOST:9618 [-period SECONDS] [-fallback-heartbeats N]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"os/signal"
 	"time"
@@ -37,9 +37,6 @@ func main() {
 	fallbackEvery := flag.Int64("fallback-heartbeats", 10, "force a negotiation every N heartbeats even if the collector's pool-change counter has not moved (0: never)")
 	fairShare := flag.Bool("fairshare", true, "order customers by past usage")
 	aggregate := flag.Bool("aggregate", false, "enable group matching over regular ads")
-	usageDir := flag.String("usage-dir", "", "persist fair-share accounting as a durable ledger in this directory")
-	stateAddr := flag.String("state", "", "serve the warm-handoff state endpoint on this address")
-	peer := flag.String("peer", "", "peer negotiator's state URL (http://host:port) to warm-sync from while standby")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address")
 	verbose := flag.Bool("v", false, "log every tick")
 	flag.Parse()
@@ -48,19 +45,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var ledger *matchmaker.UsageLedger
-	if *usageDir != "" {
-		var err error
-		ledger, err = matchmaker.OpenUsageLedger(*usageDir, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cnegotiator: opening usage ledger: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	d := pool.NewNegotiatorDaemon(*name, &collector.Client{Addr: *poolAddr}, ledger,
+	d := pool.NewNegotiatorDaemon(*name, &collector.Client{Addr: *poolAddr},
 		matchmaker.Config{FairShare: *fairShare, Aggregate: *aggregate})
-	defer d.Close()
-	d.PeerState = *peer
 	if *verbose {
 		d.Logf = log.Printf
 	}
@@ -75,14 +61,6 @@ func main() {
 		}
 		defer ds.Close()
 		log.Printf("cnegotiator: debug endpoint on http://%s", ds.Addr())
-	}
-	if *stateAddr != "" {
-		ln, err := net.Listen("tcp", *stateAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cnegotiator: state endpoint: %v\n", err)
-			os.Exit(2)
-		}
-		log.Printf("cnegotiator: state endpoint on http://%s", d.ServeState(ln))
 	}
 	log.Printf("cnegotiator: %s heartbeating %s every %ds", *name, *poolAddr, *period)
 

@@ -2,12 +2,12 @@
 // periodic negotiation cycle (paper §4). It is the only always-on
 // service the framework needs, and it is stateless with respect to
 // matches: restarting it loses nothing but the in-flight cycle. With
-// -store-dir the soft state (advertisements, the leadership lease)
-// survives a restart; -usage-dir is the one way to keep fair-share
-// accounting across restarts, as a journaled ledger that standbys
-// pull and chistory -ledger reads. With -ha-name the manager's
-// negotiator half takes part in leader election against standby
-// cnegotiator processes.
+// -store-dir the store survives a restart: advertisements, the
+// leadership lease, and the Negotiator ad each cycle publishes, which
+// carries the fair-share usage a restarted negotiator loads back
+// (cstatus -constraint 'other.Type == "Negotiator"' -long shows it).
+// With -ha-name the manager's negotiator half takes part in leader
+// election against standby cnegotiator processes.
 //
 // With -period 0 the manager goes event-driven: negotiation sleeps on
 // the ad store's change feed and wakes only when an advertisement
@@ -17,7 +17,7 @@
 // Usage:
 //
 //	cpool [-listen ADDR] [-period SECONDS] [-fairshare] [-aggregate] [-debug-addr ADDR]
-//	cpool -store-dir /var/pool/collector -usage-dir /var/pool/usage -ha-name mgr
+//	cpool -store-dir /var/pool/collector -ha-name mgr
 //	cpool -period 0 [-fallback SECONDS]              # event-driven negotiation
 //	cpool -collector-only                            # no local negotiation; cnegotiator pair matches
 package main
@@ -46,8 +46,7 @@ func main() {
 	fairShare := flag.Bool("fairshare", true, "order customers by past usage")
 	aggregate := flag.Bool("aggregate", false, "enable group matching over regular ads")
 	historyFile := flag.String("history", "", "append match records (classads) to this file")
-	storeDir := flag.String("store-dir", "", "persist the ad store (WAL + snapshots) in this directory")
-	usageDir := flag.String("usage-dir", "", "persist fair-share accounting as a durable ledger in this directory (without it, usage history dies with the process)")
+	storeDir := flag.String("store-dir", "", "persist the ad store (WAL + snapshots), fair-share usage included, in this directory")
 	haName := flag.String("ha-name", "", "enroll in negotiator leader election under this name")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address")
 	verbose := flag.Bool("v", false, "log every cycle")
@@ -80,14 +79,6 @@ func main() {
 		}
 		log.Printf("cpool: ad store in %s: %d ad(s) recovered", *storeDir, store.Len())
 		cfg.Store = store
-	}
-	if *usageDir != "" {
-		ledger, err := matchmaker.OpenUsageLedger(*usageDir, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpool: opening usage ledger: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Ledger = ledger
 	}
 	if history != nil {
 		cfg.History = history

@@ -125,14 +125,27 @@ func TestDurableStoreCrashPoints(t *testing.T) {
 	// Sweep every mutating filesystem op of a fixed workload; after
 	// each crash a clean reopen must hold exactly the acknowledged
 	// updates (invalidations are weakly consistent; this workload has
-	// none).
+	// none). Beside the machines, a negotiator republishes its ad with
+	// one more unit of fair-share usage each time, for an owner whose
+	// name is no ClassAd identifier: the collector is usage's only
+	// durable home, so the last acknowledged charge must survive too.
+	negotiator := func(units int) *classad.Ad {
+		return mkAd(t, "negotiator@pool", "Negotiator", fmt.Sprintf(
+			`UsageAsOf = 1000; Usage = { [ Customer = "alice@cs.wisc.edu"; Usage = %d.0 ] }`, units))
+	}
+	var charged int // units in the last acknowledged Negotiator ad
 	workload := func(s *Store) (acked []string) {
+		charged = 0
 		for i := 0; i < 6; i++ {
 			name := fmt.Sprintf("m%d", i)
 			if err := s.Update(mkAd(t, name, "Machine", "Memory = 1"), 0); err != nil {
 				return acked
 			}
 			acked = append(acked, name)
+			if err := s.Update(negotiator(i+1), 0); err != nil {
+				return acked
+			}
+			charged = i + 1
 		}
 		return acked
 	}
@@ -164,6 +177,16 @@ func TestDurableStoreCrashPoints(t *testing.T) {
 		for _, name := range acked {
 			if _, ok := s2.Lookup(name); !ok {
 				t.Errorf("crash@%d: acknowledged ad %s lost", k, name)
+			}
+		}
+		if charged > 0 {
+			ad, ok := s2.Lookup("negotiator@pool")
+			if !ok {
+				t.Fatalf("crash@%d: acknowledged Negotiator ad lost", k)
+			}
+			units, _ := classad.EvalString("Usage[0].Usage", ad)
+			if u := units.RankVal(); u < float64(charged) {
+				t.Errorf("crash@%d: recovered %g units of usage, %d were acknowledged", k, u, charged)
 			}
 		}
 		s2.Close()

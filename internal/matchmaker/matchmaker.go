@@ -166,10 +166,9 @@ func (m *Matchmaker) Forensics() *Forensics { return m.forensics }
 // Usage exposes the fair-share accounting table.
 func (m *Matchmaker) Usage() *PriorityTable { return m.usage }
 
-// SetUsage replaces the fair-share table — the hook a durable
-// negotiator uses to charge usage against a ledger-backed table
-// (ledger.go) instead of the default in-memory one. Call before the
-// first cycle.
+// SetUsage replaces the fair-share table, so several matchmakers can
+// charge one table (the model checker's negotiators do). Call before
+// the first cycle.
 func (m *Matchmaker) SetUsage(t *PriorityTable) {
 	if t != nil {
 		m.usage = t

@@ -1,8 +1,6 @@
 package matchmaker
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -26,10 +24,6 @@ type PriorityTable struct {
 	// halfLife is the decay half-life in the same units as now
 	// (seconds by convention). Zero disables decay.
 	halfLife float64
-	// journal, when set (ledger.go), receives every mutation while the
-	// table lock is held, preserving the exact order replay must
-	// reproduce. It must not call back into the table.
-	journal func(usageRecord)
 }
 
 // DefaultHalfLife is the usage half-life used by deployed pools: one
@@ -50,11 +44,6 @@ func (t *PriorityTable) SetHalfLife(h float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.halfLife = h
-	if t.journal != nil {
-		// Journaled so replay decays with the policy that was actually
-		// in force, not the default.
-		t.journal(usageRecord{Op: usageOpHalfLife, Amount: h, Now: t.now})
-	}
 }
 
 // Advance moves the table's clock forward to now (no-op if now is in
@@ -93,9 +82,6 @@ func (t *PriorityTable) Record(customer string, amount float64) {
 	defer t.mu.Unlock()
 	t.decayLocked(customer)
 	t.usage[customer] += amount
-	if t.journal != nil {
-		t.journal(usageRecord{Op: usageOpRecord, Customer: customer, Amount: amount, Now: t.now})
-	}
 }
 
 // Effective returns the decayed usage of customer; lower is better
@@ -134,76 +120,33 @@ func (t *PriorityTable) Reset() {
 	defer t.mu.Unlock()
 	t.usage = make(map[string]float64)
 	t.lastDecay = make(map[string]float64)
-	if t.journal != nil {
-		t.journal(usageRecord{Op: usageOpReset, Now: t.now})
-	}
 }
 
-// setJournal installs the mutation hook (ledger.go); nil detaches it.
-func (t *PriorityTable) setJournal(fn func(usageRecord)) {
+// Snapshot returns every customer's usage decayed to the table's
+// clock, and that clock: the form a negotiator publishes in its
+// Negotiator ad, the only durable home of usage.
+func (t *PriorityTable) Snapshot() (usage map[string]float64, asOf float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.journal = fn
-}
-
-// adopt replaces the receiver's contents with src's, which must be
-// private to the caller (ledger Install: callers keep their pointer to
-// the long-lived table while its state is swapped wholesale).
-func (t *PriorityTable) adopt(src *PriorityTable) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.usage = src.usage
-	t.lastDecay = src.lastDecay
-	t.now = src.now
-	t.halfLife = src.halfLife
-}
-
-// tableState is a PriorityTable's form in a usage-ledger snapshot.
-// Matches are introductions and deliberately not durable (the
-// stateless-matchmaker property); usage history, by contrast, is
-// advisory accounting worth carrying across pool-manager restarts so
-// that fairness has memory.
-type tableState struct {
-	Usage    map[string]float64 `json:"usage"`
-	Now      float64            `json:"now"`
-	HalfLife float64            `json:"half_life"`
-}
-
-// MarshalJSON serializes the table with decay folded in, so the saved
-// usage figures are current as of Now.
-func (t *PriorityTable) MarshalJSON() ([]byte, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	state := tableState{
-		Usage:    make(map[string]float64, len(t.usage)),
-		Now:      t.now,
-		HalfLife: t.halfLife,
-	}
+	usage = make(map[string]float64, len(t.usage))
 	for c := range t.usage {
 		t.decayLocked(c)
-		state.Usage[c] = t.usage[c]
+		usage[c] = t.usage[c]
 	}
-	return json.Marshal(state)
+	return usage, t.now
 }
 
-// UnmarshalJSON restores a saved table, replacing the receiver's
-// contents.
-func (t *PriorityTable) UnmarshalJSON(data []byte) error {
-	var state tableState
-	if err := json.Unmarshal(data, &state); err != nil {
-		return fmt.Errorf("matchmaker: bad priority table: %w", err)
-	}
+// Restore replaces the table's usage with a Snapshot taken at asOf
+// (read back from the pool by a negotiator taking over); each
+// customer decays from asOf from here on. The clock and the half-life
+// are the table's own.
+func (t *PriorityTable) Restore(usage map[string]float64, asOf float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.usage = make(map[string]float64, len(state.Usage))
-	t.lastDecay = make(map[string]float64, len(state.Usage))
-	for c, u := range state.Usage {
+	t.usage = make(map[string]float64, len(usage))
+	t.lastDecay = make(map[string]float64, len(usage))
+	for c, u := range usage {
 		t.usage[c] = u
-		t.lastDecay[c] = state.Now
+		t.lastDecay[c] = asOf
 	}
-	t.now = state.Now
-	if state.HalfLife != 0 || len(state.Usage) > 0 {
-		t.halfLife = state.HalfLife
-	}
-	return nil
 }

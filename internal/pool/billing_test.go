@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/classad"
-	"repro/internal/matchmaker"
+	"repro/internal/collector"
 )
 
 // TestChargeOnClaimAck pins the fair-share billing rule: usage is
@@ -59,21 +59,24 @@ func TestChargeOnClaimAck(t *testing.T) {
 	}
 }
 
-// TestChargeOnClaimAckLedger runs the same rule against a durable
-// usage ledger: the journaled table sees no charge for a match whose
-// claim never acked, so a negotiator restart cannot resurrect a bogus
-// bill.
+// TestChargeOnClaimAckLedger runs the same rule on a durable
+// collector, where usage lives in the Negotiator ad each cycle
+// publishes: the bounced cycle's ad bills nothing, and a manager
+// restarted on the store after the granted claim loads exactly the one
+// charge, so a restart neither resurrects a bogus bill nor loses a
+// real one.
 func TestChargeOnClaimAckLedger(t *testing.T) {
-	ledger, err := matchmaker.OpenUsageLedger(t.TempDir(), nil)
+	dir := t.TempDir()
+	env, _ := poolClock(1_000)
+	cstore, err := collector.OpenDurable(dir, env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewManager(ManagerConfig{Logf: t.Logf, Ledger: ledger})
+	mgr := NewManager(ManagerConfig{Env: env, Logf: t.Logf, Store: cstore})
 	addr, err := mgr.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(mgr.Close)
 
 	ra := NewResourceDaemon(agent.NewResource(figure1Machine(), nil), addr, 0, t.Logf)
 	if _, err := ra.Listen("127.0.0.1:0"); err != nil {
@@ -95,10 +98,10 @@ func TestChargeOnClaimAckLedger(t *testing.T) {
 	}
 	ra.RA.SetDynamic("KeyboardIdle", classad.Int(2)) // claim will bounce
 	if res := mgr.RunCycle(); res.Charged != 0 {
-		t.Fatalf("bounced match charged the ledger: %+v", res)
+		t.Fatalf("bounced match charged: %+v", res)
 	}
-	if u := mgr.Usage().Effective("tannenba"); u != 0 {
-		t.Fatalf("ledger-backed usage = %v, want 0", u)
+	if u, ok := publishedUsage(t, mgr.Store(), "negotiator@pool", "tannenba"); ok {
+		t.Fatalf("published usage after a bounced match = %v, want no record", u)
 	}
 
 	ra.RA.SetDynamic("KeyboardIdle", classad.Int(3600))
@@ -111,7 +114,21 @@ func TestChargeOnClaimAckLedger(t *testing.T) {
 	if res := mgr.RunCycle(); res.Charged != 1 {
 		t.Fatalf("granted claim: %+v, want Charged=1", res)
 	}
-	if u := mgr.Usage().Effective("tannenba"); u != 1 {
-		t.Fatalf("ledger-backed usage = %v, want 1", u)
+	if u, _ := publishedUsage(t, mgr.Store(), "negotiator@pool", "tannenba"); u != 1 {
+		t.Fatalf("published usage after a granted claim = %v, want 1", u)
+	}
+	mgr.Close()
+
+	cstore2, err := collector.OpenDurable(dir, env, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr2 := NewManager(ManagerConfig{Env: env, Logf: t.Logf, Store: cstore2})
+	defer mgr2.Close()
+	if res := mgr2.RunCycle(); res.Charged != 0 {
+		t.Fatalf("restarted manager's cycle charged: %+v", res)
+	}
+	if u := mgr2.Usage().Effective("tannenba"); u != 1 {
+		t.Fatalf("usage after restart = %v, want 1", u)
 	}
 }

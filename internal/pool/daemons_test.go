@@ -14,7 +14,6 @@ import (
 	"repro/internal/agent"
 	"repro/internal/classad"
 	"repro/internal/collector"
-	"repro/internal/matchmaker"
 	"repro/internal/netx"
 	"repro/internal/obs"
 	"repro/internal/protocol"
@@ -209,19 +208,6 @@ func TestNoGoroutineOutlivesItsDaemon(t *testing.T) {
 				}
 			}
 			ca.Close()
-		}},
-		{"negotiator state endpoint", func(t *testing.T) {
-			ledger, err := matchmaker.OpenUsageLedger(t.TempDir(), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := NewNegotiatorDaemon("n1", &collector.Client{Addr: "127.0.0.1:1"}, ledger, matchmaker.Config{})
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			httpGet(t, "http://"+d.ServeState(ln)+"/state")
-			d.Close()
 		}},
 		{"event loop", func(t *testing.T) {
 			m := NewManager(ManagerConfig{Logf: t.Logf})

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"sync"
 	"time"
 
@@ -34,6 +35,8 @@ type adPool interface {
 	version(holder string) (uint64, error)
 	// feed brings eng up to date with the pool's ads.
 	feed(eng *matchmaker.Incremental) error
+	// query answers a one-way query over the pool's ads.
+	query(q *classad.Ad) ([]*classad.Ad, error)
 	// invalidate withdraws the ad stored under name.
 	invalidate(name string) error
 	// advertise stores one of the negotiator's own ads.
@@ -140,6 +143,10 @@ func (p *localPool) drain(eng *matchmaker.Incremental) {
 	FeedFromStore(eng, p.store, p.sub)
 }
 
+func (p *localPool) query(q *classad.Ad) ([]*classad.Ad, error) {
+	return p.store.Query(q), nil
+}
+
 func (p *localPool) invalidate(name string) error {
 	p.store.Invalidate(name)
 	return nil
@@ -195,6 +202,8 @@ func (p *remotePool) feed(eng *matchmaker.Incremental) error {
 	return nil
 }
 
+func (p *remotePool) query(q *classad.Ad) ([]*classad.Ad, error) { return p.client.Query(q) }
+
 func (p *remotePool) invalidate(name string) error { return p.client.Invalidate(name) }
 
 func (p *remotePool) advertise(ad *classad.Ad, lifetime int64) error {
@@ -216,7 +225,6 @@ type negotiator struct {
 	dialer      *netx.Dialer
 	notifyRetry netx.RetryPolicy
 	history     io.Writer
-	ledger      *matchmaker.UsageLedger
 
 	// Observability hooks; nil (no-op) until instrument is called.
 	obs           *obs.Obs
@@ -235,6 +243,11 @@ type negotiator struct {
 	cycleMu      sync.Mutex
 	settled      uint64
 	settledKnown bool
+	// usageLoaded says the fair-share table holds the pool's usage as
+	// of leading under usageEpoch (0 without HA): a cycle under any
+	// other epoch loads it again (loadUsage).
+	usageLoaded bool
+	usageEpoch  uint64
 
 	mu       sync.Mutex
 	cycles   int
@@ -244,20 +257,28 @@ type negotiator struct {
 	lastSeen uint64 // highest epoch ever observed (ours or a peer's)
 }
 
-func newNegotiator(src, self string, pool adPool, cfg matchmaker.Config, ledger *matchmaker.UsageLedger) *negotiator {
+// newNegotiator builds a negotiator on the pool clock env (nil for
+// the process default). The fair-share table starts on that clock, so
+// usage charged before the first cycle decays from when it was charged.
+func newNegotiator(src, self string, pool adPool, env *classad.Env, cfg matchmaker.Config) *negotiator {
 	n := &negotiator{
 		src: src, self: self, pool: pool,
 		mm:     matchmaker.New(cfg),
-		env:    cfg.Env,
+		env:    env,
 		logf:   func(string, ...any) {},
 		dialer: netx.DefaultDialer,
-		ledger: ledger,
 	}
-	if ledger != nil {
-		n.mm.SetUsage(ledger.Table())
-	}
+	n.mm.Usage().Advance(float64(n.now()))
 	n.eng = matchmaker.NewIncremental(n.mm)
 	return n
+}
+
+// now reads the pool clock.
+func (n *negotiator) now() int64 {
+	if n.env == nil {
+		return classad.DefaultEnv().Now()
+	}
+	return n.env.Now()
 }
 
 // instrument routes the negotiator's activity into o: per-cycle
@@ -266,7 +287,7 @@ func newNegotiator(src, self string, pool adPool, cfg matchmaker.Config, ledger 
 // (pool_notify_errors_total), leadership changes
 // (negotiator_failovers_total — this negotiator taking over from a
 // different leader — and negotiator_standby_ticks_total), plus the
-// matchmaker's, the engine's and the ledger's own metrics.
+// matchmaker's and the engine's own metrics.
 func (n *negotiator) instrument(o *obs.Obs) {
 	n.obs = o
 	reg := o.Registry()
@@ -278,9 +299,6 @@ func (n *negotiator) instrument(o *obs.Obs) {
 	n.mStandby = reg.Counter("negotiator_standby_ticks_total")
 	n.mm.Instrument(o)
 	n.eng.InstrumentEngine(o)
-	if n.ledger != nil {
-		n.ledger.Instrument(reg)
-	}
 }
 
 // leadership reports whether the negotiator held the lease at its last
@@ -369,6 +387,20 @@ func (n *negotiator) cycle(holder string, force bool) (CycleResult, matchmaker.W
 	}
 
 	n.settledKnown = false
+	// Usage decays on the pool clock; the table reads it once a cycle.
+	n.mm.Usage().Advance(float64(n.now()))
+	if !n.usageLoaded || n.usageEpoch != res.Epoch {
+		// First cycle, or first under a new epoch: whatever this
+		// negotiator charged before, the pool's newest usage is in the
+		// leader's Negotiator ad. Without it a new leader would bill
+		// from a stale table, so the cycle waits for the load.
+		if err := n.loadUsage(); err != nil {
+			n.logf("%s: loading usage from the pool: %v", n.src, err)
+			res.Duration = time.Since(start)
+			return res, stats
+		}
+		n.usageLoaded, n.usageEpoch = true, res.Epoch
+	}
 	if err := n.pool.feed(n.eng); err != nil {
 		n.logf("%s: reading the pool: %v", n.src, err)
 		res.Duration = time.Since(start)
@@ -406,14 +438,6 @@ func (n *negotiator) cycle(holder string, force bool) (CycleResult, matchmaker.W
 			if err := n.pool.invalidate(name); err != nil {
 				n.logf("%s: invalidate %s: %v", n.src, name, err)
 			}
-		}
-	}
-	if n.ledger != nil {
-		if err := n.ledger.MaybeCompact(); err != nil {
-			n.logf("%s: compacting usage ledger: %v", n.src, err)
-		}
-		if err := n.ledger.Err(); err != nil {
-			n.logf("%s: usage ledger: %v", n.src, err)
 		}
 	}
 	res.Duration = time.Since(start)
@@ -473,6 +497,11 @@ func (n *negotiator) observeLease(holder string, lease collector.Lease, granted 
 	}
 }
 
+// negotiatorAdLifetime keeps a Negotiator ad, the only durable home of
+// fair-share usage, in the collector through negotiator downtime: ten
+// half-lives, after which any usage it carries has decayed below 0.1 %.
+const negotiatorAdLifetime = 10 * matchmaker.DefaultHalfLife
+
 // publishSelf advertises the negotiator's own classad after each cycle
 // — "All entities are represented with classads" (paper §4), the
 // matchmaker included — and, when instrumented, its Daemon-type health
@@ -481,6 +510,12 @@ func (n *negotiator) observeLease(holder string, lease collector.Lease, granted 
 // one-way queries they use for machines:
 //
 //	cstatus -constraint 'other.Type == "Negotiator"' -long
+//
+// The ad is also where usage survives the negotiator: the table rides
+// in it as a list of [ Customer = "…"; Usage = r ] records, decayed to
+// UsageAsOf on the pool clock, and a negotiator taking over loads it
+// back (loadUsage). A charge is therefore durable once the cycle that
+// made it has published.
 func (n *negotiator) publishSelf(holder string, res CycleResult) {
 	ad := classad.NewAd()
 	ad.SetString(classad.AttrType, "Negotiator")
@@ -497,14 +532,22 @@ func (n *negotiator) publishSelf(holder string, res CycleResult) {
 	ad.SetInt("LastOffers", int64(res.Offers))
 	ad.SetInt("LastMatches", int64(len(res.Matches)))
 	ad.SetInt("LastNotified", int64(res.Notified))
-	// The fair-share table, as a nested ad: user -> decayed usage.
-	usage := classad.NewAd()
-	table := n.mm.Usage()
-	for _, customer := range table.Customers() {
-		usage.SetReal(customer, table.Effective(customer))
+	usage, asOf := n.mm.Usage().Snapshot()
+	customers := make([]string, 0, len(usage))
+	for c := range usage {
+		customers = append(customers, c)
 	}
-	ad.Set("Usage", classad.NewAdExpr(usage))
-	if err := n.pool.advertise(ad, 0); err != nil {
+	sort.Strings(customers)
+	records := make([]classad.Expr, len(customers))
+	for i, c := range customers {
+		rec := classad.NewAd()
+		rec.SetString("Customer", c)
+		rec.SetReal("Usage", usage[c])
+		records[i] = classad.NewAdExpr(rec)
+	}
+	ad.Set("Usage", classad.NewList(records...))
+	ad.SetInt("UsageAsOf", int64(asOf)) // the pool clock counts whole seconds
+	if err := n.pool.advertise(ad, negotiatorAdLifetime); err != nil {
 		n.logf("%s: publishing negotiator ad: %v", n.src, err)
 	}
 	if n.obs == nil {
@@ -515,12 +558,53 @@ func (n *negotiator) publishSelf(holder string, res CycleResult) {
 	}
 	health := DaemonAd("negotiator", holder, n.obs)
 	health.SetInt("LeaderEpoch", int64(res.Epoch))
-	if n.ledger != nil {
-		health.SetInt("WALGeneration", int64(n.ledger.Stats().Gen))
-	}
 	if err := n.pool.advertise(health, daemonAdLifetime); err != nil {
 		n.logf("%s: publishing negotiator self-ad: %v", n.src, err)
 	}
+}
+
+// loadUsage replaces the fair-share table with the usage published in
+// the pool's Negotiator ad of the highest Epoch (the latest UsageAsOf
+// breaks a tie; a non-HA manager's ad has no Epoch), decayed from that
+// ad's UsageAsOf. Ordering by Epoch keeps a deposed leader's late ad
+// from overriding its successor's. A pool holding no such ad leaves
+// the table as it is.
+func (n *negotiator) loadUsage() error {
+	ads, err := n.pool.query(classad.MustParse(`[ Constraint = other.Type == "Negotiator" ]`))
+	if err != nil {
+		return err
+	}
+	var best *classad.Ad
+	var bestEpoch int64
+	var bestAsOf float64
+	for _, ad := range ads {
+		asOf, ok := ad.Eval("UsageAsOf").NumberVal()
+		if !ok {
+			continue
+		}
+		epoch, _ := ad.Eval("Epoch").IntVal()
+		if best == nil || epoch > bestEpoch || epoch == bestEpoch && asOf > bestAsOf {
+			best, bestEpoch, bestAsOf = ad, epoch, asOf
+		}
+	}
+	if best == nil {
+		return nil
+	}
+	records, _ := best.Eval("Usage").ListVal()
+	usage := make(map[string]float64, len(records))
+	for _, r := range records {
+		rec, ok := r.AdVal()
+		if !ok {
+			continue
+		}
+		customer, okC := rec.Eval("Customer").StringVal()
+		u, okU := rec.Eval("Usage").NumberVal()
+		if okC && okU {
+			usage[customer] = u
+		}
+	}
+	n.mm.Usage().Restore(usage, bestAsOf)
+	return nil
 }
 
 // logMatch appends one match record — itself a classad — to the
@@ -532,11 +616,7 @@ func (n *negotiator) logMatch(match matchmaker.Match) {
 	}
 	rec := classad.NewAd()
 	rec.SetString(classad.AttrType, "Match")
-	env := n.env
-	if env == nil {
-		env = classad.DefaultEnv()
-	}
-	rec.SetInt("Time", env.Now())
+	rec.SetInt("Time", n.now())
 	n.mu.Lock()
 	rec.SetInt("Cycle", int64(n.cycles))
 	n.mu.Unlock()

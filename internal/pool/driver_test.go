@@ -385,9 +385,8 @@ func TestRemoteTickSkipsIdleAndRetriesFailures(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(server.Close)
-	d := NewNegotiatorDaemon("nego", &collector.Client{Addr: addr}, nil, matchmaker.Config{})
+	d := NewNegotiatorDaemon("nego", &collector.Client{Addr: addr}, matchmaker.Config{})
 	d.Logf = t.Logf
-	t.Cleanup(d.Close)
 
 	if err := st.Update(stub.machineAd("m1", 64, 100), 0); err != nil {
 		t.Fatal(err)

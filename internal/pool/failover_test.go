@@ -1,7 +1,6 @@
 package pool
 
 import (
-	"net"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -31,6 +30,7 @@ func poolClock(start int64) (*classad.Env, *atomic.Int64) {
 type haHarness struct {
 	addr   string
 	server *collector.Server
+	cstore *collector.Store
 	clock  *atomic.Int64
 	ra     *ResourceDaemon
 	ca     *CustomerDaemon
@@ -74,34 +74,16 @@ func newHAHarness(t *testing.T) *haHarness {
 	}
 	t.Cleanup(ca.Close)
 
-	ledgerA, err := matchmaker.OpenUsageLedger(filepath.Join(dir, "ledger-a"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	negA := NewNegotiatorDaemon("nego-a", &collector.Client{Addr: addr}, ledgerA,
-		matchmaker.Config{Env: env})
+	negA := NewNegotiatorDaemon("nego-a", &collector.Client{Addr: addr}, matchmaker.Config{Env: env})
 	negA.Logf = t.Logf
-	t.Cleanup(negA.Close)
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	stateA := negA.ServeState(lnA)
 
-	ledgerB, err := matchmaker.OpenUsageLedger(filepath.Join(dir, "ledger-b"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	bObs := obs.New()
-	negB := NewNegotiatorDaemon("nego-b", &collector.Client{Addr: addr}, ledgerB,
-		matchmaker.Config{Env: env})
+	negB := NewNegotiatorDaemon("nego-b", &collector.Client{Addr: addr}, matchmaker.Config{Env: env})
 	negB.Logf = t.Logf
-	negB.PeerState = "http://" + stateA
 	negB.Instrument(bObs)
-	t.Cleanup(negB.Close)
 
 	return &haHarness{
-		addr: addr, server: server, clock: clock,
+		addr: addr, server: server, cstore: cstore, clock: clock,
 		ra: ra, ca: ca, caObs: caObs,
 		negA: negA, negB: negB, bObs: bObs,
 	}
@@ -121,7 +103,7 @@ func (h *haHarness) advertise(t *testing.T) {
 // negotiators share one collector; the leader dies between producing a
 // match and the next renewal, the standby takes over within one lease
 // period under a higher epoch, the dead leader's stale match is
-// fenced, and the usage ledger ends identical to a run with no
+// fenced, and the usage table ends identical to a run with no
 // failure — zero lost claims, no double grants.
 func TestNegotiatorFailover(t *testing.T) {
 	h := newHAHarness(t)
@@ -141,8 +123,9 @@ func TestNegotiatorFailover(t *testing.T) {
 		t.Fatalf("job 1 = %s after A's cycle", j.Status)
 	}
 
-	// B ticks while A leads: it must stand by — matching nothing —
-	// and warm-sync A's ledger through the state endpoint.
+	// B ticks while A leads: it must stand by, matching nothing and
+	// copying nothing. A's charge is in the collector, in the
+	// Negotiator ad A published at the end of its cycle.
 	resB := h.negB.Tick(false)
 	if !resB.Standby {
 		t.Fatalf("B's tick with A alive = %+v, want standby", resB)
@@ -150,19 +133,22 @@ func TestNegotiatorFailover(t *testing.T) {
 	if leader, _ := h.negB.Leader(); leader {
 		t.Fatal("B believes it leads while A holds the lease")
 	}
-	if got := h.negB.Usage().Effective("raman"); got < 0.99 || got > 1.01 {
-		t.Fatalf("B's synced usage for raman = %g, want ~1 (A's one match)", got)
+	if got := h.negB.Usage().Effective("raman"); got != 0 {
+		t.Fatalf("standby B's usage for raman = %g, want 0 (standbys keep no copy)", got)
+	}
+	if got, _ := publishedUsage(t, h.cstore, "negotiator/nego-a", "raman"); got != 1 {
+		t.Fatalf("A's published usage for raman = %g, want 1 (A's one match)", got)
 	}
 
-	// Job 1 completes; job 2 arrives. Then A dies holding the lease,
-	// with the match work for job 2 undone — the paper's soft-state
-	// argument (§4.3) says nothing but time is lost.
+	// Job 1 completes; job 2 arrives. Then A dies holding the lease
+	// (it never ticks again), with the match work for job 2 undone —
+	// the paper's soft-state argument (§4.3) says nothing but time is
+	// lost.
 	if err := h.ca.Complete(job1.ID); err != nil {
 		t.Fatal(err)
 	}
 	job2 := h.ca.CA.Submit(classad.Figure2(), 100)
 	h.advertise(t)
-	h.negA.Close()
 
 	// Within A's lease period B remains a standby: the collector
 	// cannot yet distinguish a dead leader from a slow one.
@@ -219,12 +205,95 @@ func TestNegotiatorFailover(t *testing.T) {
 		t.Errorf("claim stats = %d ok / %d rejected, want 2/0", okClaims, rejected)
 	}
 
-	// Ledger equality: a failure-free run of the same workload charges
-	// raman exactly two units (one per match). B's ledger — one unit
-	// shipped from A, one charged by B — must agree. Decay over the
-	// test's wall-clock milliseconds is negligible.
+	// Usage equality: a failure-free run of the same workload charges
+	// raman exactly two units (one per match). B's table — one unit
+	// loaded from A's Negotiator ad at takeover, one charged by B —
+	// must agree, less the decay over one lease period.
 	if got := h.negB.Usage().Effective("raman"); got < 1.99 || got > 2.01 {
 		t.Errorf("post-failover usage for raman = %g, want ~2 (the no-failure total)", got)
+	}
+}
+
+// TestFailoverKeepsChargesAfterStandbyTick: the leader charges twice,
+// the standby ticks only between the two charges, and the leader dies.
+// The standby that takes over still bills both, because what it loads
+// is the leader's last published cycle, not a copy taken at its own
+// last tick.
+func TestFailoverKeepsChargesAfterStandbyTick(t *testing.T) {
+	h := newHAHarness(t)
+
+	job1 := h.ca.CA.Submit(classad.Figure2(), 100)
+	h.advertise(t)
+	if res := h.negA.Tick(false); res.Epoch != 1 || res.Charged != 1 {
+		t.Fatalf("A's first tick = %+v, want one charge at epoch 1", res)
+	}
+	if res := h.negB.Tick(false); !res.Standby {
+		t.Fatalf("B's tick with A alive = %+v, want standby", res)
+	}
+
+	// A's second charge lands after B's only tick.
+	if err := h.ca.Complete(job1.ID); err != nil {
+		t.Fatal(err)
+	}
+	h.ca.CA.Submit(classad.Figure2(), 100)
+	h.advertise(t)
+	if res := h.negA.Tick(false); res.Standby || res.Charged != 1 {
+		t.Fatalf("A's second tick = %+v, want a second charge", res)
+	}
+
+	// A dies; one lease period later B takes over.
+	h.clock.Add(collector.DefaultLeaseTTL + 1)
+	if res := h.negB.Tick(false); res.Standby || res.Epoch != 2 {
+		t.Fatalf("B's takeover tick = %+v, want leader at epoch 2", res)
+	}
+	if got := h.negB.Usage().Effective("raman"); got < 1.99 || got > 2.01 {
+		t.Errorf("usage for raman after takeover = %g, want ~2 (both of A's charges)", got)
+	}
+}
+
+// TestDeposedLeaderAdNeverWinsUsageLoad: a deposed leader that does not
+// yet know it publishes its Negotiator ad after its successor's, newer
+// by the clock and carrying a charge the successor never saw. The next
+// leader loads the successor's table all the same, because the load
+// orders Negotiator ads by Epoch first.
+func TestDeposedLeaderAdNeverWinsUsageLoad(t *testing.T) {
+	h := newHAHarness(t)
+
+	// A leads under epoch 1 and bills raman once.
+	job1 := h.ca.CA.Submit(classad.Figure2(), 100)
+	h.advertise(t)
+	if res := h.negA.Tick(false); res.Epoch != 1 || res.Charged != 1 {
+		t.Fatalf("A's first tick = %+v, want one charge at epoch 1", res)
+	}
+	if err := h.ca.Complete(job1.ID); err != nil {
+		t.Fatal(err)
+	}
+	h.ca.CA.Submit(classad.Figure2(), 100)
+	h.advertise(t)
+
+	// A goes silent; B takes over under epoch 2 and bills the second job.
+	h.clock.Add(collector.DefaultLeaseTTL + 1)
+	if res := h.negB.Tick(false); res.Epoch != 2 || res.Charged != 1 {
+		t.Fatalf("B's takeover tick = %+v, want one charge at epoch 2", res)
+	}
+
+	// A, deposed without knowing it, publishes once more.
+	h.clock.Add(1)
+	h.negA.Usage().Advance(float64(h.clock.Load()))
+	h.negA.Usage().Record("raman", 5)
+	h.negA.neg.publishSelf("nego-a", CycleResult{})
+	if got, _ := publishedUsage(t, h.cstore, "negotiator/nego-a", "raman"); got < 5.99 || got > 6.01 {
+		t.Fatalf("A's late ad publishes %g for raman, want ~6", got)
+	}
+
+	// B goes silent too. A wins epoch 3 and must load B's epoch-2
+	// table, not its own later epoch-1 ad.
+	h.clock.Add(collector.DefaultLeaseTTL + 1)
+	if res := h.negA.Tick(false); res.Standby || res.Epoch != 3 {
+		t.Fatalf("A's tick after B's lease ran out = %+v, want leader at epoch 3", res)
+	}
+	if got := h.negA.Usage().Effective("raman"); got < 1.99 || got > 2.01 {
+		t.Errorf("usage for raman at epoch 3 = %g, want ~2 (B's epoch-2 table)", got)
 	}
 }
 
@@ -419,7 +488,6 @@ func TestTracePropagatesAcrossFailover(t *testing.T) {
 		t.Fatal("job 2 carries no trace ID")
 	}
 	h.advertise(t)
-	h.negA.Close()
 
 	// The new epoch reaches the CA first: a MATCH under epoch 2 for a
 	// machine no idle job wants raises the fencing high-water mark and

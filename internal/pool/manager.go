@@ -83,13 +83,6 @@ type ManagerConfig struct {
 	// leadership lease survive manager restarts — that the manager
 	// adopts (and closes) instead of creating a fresh in-memory one.
 	Store *collector.Store
-	// Ledger, when set, backs the fair-share table with a durable
-	// usage ledger (matchmaker.OpenUsageLedger): every charge is
-	// journaled as it lands. Match state itself is never persisted —
-	// the matchmaker stays stateless — but fairness is advisory
-	// history worth keeping; without a ledger it lives in memory
-	// only. The manager adopts and closes it.
-	Ledger *matchmaker.UsageLedger
 	// HAName, when set, enrolls the manager's negotiator half in
 	// leader election under this identity: each cycle first acquires
 	// (or renews) the leadership lease and stamps its epoch into MATCH
@@ -111,8 +104,7 @@ func NewManager(cfg ManagerConfig) *Manager {
 		store = collector.New(cfg.Env)
 	}
 	local := &localPool{store: store}
-	neg := newNegotiator("manager", "negotiator@pool", local, cfg.Matchmaker, cfg.Ledger)
-	neg.env = cfg.Env
+	neg := newNegotiator("manager", "negotiator@pool", local, cfg.Env, cfg.Matchmaker)
 	neg.logf = cfg.Logf
 	neg.history = cfg.History
 	neg.notifyRetry = cfg.NotifyRetry
@@ -171,16 +163,12 @@ func (m *Manager) Serve(ln net.Listener) string {
 func (m *Manager) Obs() *obs.Obs { return m.neg.obs }
 
 // Close shuts the collector endpoint down, drops the engine's
-// subscription, and releases any adopted durable state (store and
-// ledger).
+// subscription, and closes the store (a durable one included).
 func (m *Manager) Close() {
 	if m.server != nil {
 		m.server.Close()
 	}
 	m.local.close()
-	if m.neg.ledger != nil {
-		m.neg.ledger.Close()
-	}
 	m.store.Close()
 }
 

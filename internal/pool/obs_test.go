@@ -199,7 +199,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 }
 
 // TestDurabilityMetricsScraped is the durability acceptance run: an
-// HA manager on a durable store and ledger executes a real match, and
+// HA manager on a durable store executes a real match, and
 // the /metrics scrape — over HTTP, as an operator's curl would —
 // shows the WAL appending and fsyncing, a snapshot installing, the
 // leadership epoch standing, a deposed-epoch MATCH fenced, and a
@@ -212,12 +212,8 @@ func TestDurabilityMetricsScraped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledger, err := matchmaker.OpenUsageLedger(filepath.Join(dir, "usage"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	mgr := NewManager(ManagerConfig{
-		Logf: t.Logf, Obs: o, Store: cstore, Ledger: ledger, HAName: "mgr",
+		Logf: t.Logf, Obs: o, Store: cstore, HAName: "mgr",
 	})
 	addr, err := mgr.Listen("127.0.0.1:0")
 	if err != nil {
@@ -259,7 +255,7 @@ func TestDurabilityMetricsScraped(t *testing.T) {
 	}
 	// Force one snapshot generation so the install counter registers
 	// activity without journaling hundreds of records.
-	if err := ledger.Compact(); err != nil {
+	if err := cstore.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	// A MATCH from a long-deposed negotiator: first raise the CA's
@@ -303,10 +299,8 @@ func TestDurabilityMetricsScraped(t *testing.T) {
 	// A standby negotiator pointed at the same collector registers the
 	// election metrics on its own endpoint.
 	o2 := obs.New()
-	negB := NewNegotiatorDaemon("nego-b", &collector.Client{Addr: addr}, nil,
-		matchmaker.Config{})
+	negB := NewNegotiatorDaemon("nego-b", &collector.Client{Addr: addr}, matchmaker.Config{})
 	negB.Instrument(o2)
-	t.Cleanup(negB.Close)
 	if res := negB.Tick(false); !res.Standby {
 		t.Fatalf("standby tick against a leading manager = %+v", res)
 	}

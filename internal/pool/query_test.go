@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/agent"
 	"repro/internal/classad"
+	"repro/internal/collector"
 	"repro/internal/matchmaker"
 	"repro/internal/protocol"
 )
@@ -87,22 +88,30 @@ func TestCustomerQueueQuery(t *testing.T) {
 	}
 }
 
-// TestManagerUsagePersistence: a manager backed by a usage ledger
-// journals each charge as it lands, so a manager restarted on the
-// reopened ledger inherits the history.
+// TestManagerUsagePersistence: a manager on a durable collector keeps
+// fair-share usage in the Negotiator ad each cycle publishes, so a
+// manager restarted on the reopened store loads the history at its
+// first cycle. The owner is not a ClassAd identifier: the published
+// table must still round-trip through the store's journal.
 func TestManagerUsagePersistence(t *testing.T) {
 	dir := t.TempDir()
-	ledger, err := matchmaker.OpenUsageLedger(dir, nil)
-	if err != nil {
-		t.Fatal(err)
+	env, _ := poolClock(1_000)
+	open := func() *Manager {
+		t.Helper()
+		cstore, err := collector.OpenDurable(dir, env, nil)
+		if err != nil {
+			t.Fatalf("opening the durable store: %v", err)
+		}
+		return NewManager(ManagerConfig{
+			Env:        env,
+			Matchmaker: matchmaker.Config{FairShare: true},
+			Store:      cstore,
+			Logf:       t.Logf,
+		})
 	}
-	mgr := NewManager(ManagerConfig{
-		Matchmaker: matchmaker.Config{FairShare: true},
-		Ledger:     ledger,
-		Logf:       t.Logf,
-	})
+	mgr := open()
 	// Seed the store directly (in-process advertising): one machine,
-	// one job owned by alice.
+	// one job.
 	machine := classad.Figure1()
 	machine.SetInt("DayTime", 22*3600)
 	machine.SetString(classad.AttrTicket, "t")
@@ -110,7 +119,8 @@ func TestManagerUsagePersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	job := classad.Figure2()
-	job.SetString(classad.AttrName, "raman/job1")
+	job.SetString(classad.AttrName, "alice/job1")
+	job.SetString(classad.AttrOwner, "alice@cs.wisc.edu")
 	if err := mgr.Store().Update(job, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -120,26 +130,19 @@ func TestManagerUsagePersistence(t *testing.T) {
 	if len(res.Matches) != 1 {
 		t.Fatalf("matches = %d", len(res.Matches))
 	}
-	if u := mgr.Usage().Effective("raman"); u != 0 {
+	if u := mgr.Usage().Effective("alice@cs.wisc.edu"); u != 0 {
 		t.Errorf("usage = %v, want 0 for an unacknowledged match", u)
 	}
-	// Charge as an acknowledged claim would have; the ledger journals
-	// it at once, no cycle needed.
-	mgr.Usage().Record("raman", 1)
-	mgr.Close() // closes the adopted ledger
+	// Charge as an acknowledged claim would have; the next cycle
+	// publishes it.
+	mgr.Usage().Record("alice@cs.wisc.edu", 1)
+	mgr.RunCycle()
+	mgr.Close()
 
-	// A restarted manager on the reopened ledger inherits the history.
-	ledger2, err := matchmaker.OpenUsageLedger(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr2 := NewManager(ManagerConfig{
-		Matchmaker: matchmaker.Config{FairShare: true},
-		Ledger:     ledger2,
-		Logf:       t.Logf,
-	})
+	mgr2 := open()
 	defer mgr2.Close()
-	if u := mgr2.Usage().Effective("raman"); u != 1 {
+	mgr2.RunCycle()
+	if u := mgr2.Usage().Effective("alice@cs.wisc.edu"); u != 1 {
 		t.Errorf("restored usage = %v, want 1", u)
 	}
 }

@@ -3,11 +3,12 @@
 // periodic snapshots, generation-numbered so recovery never replays a
 // record that a snapshot already folded in. The paper's matchmaker is
 // deliberately soft-state — ads refresh, matches are introductions —
-// but three pieces of pool state are worth keeping across restarts:
-// the collector's advertisement store (so a restart does not blind the
-// pool until the next heartbeat storm), the negotiator's usage ledger
-// (so fairness has memory), and the customer agent's claim journal (so
-// in-flight claims are re-verified instead of silently lost).
+// but two pieces of pool state are worth keeping across restarts: the
+// collector's advertisement store (so a restart does not blind the
+// pool until the next heartbeat storm, and so fairness has memory: the
+// negotiator's fair-share usage rides in its own ad there), and the
+// customer agent's claim journal (so in-flight claims are re-verified
+// instead of silently lost).
 //
 // The durability contract is narrow and testable: Append returns nil
 // only after the record is written and fsynced, and recovery restores

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"path/filepath"
@@ -62,14 +61,14 @@ type Stats struct {
 	// SinceSnapshot counts appends since the last snapshot (including
 	// those recovered from the WAL at open).
 	SinceSnapshot int64
-	// Snapshots counts snapshots taken (shipped installs included).
+	// Snapshots counts snapshots taken.
 	Snapshots int64
 	// RecoveredRecords and TruncatedBytes describe the last recovery:
 	// records replayed from the WAL, and torn-tail bytes discarded.
 	RecoveredRecords, TruncatedBytes int64
 }
 
-// Recovered is what Open (or Install) found on disk: the most recent
+// Recovered is what Open found on disk: the most recent
 // valid snapshot (nil or empty means "empty base state") and every
 // valid WAL record appended after it, in order.
 type Recovered struct {
@@ -196,7 +195,7 @@ func (l *Log) recover() (*Recovered, error) {
 // Instrument routes log activity into reg's store-wide metrics:
 // store_wal_appends_total, store_wal_bytes_total, the
 // store_fsync_seconds histogram, and store_snapshot_installs_total.
-// Several logs in one process (ad store, usage ledger, claim journal)
+// Several logs in one process (ad store, claim journal)
 // share the same counters; the totals are pool-wide.
 func (l *Log) Instrument(reg *obs.Registry) {
 	l.mu.Lock()
@@ -247,17 +246,13 @@ func (l *Log) Snapshot(state []byte) error {
 	if l.broken {
 		return ErrLogBroken
 	}
-	if err := l.installLocked(state, nil); err != nil {
-		return err
-	}
-	return nil
+	return l.installLocked(state)
 }
 
-// installLocked writes a new generation: snap.<G+1> holding state,
-// wal.<G+1> holding walBytes (usually empty), then retires generation
-// G. The snapshot rename is the commit point; any failure after it
+// installLocked writes a new generation: snap.<G+1> holding state and
+// an empty wal.<G+1>, then retires generation G. The snapshot rename is the commit point; any failure after it
 // breaks the log so the owner reopens into the new generation.
-func (l *Log) installLocked(state, walBytes []byte) error {
+func (l *Log) installLocked(state []byte) error {
 	g1 := l.gen + 1
 	tmp := snapPath(l.dir, g1) + ".tmp"
 	f, err := l.fs.Create(tmp)
@@ -296,13 +291,6 @@ func (l *Log) installLocked(state, walBytes []byte) error {
 		l.broken = true
 		return fmt.Errorf("store: new wal: %w", err)
 	}
-	if len(walBytes) > 0 {
-		if _, err := wf.Write(walBytes); err != nil {
-			wf.Close()
-			l.broken = true
-			return fmt.Errorf("store: new wal write: %w", err)
-		}
-	}
 	if err := wf.Sync(); err != nil {
 		wf.Close()
 		l.broken = true
@@ -320,23 +308,13 @@ func (l *Log) installLocked(state, walBytes []byte) error {
 	l.wal = wf
 	l.gen = g1
 	l.stats.Gen = g1
-	records, _ := DecodeAll(walBytes)
-	l.stats.SinceSnapshot = int64(len(records))
+	l.stats.SinceSnapshot = 0
 	l.stats.Snapshots++
 	l.mSnapshots.Inc()
 	// Retire the old generation; failures here are garbage, not risk.
 	l.fs.Remove(snapPath(l.dir, old))
 	l.fs.Remove(walPath(l.dir, old))
 	return nil
-}
-
-// Broken reports whether the log has turned itself off after a failed
-// write (ErrLogBroken): only a reopen, or a successful Install, makes
-// it append again.
-func (l *Log) Broken() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.broken
 }
 
 // SinceSnapshot reports how many records the current WAL holds; owners
@@ -366,74 +344,4 @@ func (l *Log) Close() error {
 	l.wal = nil
 	l.broken = true
 	return err
-}
-
-// shipMeta is the header record of a shipped state bundle.
-type shipMeta struct {
-	Gen uint64 `json:"gen"`
-}
-
-// Ship serializes the log's durable state — current snapshot plus the
-// valid prefix of the current WAL — for warm handoff to a standby. The
-// bundle is three framed records: meta, snapshot, WAL bytes.
-func (l *Log) Ship() ([]byte, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var snapshot []byte
-	if data, err := l.fs.ReadFile(snapPath(l.dir, l.gen)); err == nil {
-		if payload, n, err := DecodeRecord(data); err == nil && n == len(data) {
-			snapshot = payload
-		}
-	}
-	var walValid []byte
-	if data, err := l.fs.ReadFile(walPath(l.dir, l.gen)); err == nil {
-		_, valid := DecodeAll(data)
-		walValid = data[:valid]
-	}
-	meta, err := json.Marshal(shipMeta{Gen: l.gen})
-	if err != nil {
-		return nil, err
-	}
-	out := EncodeRecord(nil, meta)
-	out = EncodeRecord(out, snapshot)
-	out = EncodeRecord(out, walValid)
-	return out, nil
-}
-
-// Install replaces the log's state with a shipped bundle (see Ship),
-// returning the recovered view of the installed state. The install is
-// itself crash-safe: the shipped snapshot and WAL land as a brand-new
-// generation above both the local and the shipped one, so a crash
-// mid-install recovers either the old state or the new, never a mix.
-// Install also clears a broken log, since it reopens a fresh WAL.
-func (l *Log) Install(bundle []byte) (*Recovered, error) {
-	metaRaw, n1, err := DecodeRecord(bundle)
-	if err != nil {
-		return nil, fmt.Errorf("store: install meta: %w", err)
-	}
-	snapshot, n2, err := DecodeRecord(bundle[n1:])
-	if err != nil {
-		return nil, fmt.Errorf("store: install snapshot: %w", err)
-	}
-	walBytes, _, err := DecodeRecord(bundle[n1+n2:])
-	if err != nil {
-		return nil, fmt.Errorf("store: install wal: %w", err)
-	}
-	var meta shipMeta
-	if err := json.Unmarshal(metaRaw, &meta); err != nil {
-		return nil, fmt.Errorf("store: install meta: %w", err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if meta.Gen > l.gen {
-		l.gen = meta.Gen
-	}
-	wasBroken := l.broken
-	l.broken = false
-	if err := l.installLocked(snapshot, walBytes); err != nil {
-		l.broken = l.broken || wasBroken
-		return nil, err
-	}
-	records, _ := DecodeAll(walBytes)
-	return &Recovered{Snapshot: snapshot, Records: records}, nil
 }

@@ -157,52 +157,6 @@ func TestLogBreaksOnWriteFailure(t *testing.T) {
 	}
 }
 
-func TestLogShipInstall(t *testing.T) {
-	leaderDir, standbyDir := t.TempDir(), t.TempDir()
-	leader, _, err := Open(leaderDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-	leader.Append([]byte("u1"))
-	leader.Snapshot([]byte("base"))
-	leader.Append([]byte("u2"))
-	leader.Append([]byte("u3"))
-	bundle, err := leader.Ship()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	standby, _, err := Open(standbyDir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	standby.Append([]byte("stale-local"))
-	rec, err := standby.Install(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(rec.Snapshot) != "base" {
-		t.Fatalf("installed snapshot %q", rec.Snapshot)
-	}
-	if len(rec.Records) != 2 || string(rec.Records[0]) != "u2" || string(rec.Records[1]) != "u3" {
-		t.Fatalf("installed records %q", rec.Records)
-	}
-	// The standby can append beyond the installed state, and a restart
-	// sees install + appends, with no trace of the stale local record.
-	if err := standby.Append([]byte("u4")); err != nil {
-		t.Fatal(err)
-	}
-	standby2, rec2 := reopen(t, standby, standbyDir)
-	defer standby2.Close()
-	if string(rec2.Snapshot) != "base" || len(rec2.Records) != 3 {
-		t.Fatalf("after restart: snapshot %q, %d records", rec2.Snapshot, len(rec2.Records))
-	}
-	if string(rec2.Records[2]) != "u4" {
-		t.Fatalf("post-install append lost: %q", rec2.Records)
-	}
-}
-
 func TestLogInstrument(t *testing.T) {
 	dir := t.TempDir()
 	l, _, err := Open(dir, nil)

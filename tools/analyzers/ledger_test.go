@@ -27,6 +27,8 @@ var (
 	quotedRe    = regexp.MustCompile("`([^`]+)`")
 	expRe       = regexp.MustCompile(`\bE(\d+)\b`)
 	mcCodeRe    = regexp.MustCompile(`\bMC\d{3}\b`)
+	// binFlagRe is a binary flag as a row cites it: `cpool -store-dir`.
+	binFlagRe = regexp.MustCompile("`(c\\w+) -([\\w-]+)`")
 )
 
 // ledgerRow is what the ledger says about one item.
@@ -36,11 +38,15 @@ type ledgerRow struct {
 
 // TestDesignDocLedgerInSync is a `make lint-codes` gate on DESIGN.md
 // §6's ledger. Every package (each cmd/ binary and example included),
-// every field of the ledgerConfigs structs and every analyzer in All()
+// every field of the ledgerConfigs structs, every analyzer in All()
+// and every function that opens a durable store (calls store.Open)
 // has a row; every row names something that exists — or, with the
 // verdict "deleted here", something that no longer does; and every
 // test, workload, experiment and MC code a row cites as its need
-// exists too, so a "keep" row cannot outlive the reason it gives.
+// exists too, so a "keep" row cannot outlive the reason it gives. A
+// durable store is kept only if its row names the binary flag that
+// opens it (`cpool -store-dir`): a journal no binary opens is state
+// production never runs.
 func TestDesignDocLedgerInSync(t *testing.T) {
 	rows := readLedger(t)
 	src := indexRepo(t, "../..")
@@ -61,6 +67,9 @@ func TestDesignDocLedgerInSync(t *testing.T) {
 		}
 	}
 	for name := range analyzerNames {
+		want[name] = true
+	}
+	for name := range src.storeOpeners {
 		want[name] = true
 	}
 	for item := range want {
@@ -106,7 +115,23 @@ func TestDesignDocLedgerInSync(t *testing.T) {
 		if row.verdict == "keep" && cited == 0 {
 			t.Errorf("ledger row %s is kept but cites no test, workload, experiment or MC code", item)
 		}
+		if row.verdict == "keep" && src.storeOpeners[item] && !src.opensFromFlag(item, row.needs) {
+			t.Errorf("ledger row %s keeps a durable store but names no `binary -flag` that declares the flag and calls it", item)
+		}
 	}
+}
+
+// opensFromFlag reports whether needs cites a `binary -flag` whose
+// cmd/ main package declares the flag and calls opener by name.
+func (idx repoIndex) opensFromFlag(opener, needs string) bool {
+	call := opener[strings.LastIndex(opener, ".")+1:]
+	for _, m := range binFlagRe.FindAllStringSubmatch(needs, -1) {
+		bin := idx.binaries[m[1]]
+		if bin != nil && bin.flags[m[2]] && bin.calls[call] {
+			return true
+		}
+	}
+	return false
 }
 
 // readLedger parses the table under DESIGN.md's "## 6." heading.
@@ -148,17 +173,25 @@ func readLedger(t *testing.T) map[string]ledgerRow {
 // repoIndex is what the ledger's items and citations are checked
 // against.
 type repoIndex struct {
-	packages map[string]bool // directories holding non-test Go files, "." for the root
-	decls    map[string]bool // pkg.Name, pkg.Type.Field and pkg.Type.Method
-	tests    map[string]bool // Test*, Benchmark*, Fuzz* and Example* functions
-	mcCodes  map[string]bool // MC codes spelled in internal/modelcheck's source
+	packages     map[string]bool // directories holding non-test Go files, "." for the root
+	decls        map[string]bool // pkg.Name, pkg.Type.Field and pkg.Type.Method
+	tests        map[string]bool // Test*, Benchmark*, Fuzz* and Example* functions
+	mcCodes      map[string]bool // MC codes spelled in internal/modelcheck's source
+	storeOpeners map[string]bool // pkg.Func or pkg.Type.Method calling store.Open
+	binaries     map[string]*binaryIndex
+}
+
+// binaryIndex is what one cmd/ binary declares and calls.
+type binaryIndex struct {
+	flags map[string]bool // names given to flag.String, flag.Bool, …
+	calls map[string]bool // names of the functions its main package calls
 }
 
 // indexRepo parses every Go file of the module under root, skipping
 // the bench module, testdata and hidden directories.
 func indexRepo(t *testing.T, root string) repoIndex {
 	t.Helper()
-	idx := repoIndex{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}}
+	idx := repoIndex{map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]*binaryIndex{}}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -199,6 +232,14 @@ func indexRepo(t *testing.T, root string) repoIndex {
 		}
 		if f.Name.Name != "main" {
 			indexDecls(f, idx.decls)
+			indexStoreOpeners(f, idx.storeOpeners)
+		} else if dir, ok := strings.CutPrefix(filepath.ToSlash(filepath.Dir(rel)), "cmd/"); ok {
+			bin := idx.binaries[dir]
+			if bin == nil {
+				bin = &binaryIndex{map[string]bool{}, map[string]bool{}}
+				idx.binaries[dir] = bin
+			}
+			indexBinary(f, bin)
 		}
 		return nil
 	})
@@ -248,6 +289,71 @@ func indexDecls(f *ast.File, decls map[string]bool) {
 			}
 		}
 	}
+}
+
+// indexStoreOpeners records the file's functions and methods whose
+// bodies call store.Open, qualified as indexDecls qualifies them.
+func indexStoreOpeners(f *ast.File, openers map[string]bool) {
+	for _, decl := range f.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Body == nil {
+			continue
+		}
+		name := f.Name.Name + "." + fd.Name.Name
+		if fd.Recv != nil {
+			recv := fd.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			if id, ok := recv.(*ast.Ident); ok {
+				name = f.Name.Name + "." + id.Name + "." + fd.Name.Name
+			}
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok && isSelector(call.Fun, "store", "Open") {
+				openers[name] = true
+			}
+			return true
+		})
+	}
+}
+
+// indexBinary records the flags a main package declares and the names
+// of the functions it calls.
+func indexBinary(f *ast.File, bin *binaryIndex) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		bin.calls[sel.Sel.Name] = true
+		if x, ok := sel.X.(*ast.Ident); ok && x.Name == "flag" {
+			arg := 0
+			if strings.HasSuffix(sel.Sel.Name, "Var") {
+				arg = 1
+			}
+			if len(call.Args) > arg {
+				if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					bin.flags[strings.Trim(lit.Value, "`\"")] = true
+				}
+			}
+		}
+		return true
+	})
+}
+
+// isSelector reports whether e is pkg.name.
+func isSelector(e ast.Expr, pkg, name string) bool {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != name {
+		return false
+	}
+	x, ok := sel.X.(*ast.Ident)
+	return ok && x.Name == pkg
 }
 
 // benchmarkWorkloads reads the workload names BENCHMARK.json declares.
