@@ -94,6 +94,16 @@ func TestServerShedsLongestIdleAtCap(t *testing.T) {
 			return &protocol.Envelope{Type: protocol.TypeAck, Name: env.Name}
 		}))
 	defer s.Close()
+	// Runs before s.Close: a failed check must not leave Close waiting
+	// on a handler still blocked.
+	unblock := func(ch chan struct{}) {
+		select {
+		case <-ch:
+		default:
+			close(ch)
+		}
+	}
+	defer func() { unblock(release); unblock(hold) }()
 	roundTrip := func(c *testClient, name string) {
 		t.Helper()
 		c.send(t, name)
@@ -129,7 +139,7 @@ func TestServerShedsLongestIdleAtCap(t *testing.T) {
 	if reply, err := d.reply(100 * time.Millisecond); err == nil {
 		t.Fatalf("served %+v past the cap with no connection idle", reply)
 	}
-	close(release)
+	unblock(release)
 	if reply, err := d.reply(2 * time.Second); err != nil || reply.Name != "d" {
 		t.Fatalf("reply to d after a handler parked = %+v, %v", reply, err)
 	}
@@ -140,7 +150,8 @@ func TestServerShedsLongestIdleAtCap(t *testing.T) {
 	// Close: with both live connections mid-dispatch and accept waiting
 	// at the cap for f, Close closes f at once, before any handler
 	// parks or ends, then waits for the handlers.
-	roundTrip(d, "d") // d parks after the survivor of b and c, so e sheds that one
+	waitParked(t, s, 2) // the survivor of b and c has parked after its block
+	roundTrip(d, "d")   // so d parks after it, and e sheds the survivor
 	e := dialTest(t, s.Addr())
 	roundTrip(e, "e")
 	d.send(t, "hold")
@@ -157,7 +168,7 @@ func TestServerShedsLongestIdleAtCap(t *testing.T) {
 	if _, err := f.reply(2 * time.Second); !errors.Is(err, io.EOF) {
 		t.Fatalf("connection waiting at the cap read %v after Close, want EOF", err)
 	}
-	close(hold)
+	unblock(hold)
 	select {
 	case <-closed:
 	case <-time.After(2 * time.Second):
