@@ -1,11 +1,12 @@
 // Package modelcheck is a deterministic, exhaustive small-scope
-// explorer for the pool protocol. It runs the real collector store,
-// negotiation engines, customer daemons and resource daemons, the
-// daemons talking over netx's in-process transport, and owns every
-// source of nondeterminism — message delivery order, lost claim
-// replies, advertisement refresh timing, lease expiry, negotiator
-// takeover — walking the schedule space with a depth-bounded DFS,
-// pruning on canonical state fingerprints. Safety invariants (MC1xx)
+// explorer for the pool protocol. It runs the shipped collector store,
+// negotiation cycle (one pool.Manager per negotiator, its MATCHes
+// queued by the checker's notifier), customer daemons and resource
+// daemons, the daemons talking over netx's in-process transport, and
+// owns every source of nondeterminism — message delivery order, lost
+// claim replies, advertisement refresh timing, lease expiry,
+// negotiator takeover — walking the schedule space with a
+// depth-bounded DFS, pruning on canonical state fingerprints. Safety invariants (MC1xx)
 // are checked after every action of every schedule; the liveness
 // obligation (MC201) runs under a deterministic fair scheduler with
 // loop detection. A violated invariant yields a minimal counterexample
@@ -44,8 +45,9 @@ const (
 	// job its customer daemon has Running on that machine, and no job
 	// holds two machines.
 	CodeClaimExclusive = "MC103"
-	// CodeLedgerConservation: accumulated fair-share charges equal the
-	// claims the customer daemons saw granted, one for one.
+	// CodeLedgerConservation: charges equal the claims the customer
+	// daemons saw granted, one for one, and a new leader loads every
+	// charge the last publish held.
 	CodeLedgerConservation = "MC104"
 	// CodeUnsatisfiableMatch: the matchmaker never emits a match the
 	// bilateral analyzer proves can never satisfy both parties.
@@ -62,7 +64,7 @@ func AllCodes() []CodeInfo {
 		{CodeSingleLeader, "safety", "two negotiators held the leadership lease at the same epoch"},
 		{CodeStaleEpochClaim, "safety", "a claim was granted from a MATCH bearing an epoch below its customer's high-water mark"},
 		{CodeClaimExclusive, "safety", "a machine held a claim for a job its customer does not have running there, or a job held two machines"},
-		{CodeLedgerConservation, "safety", "fair-share charges diverged from the claims the customers saw granted"},
+		{CodeLedgerConservation, "safety", "fair-share charges diverged from the claims the customers saw granted, or a new leader loaded less usage than the last publish held"},
 		{CodeUnsatisfiableMatch, "safety", "the matchmaker emitted a match the bilateral analyzer proves unsatisfiable"},
 		{CodeStarvation, "liveness", "a satisfiable finite job never completed under fair scheduling"},
 	}

@@ -82,8 +82,9 @@ func TestMutantStaleEpochClaim(t *testing.T) {
 	}
 }
 
-// TestMutantDoubleCharge: billing two units per acknowledged claim
-// breaks ledger conservation on the very first grant — MC104.
+// TestMutantDoubleCharge: a negotiator that bills two units per
+// acknowledged claim breaks ledger conservation on the very first
+// grant — MC104.
 func TestMutantDoubleCharge(t *testing.T) {
 	cfg := Config{
 		Machines: []MachineSpec{
@@ -95,7 +96,7 @@ func TestMutantDoubleCharge(t *testing.T) {
 		Negotiators:     []string{"neg1"},
 		MaxDepth:        5,
 		StopOnViolation: true,
-		DoubleCharge:    true,
+		DaemonHooks:     pool.Hooks{DoubleCharge: true},
 	}
 	res, err := Explore(cfg)
 	if err != nil {
@@ -113,13 +114,58 @@ func TestMutantDoubleCharge(t *testing.T) {
 		t.Errorf("rendered trace missing MC104:\n%s", rendered)
 	}
 
-	cfg.DoubleCharge = false
+	cfg.DaemonHooks.DoubleCharge = false
 	clean, err := Explore(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(clean.Violations) != 0 {
 		t.Fatalf("unmutated billing violates: %v", clean.Violations)
+	}
+}
+
+// TestMutantSkipUsagePublish: a negotiator whose Negotiator ad carries
+// no usage lets its charges die with its leadership. The explorer finds
+// a takeover whose new leader loads a table missing a published charge
+// — MC104 — and with the usage published the same space is clean.
+func TestMutantSkipUsagePublish(t *testing.T) {
+	cfg := Config{
+		Machines: []MachineSpec{
+			{Name: "m1", Ad: `[ Type = "Machine"; Name = "m1" ]`},
+		},
+		Jobs: []JobSpec{
+			{Owner: "alice", Work: -1, Ad: `[ Type = "Job" ]`},
+		},
+		Negotiators:     []string{"neg1", "neg2"},
+		MaxTicks:        1,
+		MaxDepth:        7,
+		StopOnViolation: true,
+		DaemonHooks:     pool.Hooks{SkipUsagePublish: true},
+	}
+	res, err := Explore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := findCode(t, res, CodeLedgerConservation)
+	if !strings.Contains(v.Detail, "took over at epoch 2 holding 0 of alice's units") {
+		t.Errorf("detail = %q", v.Detail)
+	}
+	rendered, err := RenderTrace(cfg, v.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(rendered, "counterexample MC104") || !strings.Contains(rendered, "claim GRANTED") {
+		t.Errorf("rendered trace missing the violation or the grant:\n%s", rendered)
+	}
+	t.Logf("MC104 rediscovered after %d schedules: %v at %v", res.Schedules, v, v.Schedule)
+
+	cfg.DaemonHooks.SkipUsagePublish = false
+	clean, err := Explore(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean.Violations) != 0 {
+		t.Fatalf("publishing negotiators violate: %v", clean.Violations)
 	}
 }
 

@@ -101,6 +101,10 @@ type CustomerDaemon struct {
 // Hooks are the daemons' seeded faults: each plants one protocol bug
 // the model checker must rediscover.
 type Hooks struct {
+	// DoubleCharge makes a negotiator bill two units per granted claim,
+	// and SkipUsagePublish makes it publish an empty usage list, which a
+	// new leader then loads: the ledger bugs of MC104.
+	DoubleCharge, SkipUsagePublish bool
 	// DisableEpochFence makes a CA honour a MATCH whose negotiator epoch
 	// is below its high-water mark: the deposed-leader bug of MC102.
 	DisableEpochFence bool

@@ -111,7 +111,7 @@ func TestChaosPoolCompletesAllJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	collectorAddr := ln.Addr().String()
-	mgr := NewManager(ManagerConfig{Logf: t.Logf, Dialer: dialer, NotifyRetry: retry, Obs: o})
+	mgr := NewManager(ManagerConfig{Logf: t.Logf, Notifier: Sender{Dialer: dialer, Retry: retry}, Obs: o})
 	mgr.Serve(faults.Listener(ln))
 
 	const adLifetime = 2 // seconds; a dead provider's stale ad ages out fast
@@ -172,7 +172,7 @@ func TestChaosPoolCompletesAllJobs(t *testing.T) {
 			// ad in it) is lost; agents must re-establish state via
 			// their periodic advertising alone.
 			mgr.Close()
-			mgr = NewManager(ManagerConfig{Logf: t.Logf, Dialer: dialer, NotifyRetry: retry, Obs: o})
+			mgr = NewManager(ManagerConfig{Logf: t.Logf, Notifier: Sender{Dialer: dialer, Retry: retry}, Obs: o})
 			mgr.Serve(faults.Listener(rebindListener(t, collectorAddr)))
 		case 6:
 			// Provider death: its stale ad keeps drawing matches
@@ -335,10 +335,10 @@ func TestChaosClaimAgainstWedgedProviderIsBounded(t *testing.T) {
 
 	// The manager's advisory provider notification also hits the
 	// wedge; a tight dialer keeps that leg bounded in milliseconds.
-	mgr := NewManager(ManagerConfig{Logf: t.Logf,
-		Dialer:      &netx.Dialer{ConnectTimeout: time.Second, IOTimeout: 200 * time.Millisecond},
-		NotifyRetry: netx.RetryPolicy{Attempts: 2, Base: 5 * time.Millisecond, Seed: 1},
-	})
+	mgr := NewManager(ManagerConfig{Logf: t.Logf, Notifier: Sender{
+		Dialer: &netx.Dialer{ConnectTimeout: time.Second, IOTimeout: 200 * time.Millisecond},
+		Retry:  netx.RetryPolicy{Attempts: 2, Base: 5 * time.Millisecond, Seed: 1},
+	}})
 	addr, err := mgr.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -416,7 +416,7 @@ func TestChaosReuseOutlivedByPeers(t *testing.T) {
 	netx.Instrument(o.Registry())
 	t.Cleanup(func() { netx.Instrument(nil) })
 
-	mgr := NewManager(ManagerConfig{Logf: t.Logf, Dialer: dialer, NotifyRetry: retry})
+	mgr := NewManager(ManagerConfig{Logf: t.Logf, Notifier: Sender{Dialer: dialer, Retry: retry}})
 	t.Cleanup(mgr.Close)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

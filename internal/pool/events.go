@@ -60,14 +60,14 @@ func (m *Manager) StartEvents(fallback time.Duration) *EventLoop {
 		fallback = DefaultFallback
 	}
 	el := &EventLoop{m: m, fallback: fallback, done: make(chan struct{})}
-	m.local.drain(m.neg.eng)
+	m.local.drain(m.negotiator.eng)
 	el.wg.Add(1)
 	go el.pump()
 	return el
 }
 
 // Engine exposes the negotiation engine (tests, metrics).
-func (el *EventLoop) Engine() *matchmaker.Incremental { return el.m.neg.eng }
+func (el *EventLoop) Engine() *matchmaker.Incremental { return el.m.negotiator.eng }
 
 // Fallbacks reports how many fallback full rebuilds Run has requested.
 func (el *EventLoop) Fallbacks() int {
@@ -89,7 +89,7 @@ func (el *EventLoop) pump() {
 			if !open {
 				return
 			}
-			el.m.local.drain(el.m.neg.eng)
+			el.m.local.drain(el.m.negotiator.eng)
 		case <-el.done:
 			return
 		}
@@ -116,7 +116,7 @@ func (el *EventLoop) Stop() {
 func (el *EventLoop) Run(ctx context.Context) {
 	stop := context.AfterFunc(ctx, el.Stop)
 	defer stop()
-	eng := el.m.neg.eng
+	eng := el.m.negotiator.eng
 	fallback := time.NewTicker(el.fallback)
 	defer fallback.Stop()
 	var retry <-chan time.Time

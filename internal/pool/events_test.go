@@ -136,7 +136,7 @@ func runChaosPool(t *testing.T, seed int64, nJobs, nRAs int, drop float64, event
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := NewManager(ManagerConfig{Logf: t.Logf, Dialer: dialer, NotifyRetry: retry, Obs: o})
+	mgr := NewManager(ManagerConfig{Logf: t.Logf, Notifier: Sender{Dialer: dialer, Retry: retry}, Obs: o})
 	defer mgr.Close()
 	srv := collector.NewServer(mgr.Store(), t.Logf)
 	srv.Instrument(o)

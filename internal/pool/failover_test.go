@@ -281,7 +281,7 @@ func TestDeposedLeaderAdNeverWinsUsageLoad(t *testing.T) {
 	h.clock.Add(1)
 	h.negA.Usage().Advance(float64(h.clock.Load()))
 	h.negA.Usage().Record("raman", 5)
-	h.negA.neg.publishSelf("nego-a", CycleResult{})
+	h.negA.negotiator.publishSelf("nego-a", CycleResult{})
 	if got, _ := publishedUsage(t, h.cstore, "negotiator/nego-a", "raman"); got < 5.99 || got > 6.01 {
 		t.Fatalf("A's late ad publishes %g for raman, want ~6", got)
 	}

@@ -31,8 +31,8 @@ type NegotiatorDaemon struct {
 	// Logf receives diagnostics; nil discards.
 	Logf func(string, ...any)
 
-	client *collector.Client
-	neg    *negotiator
+	client      *collector.Client
+	*negotiator // promotes Leader, Cycles, Usage, Engine
 }
 
 // NewNegotiatorDaemon builds a negotiator around a collector client.
@@ -43,20 +43,16 @@ func NewNegotiatorDaemon(name string, client *collector.Client, mmCfg matchmaker
 		client: client,
 	}
 	pool := &remotePool{client: client, deltas: collector.NewDeltaAdvertiser(client)}
-	d.neg = newNegotiator("negotiator", "negotiator/"+name, pool, mmCfg.Env, mmCfg)
+	d.negotiator = newNegotiator("negotiator", "negotiator/"+name, pool, mmCfg.Env, mmCfg)
 	// Logf is a public field callers set after construction.
-	d.neg.logf = func(format string, args ...any) { d.Logf(format, args...) }
+	d.negotiator.logf = func(format string, args ...any) { d.Logf(format, args...) }
 	return d
 }
 
-// ConfigureNetwork sets the dialer and retry policy for notifications
-// and collector traffic.
+// ConfigureNetwork sets the dialer (nil selects netx.DefaultDialer) and
+// retry policy for notifications and collector traffic.
 func (d *NegotiatorDaemon) ConfigureNetwork(dialer *netx.Dialer, retry netx.RetryPolicy) {
-	if dialer == nil {
-		dialer = netx.DefaultDialer
-	}
-	d.neg.dialer = dialer
-	d.neg.notifyRetry = retry
+	d.negotiator.notifier = Sender{Dialer: dialer, Retry: retry}
 	d.client.Dialer = dialer
 	d.client.Retry = retry
 }
@@ -65,21 +61,14 @@ func (d *NegotiatorDaemon) ConfigureNetwork(dialer *netx.Dialer, retry netx.Retr
 // metrics (negotiator.instrument) plus the current leadership epoch
 // (negotiator_leader_epoch gauge; 0 while standby).
 func (d *NegotiatorDaemon) Instrument(o *obs.Obs) {
-	d.neg.instrument(o)
+	d.negotiator.instrument(o)
 	o.Registry().GaugeFunc("negotiator_leader_epoch", func() float64 {
-		if leader, epoch := d.neg.leadership(); leader {
+		if leader, epoch := d.Leader(); leader {
 			return float64(epoch)
 		}
 		return 0
 	})
 }
-
-// Leader reports whether the daemon held the lease at its last tick,
-// and under which epoch.
-func (d *NegotiatorDaemon) Leader() (bool, uint64) { return d.neg.leadership() }
-
-// Usage exposes the fair-share table.
-func (d *NegotiatorDaemon) Usage() *matchmaker.PriorityTable { return d.neg.mm.Usage() }
 
 // Tick runs one heartbeat: acquire or renew the lease, then negotiate
 // if it was granted. A leader whose collector reports the pool
@@ -90,20 +79,13 @@ func (d *NegotiatorDaemon) Usage() *matchmaker.PriorityTable { return d.neg.mm.U
 // drives Tick on the pool's negotiation period — and should do so at
 // least a few times per lease TTL so renewal outpaces expiry.
 func (d *NegotiatorDaemon) Tick(force bool) CycleResult {
-	res, _ := d.neg.cycle(d.Name, force)
+	res, _ := d.negotiator.cycle(d.Name, force)
 	return res
-}
-
-// Cycles reports how many heartbeats this daemon has run.
-func (d *NegotiatorDaemon) Cycles() int {
-	d.neg.mu.Lock()
-	defer d.neg.mu.Unlock()
-	return d.neg.cycles
 }
 
 // String renders leadership state for logs and cstatus.
 func (d *NegotiatorDaemon) String() string {
-	n := d.neg
+	n := d.negotiator
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.leader {
