@@ -25,6 +25,8 @@ type CallGraph struct {
 	pkgOf map[*types.Func]*Package
 	sync  map[*types.Func][]*types.Func // edges not crossing a go statement
 	all   map[*types.Func][]*types.Func // sync edges plus goroutine spawns
+
+	methodsByName map[string][]*types.Func // every concrete module method
 }
 
 // CallGraph builds (once) and returns the program's call graph.
@@ -33,16 +35,16 @@ func (prog *Program) CallGraph() *CallGraph {
 		return prog.cg
 	}
 	cg := &CallGraph{
-		decls: map[*types.Func]*ast.FuncDecl{},
-		pkgOf: map[*types.Func]*Package{},
-		sync:  map[*types.Func][]*types.Func{},
-		all:   map[*types.Func][]*types.Func{},
+		decls:         map[*types.Func]*ast.FuncDecl{},
+		pkgOf:         map[*types.Func]*Package{},
+		sync:          map[*types.Func][]*types.Func{},
+		all:           map[*types.Func][]*types.Func{},
+		methodsByName: map[string][]*types.Func{},
 	}
 	pkgs := prog.allModulePackages()
 
 	// Index every concrete method declared in the module by name, for
 	// CHA resolution of interface calls.
-	methodsByName := map[string][]*types.Func{}
 	for _, pkg := range pkgs {
 		if pkg.Info == nil {
 			continue
@@ -60,7 +62,7 @@ func (prog *Program) CallGraph() *CallGraph {
 				cg.decls[fn] = fd
 				cg.pkgOf[fn] = pkg
 				if fd.Recv != nil {
-					methodsByName[fn.Name()] = append(methodsByName[fn.Name()], fn)
+					cg.methodsByName[fn.Name()] = append(cg.methodsByName[fn.Name()], fn)
 				}
 			}
 		}
@@ -71,28 +73,6 @@ func (prog *Program) CallGraph() *CallGraph {
 			cg.sync[from] = append(cg.sync[from], to)
 		}
 		cg.all[from] = append(cg.all[from], to)
-	}
-
-	// resolve expands one callee into its concrete targets: a concrete
-	// function stays itself; an interface method fans out to every
-	// module method implementing it.
-	resolve := func(fn *types.Func) []*types.Func {
-		sig, ok := fn.Type().(*types.Signature)
-		if !ok || sig.Recv() == nil {
-			return []*types.Func{fn}
-		}
-		iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
-		if !ok {
-			return []*types.Func{fn}
-		}
-		var out []*types.Func
-		for _, m := range methodsByName[fn.Name()] {
-			recv := m.Type().(*types.Signature).Recv().Type()
-			if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
-				out = append(out, m)
-			}
-		}
-		return out
 	}
 
 	for _, pkg := range pkgs {
@@ -121,7 +101,7 @@ func (prog *Program) CallGraph() *CallGraph {
 							return false
 						case *ast.CallExpr:
 							if callee := StaticCallee(info, n); callee != nil {
-								for _, to := range resolve(callee) {
+								for _, to := range cg.Targets(callee) {
 									addEdge(from, to, async)
 								}
 							}
@@ -152,6 +132,28 @@ func StaticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		}
 	}
 	return nil
+}
+
+// Targets expands one callee into its concrete targets: a concrete
+// function stays itself; an interface method fans out to every module
+// method implementing it.
+func (cg *CallGraph) Targets(fn *types.Func) []*types.Func {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return []*types.Func{fn}
+	}
+	iface, ok := sig.Recv().Type().Underlying().(*types.Interface)
+	if !ok {
+		return []*types.Func{fn}
+	}
+	var out []*types.Func
+	for _, m := range cg.methodsByName[fn.Name()] {
+		recv := m.Type().(*types.Signature).Recv().Type()
+		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // Decl returns the syntax of fn's declaration, or nil if fn is not

@@ -27,11 +27,13 @@ import (
 // transition the held set, only real package-net dials and protocol
 // round-trips classify as blocking — and calls to same-package helpers
 // are followed across files: a dial buried in a helper in another file
-// is still a dial under the lock. `//lockguard:ok <reason>` on the
-// offending line waives a finding.
+// is still a dial under the lock. A call through an interface method is
+// followed to the package's own implementations of it, so I/O behind an
+// interface seam is still I/O under the lock. `//lockguard:ok <reason>`
+// on the offending line waives a finding.
 var LockGuard = &Analyzer{
 	Name:      "lockguard",
-	Doc:       "flags channel sends and netx/protocol/net I/O while a sync mutex is held, following same-package helper calls",
+	Doc:       "flags channel sends and netx/protocol/net I/O while a sync mutex is held, following same-package helper and interface calls",
 	SkipTests: true,
 	Run:       runLockGuard,
 }
@@ -309,28 +311,59 @@ func isDialerDo(obj types.Object) bool {
 	return named != nil && named.Obj().Name() == "Dialer"
 }
 
-// blockingHelper reports whether the call statically resolves to a
-// same-package function whose body (transitively, still within the
-// package) performs a blocking operation. Returns the callee's name
-// and a description of the operation, or "". This is the cross-file
-// half of the invariant: the old single-file matcher could not see a
-// dial two files away.
+// blockingHelper reports whether the call resolves to a same-package
+// function whose body (transitively, still within the package)
+// performs a blocking operation. Returns the callee's name and a
+// description of the operation, or "". This is the cross-file half of
+// the invariant: the old single-file matcher could not see a dial two
+// files away. A call through an interface method counts when one of
+// the package's own implementations of it blocks: the caller cannot
+// tell which one it reaches, so the call is named with the blocking
+// implementation.
 func (g *lockGuard) blockingHelper(c *ast.CallExpr) (callee, op string) {
 	fn := StaticCallee(g.pass.Pkg.Info, c)
-	if fn == nil || fn.Pkg() == nil || fn.Pkg() != g.pass.Pkg.Types {
+	if fn == nil {
 		return "", ""
 	}
-	op = g.pass.Prog.blockingSummary(fn, map[*types.Func]bool{})
-	if op == "" {
+	target, op := g.pass.Prog.blockingTarget(fn, g.pass.Pkg.Types, map[*types.Func]bool{})
+	switch {
+	case op == "":
 		return "", ""
+	case target != fn:
+		return fmt.Sprintf("%s (%s)", fn.Name(), funcName(target)), op
 	}
 	return fn.Name(), op
 }
 
+// blockingTarget returns the first of fn's targets (fn itself, or the
+// implementations of an interface method) declared in pkg that blocks,
+// and how.
+func (prog *Program) blockingTarget(fn *types.Func, pkg *types.Package, visiting map[*types.Func]bool) (*types.Func, string) {
+	for _, t := range prog.CallGraph().Targets(fn) {
+		if t.Pkg() != pkg {
+			continue
+		}
+		if op := prog.blockingSummary(t, visiting); op != "" {
+			return t, op
+		}
+	}
+	return nil, ""
+}
+
+// funcName renders a method as Recv.Name and a function as Name.
+func funcName(fn *types.Func) string {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		if named := namedOf(recv.Type()); named != nil {
+			return named.Obj().Name() + "." + fn.Name()
+		}
+	}
+	return fn.Name()
+}
+
 // blockingSummary computes (memoized) whether fn's body performs a
 // blocking operation — a direct blocking call, a bare channel send, or
-// a call to another same-package function that does — and describes
-// it. Function literals and go statements inside fn are skipped: what
+// a call to another same-package function, or through an interface to
+// a same-package implementation, that does — and describes it. Function literals and go statements inside fn are skipped: what
 // a spawned goroutine or stored closure does is not charged to fn's
 // caller.
 func (prog *Program) blockingSummary(fn *types.Func, visiting map[*types.Func]bool) string {
@@ -372,8 +405,8 @@ func (prog *Program) blockingSummary(fn *types.Func, visiting map[*types.Func]bo
 						summary = msg
 						return false
 					}
-					if callee := StaticCallee(pkg.Info, n); callee != nil && callee.Pkg() == pkg.Types {
-						if s := prog.blockingSummary(callee, visiting); s != "" {
+					if callee := StaticCallee(pkg.Info, n); callee != nil {
+						if _, s := prog.blockingTarget(callee, pkg.Types, visiting); s != "" {
 							summary = s
 							return false
 						}

@@ -37,3 +37,25 @@ func (r *registrar) registerUnlocked() {
 	r.mu.Unlock()
 	helperDial()
 }
+
+// registerVia blocks through an interface: the caller cannot tell which
+// implementation it reaches, so the blocking one is named.
+func (r *registrar) registerVia(n notifier) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n.notify() // want "call to notify \\(netNotifier\\.notify\\), which performs net\\.Dial, while r\\.mu is held"
+}
+
+// registerViaHelper reaches the interface call one hop away.
+func (r *registrar) registerViaHelper(n notifier) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	helperNotify(n) // want "call to helperNotify, which performs net\\.Dial, while r\\.mu is held"
+}
+
+// countLocked is fine: no implementation of counter blocks.
+func (r *registrar) countLocked(c counter) int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return c.count()
+}
