@@ -23,7 +23,9 @@ FUZZTIME ?= 15s
 # WakeOneDelta is the quiet wake at two pool sizes, whose ratio pins
 # that a wake's cost follows the delta, not the pool; OrderedScan is
 # one job's scan in the pool.10k shape, whose evals/match and
-# ranks/match pin how far the rank-ordered walk goes), plus E17's
+# ranks/match pin how far the rank-ordered walk goes; Aggregation is
+# E11's group matching over value-regular pools, whose evals/match pins
+# one try per match), plus E17's
 # per-record remote-syscall tax (RemoteSyscallStep) and one match's
 # wire path through real daemons (NotifyClaim, whose dials/op pins
 # that every conversation reuses a cached connection).

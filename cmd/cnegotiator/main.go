@@ -36,7 +36,6 @@ func main() {
 	period := flag.Int64("period", 60, "heartbeat/negotiation period in seconds")
 	fallbackEvery := flag.Int64("fallback-heartbeats", 10, "force a negotiation every N heartbeats even if the collector's pool-change counter has not moved (0: never)")
 	fairShare := flag.Bool("fairshare", true, "order customers by past usage")
-	aggregate := flag.Bool("aggregate", false, "enable group matching over regular ads")
 	debugAddr := flag.String("debug-addr", "", "serve /metrics, /trace and pprof on this address")
 	verbose := flag.Bool("v", false, "log every tick")
 	flag.Parse()
@@ -46,7 +45,7 @@ func main() {
 	}
 
 	d := pool.NewNegotiatorDaemon(*name, &collector.Client{Addr: *poolAddr},
-		matchmaker.Config{FairShare: *fairShare, Aggregate: *aggregate})
+		matchmaker.Config{FairShare: *fairShare})
 	if *verbose {
 		d.Logf = log.Printf
 	}

@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	cpool [-listen ADDR] [-period SECONDS] [-fairshare] [-aggregate] [-debug-addr ADDR]
+//	cpool [-listen ADDR] [-period SECONDS] [-fairshare] [-debug-addr ADDR]
 //	cpool -store-dir /var/pool/collector -ha-name mgr
 //	cpool -period 0 [-fallback SECONDS]              # event-driven negotiation
 //	cpool -collector-only                            # no local negotiation; cnegotiator pair matches
@@ -44,7 +44,6 @@ func main() {
 	fallback := flag.Int64("fallback", 300, "event mode: full-rebuild fallback period in seconds")
 	collectorOnly := flag.Bool("collector-only", false, "store ads and arbitrate the lease only; leave matching to cnegotiator")
 	fairShare := flag.Bool("fairshare", true, "order customers by past usage")
-	aggregate := flag.Bool("aggregate", false, "enable group matching over regular ads")
 	historyFile := flag.String("history", "", "append match records (classads) to this file")
 	storeDir := flag.String("store-dir", "", "persist the ad store (WAL + snapshots), fair-share usage included, in this directory")
 	haName := flag.String("ha-name", "", "enroll in negotiator leader election under this name")
@@ -67,7 +66,7 @@ func main() {
 		defer history.Close()
 	}
 	cfg := pool.ManagerConfig{
-		Matchmaker: matchmaker.Config{FairShare: *fairShare, Aggregate: *aggregate},
+		Matchmaker: matchmaker.Config{FairShare: *fairShare},
 		Logf:       logf,
 		HAName:     *haName,
 	}

@@ -136,8 +136,15 @@ func (w *diffWorld) genJob(name string) *classad.Ad {
 // them. They sit before the first ordinary key, after the last, and
 // between two neighbours, in pairs: their arrivals and departures are
 // membership churn at the extremes of the engine's ordered offer list
-// and between equal-rank twins.
+// and between equal-rank twins, so index slots drift from positions.
 var twinNames = []string{"!a", "!b", "mach-10+a", "mach-10+b", "~y", "~z"}
+
+// twinRanks are the offer Ranks twins advertise, one per stretch of
+// twinEpoch steps: absent or a literal (the scan knows the twin's key
+// and may pass it over untried), or reading other. (it is tried).
+var twinRanks = []string{"", "3", "other.Prio", `other.Owner == "user0" ? 9 : 1`}
+
+const twinEpoch = 40
 
 // flipNames are keys re-advertised now as a job, now as a machine.
 var flipNames = []string{"flip-0", "flip-1"}
@@ -151,8 +158,10 @@ func (w *diffWorld) genTwin(name string) *classad.Ad {
 	ad.SetInt("Mips", 200)
 	ad.SetString("State", "Unclaimed")
 	ad.Set("Constraint", classad.Lit(classad.Bool(true)))
-	if err := ad.SetExprString("Rank", "other.Prio"); err != nil {
-		w.t.Fatal(err)
+	if rank := twinRanks[w.step/twinEpoch%len(twinRanks)]; rank != "" {
+		if err := ad.SetExprString("Rank", rank); err != nil {
+			w.t.Fatal(err)
+		}
 	}
 	return ad
 }

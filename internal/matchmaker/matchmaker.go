@@ -2,7 +2,8 @@
 // §3.2/§4: the periodic negotiation cycle that pairs customer request
 // ads with compatible provider ads, ranks candidates, enforces a fair
 // matching policy from past resource usage, and — per the paper's
-// future-work section — aggregates regular ads for group matching,
+// future-work section — matches regular ads in groups (an equal-rank
+// run of twins is decided without trying every twin, scan.go),
 // diagnoses unsatisfiable constraints, and services co-allocation
 // (gang) requests expressed as nested classads.
 //
@@ -48,12 +49,6 @@ type Config struct {
 	// FairShare orders customers by accumulated usage (lightest
 	// first) instead of submission order.
 	FairShare bool
-	// Aggregate prunes by equivalence classes of offers instead of by
-	// the offer index (group matching, paper §5 future work). Results
-	// are identical either way (property-tested); the work per request
-	// shrinks to one evaluation per class when offers are
-	// value-regular, where the index has nothing to prune.
-	Aggregate bool
 }
 
 // Matchmaker runs negotiation cycles. The zero value is usable; usage
@@ -194,16 +189,6 @@ func OwnerOf(ad *classad.Ad) string { return owner(ad) }
 // It is one everything-dirty pass of the negotiation engine
 // (incremental.go) keyed by slice position — the same loop the pool
 // driver keeps alive across cycles.
-//
-// With aggregation on, group matching applies on both sides (paper §5
-// future work): offers are partitioned into equivalence classes and
-// each request is evaluated against one representative per class; the
-// per-request candidate list is additionally memoized by the request's
-// own signature, so a batch of identical jobs — the high-throughput
-// norm — costs one evaluation sweep instead of one per job. Outcomes
-// are identical to the unaggregated scan (property-tested) provided
-// constraints and ranks are pure; identity attributes they reference
-// stay part of the class signature.
 func (m *Matchmaker) Negotiate(requests, offers []*classad.Ad) []Match {
 	deltas := make([]AdDelta, 0, len(offers)+len(requests))
 	for i, ad := range offers {
@@ -213,7 +198,6 @@ func (m *Matchmaker) Negotiate(requests, offers []*classad.Ad) []Match {
 		deltas = append(deltas, AdDelta{Kind: AdRequest, Key: sliceKey('r', i), Ad: ad})
 	}
 	e := NewIncremental(m)
-	e.oneShot = true
 	e.Apply(deltas...)
 	matches, _ := e.Recompute()
 	// The service order was fixed before the loop ran, so charging
@@ -234,21 +218,13 @@ func sliceKey(kind byte, i int) string {
 // diagnose categorizes why a request left the cycle unmatched,
 // mirroring Analyze's verdicts: an empty pool (no-offers), a pool with
 // no bilaterally compatible offer (constraint-failed), or compatible
-// offers that higher-priority requests already took (outranked). The
-// scan path re-examines only the offers the scan skipped as
-// unavailable — available offers it did not evaluate were pruned by
-// the index, which only prunes provably incompatible pairs; the
-// aggregate path reads the candidate classes, which were computed
-// ignoring availability.
-func (m *Matchmaker) diagnose(req *classad.Ad, offers []*classad.Ad, available []bool, o outcome) string {
+// offers that higher-priority requests already took (outranked). It
+// re-examines only the offers the scan skipped as unavailable —
+// available offers the scan did not evaluate were pruned by the index,
+// which only prunes provably incompatible pairs.
+func (m *Matchmaker) diagnose(req *classad.Ad, offers []*classad.Ad, available []bool) string {
 	if len(offers) == 0 {
 		return ReasonNoOffers
-	}
-	if o.aggregated {
-		if len(o.classes) > 0 {
-			return ReasonOutranked
-		}
-		return ReasonConstraintFailed
 	}
 	for oi := range offers {
 		if available[oi] {

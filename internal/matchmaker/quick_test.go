@@ -212,7 +212,6 @@ func TestQuickNegotiateInvariants(t *testing.T) {
 		for _, cfg := range []Config{
 			{Env: env},
 			{Env: env, FairShare: true},
-			{Env: env, Aggregate: true},
 		} {
 			matches := New(cfg).Negotiate(requests, offers)
 			usedOffer := map[*classad.Ad]bool{}
@@ -281,26 +280,39 @@ func TestQuickNegotiateNoStrandedWork(t *testing.T) {
 	}
 }
 
-// TestQuickAggregationEquivalence: aggregation never changes who gets
-// served, by which offer, or at what rank, over random value-regular
-// pools — including pools where a constraint or rank reads an identity
-// attribute (other.Name on the request side, other.JobId / Cluster on
-// the offer side), which the class signature must then keep.
-func TestQuickAggregationEquivalence(t *testing.T) {
+// TestQuickGroupMatchingEquivalence: passing over the twins of a rank
+// run that lose to its match never changes who gets served, by which
+// offer, or at what rank, over random value-regular pools. A class's
+// twins differ only in Name and share an offer Rank that is absent, a
+// literal, or reads other.Owner (so its key is not known); single
+// offers break ranks with a State "Claimed" twin, a constraint reading
+// other.JobId, or a Rank reading other.Cluster; and requests read
+// identity attributes (other.Name) in constraint and Rank.
+func TestQuickGroupMatchingEquivalence(t *testing.T) {
+	ranks := []string{"", "2", `other.Owner == "u1" ? 3 : 1`}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		classes := 1 + r.Intn(5)
 		n := classes * (1 + r.Intn(6))
+		classRank := make([]string, classes)
+		for c := range classRank {
+			classRank[c] = ranks[r.Intn(len(ranks))]
+		}
 		offers := make([]*classad.Ad, n)
 		for i := range offers {
 			c := i % classes
 			m := machine(fmt.Sprintf("m%d", i), "INTEL", int64(32*(c+1)))
 			m.SetInt("Class", int64(c))
-			switch r.Intn(6) {
+			if classRank[c] != "" {
+				_ = m.SetExprString("Rank", classRank[c])
+			}
+			switch r.Intn(8) {
 			case 0:
 				_ = m.SetExprString("Constraint", fmt.Sprintf(`other.JobId != %d`, r.Intn(4)))
 			case 1:
 				_ = m.SetExprString("Rank", fmt.Sprintf(`other.Cluster == %d ? 5 : 0`, r.Intn(3)))
+			case 2:
+				m.SetString("State", "Claimed")
 			}
 			offers[i] = m
 		}
@@ -318,14 +330,14 @@ func TestQuickAggregationEquivalence(t *testing.T) {
 		}
 		env := classad.FixedEnv(0, seed)
 		plain := naiveMatches(Config{Env: env}, requests, offers)
-		agg := New(Config{Env: env, Aggregate: true}).Negotiate(requests, offers)
-		if len(plain) != len(agg) {
-			t.Logf("seed %d: counts differ %d vs %d", seed, len(plain), len(agg))
+		got := New(Config{Env: env}).Negotiate(requests, offers)
+		if len(plain) != len(got) {
+			t.Logf("seed %d: counts differ %d vs %d", seed, len(plain), len(got))
 			return false
 		}
 		for i := range plain {
-			if plain[i] != agg[i] {
-				t.Logf("seed %d: match %d differs:\n oracle %+v\n    agg %+v", seed, i, plain[i], agg[i])
+			if plain[i] != got[i] {
+				t.Logf("seed %d: match %d differs:\n oracle %+v\n engine %+v", seed, i, plain[i], got[i])
 				return false
 			}
 		}

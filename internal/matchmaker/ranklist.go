@@ -8,10 +8,11 @@ package matchmaker
 // scan.go would evaluate that expression on every candidate of every
 // such job, on every wake. Instead the offer index keeps, per such
 // residual (the key), one list of (the exact EvalRank, slot) sorted
-// by rank descending, maintained with the index: Add ranks a new slot
-// once per list and appends it to an unordered tail, the next walk
-// merges the tail in, and dead slots are passed over and compacted
-// away lazily. A keyed request's full scan walks its list in place of
+// by rank descending and, inside an equal-rank run, by view position,
+// the rank pass's order, maintained with the index: Add ranks a new
+// slot once per list and appends it to an unordered tail, the next
+// walk merges the tail in, and dead slots are passed over and
+// compacted away lazily. A keyed request's full scan walks its list in place of
 // the rank pass and the sort.
 //
 // A key is exact only if the residual's value depends on the offer
@@ -126,6 +127,11 @@ type rankEntry struct {
 // rankList is one key's rank order over the index's slots. Every slot
 // filed since the list was built is in exactly one of entries and
 // exprs, dead ones until the next compaction.
+//
+// An equal-rank run is in view-position order, which the walk's skip
+// of losing twins needs to try one twin per run (scan.go). Positions
+// shift as offers come and go, but two offers that both stay never
+// swap, so the sorted prefix stays sorted; only the tail is placed.
 type rankList struct {
 	key string
 	// self is an ad whose Rank is the residual: EvalRank(self, offer)
@@ -134,8 +140,8 @@ type rankList struct {
 	self  *classad.Ad
 	env   *classad.Env
 	reads []string
-	// entries[:sorted] is by rank descending; the rest is the
-	// unordered tail of slots filed since the last walk.
+	// entries[:sorted] is by rank descending, then view position; the
+	// rest is the unordered tail of slots filed since the last walk.
 	entries []rankEntry
 	sorted  int
 	// exprs holds the slots that define a read attribute by an
@@ -156,28 +162,41 @@ func (l *rankList) file(slot int, off *classad.Ad) bool {
 	return true
 }
 
-// byEntryRank orders a rank list: rank descending. Order inside an
-// equal-rank run is free, because a walk tries every entry of each run
-// it enters.
-func byEntryRank(a, b rankEntry) int { return cmp.Compare(b.rank, a.rank) }
-
-// settle readies l for a walk: it merges the tail into the sorted
-// prefix, then drops the dead slots once they are an eighth of the
-// list. The caller holds ix.mu.
-func (ix *OfferIndex) settle(l *rankList) {
-	l.sorted = settleTail(l.entries, l.sorted, byEntryRank)
-	if n := len(l.entries) + len(l.exprs); 8*(n-ix.nlive) > n {
-		dead := func(slot int) bool { return !ix.live[slot] }
-		l.entries = slices.DeleteFunc(l.entries, func(e rankEntry) bool { return dead(e.slot) })
-		l.exprs = slices.DeleteFunc(l.exprs, dead)
-		l.sorted = len(l.entries)
-	}
+// settle readies l for a walk over a view whose positions posOfSlot
+// gives: it drops the tail's dead slots and merges the rest into the
+// sorted prefix by rank descending, then position. A dead slot of the
+// prefix has no position, so the merge moves it below every newcomer
+// it meets rather than compare it. The caller holds ix.mu.
+func (ix *OfferIndex) settle(l *rankList, posOfSlot []int) {
+	tail := slices.DeleteFunc(l.entries[l.sorted:], func(e rankEntry) bool { return !ix.live[e.slot] })
+	l.entries = l.entries[:l.sorted+len(tail)]
+	l.sorted = settleTail(l.entries, l.sorted, func(a, b rankEntry) int {
+		if !ix.live[a.slot] { // a is of the prefix, b a newcomer
+			return 1
+		}
+		return cmp.Or(cmp.Compare(b.rank, a.rank), cmp.Compare(posOfSlot[a.slot], posOfSlot[b.slot]))
+	})
 }
 
-// rankList returns the walk-ready rank list of key k for a request
-// with n live candidates, building it, ranked under env, on the key's
-// first scan, or nil when n is too small to repay a walk. The list
-// stays valid until the index next changes.
+// compact drops l's dead slots once they are an eighth of the list,
+// keeping the sorted prefix apart from the tail. The caller holds
+// ix.mu.
+func (ix *OfferIndex) compact(l *rankList) {
+	if n := len(l.entries) + len(l.exprs); 8*(n-ix.nlive) <= n {
+		return
+	}
+	dead := func(slot int) bool { return !ix.live[slot] }
+	deadEntry := func(e rankEntry) bool { return dead(e.slot) }
+	sorted := len(slices.DeleteFunc(l.entries[:l.sorted], deadEntry))
+	tail := slices.DeleteFunc(l.entries[l.sorted:], deadEntry)
+	l.entries, l.sorted = append(l.entries[:sorted], tail...), sorted
+	l.exprs = slices.DeleteFunc(l.exprs, dead)
+}
+
+// rankList returns the rank list of key k for a request with n live
+// candidates, building it, ranked under env, on the key's first scan,
+// or nil when n is too small to repay a walk. The list stays valid
+// until the index next changes; walkRankList settles it.
 func (ix *OfferIndex) rankList(k *rankKey, n int, env *classad.Env) *rankList {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -204,7 +223,7 @@ func (ix *OfferIndex) rankList(k *rankKey, n int, env *classad.Env) *rankList {
 		}
 	}
 	ix.ranks = slices.Insert(ix.ranks, 0, l)
-	ix.settle(l)
+	ix.compact(l)
 	return l
 }
 
@@ -238,9 +257,12 @@ func (ix *OfferIndex) keepStaleRanks(from, to int) {
 // entries whose slot set does not admit (a nil set admits every slot),
 // is dead, or holds an offer already taken; the offers l ranks per
 // request are ranked against req here, the scan's only EvalRanks, and
-// join the order at their rank. posOfSlot maps slots to positions in
-// offers.
+// join the order at their rank and position. posOfSlot maps slots to
+// positions in offers.
 func (ev evaluator) walkRankList(req *classad.Ad, offers []*classad.Ad, ix *OfferIndex, l *rankList, set []uint64, posOfSlot []int, avail []bool) (candidate, scanCost) {
+	ix.mu.Lock()
+	ix.settle(l, posOfSlot)
+	ix.mu.Unlock()
 	admit := func(slot int) (pos int, ok bool) {
 		if !ix.live[slot] || set != nil && set[slot/64]&(1<<(uint(slot)%64)) == 0 {
 			return 0, false
@@ -269,7 +291,7 @@ func (ev evaluator) walkRankList(req *classad.Ad, offers []*classad.Ad, ix *Offe
 				entries = entries[1:]
 			}
 			switch {
-			case have && (len(exprs) == 0 || head.rank >= exprs[0].rank):
+			case have && (len(exprs) == 0 || byRank(head, exprs[0]) < 0):
 				buf, have = append(buf, head), false
 			case len(exprs) > 0:
 				buf, exprs = append(buf, exprs[0]), exprs[1:]

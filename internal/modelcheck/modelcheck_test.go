@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/agent"
+	"repro/internal/classad"
 	"repro/internal/collector"
 	"repro/internal/matchmaker"
 	"repro/internal/netx"
@@ -182,6 +183,49 @@ func TestUsageAcrossTakeover(t *testing.T) {
 	}
 }
 
+// TestNegotiatorAdPerManager: each manager publishes its own
+// Negotiator ad, named after its HA identity, so after a takeover the
+// store holds one ad per negotiator that led, and a leader that takes
+// the lease back loads the usage of the highest Epoch among them, not
+// its own stale ad. Alice's unit is charged under neg2's epoch 2; neg1,
+// whose own ad still says epoch 1 and no usage, must load it at epoch 3.
+func TestNegotiatorAdPerManager(t *testing.T) {
+	cfg := canonicalConfig()
+	sys, err := newSystem(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := sys.newWorld(nil)
+	epochs := func() map[string]int64 {
+		out := map[string]int64{}
+		for _, ad := range w.store.Query(classad.MustParse(`[ Constraint = other.Type == "Negotiator" ]`)) {
+			name, _ := ad.Eval(classad.AttrName).StringVal()
+			out[name], _ = ad.Eval("Epoch").IntVal()
+		}
+		return out
+	}
+	for _, a := range []Action{{Op: "negotiate"}, {Op: "tick"}, {Op: "negotiate", Arg: 1}} {
+		w.apply(a)
+	}
+	if got := epochs(); len(got) != 2 || got["negotiator/neg1"] != 1 || got["negotiator/neg2"] != 2 {
+		t.Fatalf("after negotiate(0) tick negotiate(1) the Negotiator ads are %v, want neg1 at epoch 1 and neg2 at epoch 2", got)
+	}
+	for _, a := range []Action{{Op: "advertise"}, {Op: "submit"}, {Op: "negotiate", Arg: 1}, {Op: "deliver"},
+		{Op: "negotiate", Arg: 1}, {Op: "tick"}, {Op: "negotiate"}} {
+		w.apply(a)
+	}
+	trace := strings.Join(w.trace, "\n")
+	if len(w.violations) != 0 {
+		t.Fatalf("%v\n%s", w.violations, trace)
+	}
+	if leader, epoch := w.negs[0].Leader(); !leader || epoch != 3 {
+		t.Fatalf("neg1 leads %v at epoch %d, want epoch 3\n%s", leader, epoch, trace)
+	}
+	if got := units(w.negs[0])["alice"]; got != 1 {
+		t.Errorf("neg1 took the lease back holding %d of alice's units, want the 1 neg2's epoch-2 ad holds\n%s", got, trace)
+	}
+}
+
 // livelockConfig reconstructs ROADMAP item 1: machine A is claimed by
 // an infinite job, its idle twin B ties every rank, and a late-arriving
 // job must choose between them every cycle. mutant seeds the engines.
@@ -204,6 +248,19 @@ func livelockConfig(mutant matchmaker.IncrementalHooks) Config {
 	}
 }
 
+// mirroredLivelockConfig is livelockConfig with the claimed machine
+// after its idle twin in key order: B ranks every job 1 by a literal,
+// so alice takes it first, and the legacy tie-break, blind to claimed
+// state, hands bob B on offer rank over the earlier idle A. The scan
+// passes over a twin of a run only when better() would rank it below
+// the incumbent; it must read claimed state as better() does, or it
+// passes over B and hides the livelock.
+func mirroredLivelockConfig(mutant matchmaker.IncrementalHooks) Config {
+	cfg := livelockConfig(mutant)
+	cfg.Machines[1].Ad = `[ Type = "Machine"; Name = "B"; Memory = 32; Rank = 1 ]`
+	return cfg
+}
+
 // TestLivelockRegression mechanically rediscovers the claimed-offer
 // livelock (ROADMAP item 1) as an MC201 counterexample under either
 // engine mutant that lets the claimed A beat its idle twin B — the
@@ -213,35 +270,42 @@ func livelockConfig(mutant matchmaker.IncrementalHooks) Config {
 // checker's version of TestForensicsClaimedOfferLivelock, with the loop
 // detected rather than asserted.
 func TestLivelockRegression(t *testing.T) {
-	for name, mutant := range map[string]matchmaker.IncrementalHooks{
-		"LegacyClaimedTieBreak": {LegacyClaimedTieBreak: true},
-		"StopBeforeTies":        {StopBeforeTies: true},
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		claimed string
+	}{
+		{"LegacyClaimedTieBreak", livelockConfig(matchmaker.IncrementalHooks{LegacyClaimedTieBreak: true}), "A"},
+		{"StopBeforeTies", livelockConfig(matchmaker.IncrementalHooks{StopBeforeTies: true}), "A"},
+		{"LegacyClaimedTieBreak/mirrored", mirroredLivelockConfig(matchmaker.IncrementalHooks{LegacyClaimedTieBreak: true}), "B"},
 	} {
-		res, err := CheckLiveness(livelockConfig(mutant), 0)
+		res, err := CheckLiveness(tc.cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Violation == nil || res.Violation.Code != CodeStarvation {
-			t.Fatalf("%s: want %s, got %v", name, CodeStarvation, res.Violation)
+			t.Fatalf("%s: want %s, got %v", tc.name, CodeStarvation, res.Violation)
 		}
 		if len(res.Starved) != 1 || res.Starved[0] != "bob/job1" {
-			t.Errorf("%s: starved = %v, want bob/job1", name, res.Starved)
+			t.Errorf("%s: starved = %v, want bob/job1", tc.name, res.Starved)
 		}
 		trace := strings.Join(res.Violation.Trace, "\n")
-		if !strings.Contains(trace, "MATCH bob/job1 -> A") ||
+		if !strings.Contains(trace, "MATCH bob/job1 -> "+tc.claimed) ||
 			!strings.Contains(trace, "not granted (claimed by alice") {
-			t.Errorf("%s: counterexample trace does not show the bounce loop:\n%s", name, trace)
+			t.Errorf("%s: counterexample trace does not show the bounce loop:\n%s", tc.name, trace)
 		}
-		t.Logf("%s: livelock rediscovered: %v", name, res.Violation)
+		t.Logf("%s: livelock rediscovered: %v", tc.name, res.Violation)
 	}
 
-	fixed, err := CheckLiveness(livelockConfig(matchmaker.IncrementalHooks{}), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fixed.Violation != nil {
-		t.Fatalf("unclaimed-over-claimed tie-break still livelocks: %v\n%s",
-			fixed.Violation, strings.Join(fixed.Violation.Trace, "\n"))
+	for _, cfg := range []Config{livelockConfig(matchmaker.IncrementalHooks{}), mirroredLivelockConfig(matchmaker.IncrementalHooks{})} {
+		fixed, err := CheckLiveness(cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fixed.Violation != nil {
+			t.Fatalf("unclaimed-over-claimed tie-break still livelocks: %v\n%s",
+				fixed.Violation, strings.Join(fixed.Violation.Trace, "\n"))
+		}
 	}
 }
 

@@ -269,16 +269,16 @@ func TestRunCycleNegotiatesEveryStoredAd(t *testing.T) {
 	}
 }
 
-// TestAggregateInEventMode: aggregation is applied at the engine's
-// scan point, so an event-mode wake over a 16-class pool evaluates one
-// representative per class — not every offer, and not nothing — and
-// still picks what the oracle picks.
-func TestAggregateInEventMode(t *testing.T) {
+// TestGroupMatchingInEventMode: an equal-rank run of twins costs the
+// engine's scan one try, so an event-mode wake over a 16-class pool
+// evaluates at most one offer per class and request — not every offer,
+// and not nothing — and still picks what the oracle picks.
+func TestGroupMatchingInEventMode(t *testing.T) {
 	const classes, perClass, requests = 16, 8, 12
 	stub := newStubContact(t)
 	stub.refuse.Store(true) // keep the jobs in the pool: this test is about the assignment
 	env := classad.FixedEnv(1_000_000, 1)
-	mgr := NewManager(ManagerConfig{Env: env, Matchmaker: matchmaker.Config{Aggregate: true}})
+	mgr := NewManager(ManagerConfig{Env: env})
 	t.Cleanup(mgr.Close)
 	el := mgr.StartEvents(time.Hour)
 	t.Cleanup(el.Stop)
@@ -291,7 +291,7 @@ func TestAggregateInEventMode(t *testing.T) {
 		}
 	}
 	for i := 0; i < requests; i++ {
-		// Distinct constraints, so no two requests share a memoized sweep.
+		// Distinct constraints, so no two requests share a candidate set.
 		if err := st.Update(stub.jobAd(fmt.Sprintf("u/job%02d", i), "u", int64(32+16*i)), 0); err != nil {
 			t.Fatal(err)
 		}
@@ -299,10 +299,10 @@ func TestAggregateInEventMode(t *testing.T) {
 	want := naiveAssignment(st.All(), env)
 	res, stats := el.Wake()
 	if got := assignmentOf(res.Matches); !sameAssignment(got, want) || len(got) != requests {
-		t.Fatalf("aggregated wake matched %v, oracle %v", got, want)
+		t.Fatalf("wake matched %v, oracle %v", got, want)
 	}
 	if stats.Evals == 0 || stats.Evals > classes*requests {
-		t.Fatalf("aggregated wake spent %d evaluations, want 1..%d (classes x requests; the pool holds %d offers)",
+		t.Fatalf("wake spent %d evaluations, want 1..%d (classes x requests; the pool holds %d offers)",
 			stats.Evals, classes*requests, classes*perClass)
 	}
 }

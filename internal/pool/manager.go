@@ -101,7 +101,13 @@ func NewManager(cfg ManagerConfig) *Manager {
 		store = collector.New(cfg.Env)
 	}
 	local := &localPool{store: store}
-	neg := newNegotiator("manager", "negotiator@pool", local, cfg.Env, cfg.Matchmaker)
+	// The Negotiator ad is named as a NegotiatorDaemon names its own, so
+	// managers enrolled under distinct HA names publish distinct ads.
+	adName := "negotiator@pool"
+	if cfg.HAName != "" {
+		adName = "negotiator/" + cfg.HAName
+	}
+	neg := newNegotiator("manager", adName, local, cfg.Env, cfg.Matchmaker)
 	neg.logf = cfg.Logf
 	neg.history = cfg.History
 	if cfg.Notifier != nil {

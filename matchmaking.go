@@ -13,7 +13,7 @@
 //   - pairwise matching: Match, EvalConstraint, EvalRank — the
 //     symmetric bilateral match of paper §3.2;
 //   - the matchmaker: NewMatchmaker — negotiation cycles with rank
-//     selection, fair share from past usage, ad aggregation, gang
+//     selection, fair share from past usage, group matching, gang
 //     (co-allocation) matching, and match-failure analysis;
 //   - the agents and pool daemons: NewResource, NewCustomer,
 //     NewManager, NewResourceDaemon, NewCustomerDaemon — advertising,
