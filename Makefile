@@ -46,9 +46,8 @@ bench-smoke:
 
 # All static analysis in one target: gofmt (any file `gofmt -l` lists
 # fails the target), go vet, the custom invariant
-# analyzers (tools/analyzers, typed framework v2: nodial, obsguard,
-# lockguard, fsyncguard, tracectx, epochguard, determguard, sendguard)
-# over every package, the ClassAd linter over every ad we ship, and the
+# analyzers (tools/analyzers, typed framework v2: nodial, lockguard,
+# fsyncguard, epochguard, determguard, sendguard) over every package, the ClassAd linter over every ad we ship, and the
 # docs/code sync gate.
 # The analyzer driver prints a per-analyzer timing summary and fails
 # past its 30s budget. The intentionally broken fixtures live under
@@ -71,10 +70,12 @@ lint-fix-list:
 # analyzer roster (§9), the metrics-name registry (§12), the
 # model-checker invariant codes (§13), the Bounds table's numbers (§3)
 # and the ledger's items and citations (§6) from package source and fail
-# on any drift against the doc tables.
+# on any drift against the doc tables; TestNilSafetyTypesInSync keeps
+# TestNilSafety's list of obs hook types equal to the package's
+# exported types with pointer-receiver methods.
 lint-codes:
 	$(GO) test -run 'TestAllCodesMatchesSource|TestDesignDocCodeTableInSync' ./internal/classad/analysis
-	$(GO) test -run 'TestDesignDocMetricsTableInSync' ./internal/obs
+	$(GO) test -run 'TestDesignDocMetricsTableInSync|TestNilSafetyTypesInSync' ./internal/obs
 	$(GO) test -run 'TestAllMCCodesMatchesSource|TestDesignDocModelCheckTableInSync' ./internal/modelcheck
 	$(GO) test -run 'TestDesignDocAnalyzerTableInSync|TestDesignDocBoundsTableInSync|TestDesignDocLedgerInSync' ./tools/analyzers
 

@@ -42,7 +42,9 @@ func canonicalConfig() Config {
 // every safety invariant. -short trims the depth for the inner dev
 // loop; MC_FULL=1 (what `make mc` sets) deepens it. The daemons answer
 // through netx.Server.step, so no schedule may make a handler answer
-// nil or with a request (netx_bad_replies_total).
+// nil or with a request (netx_bad_replies_total), nor deliver a
+// lifecycle envelope without its job's trace
+// (netx_untraced_lifecycle_total).
 func TestExhaustiveSmallPoolInvariants(t *testing.T) {
 	reg := obs.NewRegistry()
 	netx.Instrument(reg)
@@ -69,6 +71,9 @@ func TestExhaustiveSmallPoolInvariants(t *testing.T) {
 	}
 	if n := reg.Counter("netx_bad_replies_total").Value(); n != 0 {
 		t.Errorf("netx_bad_replies_total = %d over the explored schedules, want 0", n)
+	}
+	if n := reg.Counter("netx_untraced_lifecycle_total").Value(); n != 0 {
+		t.Errorf("netx_untraced_lifecycle_total = %d over the explored schedules, want 0", n)
 	}
 }
 

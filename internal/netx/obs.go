@@ -26,6 +26,7 @@ import (
 //	netx_idle_conns               idle cached connections, every Dialer
 //	netx_conns_shed_total         parked server connections closed at the cap
 //	netx_bad_replies_total        nil or request-class handler replies sent as ERROR
+//	netx_untraced_lifecycle_total lifecycle envelopes received with no Trace
 var instr atomic.Pointer[netxMetrics]
 
 type netxMetrics struct {
@@ -34,6 +35,7 @@ type netxMetrics struct {
 	backoffMillis             *obs.Counter
 	deadlineExpiries          *obs.Counter
 	reuses, shed, badReplies  *obs.Counter
+	untraced                  *obs.Counter
 	reg                       *obs.Registry
 }
 
@@ -54,6 +56,7 @@ func Instrument(reg *obs.Registry) {
 		reuses:           reg.Counter("netx_conn_reuses_total"),
 		shed:             reg.Counter("netx_conns_shed_total"),
 		badReplies:       reg.Counter("netx_bad_replies_total"),
+		untraced:         reg.Counter("netx_untraced_lifecycle_total"),
 		reg:              reg,
 	})
 	reg.GaugeFunc("netx_idle_conns", func() float64 { return float64(idleConns.Load()) })

@@ -58,7 +58,9 @@ type ServerConfig struct {
 // connection parked longest (netx_conns_shed_total); while none is
 // parked, accept waits for one to park or end. A handler answers every
 // envelope with a reply-class one: a nil or request-class answer goes
-// out as an ERROR and counts in netx_bad_replies_total.
+// out as an ERROR and counts in netx_bad_replies_total. A lifecycle
+// envelope (protocol.MsgType.IsLifecycle) that arrives without a Trace
+// counts in netx_untraced_lifecycle_total.
 type Server struct {
 	ln         net.Listener
 	cfg        ServerConfig
@@ -243,6 +245,9 @@ func (s *Server) step(c *Conn, handle Handler) bool {
 			s.cfg.Logf("%s: read: %v", s.cfg.Name, err)
 		}
 		return false
+	}
+	if env.Trace == "" && env.Type.IsLifecycle() {
+		metrics().untraced.Inc()
 	}
 	reply, onWriteFailure := handle(env)
 	if reply == nil || !reply.Type.IsReply() {

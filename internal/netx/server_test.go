@@ -231,3 +231,40 @@ func TestServerRepliesErrorForBadReply(t *testing.T) {
 		t.Errorf("write-failure hooks run = %d, want 2", hooks)
 	}
 }
+
+// TestServerCountsUntracedLifecycle: netx_untraced_lifecycle_total
+// counts a lifecycle envelope that arrives without a Trace, and
+// neither a traced one nor an untraced envelope of another type.
+func TestServerCountsUntracedLifecycle(t *testing.T) {
+	reg := obs.NewRegistry()
+	Instrument(reg)
+	defer Instrument(nil)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := Serve(ln, ServerConfig{Name: "test", Logf: t.Logf}, Dispatch(func(*protocol.Envelope) *protocol.Envelope {
+		return &protocol.Envelope{Type: protocol.TypeAck}
+	}))
+	defer s.Close()
+	c := dialTest(t, s.Addr())
+	for _, tc := range []struct {
+		env  protocol.Envelope
+		want int64
+	}{
+		{protocol.Envelope{Type: protocol.TypeMatch}, 1},
+		{protocol.Envelope{Type: protocol.TypeMatch, Trace: "t-1"}, 0},
+		{protocol.Envelope{Type: protocol.TypeAdvertise}, 0},
+	} {
+		before := reg.Counter("netx_untraced_lifecycle_total").Value()
+		if err := protocol.Write(c.conn, &tc.env); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.reply(2 * time.Second); err != nil {
+			t.Fatalf("reply to %+v: %v", tc.env, err)
+		}
+		if got := reg.Counter("netx_untraced_lifecycle_total").Value() - before; got != tc.want {
+			t.Errorf("%s with Trace %q counted %d, want %d", tc.env.Type, tc.env.Trace, got, tc.want)
+		}
+	}
+}

@@ -2,6 +2,12 @@ package obs
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -39,25 +45,53 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-// TestNilSafety: every metric operation must no-op on nil receivers —
-// that is the contract uninstrumented components rely on.
+// nilSafeTypes are the hook types components hold as possibly-nil
+// fields. DebugServer, the one other exported type with
+// pointer-receiver methods, only ever exists as a live endpoint.
+var nilSafeTypes = []any{
+	(*Counter)(nil), (*Gauge)(nil), (*Histogram)(nil), (*Registry)(nil),
+	(*Spans)(nil), (*SpanRec)(nil), (*Obs)(nil),
+}
+
+// TestNilSafety: every exported method of every hook type no-ops on a
+// nil receiver — the contract uninstrumented components rely on. Each
+// method is called with zero-value arguments and must not panic.
 func TestNilSafety(t *testing.T) {
+	for _, v := range nilSafeTypes {
+		recv := reflect.ValueOf(v)
+		for i := 0; i < recv.NumMethod(); i++ {
+			m := recv.Type().Method(i)
+			args := make([]reflect.Value, m.Type.NumIn()-1)
+			for j := range args {
+				args[j] = reflect.Zero(m.Type.In(j + 1))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("(%s).%s panics on a nil receiver: %v", recv.Type(), m.Name, r)
+					}
+				}()
+				for _, out := range recv.Method(i).Call(args) {
+					if ds, ok := out.Interface().(*DebugServer); ok && ds != nil {
+						ds.Close() // ServeDebug("") listens whatever the receiver
+					}
+				}
+			}()
+		}
+	}
+	if t.Failed() {
+		return // the calls below would panic again
+	}
 	var r *Registry
-	r.Counter("x").Inc()
-	r.Gauge("y").Set(3)
-	r.GaugeFunc("z", func() float64 { return 1 })
-	r.Histogram("h", nil).Observe(1)
 	if s := r.Snapshot(); len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Errorf("nil registry snapshot not empty: %+v", s)
 	}
 	var o *Obs
-	o.Registry().Counter("x").Inc()
 	o.Events().Emit("", "src", "name", nil)
 	if o.Events().Len() != 0 {
 		t.Error("nil events not empty")
 	}
 	var c *Counter
-	c.Inc()
 	c.Add(5)
 	if c.Value() != 0 {
 		t.Error("nil counter has a value")
@@ -66,6 +100,47 @@ func TestNilSafety(t *testing.T) {
 	h.Observe(1)
 	if h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil histogram has observations")
+	}
+}
+
+// TestNilSafetyTypesInSync keeps nilSafeTypes equal to the package's
+// exported types that have pointer-receiver methods, less DebugServer:
+// a new hook type is nil-safety tested from the day it is declared.
+func TestNilSafetyTypesInSync(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, f := range pkgs["obs"].Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil {
+				continue
+			}
+			if star, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok {
+				if id, ok := star.X.(*ast.Ident); ok && id.IsExported() && id.Name != "DebugServer" {
+					declared[id.Name] = true
+				}
+			}
+		}
+	}
+	listed := map[string]bool{}
+	for _, v := range nilSafeTypes {
+		listed[reflect.TypeOf(v).Elem().Name()] = true
+	}
+	for name := range declared {
+		if !listed[name] {
+			t.Errorf("%s has pointer-receiver methods but is not in nilSafeTypes", name)
+		}
+	}
+	for name := range listed {
+		if !declared[name] {
+			t.Errorf("nilSafeTypes lists %s, which has no pointer-receiver method", name)
+		}
 	}
 }
 

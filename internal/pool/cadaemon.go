@@ -265,7 +265,7 @@ func (d *CustomerDaemon) EnableJournal(dir string, fs store.FS) error {
 					}
 				}
 				d.mu.Lock()
-				d.claims[c.Job] = claimRef{contact: c.Contact, machine: c.Machine}
+				d.claims[c.Job] = claimRef{contact: c.Contact, machine: c.Machine, trace: c.Trace}
 				d.mu.Unlock()
 				continue
 			}
@@ -273,14 +273,14 @@ func (d *CustomerDaemon) EnableJournal(dir string, fs store.FS) error {
 			// rather than leak it.
 			fallthrough
 		case PhaseClaiming:
-			if err := d.sendRelease(c.Contact, ""); err != nil {
+			if err := d.sendRelease(c.Contact, c.Trace); err != nil {
 				// Provider unreachable; keep the journal record so the
 				// next restart retries the release.
 				d.logf("ca %s: reconcile release of %s failed: %v", d.CA.Owner(), c.Machine, err)
 				continue
 			}
 			j.Release(c.Job)
-			d.emit("", "claim_reconciled", map[string]string{
+			d.emit(c.Trace, "claim_reconciled", map[string]string{
 				"job":     fmt.Sprintf("%d", c.Job),
 				"machine": c.Machine,
 				"phase":   c.Phase,
@@ -511,27 +511,27 @@ func (d *CustomerDaemon) handleMatch(env *protocol.Envelope) *protocol.Envelope 
 		claimAd.SetString("ShadowContact", d.shadowAddr)
 	}
 	d.mu.Unlock()
-	// The attempt is journaled before the CLAIM is sent: if we die past
-	// this point, reconciliation knows a claim may be outstanding and
-	// will release it. A journal that cannot record the attempt vetoes
-	// it — an untracked claim is exactly the leak the journal exists to
-	// prevent.
+	trace := env.Trace
+	if trace == "" {
+		trace = classad.TraceOf(job.Ad)
+	}
+	// The attempt is journaled, with its trace, before the CLAIM is
+	// sent: if we die past this point, reconciliation knows a claim may
+	// be outstanding and will release it. A journal that cannot record
+	// the attempt vetoes it — an untracked claim is exactly the leak the
+	// journal exists to prevent.
 	providerContact, _ := machine.Eval(classad.AttrContact).StringVal()
 	d.mu.Lock()
 	journal := d.journal
 	d.mu.Unlock()
 	if journal != nil {
-		if err := journal.Begin(job.ID, adName(machine), providerContact); err != nil {
+		if err := journal.Begin(job.ID, adName(machine), providerContact, trace); err != nil {
 			return protocol.Errorf("claim journal: %v", err)
 		}
 	}
 	// Claim latency is measured end to end: from MATCH receipt here to
 	// the provider's verdict (or failure), the paper's step-3-to-step-4
 	// gap a customer actually experiences.
-	trace := env.Trace
-	if trace == "" {
-		trace = classad.TraceOf(job.Ad)
-	}
 	sp := d.spansRef().Start(trace, env.Span, "ca", "claim")
 	sp.Set("machine", adName(machine))
 	sp.Set("job", fmt.Sprintf("%d", job.ID))

@@ -250,6 +250,9 @@ func TestChaosPoolCompletesAllJobs(t *testing.T) {
 	if got := snap.Gauges["netx_fault_drops"]; got == 0 {
 		t.Errorf("netx_fault_drops gauge = 0, want the injector's drop count")
 	}
+	if got := snap.Counters["netx_untraced_lifecycle_total"]; got != 0 {
+		t.Errorf("netx_untraced_lifecycle_total = %d, want 0: every lifecycle envelope carries its job's trace", got)
+	}
 
 	// Teardown drains every handler: goroutine count returns to the
 	// pre-test baseline, and the handler gauges agree.
@@ -525,5 +528,8 @@ func TestChaosReuseOutlivedByPeers(t *testing.T) {
 	}
 	if faults.Stats().Resets == 0 {
 		t.Error("no connection was reset")
+	}
+	if got := snap.Counters["netx_untraced_lifecycle_total"]; got != 0 {
+		t.Errorf("netx_untraced_lifecycle_total = %d, want 0: every lifecycle envelope carries its job's trace", got)
 	}
 }

@@ -18,7 +18,9 @@ import (
 // their ads expire — and forgets which running jobs it must later
 // release. The journal records each transition as it happens:
 //
-//	begin(job, provider)   before the claim dial — outcome unknown
+//	begin(job, provider)   before the claim dial — outcome unknown; it
+//	                       also records the job's trace, which a
+//	                       re-submitted job no longer carries
 //	grant(job)             the provider accepted; job is running there
 //	abort(job)             the provider rejected / the dial failed
 //	release(job)           the claim was relinquished (or preempted)
@@ -47,6 +49,7 @@ type ClaimRecord struct {
 	Machine string `json:"machine"`
 	Contact string `json:"contact"`
 	Phase   string `json:"phase"`
+	Trace   string `json:"trace,omitempty"`
 }
 
 // claimOp is one journaled transition.
@@ -55,6 +58,7 @@ type claimOp struct {
 	Job     int    `json:"job,omitempty"`
 	Machine string `json:"machine,omitempty"`
 	Contact string `json:"contact,omitempty"`
+	Trace   string `json:"trace,omitempty"`
 	Epoch   uint64 `json:"epoch,omitempty"`
 }
 
@@ -100,28 +104,37 @@ func OpenClaimJournal(dir string, fs store.FS) (*ClaimJournal, error) {
 			l.Close()
 			return nil, fmt.Errorf("pool: corrupt claim record: %w", err)
 		}
-		switch op.Op {
-		case "begin":
-			j.claims[op.Job] = ClaimRecord{
-				Job: op.Job, Machine: op.Machine, Contact: op.Contact, Phase: PhaseClaiming,
-			}
-		case "grant":
-			if c, ok := j.claims[op.Job]; ok {
-				c.Phase = PhaseGranted
-				j.claims[op.Job] = c
-			}
-		case "abort", "release":
-			delete(j.claims, op.Job)
-		case "epoch":
-			if op.Epoch > j.epoch {
-				j.epoch = op.Epoch
-			}
-		default:
+		if !j.mirror(op) {
 			l.Close()
 			return nil, fmt.Errorf("pool: unknown claim op %q", op.Op)
 		}
 	}
 	return j, nil
+}
+
+// mirror applies one transition to live state, reporting false for an
+// unknown op.
+func (j *ClaimJournal) mirror(op claimOp) bool {
+	switch op.Op {
+	case "begin":
+		j.claims[op.Job] = ClaimRecord{
+			Job: op.Job, Machine: op.Machine, Contact: op.Contact, Phase: PhaseClaiming, Trace: op.Trace,
+		}
+	case "grant":
+		if c, ok := j.claims[op.Job]; ok {
+			c.Phase = PhaseGranted
+			j.claims[op.Job] = c
+		}
+	case "abort", "release":
+		delete(j.claims, op.Job)
+	case "epoch":
+		if op.Epoch > j.epoch {
+			j.epoch = op.Epoch
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // Live returns the replayed (or current) claim set, sorted by job ID.
@@ -143,11 +156,11 @@ func (j *ClaimJournal) Epoch() uint64 {
 	return j.epoch
 }
 
-// Begin journals a claim attempt before its dial; errors are fail-stop
-// (the caller should not proceed with the dial, or the claim could be
-// granted with no durable trace).
-func (j *ClaimJournal) Begin(job int, machine, contact string) error {
-	return j.apply(claimOp{Op: "begin", Job: job, Machine: machine, Contact: contact})
+// Begin journals a claim attempt, under the job's trace, before its
+// dial; errors are fail-stop (the caller should not proceed with the
+// dial, or the claim could be granted with no durable record).
+func (j *ClaimJournal) Begin(job int, machine, contact, trace string) error {
+	return j.apply(claimOp{Op: "begin", Job: job, Machine: machine, Contact: contact, Trace: trace})
 }
 
 // Grant journals a provider's acceptance.
@@ -191,23 +204,7 @@ func (j *ClaimJournal) apply(op claimOp) error {
 		j.err = err
 		return err
 	}
-	switch op.Op {
-	case "begin":
-		j.claims[op.Job] = ClaimRecord{
-			Job: op.Job, Machine: op.Machine, Contact: op.Contact, Phase: PhaseClaiming,
-		}
-	case "grant":
-		if c, ok := j.claims[op.Job]; ok {
-			c.Phase = PhaseGranted
-			j.claims[op.Job] = c
-		}
-	case "abort", "release":
-		delete(j.claims, op.Job)
-	case "epoch":
-		if op.Epoch > j.epoch {
-			j.epoch = op.Epoch
-		}
-	}
+	j.mirror(op)
 	if j.log.SinceSnapshot() >= claimSnapshotEvery {
 		if err := j.snapshotLocked(); err != nil {
 			j.err = err

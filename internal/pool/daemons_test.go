@@ -20,6 +20,21 @@ import (
 	"repro/internal/remote"
 )
 
+// requireTracedLifecycle instruments netx for the rest of the test and
+// fails it at cleanup if any lifecycle envelope (MATCH, CLAIM, RELEASE,
+// PREEMPT, JOB_DONE) reached a daemon without the job's trace.
+func requireTracedLifecycle(t *testing.T) {
+	t.Helper()
+	reg := obs.NewRegistry()
+	netx.Instrument(reg)
+	t.Cleanup(func() {
+		netx.Instrument(nil)
+		if n := reg.Counter("netx_untraced_lifecycle_total").Value(); n != 0 {
+			t.Errorf("netx_untraced_lifecycle_total = %d, want 0", n)
+		}
+	})
+}
+
 // exchange sends one envelope on a raw connection and reads the reply.
 func exchange(t *testing.T, conn net.Conn, r *bufio.Reader, env *protocol.Envelope) *protocol.Envelope {
 	t.Helper()
@@ -35,7 +50,9 @@ func exchange(t *testing.T, conn net.Conn, r *bufio.Reader, env *protocol.Envelo
 // protocol to each daemon that serves on netx.Serve. A type the daemon
 // serves gets a reply-class answer that is not the "does not handle"
 // error; every other type gets exactly that error. No handler answers
-// nil or with a request, so netx_bad_replies_total stays 0.
+// nil or with a request, so netx_bad_replies_total stays 0; each
+// untraced lifecycle envelope sent counts once in
+// netx_untraced_lifecycle_total, and nothing else does.
 func TestEveryDaemonAnswersEveryType(t *testing.T) {
 	reg := obs.NewRegistry()
 	netx.Instrument(reg)
@@ -64,6 +81,7 @@ func TestEveryDaemonAnswersEveryType(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	lifecycle := 0
 	for _, d := range []struct {
 		name, addr string
 		serves     []protocol.MsgType
@@ -90,6 +108,9 @@ func TestEveryDaemonAnswersEveryType(t *testing.T) {
 			}
 			for _, typ := range protocol.Types {
 				reply := exchange(t, conn, r, &protocol.Envelope{Type: typ})
+				if typ.IsLifecycle() {
+					lifecycle++
+				}
 				unhandled := reply.Type == protocol.TypeError &&
 					strings.HasSuffix(reply.Reason, "does not handle "+string(typ))
 				switch {
@@ -105,6 +126,9 @@ func TestEveryDaemonAnswersEveryType(t *testing.T) {
 	}
 	if got := reg.Counter("netx_bad_replies_total").Value(); got != 0 {
 		t.Errorf("netx_bad_replies_total = %d, want 0", got)
+	}
+	if got := reg.Counter("netx_untraced_lifecycle_total").Value(); got != int64(lifecycle) {
+		t.Errorf("netx_untraced_lifecycle_total = %d, want the %d untraced lifecycle envelopes sent", got, lifecycle)
 	}
 }
 

@@ -109,6 +109,7 @@ func TestExecutionEndToEnd(t *testing.T) {
 // re-matches it, and it resumes from the checkpoint — final output
 // still byte-identical.
 func TestExecutionSurvivesDaemonEviction(t *testing.T) {
+	requireTracedLifecycle(t)
 	// Enough records that the run takes a while (~6400 steps).
 	input := bytes.Repeat([]byte("x"), 64*6400)
 	mgr, ra, ca, fs := execPool(t, input)

@@ -42,6 +42,7 @@ type haHarness struct {
 
 func newHAHarness(t *testing.T) *haHarness {
 	t.Helper()
+	requireTracedLifecycle(t)
 	dir := t.TempDir()
 	env, clock := poolClock(1_000_000)
 
@@ -184,6 +185,7 @@ func TestNegotiatorFailover(t *testing.T) {
 		PeerAd: protocol.EncodeAd(machine),
 		Ticket: "stale",
 		Epoch:  1,
+		Trace:  classad.TraceOf(job2.Ad),
 	})
 	if err == nil || !strings.Contains(err.Error(), "stale negotiator epoch") {
 		t.Fatalf("stale MATCH error = %v, want epoch fence rejection", err)
@@ -339,8 +341,11 @@ func TestLeaseSurvivesCollectorRestart(t *testing.T) {
 // claim — the job resumes Running with its claim reference intact, and
 // completion still releases the provider.
 func TestClaimJournalRestartGranted(t *testing.T) {
+	requireTracedLifecycle(t)
 	dir := t.TempDir()
 	p := newTestPool(t, figure1Machine(), "raman")
+	raObs := obs.New()
+	p.ra.Instrument(raObs)
 	if err := p.ca.EnableJournal(dir, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -366,6 +371,9 @@ func TestClaimJournalRestartGranted(t *testing.T) {
 	if job2.ID != job.ID {
 		t.Fatalf("restarted queue assigned job ID %d, want %d", job2.ID, job.ID)
 	}
+	if classad.TraceOf(job2.Ad) == classad.TraceOf(job.Ad) {
+		t.Fatal("re-submitted job kept its trace; the journal would not be what supplies it")
+	}
 	if err := ca2.EnableJournal(dir, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -386,6 +394,7 @@ func TestClaimJournalRestartGranted(t *testing.T) {
 	if p.ra.RA.State() != agent.StateUnclaimed {
 		t.Errorf("RA state after restored release = %s", p.ra.RA.State())
 	}
+	requireReleaseTrace(t, raObs, classad.TraceOf(job.Ad))
 	if live := ca2.Journal().Live(); len(live) != 0 {
 		t.Errorf("journal after completion = %+v", live)
 	}
@@ -395,8 +404,11 @@ func TestClaimJournalRestartGranted(t *testing.T) {
 // CA died has an unknown outcome; reconciliation sends the idempotent
 // RELEASE and leaves the job idle for re-matching.
 func TestClaimJournalRestartClaiming(t *testing.T) {
+	requireTracedLifecycle(t)
 	dir := t.TempDir()
 	p := newTestPool(t, figure1Machine(), "raman")
+	raObs := obs.New()
+	p.ra.Instrument(raObs)
 
 	// Forge the previous incarnation's journal: a begin record with no
 	// verdict, pointing at the live RA.
@@ -404,7 +416,8 @@ func TestClaimJournalRestartClaiming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Begin(1, "leonardo.cs.wisc.edu", p.ra.Contact()); err != nil {
+	const trace = "t-before-restart"
+	if err := j.Begin(1, "leonardo.cs.wisc.edu", p.ra.Contact(), trace); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -428,6 +441,22 @@ func TestClaimJournalRestartClaiming(t *testing.T) {
 	}
 	if p.ra.RA.State() != agent.StateUnclaimed {
 		t.Errorf("RA state = %s", p.ra.RA.State())
+	}
+	requireReleaseTrace(t, raObs, trace)
+}
+
+// requireReleaseTrace fails the test unless the RA logged exactly one
+// RELEASE, under the given trace.
+func requireReleaseTrace(t *testing.T, raObs *obs.Obs, trace string) {
+	t.Helper()
+	var got []string
+	for _, ev := range raObs.Events().Select("", 0) {
+		if ev.Name == "release" {
+			got = append(got, ev.Trace)
+		}
+	}
+	if len(got) != 1 || got[0] != trace {
+		t.Errorf("RA received RELEASEs under traces %q, want one under %q", got, trace)
 	}
 }
 
@@ -499,7 +528,7 @@ func TestTracePropagatesAcrossFailover(t *testing.T) {
 	target := classad.NewAd()
 	target.SetString(classad.AttrContact, h.ca.Contact())
 	if _, err := sendToContact(nil, target, &protocol.Envelope{
-		Type: protocol.TypeMatch, PeerAd: protocol.EncodeAd(vax), Epoch: 2,
+		Type: protocol.TypeMatch, PeerAd: protocol.EncodeAd(vax), Epoch: 2, Trace: "t-vax",
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -427,6 +427,7 @@ func TestMatchmakerCrashRecovery(t *testing.T) {
 // the incumbent, whose CA receives a PREEMPT notice and requeues the
 // job.
 func TestPreemptionOverSockets(t *testing.T) {
+	requireTracedLifecycle(t)
 	mgr := NewManager(ManagerConfig{Logf: t.Logf})
 	addr, err := mgr.Listen("127.0.0.1:0")
 	if err != nil {

@@ -119,6 +119,18 @@ func (t MsgType) IsReply() bool {
 	}
 }
 
+// IsLifecycle reports whether t rides the match/claim lifecycle, so
+// its envelope carries the trace of the job it concerns: netx.Server
+// counts one that arrives without a Trace.
+func (t MsgType) IsLifecycle() bool {
+	switch t {
+	case TypeMatch, TypeClaim, TypeRelease, TypePreempt, TypeJobDone: //epochguard:ok classifies message types; acts on no MATCH
+		return true
+	default:
+		return false
+	}
+}
+
 // Idempotent reports whether delivering an envelope of type t twice
 // has the effect of delivering it once (DESIGN.md, "Failure
 // semantics"): only these exchanges are retried or replayed after a

@@ -71,3 +71,16 @@ func TestIsReply(t *testing.T) {
 		}
 	}
 }
+
+// TestIsLifecycle pins the five types whose envelopes must carry the
+// job's trace.
+func TestIsLifecycle(t *testing.T) {
+	lifecycle := map[MsgType]bool{
+		TypeMatch: true, TypeClaim: true, TypeRelease: true, TypePreempt: true, TypeJobDone: true,
+	}
+	for _, typ := range Types {
+		if got := typ.IsLifecycle(); got != lifecycle[typ] {
+			t.Errorf("%s.IsLifecycle() = %v, want %v", typ, got, lifecycle[typ])
+		}
+	}
+}

@@ -12,11 +12,13 @@
 //
 // `make verify` drives the suite via tools/analyzers/cmd, so repo
 // invariants that gofmt and go vet cannot see — every outbound dial
-// goes through internal/netx, obs hook methods stay nil-receiver-safe,
-// modelcheck-replayed code stays deterministic — break the build
-// instead of rotting quietly. Protocol rules that the one server loop
-// can enforce at run time (every request gets a reply-class answer)
-// live there instead: internal/netx's Server.step.
+// goes through internal/netx, modelcheck-replayed code stays
+// deterministic — break the build instead of rotting quietly. Rules a
+// running program can check live there instead: the one server loop
+// (internal/netx's Server.step) gives every request a reply-class
+// answer and counts lifecycle envelopes that arrive untraced, and
+// internal/obs's TestNilSafety calls every hook method on a nil
+// receiver.
 package analyzers
 
 import (
@@ -55,7 +57,7 @@ type Analyzer struct {
 // All returns every analyzer `make verify` runs.
 func All() []*Analyzer {
 	return []*Analyzer{
-		NoDial, ObsGuard, LockGuard, FsyncGuard, TraceCtx, EpochGuard, DetermGuard, SendGuard,
+		NoDial, LockGuard, FsyncGuard, EpochGuard, DetermGuard, SendGuard,
 	}
 }
 

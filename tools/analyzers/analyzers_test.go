@@ -19,18 +19,8 @@ func TestNoDial(t *testing.T) {
 	analyzertest.Run(t, analyzers.NoDial, "testdata/src/nodial")
 }
 
-func TestObsGuard(t *testing.T) {
-	analyzertest.Run(t, analyzers.ObsGuard, "testdata/src/obsguard")
-}
-
 func TestLockGuard(t *testing.T) {
 	analyzertest.Run(t, analyzers.LockGuard, "testdata/src/lockguard")
-}
-
-func TestTraceCtx(t *testing.T) {
-	// The internal/ path placement is load-bearing: the analyzer only
-	// fires inside internal/ packages.
-	analyzertest.Run(t, analyzers.TraceCtx, "testdata/src/tracectx/internal/app")
 }
 
 func TestFsyncGuard(t *testing.T) {

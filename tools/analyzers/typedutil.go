@@ -139,3 +139,17 @@ func (p *Pass) fileFuncs() map[*ast.FuncDecl]*types.Func {
 	}
 	return out
 }
+
+// directiveAtLine reports whether a comment containing the directive
+// sits on the given source line.
+func directiveAtLine(p *Pass, directive string, line int) bool {
+	for _, cg := range p.File.Ast.Comments {
+		for _, c := range cg.List {
+			if strings.Contains(c.Text, directive) &&
+				p.Pkg.Fset.Position(c.Pos()).Line == line {
+				return true
+			}
+		}
+	}
+	return false
+}
