@@ -4,7 +4,8 @@
 #   make test         tier-1 check as ROADMAP.md defines it
 #   make test-short   the fast loop: -short skips chaos/simulation soak tests
 #   make lint         gofmt + go vet + repo-invariant analyzers + cadlint over shipped ads + lint-codes
-#   make lint-codes   DESIGN.md CAD/MC-code/analyzer/Bounds/ledger tables must match the source
+#   make lint-codes   DESIGN.md builtin list and CAD/MC-code/analyzer/Bounds/ledger tables must match the source
+#   make loc          count the non-test Go lines ROADMAP.md quotes
 #   make lint-fix-list machine-readable analyzer findings: file:line: code
 #   make mc-short     exhaustive model check of the canonical small pool (the verify-depth run)
 #   make mc           deeper model check (MC_FULL=1), plus liveness and mutant self-tests
@@ -31,7 +32,7 @@ FUZZTIME ?= 15s
 # that every conversation reuses a cached connection).
 BENCHPAT ?= Parse|Eval|Match|Unparse|Negotiat|Aggregation|FairShare|Analyze|ClaimRevalidation|SteadyState|WakeOneDelta|OrderedScan|RemoteSyscallStep|NotifyClaim
 
-.PHONY: verify test test-short build vet lint lint-codes lint-fix-list mc mc-short fuzz crash bench bench-check bench-smoke ci
+.PHONY: verify test test-short build vet loc lint lint-codes lint-fix-list mc mc-short fuzz crash bench bench-check bench-smoke ci
 
 verify: lint mc-short bench-smoke
 	$(GO) build ./...
@@ -66,8 +67,8 @@ lint-fix-list:
 	$(GO) run ./tools/analyzers/cmd -list ./...
 
 # The DESIGN.md tables are written by hand but enforced by machine:
-# these tests re-derive the diagnostic-code vocabulary (§9), the
-# analyzer roster (§9), the metrics-name registry (§12), the
+# these tests re-derive the builtin function list (§2), the
+# diagnostic-code vocabulary (§9), the analyzer roster (§9), the metrics-name registry (§12), the
 # model-checker invariant codes (§13), the Bounds table's numbers (§3)
 # and the ledger's items and citations (§6) from package source and fail
 # on any drift against the doc tables; TestNilSafetyTypesInSync keeps
@@ -75,6 +76,7 @@ lint-fix-list:
 # exported types with pointer-receiver methods.
 lint-codes:
 	$(GO) test -run 'TestAllCodesMatchesSource|TestDesignDocCodeTableInSync' ./internal/classad/analysis
+	$(GO) test -run 'TestDesignDocBuiltinListInSync' ./internal/classad
 	$(GO) test -run 'TestDesignDocMetricsTableInSync|TestNilSafetyTypesInSync' ./internal/obs
 	$(GO) test -run 'TestAllMCCodesMatchesSource|TestDesignDocModelCheckTableInSync' ./internal/modelcheck
 	$(GO) test -run 'TestDesignDocAnalyzerTableInSync|TestDesignDocBoundsTableInSync|TestDesignDocLedgerInSync' ./tools/analyzers
@@ -106,6 +108,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# The size figure ROADMAP.md tracks: non-test Go lines outside the
+# frozen benchmark module and the analyzer fixtures.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # Durability soak: every crash-point matrix (kill the process at the
 # k-th filesystem operation, for every k) plus the randomized

@@ -7,7 +7,8 @@
 //	cadeval -expr 'EXPR' [-ad FILE]      evaluate EXPR against an ad
 //	cadeval -match LEFT RIGHT            bilateral match of two ad files
 //	cadeval -pretty FILE                 parse and pretty-print an ad
-//	cadeval -functions                   list builtin functions
+//	cadeval -functions                   list builtin functions: name,
+//	                                     argument count, result types
 //
 // With -match, the exit status is 0 for a match and 1 otherwise, so
 // shell scripts can branch on compatibility.
@@ -17,7 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
+	"strconv"
 
 	"repro/internal/classad"
 )
@@ -36,7 +37,20 @@ func main() {
 
 	switch {
 	case *functions:
-		fmt.Println(strings.Join(classad.BuiltinNames(), "\n"))
+		for _, name := range classad.BuiltinNames() {
+			b, _ := classad.LookupBuiltin(name)
+			args := strconv.Itoa(b.Min)
+			if b.Max < 0 {
+				args += "+"
+			} else if b.Max != b.Min {
+				args += "-" + strconv.Itoa(b.Max)
+			}
+			impure := ""
+			if b.Impure {
+				impure = " (impure)"
+			}
+			fmt.Printf("%-16s %-4s %s%s\n", name, args, b.Results, impure)
+		}
 	case *pretty != "":
 		ad := loadAd(*pretty)
 		fmt.Println(ad.Pretty())

@@ -63,7 +63,7 @@ func (s Severity) String() string {
 const (
 	CodeTypeConflict   = "CAD001" // comparison/arithmetic can only yield undefined/error
 	CodeUnknownBuiltin = "CAD002" // call of a function that is not a builtin
-	CodeBadArity       = "CAD003" // builtin called with the wrong number of arguments
+	CodeBadArity       = "CAD003" // builtin called with an argument count outside its table row's range
 	CodeSelfNeverBinds = "CAD101" // self.X where X is not defined in the ad
 	CodeUnknownAttr    = "CAD102" // reference outside the ad and the well-known vocabulary
 	CodeUnsatisfiable  = "CAD201" // conjunct (or conjunct pair) that can never be true

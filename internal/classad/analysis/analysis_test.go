@@ -86,6 +86,31 @@ func TestUnknownBuiltinAndArity(t *testing.T) {
 	}
 }
 
+// TestBuiltinRowsDecideCallFindings pins the analyzer to the
+// evaluator's builtin table where the two once disagreed: min(),
+// max(), sum() and avg() evaluate to undefined, not an arity error;
+// floor and its kin return a real for 1e300, NaN and INF; random(X)
+// and unparse(X) can be undefined. Each message shows the set the
+// table declares.
+func TestBuiltinRowsDecideCallFindings(t *testing.T) {
+	if diags := lint(t, `[ A = min(); B = max(); C = sum(); D = avg() ]`); len(diags) != 0 {
+		t.Errorf("empty numeric folds flagged: %v", diags)
+	}
+	for src, want := range map[string]string{
+		`floor(other.Memory) == "x"`:   "left operand is integer or real",
+		`ceil(other.Memory) == "x"`:    "left operand is integer or real",
+		`random(other.Memory) == "x"`:  `can only evaluate to undefined/error`,
+		`unparse(other.Memory) == 1`:   `can only evaluate to undefined/error`,
+		`round(other.Memory) == "x"`:   "left operand is integer or real",
+		`ceiling(other.Memory) == "x"`: "left operand is integer or real",
+	} {
+		diags := lint(t, "[ Constraint = "+src+" ]")
+		if len(diags) != 1 || diags[0].Code != CodeTypeConflict || !strings.Contains(diags[0].Message, want) {
+			t.Errorf("%s: got %v, want one CAD001 saying %q", src, diags, want)
+		}
+	}
+}
+
 // TestSelfNeverFallsBack: §3.1 scoping — self.X does not consult the
 // other ad, so a missing attribute is provably undefined; an
 // unqualified X may still bind at match time and is not flagged when

@@ -93,7 +93,7 @@ func (pc *purityChecker) pure(e classad.Expr, self, other *classad.Ad) bool {
 	info := classad.Inspect(e)
 	switch info.Kind {
 	case classad.KindCall:
-		if classad.ImpureBuiltin(info.Name) {
+		if b, ok := classad.LookupBuiltin(info.Name); ok && b.Impure {
 			return false
 		}
 	case classad.KindAttrRef:

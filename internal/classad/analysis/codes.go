@@ -18,7 +18,7 @@ func AllCodes() []CodeInfo {
 	return []CodeInfo{
 		{CodeTypeConflict, Error, "comparison can only yield `undefined`/`error` (type conflict)"},
 		{CodeUnknownBuiltin, Error, "call to an unknown builtin (with suggestion)"},
-		{CodeBadArity, Error, "builtin called with the wrong number of arguments"},
+		{CodeBadArity, Error, "builtin called with an argument count outside its table row's range"},
 		{CodeSelfNeverBinds, Warning, "`self.X` can never bind (with did-you-mean)"},
 		{CodeUnknownAttr, Warning, "attribute is neither local nor well-known (with did-you-mean)"},
 		{CodeUnsatisfiable, Error, "constraint conjunct(s) provably unsatisfiable"},

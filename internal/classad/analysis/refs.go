@@ -60,8 +60,9 @@ func (a *analyzer) checkRefs() {
 
 // refWalk descends an expression. chain holds the enclosing ads,
 // innermost first (nested ad literals push). probed marks descent
-// through isUndefined/isError/unparse, whose arguments legitimately
-// reference attributes that may not exist.
+// through a builtin whose row sets Probes (isUndefined, isError,
+// unparse): its arguments legitimately name attributes that may not
+// exist.
 func (a *analyzer) refWalk(attr string, e classad.Expr, chain []*classad.Ad, probed bool) {
 	info := classad.Inspect(e)
 	switch info.Kind {
@@ -71,8 +72,7 @@ func (a *analyzer) refWalk(attr string, e classad.Expr, chain []*classad.Ad, pro
 		}
 		return
 	case classad.KindCall:
-		switch classad.Fold(info.Name) {
-		case "isundefined", "iserror", "unparse":
+		if b, ok := classad.LookupBuiltin(info.Name); ok && b.Probes {
 			probed = true
 		}
 	case classad.KindAd:

@@ -13,8 +13,9 @@ import (
 // undefined or error, which in a Constraint means "never true": the
 // exact silent failure mode this pass exists to flag.
 
-// typeSet is a bitmask over classad.ValueType.
-type typeSet uint
+// typeSet is a bitmask over classad.ValueType, laid out as
+// classad.TypeSet is, so a builtin's declared Results convert to it.
+type typeSet classad.TypeSet
 
 func bit(t classad.ValueType) typeSet { return 1 << uint(t) }
 
@@ -56,57 +57,6 @@ func (s typeSet) describe() string {
 		return "undefined/error"
 	}
 	return strings.Join(names, " or ")
-}
-
-// funcResults maps builtins to their possible result types. Functions
-// absent from the table are treated as returning anything. boolish etc.
-// include undefined/error because most builtins propagate them.
-var funcResults = map[string]typeSet{
-	"member":          tBool | tUndef | tErr,
-	"identicalmember": tBool | tUndef | tErr,
-	"strcmp":          tInt | tUndef | tErr,
-	"stricmp":         tInt | tUndef | tErr,
-	"toupper":         tStr | tUndef | tErr,
-	"tolower":         tStr | tUndef | tErr,
-	"substr":          tStr | tUndef | tErr,
-	"strcat":          tStr | tUndef | tErr,
-	"size":            tInt | tUndef | tErr,
-	"int":             tInt | tUndef | tErr,
-	"real":            tReal | tUndef | tErr,
-	"string":          tStr | tUndef | tErr,
-	"bool":            tBool | tUndef | tErr,
-	"floor":           tInt | tUndef | tErr,
-	"ceiling":         tInt | tUndef | tErr,
-	"ceil":            tInt | tUndef | tErr,
-	"round":           tInt | tUndef | tErr,
-	"abs":             tInt | tReal | tUndef | tErr,
-	"pow":             tInt | tReal | tUndef | tErr,
-	"sqrt":            tReal | tUndef | tErr,
-	"quantize":        tInt | tReal | tUndef | tErr,
-	"min":             tInt | tReal | tUndef | tErr,
-	"max":             tInt | tReal | tUndef | tErr,
-	"sum":             tInt | tReal | tUndef | tErr,
-	"avg":             tInt | tReal | tUndef | tErr,
-	"isundefined":     tBool,
-	"iserror":         tBool,
-	"isstring":        tBool,
-	"isinteger":       tBool,
-	"isreal":          tBool,
-	"isboolean":       tBool,
-	"islist":          tBool,
-	"isclassad":       tBool,
-	"anycompare":      tBool | tUndef | tErr,
-	"allcompare":      tBool | tUndef | tErr,
-	"regexp":          tBool | tUndef | tErr,
-	"regexps":         tStr | tUndef | tErr,
-	"splitlist":       tList | tUndef | tErr,
-	"join":            tStr | tUndef | tErr,
-	"random":          tInt | tReal | tErr,
-	"time":            tInt | tErr,
-	"currenttime":     tInt | tErr,
-	"daytime":         tInt | tErr,
-	"interval":        tStr | tUndef | tErr,
-	"unparse":         tStr | tErr,
 }
 
 // checkTypes runs the type pass over every attribute of the ad.
@@ -154,7 +104,8 @@ func (a *analyzer) typeWalk(attr string, e classad.Expr, active map[string]bool)
 
 // checkCall validates the callee name and arity (CAD002/CAD003).
 func (a *analyzer) checkCall(attr string, e classad.Expr, info classad.ExprInfo) {
-	if !classad.IsBuiltin(info.Name) {
+	b, ok := classad.LookupBuiltin(info.Name)
+	if !ok {
 		msg := "call of unknown builtin " + quoted(info.Name)
 		if sug := suggest(info.Name, classad.BuiltinNames()); sug != "" {
 			msg += " (did you mean " + quoted(sug) + "?)"
@@ -162,18 +113,14 @@ func (a *analyzer) checkCall(attr string, e classad.Expr, info classad.ExprInfo)
 		a.report(CodeUnknownBuiltin, Error, attr, e, "%s", msg)
 		return
 	}
-	min, max, ok := classad.BuiltinArity(info.Name)
-	if !ok {
-		return
-	}
 	n := len(info.Args)
 	switch {
-	case n < min:
+	case n < b.Min:
 		a.report(CodeBadArity, Error, attr, e,
-			"%s expects at least %d argument(s), got %d", info.Name, min, n)
-	case max >= 0 && n > max:
+			"%s expects at least %d argument(s), got %d", info.Name, b.Min, n)
+	case b.Max >= 0 && n > b.Max:
 		a.report(CodeBadArity, Error, attr, e,
-			"%s expects at most %d argument(s), got %d", info.Name, max, n)
+			"%s expects at most %d argument(s), got %d", info.Name, b.Max, n)
 	}
 }
 
@@ -253,8 +200,8 @@ func (a *analyzer) infer(e classad.Expr, active map[string]bool) typeSet {
 		out |= cond & (tUndef | tErr)
 		return out
 	case classad.KindCall:
-		if res, ok := funcResults[classad.Fold(info.Name)]; ok {
-			return res
+		if b, ok := classad.LookupBuiltin(info.Name); ok {
+			return typeSet(b.Results)
 		}
 		return tAny
 	case classad.KindList:

@@ -3,6 +3,7 @@ package classad
 import (
 	"math"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -10,84 +11,146 @@ import (
 // builtinFn implements one builtin function. Arguments arrive
 // unevaluated so that functions such as ifThenElse and isUndefined can
 // control evaluation themselves; most builtins evaluate eagerly via
-// evalArgs.
-type builtinFn func(ctx evalCtx, args []Expr) Value
+// evalArgs. name is the row's display name, for messages, and the
+// evaluator has already checked len(args) against the row's range.
+type builtinFn func(ctx evalCtx, name string, args []Expr) Value
 
-// builtins maps folded function names to implementations. The set
-// covers the functions used by deployed Condor policy expressions of
-// the paper's era — member() appears in Figure 1 — plus the string,
+// Builtin is one row of the builtin function table: all that the
+// evaluator, partial evaluation, the matchmaker and the static
+// analyzer know about a function, declared once beside its code.
+// TestBuiltinTableAgreesWithEvaluator holds every row to its code.
+type Builtin struct {
+	Name     string  // display name for messages: "ceiling" for ceil
+	Min, Max int     // accepted argument counts; Max < 0 is variadic
+	Impure   bool    // reads the Env clock or random stream
+	Probes   bool    // its arguments may name missing attributes
+	Results  TypeSet // every type a call with Min..Max arguments can return
+	fn       builtinFn
+}
+
+// TypeSet is a set of value types: bit 1<<t for each ValueType t.
+type TypeSet uint
+
+const (
+	tUndef TypeSet = 1 << UndefinedType
+	tErr   TypeSet = 1 << ErrorType
+	tBool  TypeSet = 1 << BooleanType
+	tInt   TypeSet = 1 << IntegerType
+	tReal  TypeSet = 1 << RealType
+	tStr   TypeSet = 1 << StringType
+	tList  TypeSet = 1 << ListType
+	tAd    TypeSet = 1 << AdType
+
+	strict = tUndef | tErr // what propagating undefined and error adds
+	tNum   = tInt | tReal
+	tAny   = strict | tBool | tNum | tStr | tList | tAd
+)
+
+// String names the types in s in ValueType order, joined by "|".
+func (s TypeSet) String() string {
+	var names []string
+	for t := UndefinedType; t <= AdType; t++ {
+		if s&(1<<t) != 0 {
+			names = append(names, t.String())
+		}
+	}
+	return strings.Join(names, "|")
+}
+
+// builtins maps folded function names to their rows. The set covers
+// the functions used by deployed Condor policy expressions of the
+// paper's era — member() appears in Figure 1 — plus the string,
 // numeric, type-test and list helpers needed by the examples and the
-// matchmaker's own tooling.
-var builtins map[string]builtinFn
+// matchmaker's own tooling. Probes marks the functions whose point is
+// to test what an argument names (isUndefined(X)), so the analyzer
+// does not warn that X may be missing.
+var builtins map[string]*Builtin
 
 func init() {
-	builtins = map[string]builtinFn{
-		"member":          fnMember,
-		"identicalmember": fnIdenticalMember,
-		"strcmp":          fnStrcmp,
-		"stricmp":         fnStricmp,
-		"toupper":         fnToUpper,
-		"tolower":         fnToLower,
-		"substr":          fnSubstr,
-		"strcat":          fnStrcat,
-		"size":            fnSize,
-		"int":             fnInt,
-		"real":            fnReal,
-		"string":          fnString,
-		"bool":            fnBool,
-		"floor":           fnFloor,
-		"ceiling":         fnCeiling,
-		"ceil":            fnCeiling,
-		"round":           fnRound,
-		"abs":             fnAbs,
-		"pow":             fnPow,
-		"sqrt":            fnSqrt,
-		"quantize":        fnQuantize,
-		"min":             fnMin,
-		"max":             fnMax,
-		"sum":             fnSum,
-		"avg":             fnAvg,
-		"isundefined":     typeTest(UndefinedType),
-		"iserror":         typeTest(ErrorType),
-		"isstring":        typeTest(StringType),
-		"isinteger":       typeTest(IntegerType),
-		"isreal":          typeTest(RealType),
-		"isboolean":       typeTest(BooleanType),
-		"islist":          typeTest(ListType),
-		"isclassad":       typeTest(AdType),
-		"ifthenelse":      fnIfThenElse,
-		"anycompare":      fnAnyCompare,
-		"allcompare":      fnAllCompare,
-		"regexp":          fnRegexp,
-		"regexps":         fnRegexps,
-		"splitlist":       fnSplitList,
-		"join":            fnJoin,
-		"random":          fnRandom,
-		"time":            fnTime,
-		"currenttime":     fnTime,
-		"daytime":         fnDayTime,
-		"interval":        fnInterval,
-		"unparse":         fnUnparse,
+	add := func(a, x float64) float64 { return a + x }
+	isType := func(t ValueType) *Builtin {
+		probes := t == UndefinedType || t == ErrorType
+		return &Builtin{Name: "is" + t.String(), Min: 1, Max: 1, Probes: probes, Results: tBool, fn: typeTest(t)}
+	}
+	builtins = map[string]*Builtin{
+		"member":          {Name: "member", Min: 2, Max: 2, Results: tBool | strict, fn: fnMember},
+		"identicalmember": {Name: "identicalMember", Min: 2, Max: 2, Results: tBool | strict, fn: fnIdenticalMember},
+		"strcmp":          {Name: "strcmp", Min: 2, Max: 2, Results: tInt | strict, fn: fnStrcmp},
+		"stricmp":         {Name: "stricmp", Min: 2, Max: 2, Results: tInt | strict, fn: fnStricmp},
+		"toupper":         {Name: "toUpper", Min: 1, Max: 1, Results: tStr | strict, fn: stringFn(strings.ToUpper)},
+		"tolower":         {Name: "toLower", Min: 1, Max: 1, Results: tStr | strict, fn: stringFn(strings.ToLower)},
+		"substr":          {Name: "substr", Min: 2, Max: 3, Results: tStr | strict, fn: fnSubstr},
+		"strcat":          {Name: "strcat", Min: 0, Max: -1, Results: tStr | strict, fn: fnStrcat},
+		"size":            {Name: "size", Min: 1, Max: 1, Results: tInt | strict, fn: fnSize},
+		"int":             {Name: "int", Min: 1, Max: 1, Results: tInt | strict, fn: fnInt},
+		"real":            {Name: "real", Min: 1, Max: 1, Results: tReal | strict, fn: fnReal},
+		"string":          {Name: "string", Min: 1, Max: 1, Results: tStr | strict, fn: fnString},
+		"bool":            {Name: "bool", Min: 1, Max: 1, Results: tBool | strict, fn: fnBool},
+		"floor":           {Name: "floor", Min: 1, Max: 1, Results: tNum | strict, fn: realFn(math.Floor)},
+		"ceiling":         {Name: "ceiling", Min: 1, Max: 1, Results: tNum | strict, fn: realFn(math.Ceil)},
+		"ceil":            {Name: "ceiling", Min: 1, Max: 1, Results: tNum | strict, fn: realFn(math.Ceil)},
+		"round":           {Name: "round", Min: 1, Max: 1, Results: tNum | strict, fn: realFn(math.Round)},
+		"abs":             {Name: "abs", Min: 1, Max: 1, Results: tNum | strict, fn: fnAbs},
+		"pow":             {Name: "pow", Min: 2, Max: 2, Results: tNum | strict, fn: fnPow},
+		"sqrt":            {Name: "sqrt", Min: 1, Max: 1, Results: tReal | strict, fn: fnSqrt},
+		"quantize":        {Name: "quantize", Min: 2, Max: 2, Results: tNum | strict, fn: fnQuantize},
+		"min":             {Name: "min", Min: 0, Max: -1, Results: tNum | strict, fn: foldNumeric(math.Min, false)},
+		"max":             {Name: "max", Min: 0, Max: -1, Results: tNum | strict, fn: foldNumeric(math.Max, false)},
+		"sum":             {Name: "sum", Min: 0, Max: -1, Results: tNum | strict, fn: foldNumeric(add, false)},
+		"avg":             {Name: "avg", Min: 0, Max: -1, Results: tNum | strict, fn: foldNumeric(add, true)},
+		"isundefined":     isType(UndefinedType),
+		"iserror":         isType(ErrorType),
+		"isstring":        isType(StringType),
+		"isinteger":       isType(IntegerType),
+		"isreal":          isType(RealType),
+		"isboolean":       isType(BooleanType),
+		"islist":          isType(ListType),
+		"isclassad":       isType(AdType),
+		"ifthenelse":      {Name: "ifThenElse", Min: 3, Max: 3, Results: tAny, fn: fnIfThenElse},
+		"anycompare":      {Name: "anyCompare", Min: 3, Max: 3, Results: tBool | strict, fn: compareFold(false)},
+		"allcompare":      {Name: "allCompare", Min: 3, Max: 3, Results: tBool | strict, fn: compareFold(true)},
+		"regexp":          {Name: "regexp", Min: 2, Max: 3, Results: tBool | strict, fn: fnRegexp},
+		"regexps":         {Name: "regexps", Min: 3, Max: 3, Results: tStr | strict, fn: fnRegexps},
+		"splitlist":       {Name: "splitList", Min: 1, Max: 2, Results: tList | strict, fn: fnSplitList},
+		"join":            {Name: "join", Min: 2, Max: 2, Results: tStr | strict, fn: fnJoin},
+		"random":          {Name: "random", Min: 0, Max: 1, Impure: true, Results: tNum | strict, fn: fnRandom},
+		"time":            {Name: "time", Min: 0, Max: 0, Impure: true, Results: tInt | tErr, fn: fnTime},
+		"currenttime":     {Name: "time", Min: 0, Max: 0, Impure: true, Results: tInt | tErr, fn: fnTime},
+		"daytime":         {Name: "dayTime", Min: 0, Max: 0, Impure: true, Results: tInt | tErr, fn: fnDayTime},
+		"interval":        {Name: "interval", Min: 1, Max: 1, Results: tStr | strict, fn: fnInterval},
+		"unparse":         {Name: "unparse", Min: 1, Max: 1, Probes: true, Results: tStr | strict, fn: fnUnparse},
 	}
 }
 
-// BuiltinNames returns the sorted names of all builtin functions, for
-// documentation and the analyzer's diagnostics.
+// LookupBuiltin returns the row of the builtin called name
+// (case-insensitive); ok is false when there is none.
+func LookupBuiltin(name string) (b Builtin, ok bool) {
+	p, ok := builtins[Fold(name)]
+	if ok {
+		b = *p
+	}
+	return b, ok
+}
+
+// BuiltinNames returns the sorted folded names of all builtin
+// functions, for documentation and the analyzer's diagnostics.
 func BuiltinNames() []string {
 	out := make([]string, 0, len(builtins))
 	for n := range builtins {
 		out = append(out, n)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+// arityErr is the error of a call with got arguments, outside the
+// row's range; callExpr.eval checks the range before every call.
+func (b *Builtin) arityErr(got int) Value {
+	want := strconv.Itoa(b.Min)
+	if b.Max != b.Min {
+		want += " or " + strconv.Itoa(b.Max)
 	}
+	return Erroneous("%s() expects %s argument(s), got %d", b.Name, want, got)
 }
 
 func evalArgs(ctx evalCtx, args []Expr) []Value {
@@ -96,11 +159,6 @@ func evalArgs(ctx evalCtx, args []Expr) []Value {
 		out[i] = a.eval(ctx)
 	}
 	return out
-}
-
-// argErr builds the standard wrong-arity error.
-func argErr(name string, want string, got int) Value {
-	return Erroneous("%s() expects %s argument(s), got %d", name, want, got)
 }
 
 // propagate returns the dominant non-value among vs (error beats
@@ -125,10 +183,7 @@ func propagate(vs ...Value) (Value, bool) {
 // the == operator's case-insensitive string semantics) some element of
 // list. Figure 1 of the paper uses it to test research-group and
 // friend membership. Undefined items or lists propagate undefined.
-func fnMember(ctx evalCtx, args []Expr) Value {
-	if len(args) != 2 {
-		return argErr("member", "2", len(args))
-	}
+func fnMember(ctx evalCtx, name string, args []Expr) Value {
 	item, second := args[0].eval(ctx), args[1].eval(ctx)
 	if bad, ok := propagate(item, second); !ok {
 		return bad
@@ -140,7 +195,7 @@ func fnMember(ctx evalCtx, args []Expr) Value {
 		if l2, ok2 := item.ListVal(); ok2 {
 			list, item = l2, second
 		} else {
-			return Erroneous("member() second argument must be a list, got %s", second.Type())
+			return Erroneous("%s() second argument must be a list, got %s", name, second.Type())
 		}
 	}
 	sawUndef := false
@@ -161,10 +216,7 @@ func fnMember(ctx evalCtx, args []Expr) Value {
 
 // fnIdenticalMember is member() under the case-sensitive `is`
 // identity instead of ==.
-func fnIdenticalMember(ctx evalCtx, args []Expr) Value {
-	if len(args) != 2 {
-		return argErr("identicalMember", "2", len(args))
-	}
+func fnIdenticalMember(ctx evalCtx, name string, args []Expr) Value {
 	vs := evalArgs(ctx, args)
 	if vs[0].IsError() {
 		return vs[0]
@@ -177,7 +229,7 @@ func fnIdenticalMember(ctx evalCtx, args []Expr) Value {
 		if vs[1].IsUndefined() {
 			return Undef()
 		}
-		return Erroneous("identicalMember() second argument must be a list, got %s", vs[1].Type())
+		return Erroneous("%s() second argument must be a list, got %s", name, vs[1].Type())
 	}
 	for _, el := range list {
 		if vs[0].Identical(el) {
@@ -187,10 +239,7 @@ func fnIdenticalMember(ctx evalCtx, args []Expr) Value {
 	return Bool(false)
 }
 
-func twoStrings(name string, ctx evalCtx, args []Expr) (a, b string, bad Value, ok bool) {
-	if len(args) != 2 {
-		return "", "", argErr(name, "2", len(args)), false
-	}
+func twoStrings(ctx evalCtx, name string, args []Expr) (a, b string, bad Value, ok bool) {
 	vs := evalArgs(ctx, args)
 	if v, allOK := propagate(vs...); !allOK {
 		return "", "", v, false
@@ -205,8 +254,8 @@ func twoStrings(name string, ctx evalCtx, args []Expr) (a, b string, bad Value, 
 
 // fnStrcmp implements strcmp(a, b): the C convention, negative / zero
 // / positive, case-sensitive.
-func fnStrcmp(ctx evalCtx, args []Expr) Value {
-	a, b, bad, ok := twoStrings("strcmp", ctx, args)
+func fnStrcmp(ctx evalCtx, name string, args []Expr) Value {
+	a, b, bad, ok := twoStrings(ctx, name, args)
 	if !ok {
 		return bad
 	}
@@ -214,63 +263,44 @@ func fnStrcmp(ctx evalCtx, args []Expr) Value {
 }
 
 // fnStricmp is strcmp folded to lower case.
-func fnStricmp(ctx evalCtx, args []Expr) Value {
-	a, b, bad, ok := twoStrings("stricmp", ctx, args)
+func fnStricmp(ctx evalCtx, name string, args []Expr) Value {
+	a, b, bad, ok := twoStrings(ctx, name, args)
 	if !ok {
 		return bad
 	}
 	return Int(int64(foldCompare(a, b)))
 }
 
-func oneString(name string, ctx evalCtx, args []Expr) (string, Value, bool) {
-	if len(args) != 1 {
-		return "", argErr(name, "1", len(args)), false
+// stringFn builds the one-string mappings toUpper and toLower.
+func stringFn(f func(string) string) builtinFn {
+	return func(ctx evalCtx, name string, args []Expr) Value {
+		v := args[0].eval(ctx)
+		if bad, ok := propagate(v); !ok {
+			return bad
+		}
+		s, ok := v.StringVal()
+		if !ok {
+			return Erroneous("%s() expects a string argument, got %s", name, v.Type())
+		}
+		return Str(f(s))
 	}
-	v := args[0].eval(ctx)
-	if bad, ok := propagate(v); !ok {
-		return "", bad, false
-	}
-	s, ok := v.StringVal()
-	if !ok {
-		return "", Erroneous("%s() expects a string argument, got %s", name, v.Type()), false
-	}
-	return s, Value{}, true
-}
-
-func fnToUpper(ctx evalCtx, args []Expr) Value {
-	s, bad, ok := oneString("toUpper", ctx, args)
-	if !ok {
-		return bad
-	}
-	return Str(strings.ToUpper(s))
-}
-
-func fnToLower(ctx evalCtx, args []Expr) Value {
-	s, bad, ok := oneString("toLower", ctx, args)
-	if !ok {
-		return bad
-	}
-	return Str(strings.ToLower(s))
 }
 
 // fnSubstr implements substr(s, offset [, length]). Negative offsets
 // count from the end; results are clamped to the string, matching the
 // tolerant semantics of the deployed implementation.
-func fnSubstr(ctx evalCtx, args []Expr) Value {
-	if len(args) != 2 && len(args) != 3 {
-		return argErr("substr", "2 or 3", len(args))
-	}
+func fnSubstr(ctx evalCtx, name string, args []Expr) Value {
 	vs := evalArgs(ctx, args)
 	if bad, ok := propagate(vs...); !ok {
 		return bad
 	}
 	s, ok := vs[0].StringVal()
 	if !ok {
-		return Erroneous("substr() first argument must be a string, got %s", vs[0].Type())
+		return Erroneous("%s() first argument must be a string, got %s", name, vs[0].Type())
 	}
 	off, ok := vs[1].IntVal()
 	if !ok {
-		return Erroneous("substr() offset must be an integer, got %s", vs[1].Type())
+		return Erroneous("%s() offset must be an integer, got %s", name, vs[1].Type())
 	}
 	n := int64(len(s))
 	if off < 0 {
@@ -286,7 +316,7 @@ func fnSubstr(ctx evalCtx, args []Expr) Value {
 	if len(vs) == 3 {
 		l, ok := vs[2].IntVal()
 		if !ok {
-			return Erroneous("substr() length must be an integer, got %s", vs[2].Type())
+			return Erroneous("%s() length must be an integer, got %s", name, vs[2].Type())
 		}
 		if l < 0 {
 			// Negative length: leave that many chars off the end.
@@ -303,7 +333,7 @@ func fnSubstr(ctx evalCtx, args []Expr) Value {
 }
 
 // fnStrcat concatenates the string form of all its arguments.
-func fnStrcat(ctx evalCtx, args []Expr) Value {
+func fnStrcat(ctx evalCtx, _ string, args []Expr) Value {
 	vs := evalArgs(ctx, args)
 	if bad, ok := propagate(vs...); !ok {
 		return bad
@@ -321,10 +351,7 @@ func fnStrcat(ctx evalCtx, args []Expr) Value {
 
 // fnSize returns the length of a string or list, or the number of
 // attributes of a classad.
-func fnSize(ctx evalCtx, args []Expr) Value {
-	if len(args) != 1 {
-		return argErr("size", "1", len(args))
-	}
+func fnSize(ctx evalCtx, name string, args []Expr) Value {
 	v := args[0].eval(ctx)
 	switch v.Type() {
 	case UndefinedType, ErrorType:
@@ -339,16 +366,13 @@ func fnSize(ctx evalCtx, args []Expr) Value {
 		ad, _ := v.AdVal()
 		return Int(int64(ad.Len()))
 	default:
-		return Erroneous("size() of %s", v.Type())
+		return Erroneous("%s() of %s", name, v.Type())
 	}
 }
 
 // fnInt converts to integer: reals truncate, booleans map to 0/1,
 // numeric strings parse; anything else is an error.
-func fnInt(ctx evalCtx, args []Expr) Value {
-	if len(args) != 1 {
-		return argErr("int", "1", len(args))
-	}
+func fnInt(ctx evalCtx, name string, args []Expr) Value {
 	v := args[0].eval(ctx)
 	switch v.Type() {
 	case UndefinedType, ErrorType:
@@ -358,7 +382,7 @@ func fnInt(ctx evalCtx, args []Expr) Value {
 	case RealType:
 		r, _ := v.RealVal()
 		if math.IsNaN(r) || math.IsInf(r, 0) {
-			return Erroneous("int() of non-finite real")
+			return Erroneous("%s() of non-finite real", name)
 		}
 		return Int(int64(r))
 	case BooleanType:
@@ -374,19 +398,16 @@ func fnInt(ctx evalCtx, args []Expr) Value {
 		if f, err := strconv.ParseFloat(strings.TrimSpace(s), 64); err == nil {
 			return Int(int64(f))
 		}
-		return Erroneous("int() cannot parse %q", s)
+		return Erroneous("%s() cannot parse %q", name, s)
 	default:
-		return Erroneous("int() of %s", v.Type())
+		return Erroneous("%s() of %s", name, v.Type())
 	}
 }
 
 // fnReal converts to real; the string forms "INF", "-INF" and "NaN"
 // are accepted (they are also how the unparser prints non-finite
 // reals).
-func fnReal(ctx evalCtx, args []Expr) Value {
-	if len(args) != 1 {
-		return argErr("real", "1", len(args))
-	}
+func fnReal(ctx evalCtx, name string, args []Expr) Value {
 	v := args[0].eval(ctx)
 	switch v.Type() {
 	case UndefinedType, ErrorType, RealType:
@@ -412,9 +433,9 @@ func fnReal(ctx evalCtx, args []Expr) Value {
 		if f, err := strconv.ParseFloat(s, 64); err == nil {
 			return Real(f)
 		}
-		return Erroneous("real() cannot parse %q", s)
+		return Erroneous("%s() cannot parse %q", name, s)
 	default:
-		return Erroneous("real() of %s", v.Type())
+		return Erroneous("%s() of %s", name, v.Type())
 	}
 }
 
@@ -425,10 +446,7 @@ func mustString(v Value) string {
 
 // fnString renders any value as its string form; strings pass through
 // unquoted.
-func fnString(ctx evalCtx, args []Expr) Value {
-	if len(args) != 1 {
-		return argErr("string", "1", len(args))
-	}
+func fnString(ctx evalCtx, _ string, args []Expr) Value {
 	v := args[0].eval(ctx)
 	switch v.Type() {
 	case UndefinedType, ErrorType:
@@ -442,10 +460,7 @@ func fnString(ctx evalCtx, args []Expr) Value {
 
 // fnBool coerces to boolean with the same rules as the Boolean
 // operators, plus "true"/"false" strings.
-func fnBool(ctx evalCtx, args []Expr) Value {
-	if len(args) != 1 {
-		return argErr("bool", "1", len(args))
-	}
+func fnBool(ctx evalCtx, name string, args []Expr) Value {
 	v := args[0].eval(ctx)
 	if s, ok := v.StringVal(); ok {
 		switch strings.ToLower(strings.TrimSpace(s)) {
@@ -454,17 +469,16 @@ func fnBool(ctx evalCtx, args []Expr) Value {
 		case "false", "f", "0", "no":
 			return Bool(false)
 		default:
-			return Erroneous("bool() cannot parse %q", s)
+			return Erroneous("%s() cannot parse %q", name, s)
 		}
 	}
 	return toBool(v)
 }
 
-func realFn(name string, f func(float64) float64) builtinFn {
-	return func(ctx evalCtx, args []Expr) Value {
-		if len(args) != 1 {
-			return argErr(name, "1", len(args))
-		}
+// realFn builds floor, ceiling and round: an integer when the result
+// is one that fits, else a real (1e300, NaN, INF).
+func realFn(f func(float64) float64) builtinFn {
+	return func(ctx evalCtx, name string, args []Expr) Value {
 		v := args[0].eval(ctx)
 		switch v.Type() {
 		case UndefinedType, ErrorType:
@@ -482,17 +496,8 @@ func realFn(name string, f func(float64) float64) builtinFn {
 	}
 }
 
-var (
-	fnFloor   = realFn("floor", math.Floor)
-	fnCeiling = realFn("ceiling", math.Ceil)
-	fnRound   = realFn("round", math.Round)
-)
-
 // fnAbs preserves the operand's numeric type.
-func fnAbs(ctx evalCtx, args []Expr) Value {
-	if len(args) != 1 {
-		return argErr("abs", "1", len(args))
-	}
+func fnAbs(ctx evalCtx, name string, args []Expr) Value {
 	v := args[0].eval(ctx)
 	switch v.Type() {
 	case UndefinedType, ErrorType:
@@ -507,16 +512,13 @@ func fnAbs(ctx evalCtx, args []Expr) Value {
 		r, _ := v.RealVal()
 		return Real(math.Abs(r))
 	default:
-		return Erroneous("abs() of %s", v.Type())
+		return Erroneous("%s() of %s", name, v.Type())
 	}
 }
 
 // fnPow raises base to exp. Integer base and non-negative integer
 // exponent yield an integer when the result fits.
-func fnPow(ctx evalCtx, args []Expr) Value {
-	if len(args) != 2 {
-		return argErr("pow", "2", len(args))
-	}
+func fnPow(ctx evalCtx, name string, args []Expr) Value {
 	vs := evalArgs(ctx, args)
 	if bad, ok := propagate(vs...); !ok {
 		return bad
@@ -524,7 +526,7 @@ func fnPow(ctx evalCtx, args []Expr) Value {
 	b, okB := vs[0].NumberVal()
 	e, okE := vs[1].NumberVal()
 	if !okB || !okE {
-		return Erroneous("pow() expects numeric arguments")
+		return Erroneous("%s() expects numeric arguments", name)
 	}
 	r := math.Pow(b, e)
 	if vs[0].Type() == IntegerType && vs[1].Type() == IntegerType && e >= 0 &&
@@ -534,10 +536,7 @@ func fnPow(ctx evalCtx, args []Expr) Value {
 	return Real(r)
 }
 
-func fnSqrt(ctx evalCtx, args []Expr) Value {
-	if len(args) != 1 {
-		return argErr("sqrt", "1", len(args))
-	}
+func fnSqrt(ctx evalCtx, name string, args []Expr) Value {
 	v := args[0].eval(ctx)
 	switch v.Type() {
 	case UndefinedType, ErrorType:
@@ -545,20 +544,17 @@ func fnSqrt(ctx evalCtx, args []Expr) Value {
 	}
 	n, ok := v.NumberVal()
 	if !ok {
-		return Erroneous("sqrt() of %s", v.Type())
+		return Erroneous("%s() of %s", name, v.Type())
 	}
 	if n < 0 {
-		return Erroneous("sqrt() of negative number")
+		return Erroneous("%s() of negative number", name)
 	}
 	return Real(math.Sqrt(n))
 }
 
 // fnQuantize rounds value up to the next multiple of quantum, the
 // convention used for memory and disk requests.
-func fnQuantize(ctx evalCtx, args []Expr) Value {
-	if len(args) != 2 {
-		return argErr("quantize", "2", len(args))
-	}
+func fnQuantize(ctx evalCtx, name string, args []Expr) Value {
 	vs := evalArgs(ctx, args)
 	if bad, ok := propagate(vs...); !ok {
 		return bad
@@ -566,10 +562,10 @@ func fnQuantize(ctx evalCtx, args []Expr) Value {
 	val, okV := vs[0].NumberVal()
 	q, okQ := vs[1].NumberVal()
 	if !okV || !okQ {
-		return Erroneous("quantize() expects numeric arguments")
+		return Erroneous("%s() expects numeric arguments", name)
 	}
 	if q <= 0 {
-		return Erroneous("quantize() quantum must be positive")
+		return Erroneous("%s() quantum must be positive", name)
 	}
 	r := math.Ceil(val/q) * q
 	if vs[0].Type() == IntegerType && vs[1].Type() == IntegerType {
@@ -578,84 +574,61 @@ func fnQuantize(ctx evalCtx, args []Expr) Value {
 	return Real(r)
 }
 
-// foldNumeric implements min/max/sum/avg over either a single list
-// argument or multiple scalar arguments.
-func foldNumeric(name string, ctx evalCtx, args []Expr, combine func(acc, x float64) float64, finish func(acc float64, n int) Value) Value {
-	vs := evalArgs(ctx, args)
-	if len(vs) == 1 {
-		if l, ok := vs[0].ListVal(); ok {
-			vs = l
-		}
-	}
-	if bad, ok := propagate(vs...); !ok {
-		return bad
-	}
-	if len(vs) == 0 {
-		return Undef()
-	}
-	allInt := true
-	var acc float64
-	for i, v := range vs {
-		n, ok := v.NumberVal()
-		if !ok {
-			return Erroneous("%s() expects numeric values, got %s", name, v.Type())
-		}
-		if v.Type() != IntegerType {
-			allInt = false
-		}
-		if i == 0 {
-			acc = n
-		} else {
-			acc = combine(acc, n)
-		}
-	}
-	out := finish(acc, len(vs))
-	if allInt && out.Type() == RealType {
-		if r, _ := out.RealVal(); r == math.Trunc(r) {
-			// Keep integer typing for all-integer inputs when exact.
-			if name != "avg" {
-				return Int(int64(r))
+// foldNumeric builds min/max/sum (mean false) and avg (mean true) over
+// either a single list argument or any number of scalar arguments; no
+// values at all is undefined. min/max/sum keep integer typing for
+// all-integer inputs when the result is exact.
+func foldNumeric(combine func(acc, x float64) float64, mean bool) builtinFn {
+	return func(ctx evalCtx, name string, args []Expr) Value {
+		vs := evalArgs(ctx, args)
+		if len(vs) == 1 {
+			if l, ok := vs[0].ListVal(); ok {
+				vs = l
 			}
 		}
+		if bad, ok := propagate(vs...); !ok {
+			return bad
+		}
+		if len(vs) == 0 {
+			return Undef()
+		}
+		allInt := true
+		var acc float64
+		for i, v := range vs {
+			n, ok := v.NumberVal()
+			if !ok {
+				return Erroneous("%s() expects numeric values, got %s", name, v.Type())
+			}
+			if v.Type() != IntegerType {
+				allInt = false
+			}
+			if i == 0 {
+				acc = n
+			} else {
+				acc = combine(acc, n)
+			}
+		}
+		if mean {
+			return Real(acc / float64(len(vs)))
+		}
+		if allInt && acc == math.Trunc(acc) {
+			return Int(int64(acc))
+		}
+		return Real(acc)
 	}
-	return out
-}
-
-func fnMin(ctx evalCtx, args []Expr) Value {
-	return foldNumeric("min", ctx, args, math.Min, func(a float64, _ int) Value { return Real(a) })
-}
-
-func fnMax(ctx evalCtx, args []Expr) Value {
-	return foldNumeric("max", ctx, args, math.Max, func(a float64, _ int) Value { return Real(a) })
-}
-
-func fnSum(ctx evalCtx, args []Expr) Value {
-	return foldNumeric("sum", ctx, args, func(a, x float64) float64 { return a + x },
-		func(a float64, _ int) Value { return Real(a) })
-}
-
-func fnAvg(ctx evalCtx, args []Expr) Value {
-	return foldNumeric("avg", ctx, args, func(a, x float64) float64 { return a + x },
-		func(a float64, n int) Value { return Real(a / float64(n)) })
 }
 
 // typeTest builds the isX() predicates. They are non-strict: that is
 // their whole point.
 func typeTest(t ValueType) builtinFn {
-	return func(ctx evalCtx, args []Expr) Value {
-		if len(args) != 1 {
-			return argErr("is"+t.String(), "1", len(args))
-		}
+	return func(ctx evalCtx, _ string, args []Expr) Value {
 		return Bool(args[0].eval(ctx).Type() == t)
 	}
 }
 
 // fnIfThenElse is the functional form of ?:, evaluating only the
 // selected branch.
-func fnIfThenElse(ctx evalCtx, args []Expr) Value {
-	if len(args) != 3 {
-		return argErr("ifThenElse", "3", len(args))
-	}
+func fnIfThenElse(ctx evalCtx, _ string, args []Expr) Value {
 	c := toBool(args[0].eval(ctx))
 	switch c.Type() {
 	case BooleanType:
@@ -673,64 +646,52 @@ var compareOps = map[string]Op{
 	"is": OpIs, "isnt": OpIsnt,
 }
 
-// fnAnyCompare implements anyCompare(op, list, value): true if the
-// comparison holds between any list element and value.
-func fnAnyCompare(ctx evalCtx, args []Expr) Value {
-	return compareFold("anyCompare", ctx, args, false)
-}
-
-// fnAllCompare is the universal counterpart of anyCompare.
-func fnAllCompare(ctx evalCtx, args []Expr) Value {
-	return compareFold("allCompare", ctx, args, true)
-}
-
-func compareFold(name string, ctx evalCtx, args []Expr, all bool) Value {
-	if len(args) != 3 {
-		return argErr(name, "3", len(args))
-	}
-	vs := evalArgs(ctx, args)
-	if bad, ok := propagate(vs...); !ok {
-		return bad
-	}
-	opStr, ok := vs[0].StringVal()
-	if !ok {
-		return Erroneous("%s() first argument must be a comparison operator string", name)
-	}
-	op, ok := compareOps[strings.ToLower(strings.TrimSpace(opStr))]
-	if !ok {
-		return Erroneous("%s(): unknown comparison operator %q", name, opStr)
-	}
-	list, ok := vs[1].ListVal()
-	if !ok {
-		return Erroneous("%s() second argument must be a list", name)
-	}
-	for _, el := range list {
-		var r Value
-		switch op {
-		case OpIs:
-			r = Bool(el.Identical(vs[2]))
-		case OpIsnt:
-			r = Bool(!el.Identical(vs[2]))
-		default:
-			r = evalCompare(op, el, vs[2])
+// compareFold builds anyCompare(op, list, value), true if the
+// comparison holds between any list element and value, and its
+// universal counterpart allCompare (all true).
+func compareFold(all bool) builtinFn {
+	return func(ctx evalCtx, name string, args []Expr) Value {
+		vs := evalArgs(ctx, args)
+		if bad, ok := propagate(vs...); !ok {
+			return bad
 		}
-		if all {
-			if !r.IsTrue() {
-				return Bool(false)
+		opStr, ok := vs[0].StringVal()
+		if !ok {
+			return Erroneous("%s() first argument must be a comparison operator string", name)
+		}
+		op, ok := compareOps[strings.ToLower(strings.TrimSpace(opStr))]
+		if !ok {
+			return Erroneous("%s(): unknown comparison operator %q", name, opStr)
+		}
+		list, ok := vs[1].ListVal()
+		if !ok {
+			return Erroneous("%s() second argument must be a list", name)
+		}
+		for _, el := range list {
+			var r Value
+			switch op {
+			case OpIs:
+				r = Bool(el.Identical(vs[2]))
+			case OpIsnt:
+				r = Bool(!el.Identical(vs[2]))
+			default:
+				r = evalCompare(op, el, vs[2])
 			}
-		} else if r.IsTrue() {
-			return Bool(true)
+			if all {
+				if !r.IsTrue() {
+					return Bool(false)
+				}
+			} else if r.IsTrue() {
+				return Bool(true)
+			}
 		}
+		return Bool(all)
 	}
-	return Bool(all)
 }
 
 // fnRegexp implements regexp(pattern, target [, options]): a match
 // test using Go's RE2 syntax; option "i" folds case.
-func fnRegexp(ctx evalCtx, args []Expr) Value {
-	if len(args) != 2 && len(args) != 3 {
-		return argErr("regexp", "2 or 3", len(args))
-	}
+func fnRegexp(ctx evalCtx, name string, args []Expr) Value {
 	vs := evalArgs(ctx, args)
 	if bad, ok := propagate(vs...); !ok {
 		return bad
@@ -738,12 +699,12 @@ func fnRegexp(ctx evalCtx, args []Expr) Value {
 	pat, okP := vs[0].StringVal()
 	tgt, okT := vs[1].StringVal()
 	if !okP || !okT {
-		return Erroneous("regexp() expects string arguments")
+		return Erroneous("%s() expects string arguments", name)
 	}
 	if len(vs) == 3 {
 		opts, ok := vs[2].StringVal()
 		if !ok {
-			return Erroneous("regexp() options must be a string")
+			return Erroneous("%s() options must be a string", name)
 		}
 		if strings.Contains(strings.ToLower(opts), "i") {
 			pat = "(?i)" + pat
@@ -751,17 +712,14 @@ func fnRegexp(ctx evalCtx, args []Expr) Value {
 	}
 	re, err := regexp.Compile(pat)
 	if err != nil {
-		return Erroneous("regexp(): bad pattern %q: %v", pat, err)
+		return Erroneous("%s(): bad pattern %q: %v", name, pat, err)
 	}
 	return Bool(re.MatchString(tgt))
 }
 
 // fnRegexps implements regexps(pattern, target, substitute): regexp
 // replacement with $1-style group references.
-func fnRegexps(ctx evalCtx, args []Expr) Value {
-	if len(args) != 3 {
-		return argErr("regexps", "3", len(args))
-	}
+func fnRegexps(ctx evalCtx, name string, args []Expr) Value {
 	vs := evalArgs(ctx, args)
 	if bad, ok := propagate(vs...); !ok {
 		return bad
@@ -770,35 +728,32 @@ func fnRegexps(ctx evalCtx, args []Expr) Value {
 	tgt, okT := vs[1].StringVal()
 	sub, okS := vs[2].StringVal()
 	if !okP || !okT || !okS {
-		return Erroneous("regexps() expects string arguments")
+		return Erroneous("%s() expects string arguments", name)
 	}
 	re, err := regexp.Compile(pat)
 	if err != nil {
-		return Erroneous("regexps(): bad pattern %q: %v", pat, err)
+		return Erroneous("%s(): bad pattern %q: %v", name, pat, err)
 	}
 	return Str(re.ReplaceAllString(tgt, sub))
 }
 
 // fnSplitList splits a comma- or space-separated string into a list
 // of trimmed strings.
-func fnSplitList(ctx evalCtx, args []Expr) Value {
-	if len(args) != 1 && len(args) != 2 {
-		return argErr("splitList", "1 or 2", len(args))
-	}
+func fnSplitList(ctx evalCtx, name string, args []Expr) Value {
 	vs := evalArgs(ctx, args)
 	if bad, ok := propagate(vs...); !ok {
 		return bad
 	}
 	s, ok := vs[0].StringVal()
 	if !ok {
-		return Erroneous("splitList() expects a string, got %s", vs[0].Type())
+		return Erroneous("%s() expects a string, got %s", name, vs[0].Type())
 	}
 	seps := ", "
 	if len(vs) == 2 {
 		if sp, ok := vs[1].StringVal(); ok {
 			seps = sp
 		} else {
-			return Erroneous("splitList() separator must be a string")
+			return Erroneous("%s() separator must be a string", name)
 		}
 	}
 	fields := strings.FieldsFunc(s, func(r rune) bool {
@@ -815,10 +770,7 @@ func fnSplitList(ctx evalCtx, args []Expr) Value {
 
 // fnJoin concatenates a list of values with a separator:
 // join(sep, list).
-func fnJoin(ctx evalCtx, args []Expr) Value {
-	if len(args) != 2 {
-		return argErr("join", "2", len(args))
-	}
+func fnJoin(ctx evalCtx, name string, args []Expr) Value {
 	vs := evalArgs(ctx, args)
 	if bad, ok := propagate(vs...); !ok {
 		return bad
@@ -826,7 +778,7 @@ func fnJoin(ctx evalCtx, args []Expr) Value {
 	sep, okS := vs[0].StringVal()
 	list, okL := vs[1].ListVal()
 	if !okS || !okL {
-		return Erroneous("join() expects (string, list)")
+		return Erroneous("%s() expects (string, list)", name)
 	}
 	parts := make([]string, len(list))
 	for i, el := range list {
@@ -841,10 +793,7 @@ func fnJoin(ctx evalCtx, args []Expr) Value {
 
 // fnRandom returns a uniform real in [0, x) — x defaults to 1.0; an
 // integer argument yields an integer result in [0, x).
-func fnRandom(ctx evalCtx, args []Expr) Value {
-	if len(args) > 1 {
-		return argErr("random", "0 or 1", len(args))
-	}
+func fnRandom(ctx evalCtx, name string, args []Expr) Value {
 	u := ctx.st.env.Rand()
 	if len(args) == 0 {
 		return Real(u)
@@ -856,26 +805,23 @@ func fnRandom(ctx evalCtx, args []Expr) Value {
 	case IntegerType:
 		n, _ := v.IntVal()
 		if n <= 0 {
-			return Erroneous("random() bound must be positive")
+			return Erroneous("%s() bound must be positive", name)
 		}
 		return Int(int64(u * float64(n)))
 	case RealType:
 		r, _ := v.RealVal()
 		if r <= 0 {
-			return Erroneous("random() bound must be positive")
+			return Erroneous("%s() bound must be positive", name)
 		}
 		return Real(u * r)
 	default:
-		return Erroneous("random() of %s", v.Type())
+		return Erroneous("%s() of %s", name, v.Type())
 	}
 }
 
 // fnTime returns the environment's current time in seconds since the
 // Unix epoch; the simulator injects virtual time here.
-func fnTime(ctx evalCtx, args []Expr) Value {
-	if len(args) != 0 {
-		return argErr("time", "0", len(args))
-	}
+func fnTime(ctx evalCtx, _ string, _ []Expr) Value {
 	return Int(ctx.st.env.Now())
 }
 
@@ -884,10 +830,7 @@ func fnTime(ctx evalCtx, args []Expr) Value {
 // ("current time in seconds since midnight", Figure 1), so an RA can
 // publish DayTime = dayTime() and have night-only policies evaluate
 // correctly at claim time.
-func fnDayTime(ctx evalCtx, args []Expr) Value {
-	if len(args) != 0 {
-		return argErr("dayTime", "0", len(args))
-	}
+func fnDayTime(ctx evalCtx, _ string, _ []Expr) Value {
 	now := ctx.st.env.Now()
 	secs := now % 86400
 	if secs < 0 {
@@ -898,10 +841,7 @@ func fnDayTime(ctx evalCtx, args []Expr) Value {
 
 // fnInterval renders a duration in seconds as the conventional
 // "days+hh:mm:ss" display form used by queue tools.
-func fnInterval(ctx evalCtx, args []Expr) Value {
-	if len(args) != 1 {
-		return argErr("interval", "1", len(args))
-	}
+func fnInterval(ctx evalCtx, name string, args []Expr) Value {
 	v := args[0].eval(ctx)
 	switch v.Type() {
 	case UndefinedType, ErrorType:
@@ -909,7 +849,7 @@ func fnInterval(ctx evalCtx, args []Expr) Value {
 	}
 	n, ok := v.NumberVal()
 	if !ok {
-		return Erroneous("interval() of %s", v.Type())
+		return Erroneous("%s() of %s", name, v.Type())
 	}
 	secs := int64(n)
 	neg := ""
@@ -920,13 +860,9 @@ func fnInterval(ctx evalCtx, args []Expr) Value {
 	secs %= 86400
 	h, m, s := secs/3600, (secs%3600)/60, secs%60
 	if days > 0 {
-		return Str(strings.TrimPrefix(neg+sprintfInterval(days, h, m, s), ""))
+		return Str(neg + strconvI(days) + "+" + sprintfHMS(h, m, s))
 	}
 	return Str(neg + sprintfHMS(h, m, s))
-}
-
-func sprintfInterval(days, h, m, s int64) string {
-	return strconvI(days) + "+" + sprintfHMS(h, m, s)
 }
 
 func sprintfHMS(h, m, s int64) string {
@@ -945,10 +881,7 @@ func strconvI(x int64) string { return strconv.FormatInt(x, 10) }
 // value) in canonical source form — the introspection helper status
 // tools use to display policies. The argument is intentionally not
 // evaluated.
-func fnUnparse(ctx evalCtx, args []Expr) Value {
-	if len(args) != 1 {
-		return argErr("unparse", "1", len(args))
-	}
+func fnUnparse(ctx evalCtx, _ string, args []Expr) Value {
 	// For an attribute reference, unparse the referenced attribute's
 	// definition if it exists in scope; otherwise unparse the
 	// argument expression itself.

@@ -381,11 +381,14 @@ func (e condExpr) eval(ctx evalCtx) Value {
 }
 
 func (e callExpr) eval(ctx evalCtx) Value {
-	fn, ok := builtins[e.key]
+	b, ok := builtins[e.key]
 	if !ok {
 		return Erroneous("call to unknown function %q", e.name)
 	}
-	return fn(ctx, e.args)
+	if n := len(e.args); n < b.Min || b.Max >= 0 && n > b.Max {
+		return b.arityErr(n)
+	}
+	return b.fn(ctx, b.Name, e.args)
 }
 
 func (e listExpr) eval(ctx evalCtx) Value {

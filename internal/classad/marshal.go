@@ -3,6 +3,7 @@ package classad
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 )
 
 // The wire protocol carries classads in their native source syntax,
@@ -76,7 +77,7 @@ func (a *Ad) UnmarshalJSON(data []byte) error {
 			extra = append(extra, n)
 		}
 	}
-	sortStrings(extra)
+	sort.Strings(extra)
 	for _, n := range extra {
 		e, err := ParseExpr(w.Attrs[n])
 		if err != nil {

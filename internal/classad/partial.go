@@ -15,23 +15,6 @@ package classad
 // once the job's own Memory is substituted, which is the form an
 // administrator can act on.
 
-// impureFns are builtins whose value is not determined by the ad alone
-// (they read the environment), so references through them stay
-// symbolic.
-var impureFns = map[string]bool{
-	"random":      true,
-	"time":        true,
-	"currenttime": true,
-	"daytime":     true,
-}
-
-// ImpureBuiltin reports whether name is a builtin whose value is not
-// determined by the ads alone (it reads the environment: clock or
-// random stream). Such calls stay symbolic under partial evaluation,
-// and the bilateral analyzer refuses to build "can never match" proofs
-// over expressions that reach one.
-func ImpureBuiltin(name string) bool { return impureFns[Fold(name)] }
-
 // groundChecker decides whether an expression's value is fully
 // determined by the self ad: no other-scope references, no unresolved
 // names (an unqualified name missing from self could still resolve in
@@ -67,8 +50,8 @@ func (g *groundChecker) ground(e Expr) bool {
 	case condExpr:
 		return g.ground(n.cond) && g.ground(n.then) && g.ground(n.els)
 	case callExpr:
-		if impureFns[n.key] {
-			return false
+		if b, ok := builtins[n.key]; ok && b.Impure {
+			return false // it reads the environment: clock or random stream
 		}
 		for _, a := range n.args {
 			if !g.ground(a) {

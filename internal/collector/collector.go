@@ -71,15 +71,27 @@ type Store struct {
 
 	// daemons tracks self-advertising daemons (Type == "Daemon") past
 	// their ads' expiry: unlike ordinary ads, a daemon that stops
-	// advertising should be surfaced as missing, not silently dropped.
+	// advertising should be surfaced as missing, not silently dropped,
+	// until daemonForgetLifetimes of its lifetimes have passed.
 	daemons map[string]daemonEntry
 }
+
+// daemonForgetLifetimes bounds how long a missing daemon stays listed:
+// its entry is forgotten once its self-ad has been expired for this
+// many of its own lifetimes (20 minutes at the default 120 s).
+const daemonForgetLifetimes = 10
 
 // daemonEntry remembers one daemon's latest self-advertisement.
 type daemonEntry struct {
 	kind     string
 	lastSeen int64
 	expires  int64
+}
+
+// forgetAt is when pruneLocked drops the entry: daemonForgetLifetimes
+// of the ad's lifetime past its expiry.
+func (d daemonEntry) forgetAt() int64 {
+	return d.expires + daemonForgetLifetimes*(d.expires-d.lastSeen)
 }
 
 // DaemonStatus is one daemon's health derived from its self-ads:
@@ -236,7 +248,8 @@ func (s *Store) Invalidate(name string) bool {
 	return ok
 }
 
-// pruneLocked drops expired entries; the caller holds the write lock.
+// pruneLocked drops expired ads and forgotten daemon entries; the
+// caller holds the write lock.
 // Every operation that reads or writes ads calls it first, so an
 // expiry is published by the first operation at or after the deadline;
 // until the clock reaches the watermark that costs one comparison.
@@ -256,6 +269,14 @@ func (s *Store) pruneLocked() {
 			s.publishLocked(Delta{Kind: DeltaExpired, Name: k, Ad: e.ad})
 		case e.expires < next:
 			next = e.expires
+		}
+	}
+	for k, d := range s.daemons {
+		switch forget := d.forgetAt(); {
+		case forget <= now:
+			delete(s.daemons, k)
+		case forget < next:
+			next = forget
 		}
 	}
 	s.nextExpiry = next
@@ -356,6 +377,7 @@ func (s *Store) Lookup(name string) (*classad.Ad, bool) {
 func (s *Store) DaemonHealth() []DaemonStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.pruneLocked()
 	now := s.env.Now()
 	out := make([]DaemonStatus, 0, len(s.daemons))
 	for name, d := range s.daemons {

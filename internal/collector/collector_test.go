@@ -195,3 +195,54 @@ func TestStoreConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestMissingDaemonIsForgotten: a daemon whose self-ad expires is
+// listed missing, and is dropped once it has been missing for
+// daemonForgetLifetimes of its lifetimes, so a pool whose daemons come
+// and go keeps a bounded health table. A live daemon stays listed.
+func TestMissingDaemonIsForgotten(t *testing.T) {
+	clock := &tickEnv{now: 1000}
+	s := New(clock.env())
+	daemon := func(name string) *classad.Ad {
+		ad := classad.NewAd()
+		ad.SetString("Name", name)
+		ad.SetString("Type", "Daemon")
+		ad.SetString("Daemon", "ra")
+		return ad
+	}
+	const lifetime = 60
+	for _, name := range []string{"dead", "live"} {
+		if err := s.Update(daemon(name), lifetime); err != nil {
+			t.Fatal(err)
+		}
+	}
+	status := func() map[string]string {
+		out := map[string]string{}
+		for _, d := range s.DaemonHealth() {
+			out[d.Name] = d.Status
+		}
+		return out
+	}
+	// Walk the clock one lifetime at a time, refreshing only "live".
+	for step := 1; step <= daemonForgetLifetimes+1; step++ {
+		clock.advance(lifetime)
+		if err := s.Update(daemon("live"), lifetime); err != nil {
+			t.Fatal(err)
+		}
+		got := status()
+		if got["live"] != "ok" {
+			t.Fatalf("step %d: live daemon = %q, want ok", step, got["live"])
+		}
+		if step <= daemonForgetLifetimes && got["dead"] != "missing" {
+			t.Fatalf("step %d: dead daemon = %q, want missing", step, got["dead"])
+		}
+		if step > daemonForgetLifetimes {
+			if st, ok := got["dead"]; ok {
+				t.Fatalf("step %d: dead daemon still listed %q after %d lifetimes missing", step, st, step-1)
+			}
+		}
+	}
+	if n := len(s.daemons); n != 1 {
+		t.Errorf("health table holds %d entries, want 1", n)
+	}
+}

@@ -80,7 +80,7 @@ func planRequest(req *classad.Ad, env *classad.Env, keyed bool) reqPlan {
 }
 
 // rankKeyOf returns req's rank key, or nil when its Rank residual
-// reads the environment (it calls classad.ImpureBuiltin, or holds a
+// reads the environment (it calls an impure builtin, or holds a
 // nested ad, whose attributes Walk does not visit) or the request.
 // Every name the residual still reads is the offer's: a name the
 // request defines by a literal, or by anything ground, was folded by
@@ -99,7 +99,8 @@ func rankKeyOf(req *classad.Ad, env *classad.Env) *rankKey {
 		}
 		switch info := classad.Inspect(n); info.Kind {
 		case classad.KindCall:
-			pure = !classad.ImpureBuiltin(info.Name)
+			b, _ := classad.LookupBuiltin(info.Name)
+			pure = !b.Impure
 		case classad.KindAd:
 			pure = false
 		case classad.KindAttrRef:

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -83,8 +84,12 @@ type DebugServer struct {
 }
 
 // ServeDebug binds addr and serves the Handler in the background,
-// returning the bound address (addr may use port 0).
+// returning the bound address (addr may use port 0). A nil Obs has
+// nothing to serve: it binds nothing and returns an error.
 func (o *Obs) ServeDebug(addr string) (*DebugServer, error) {
+	if o == nil {
+		return nil, errors.New("obs: ServeDebug on a nil *Obs")
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
